@@ -21,7 +21,6 @@ from .errors import (
     QZero,
     RetentionOutOfRange,
     SigmaUnsupported,
-    ThresholdSingular,
     UnsupportedPenalty,
 )
 from .model import LevyModel, laplace_exponent, laplace_exponent_deriv, phi, root_set

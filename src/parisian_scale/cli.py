@@ -2,8 +2,9 @@
 
 Subcommands: scale, law, value, efficiency, simulate, network.  Tabular
 output is CSV with 17 significant digits so values round-trip through
-text exactly; scalar outputs are JSON.  Exit codes: 0 success, 1
-numerical failure, 2 usage or configuration error.
+text exactly; each column is evaluated over the whole grid in one call.
+Scalar outputs are JSON.  Exit codes: 0 success, 1 numerical or domain
+failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import argparse
 import json
 import math
 import sys
+
+import numpy as np
 
 from .errors import ParisianScaleError
 from .model import LevyModel
@@ -43,9 +46,7 @@ def _parse_grid(spec: str):
         raise SystemExit(_usage_error(f"bad grid spec {spec!r}, expected a:b:n"))
     if n < 1 or (n > 1 and b <= a):
         raise SystemExit(_usage_error(f"grid {spec!r} must be strictly increasing"))
-    if n == 1:
-        return [a]
-    return [a + (b - a) * i / (n - 1) for i in range(n)]
+    return np.linspace(a, b, n)     # the ends are exactly a and b
 
 
 def _usage_error(msg: str) -> int:
@@ -53,10 +54,17 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-def _write_rows(header, rows, out):
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _write_columns(header, columns, out):
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_FMT.format(v) if isinstance(v, float) else str(v) for v in row))
+    for row in np.column_stack(columns).tolist():
+        lines.append(",".join(_FMT.format(v) for v in row))
     text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -94,19 +102,17 @@ def cmd_scale(args) -> int:
         header.append("Z_theta")
     if pctx is not None:
         header += ["W_qr", "Z_qr", "scriptS"]
-    rows = []
-    for x in _parse_grid(args.x_grid):
-        row = [x, scale.eval_W(ctx, x), scale.eval_W(ctx, x, deriv_order=1),
-               scale.eval_Wbar(ctx, x), scale.eval_Z0_family(ctx, x, "Z"),
-               scale.eval_Z0_family(ctx, x, "Zbar")]
-        if args.theta is not None:
-            row.append(scale.eval_Z(ctx, x, args.theta))
-        if pctx is not None:
-            row += [scale.eval_parisian_Z(pctx, x, math.inf),
-                    scale.eval_parisian_Z(pctx, x, 0.0),
-                    scale.eval_scriptS(pctx, x)]
-        rows.append(row)
-    _write_rows(header, rows, args.out)
+    x = _parse_grid(args.x_grid)
+    cols = [x, scale.eval_W(ctx, x), scale.eval_W(ctx, x, deriv_order=1),
+            scale.eval_Wbar(ctx, x), scale.eval_Z0_family(ctx, x, "Z"),
+            scale.eval_Z0_family(ctx, x, "Zbar")]
+    if args.theta is not None:
+        cols.append(scale.eval_Z(ctx, x, args.theta))
+    if pctx is not None:
+        cols += [scale.eval_parisian_Z(pctx, x, math.inf),
+                 scale.eval_parisian_Z(pctx, x, 0.0),
+                 scale.eval_scriptS(pctx, x)]
+    _write_columns(header, cols, args.out)
     return 0
 
 
@@ -118,7 +124,7 @@ def cmd_law(args) -> int:
     vartheta = args.vartheta if args.vartheta is not None else 0.0
     b = args.b
 
-    def one(x):
+    def column(x):
         if args.name == "two_sided":
             return laws.two_sided_exit(ctx, x, 0.0, b)
         if args.name == "severity_absorbed":
@@ -143,10 +149,10 @@ def cmd_law(args) -> int:
             return laws.parisian_dividends_penalty(pctx, x, b, theta, vartheta)
         raise AssertionError(args.name)
 
-    if args.name != "time_in_red" and args.name.startswith("parisian") and pctx is None:
+    if (args.name == "time_in_red" or args.name.startswith("parisian")) and pctx is None:
         return _usage_error(f"law {args.name!r} needs --r")
-    rows = [[x, one(x)] for x in _parse_grid(args.x_grid)]
-    _write_rows(["x", "value"], rows, args.out)
+    x = _parse_grid(args.x_grid)
+    _write_columns(["x", "value"], [x, column(x)], args.out)
     return 0
 
 
@@ -157,7 +163,7 @@ def cmd_value(args) -> int:
     b, k, K = args.b, args.k or 0.0, args.K or 0.0
     theta = args.theta if args.theta is not None else 0.0
 
-    def one(x):
+    def column(x):
         if args.name == "vf_dividends_classic":
             return control.vf_dividends_classic(ctx, x, b)
         if args.name == "value_definetti":
@@ -171,8 +177,8 @@ def cmd_value(args) -> int:
     if args.name in ("VF_div", "VF_bail", "VS_div", "VS_div_theta", "VS_bail",
                      "slg_parisian") and pctx is None:
         return _usage_error(f"objective {args.name!r} needs --r")
-    rows = [[x, one(x)] for x in _parse_grid(args.x_grid)]
-    _write_rows(["x", "value"], rows, args.out)
+    x = _parse_grid(args.x_grid)
+    _write_columns(["x", "value"], [x, column(x)], args.out)
     return 0
 
 
@@ -309,7 +315,7 @@ def build_parser():
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--paths", type=_positive_int, default=100_000)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("network", help="claims-line network valuation")
@@ -317,7 +323,7 @@ def build_parser():
     p.add_argument("--u0", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--paths", type=_positive_int, default=100_000)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_network)
     return ap

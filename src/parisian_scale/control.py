@@ -2,13 +2,16 @@
 
 Barrier value functions, the barrier influence function G and its last
 global maximizer, the efficiency threshold k(q, r) with its patience
-solver, and the claims-line network helpers.
+solver, and the claims-line network helpers.  The value functions take x
+as a scalar or a numpy array (b and k are scalars); G takes a scalar b.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -26,33 +29,39 @@ from .scale import (
     eval_parisian_Z,
     eval_scriptS,
     eval_W,
-    eval_Z,
     eval_Z0_family,
+    piecewise,
 )
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def vf_dividends_classic(ctx: ScaleContext, x: float, b: float) -> float:
-    """Expected discounted dividends at barrier b until ruin: W_q(x)/W_q'(b)."""
-    if not 0.0 <= x <= b:
+def _check_barrier_interval(x, b: float):
+    if not np.all((0.0 <= np.asarray(x)) & (np.asarray(x) <= b)):
         raise DomainError(f"need 0 <= x <= b, got x={x}, b={b}")
+
+
+def vf_dividends_classic(ctx: ScaleContext, x, b: float):
+    """Expected discounted dividends at barrier b until ruin: W_q(x)/W_q'(b)."""
+    _check_barrier_interval(x, b)
     return eval_W(ctx, x) / eval_W(ctx, b, deriv_order=1)
 
 
-def value_definetti(ctx: ScaleContext, x: float, b: float, penalty: PenaltySpec) -> float:
+def value_definetti(ctx: ScaleContext, x, b: float, penalty: PenaltySpec):
     """Barrier dividend value with a terminal penalty (Dickson-Waters form).
 
     For x <= b the value is S_w(x) + W_q(x) (1 - S_w'(b)) / W_q'(b) where
     S_w is the smooth harmonic extension of the penalty w.  Above the
     barrier the excess is paid out immediately as a lump sum.
     """
-    if x < 0 or b < 0:
+    if not (np.all(np.asarray(x) >= 0) and b >= 0):
         raise DomainError(f"need x >= 0 and b >= 0, got x={x}, b={b}")
-    if x > b:
-        return x - b + value_definetti(ctx, b, b, penalty)
     gs = build_gerber_shiu(ctx, penalty)
-    return gs(x) + eval_W(ctx, x) * (1.0 - gs.deriv(b, 1)) / eval_W(ctx, b, deriv_order=1)
+    slope_num, slope_den = 1.0 - gs.deriv(b), eval_W(ctx, b, deriv_order=1)
+
+    def inside(y):
+        return gs(y) + eval_W(ctx, y) * slope_num / slope_den
+    return piecewise(x, np.asarray(x) <= b, inside, lambda y: y - b + inside(b))
 
 
 def barrier_function(
@@ -72,7 +81,7 @@ def barrier_function(
         raise DomainError(f"need b >= 0, got b={b}")
     if kind == "deFinetti_classic":
         gs = build_gerber_shiu(ctx, penalty if penalty is not None else Constant(0.0))
-        return (1.0 - gs.deriv(b, 1)) / eval_W(ctx, b, deriv_order=1)
+        return (1.0 - gs.deriv(b)) / eval_W(ctx, b, deriv_order=1)
     if kind == "SLG_classic":
         if ctx.q <= 0:
             raise QZero("SLG barrier function needs q > 0")
@@ -148,10 +157,9 @@ def optimize_barrier(G, b_max: float, n_grid: int = 1000, tol: float = 1e-8) -> 
     )
 
 
-def value_slg_classic(ctx: ScaleContext, x: float, b: float, k: float) -> float:
+def value_slg_classic(ctx: ScaleContext, x, b: float, k: float):
     """Dividends minus k times injections for the doubly reflected process."""
-    if not 0.0 <= x <= b:
-        raise DomainError(f"need 0 <= x <= b, got x={x}, b={b}")
+    _check_barrier_interval(x, b)
     if ctx.q <= 0:
         raise QZero("SLG value needs q > 0")
     q = ctx.q
@@ -161,14 +169,13 @@ def value_slg_classic(ctx: ScaleContext, x: float, b: float, k: float) -> float:
     return k * lx + Zx * (1.0 - k * Zb) / (q * eval_W(ctx, b))
 
 
-def value_parisian(pctx: ParisianContext, x: float, b: float, part: str, theta: float = 0.0) -> float:
+def value_parisian(pctx: ParisianContext, x, b: float, part: str, theta: float = 0.0):
     """One component of the Parisian barrier objective.
 
     VF_* parts reflect the surplus at 0 via Poissonian injections and pay
     dividends at b; VS_* parts are the SLG decomposition pieces.
     """
-    if not 0.0 <= x <= b:
-        raise DomainError(f"need 0 <= x <= b, got x={x}, b={b}")
+    _check_barrier_interval(x, b)
     if pctx.q <= 0:
         raise QZero("Parisian barrier values need q > 0")
     if part == "VF_div":
@@ -188,10 +195,9 @@ def value_parisian(pctx: ParisianContext, x: float, b: float, part: str, theta: 
     raise DomainError(f"unknown Parisian value part {part!r}")
 
 
-def slg_parisian_value(pctx: ParisianContext, x: float, b: float, k: float) -> float:
+def slg_parisian_value(pctx: ParisianContext, x, b: float, k: float):
     """SLG value with Parisian reflection: k S(x) + Z_{q,r}(x)(1 - k S'(b))/Z_{q,r}'(b)."""
-    if not 0.0 <= x <= b:
-        raise DomainError(f"need 0 <= x <= b, got x={x}, b={b}")
+    _check_barrier_interval(x, b)
     if pctx.q <= 0:
         raise QZero("SLG value needs q > 0")
     Zx = eval_parisian_Z(pctx, x, 0.0)

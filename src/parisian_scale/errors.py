@@ -21,7 +21,7 @@ class DegenerateRoots(ParisianScaleError):
     """Two roots of kappa(theta)=q coincide; exponential-mixture form breaks down."""
 
 
-class DomainError(ParisianScaleError):
+class DomainError(ParisianScaleError, ValueError):
     """Argument outside the documented domain (e.g. x not in [a, b])."""
 
 
@@ -35,10 +35,6 @@ class NonpositiveDrift(ParisianScaleError):
 
 class UnsupportedPenalty(ParisianScaleError):
     """Penalty not in the exponential/linear/constant closed-form family."""
-
-
-class ThresholdSingular(ParisianScaleError):
-    """Efficiency threshold denominator is nonpositive (threshold is infinite)."""
 
 
 class NoSolution(ParisianScaleError):

@@ -5,6 +5,12 @@ complex weights/rates (in conjugate pairs, so the value is real on the real
 axis) and small integer powers.  The class is closed under differentiation,
 definite antidifferentiation from 0, multiplication by x and by e^{a x}, which
 is everything the scale-function calculus needs; no gridding anywhere.
+
+A mixture is compiled once into three read-only arrays (w, rho, k) and then
+only evaluated: ``__call__`` is the one evaluator, and it takes a whole array
+of x at once (a scalar x is a length-1 array that comes back as a float).
+The algebra (``derivative``, ``antiderivative``, ``scaled``, ``+``) builds new
+mixtures; the scale module calls it once per context, never per evaluation.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParisianScaleError
+
 # rates closer than this are treated as confluent (the x * e^{rho x} limit);
 # model roots are kept at least 1e-8 apart upstream, so this never conflates
 # genuinely distinct terms
@@ -20,71 +28,80 @@ _IMAG_TOL = 1e-9
 _MERGE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpMix:
     """Finite mixture ``sum w * x^k * exp(rho * x)``.
 
-    ``terms`` is a tuple of ``(w, rho, k)`` with complex ``w``, ``rho`` and
-    integer ``k >= 0``.  A constant offset is a ``(w, 0, 0)`` term.
+    ``w`` and ``rho`` are complex arrays and ``k`` an integer array with
+    ``k >= 0``, one entry per term.  A constant offset is a ``(w, 0, 0)`` term.
     """
 
-    terms: tuple[tuple[complex, complex, int], ...]
+    w: np.ndarray
+    rho: np.ndarray
+    k: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.w, self.rho, self.k):
+            a.setflags(write=False)
 
     @classmethod
     def build(cls, terms) -> "ExpMix":
-        """Normalize: merge terms with equal (rho, k), drop zero weights."""
-        acc: dict[tuple[complex, int], complex] = {}
-        for w, rho, k in terms:
-            w = complex(w)
-            rho = complex(rho)
-            k = int(k)
-            key = None
-            for (r0, k0) in acc:
-                if k0 == k and abs(r0 - rho) <= _MERGE_TOL * (1.0 + abs(rho)):
-                    key = (r0, k0)
-                    break
-            if key is None:
-                key = (rho, k)
-                acc[key] = 0.0 + 0.0j
-            acc[key] += w
-        out = tuple(
-            (w, rho, k) for (rho, k), w in acc.items() if abs(w) > 0.0
+        """Normalize ``(w, rho, k)`` triples: merge equal (rho, k), drop zero weights.
+
+        Terms keep the order in which their (rho, k) first appears, and the
+        weights of merged terms are added in input order.
+        """
+        t = np.asarray(terms, dtype=complex).reshape(-1, 3)
+        w, rho, k = t[:, 0], t[:, 1], t[:, 2].real.astype(int)
+        # each term joins the first earlier term of the same power within the tolerance
+        same = (k[:, None] == k[None, :]) & (
+            np.abs(rho[None, :] - rho[:, None]) <= _MERGE_TOL * (1.0 + np.abs(rho[:, None]))
         )
-        return cls(out)
+        first = same.argmax(axis=1) if len(w) else np.arange(0)
+        while np.any(first[first] != first):
+            first = first[first]
+        acc = np.zeros(len(w), dtype=complex)
+        np.add.at(acc, first, w)
+        keep = np.unique(first)
+        keep = keep[np.abs(acc[keep]) > 0.0]
+        return cls(acc[keep], rho[keep], k[keep])
 
     @classmethod
     def constant(cls, value: float) -> "ExpMix":
         return cls.build([(value, 0.0, 0)])
 
-    def value_complex(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        for w, rho, k in self.terms:
-            out += w * x**k * np.exp(rho * x)
-        return out
-
     def __call__(self, x):
         """Evaluate at real x (scalar or array); imaginary parts must cancel."""
-        val = self.value_complex(x)
-        scale = 1.0 + np.abs(val)
-        if np.any(np.abs(val.imag) > _IMAG_TOL * scale):
-            raise ArithmeticError("conjugate pairing violated: imaginary residue")
-        real = val.real
-        return float(real) if real.ndim == 0 else real
+        x = np.asarray(x, dtype=float)
+        xs = x.reshape(1, -1)
+        if not self.w.size:
+            return 0.0 if x.ndim == 0 else np.zeros(x.shape)
+        coef = self.w[:, None]
+        if self.k.any():
+            coef = coef * xs ** self.k[:, None]
+        # sequential sum over the terms, so a point's value does not depend on
+        # the grid it is evaluated in
+        val = np.cumsum(coef * np.exp(self.rho[:, None] * xs), axis=0)[-1]
+        if np.any(np.abs(val.imag) > _IMAG_TOL * (1.0 + np.abs(val))):
+            raise ParisianScaleError("conjugate pairing violated: imaginary residue")
+        return float(val.real[0]) if x.ndim == 0 else val.real.reshape(x.shape)
+
+    def _terms(self, w=None, rho=None, k=None):
+        return np.column_stack([self.w if w is None else w, self.rho if rho is None else rho,
+                                self.k if k is None else k])
 
     def derivative(self) -> "ExpMix":
         """d/dx, exact."""
-        new = []
-        for w, rho, k in self.terms:
-            new.append((w * rho, rho, k))
-            if k >= 1:
-                new.append((w * k, rho, k - 1))
-        return ExpMix.build(new)
+        # w x^k e^{rho x} -> w rho x^k e^{rho x} + w k x^{k-1} e^{rho x}; the
+        # second term has weight 0 (and is dropped) when k = 0
+        pairs = np.stack([self._terms(w=self.w * self.rho),
+                          self._terms(w=self.w * self.k, k=self.k - 1)], axis=1)
+        return ExpMix.build(pairs.reshape(-1, 3))
 
     def antiderivative(self) -> "ExpMix":
         """F with F' = self and F(0) = 0, exact."""
         new = []
-        for w, rho, k in self.terms:
+        for w, rho, k in zip(self.w.tolist(), self.rho.tolist(), self.k.tolist()):
             new.extend(_antider_term(w, rho, k))
         return ExpMix.build(new)
 
@@ -94,17 +111,17 @@ class ExpMix:
 
     def shift_rate(self, a: complex) -> "ExpMix":
         """Multiply by e^{a x}."""
-        return ExpMix.build([(w, rho + a, k) for w, rho, k in self.terms])
+        return ExpMix.build(self._terms(rho=self.rho + a))
 
     def mul_x(self) -> "ExpMix":
         """Multiply by x."""
-        return ExpMix.build([(w, rho, k + 1) for w, rho, k in self.terms])
+        return ExpMix.build(self._terms(k=self.k + 1))
 
     def scaled(self, factor: complex) -> "ExpMix":
-        return ExpMix.build([(w * factor, rho, k) for w, rho, k in self.terms])
+        return ExpMix.build(self._terms(w=self.w * factor))
 
     def __add__(self, other: "ExpMix") -> "ExpMix":
-        return ExpMix.build(self.terms + other.terms)
+        return ExpMix.build(np.concatenate([self._terms(), other._terms()]))
 
     def __sub__(self, other: "ExpMix") -> "ExpMix":
         return self + other.scaled(-1.0)
@@ -124,15 +141,10 @@ def _antider_term(w: complex, rho: complex, k: int):
         return [(w / (k + 1), 0.0, k + 1)]
     # integration by parts: int x^k e^{rho x} = x^k e^{rho x}/rho - (k/rho) int x^{k-1} e^{rho x}
     out = [(w / rho, rho, k)]
-    const = 0.0 + 0.0j
     coeff = w / rho
     for j in range(k, 0, -1):
         coeff = -coeff * j / rho
         out.append((coeff, rho, j - 1))
-    # subtract value at 0 (only the k=0 exponential term is nonzero at 0)
-    if k == 0:
-        const = -w / rho
-    else:
-        const = -coeff
-    out.append((const, 0.0, 0))
+    # subtract the value at 0 (only the k=0 exponential term is nonzero at 0)
+    out.append((-coeff, 0.0, 0))
     return out

@@ -1,13 +1,16 @@
 """Closed-form first-passage laws, classical and Parisian.
 
 Every function is a pure evaluation of scale-function ratios on an immutable
-context.  Transform-type results are Laplace transforms of nonnegative
-functionals and therefore live in [0, 1] for nonnegative arguments.
+context, whose mixtures the scale module compiles once.  Each law takes x as
+a scalar or a numpy array (b, theta, vartheta and r are scalars) and returns
+a float or an array of the same shape.  Transform-type results are Laplace
+transforms of nonnegative functionals and therefore live in [0, 1] for
+nonnegative arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numpy as np
 
 from .errors import DomainError, NonpositiveDrift, QZero
 from .model import laplace_exponent, laplace_exponent_deriv, phi as _phi
@@ -20,53 +23,45 @@ from .scale import (
     build_gerber_shiu,
     eval_parisian_Z,
     eval_Z,
-    parisian_W_mix,
     parisian_Z_mix,
-    z_mix,
+    piecewise,
+    z_mix,  # noqa: F401  re-exported; perfbench/test_perfbench.py checks laws.z_mix
 )
 
 
-@dataclass(frozen=True)
-class LawResult:
-    """A law value plus named intermediates for diagnostics."""
-
-    value: float
-    components: dict = field(default_factory=dict)
-
-
-def _check_interval(x: float, a: float, b: float):
-    if not (a <= x <= b) or not a < b:
+def _check_interval(x, a: float, b: float):
+    x = np.asarray(x)
+    if not a < b or not np.all((a <= x) & (x <= b)):
         raise DomainError(f"need a <= x <= b with a < b, got x={x}, a={a}, b={b}")
 
 
-def z_deriv(ctx: ScaleContext, x: float, theta: float) -> float:
+def z_deriv(ctx: ScaleContext, x, theta: float):
     """Z'_q(x, theta) = theta Z_q(x, theta) + (q - kappa(theta)) W_q(x)."""
     k = laplace_exponent(ctx.model, theta).real
     return theta * eval_Z(ctx, x, theta) + (ctx.q - k) * ctx.W(x)
 
 
-def two_sided_exit(ctx: ScaleContext, x: float, a: float, b: float) -> float:
+def two_sided_exit(ctx: ScaleContext, x, a: float, b: float):
     """E_x[e^{-q tau_b^+}; up-crossing of b before down-crossing of a]."""
     _check_interval(x, a, b)
     return ctx.W(x - a) / ctx.W(b - a)
 
 
-def severity_absorbed(ctx: ScaleContext, x: float, b: float, theta: float) -> float:
+def severity_absorbed(ctx: ScaleContext, x, b: float, theta: float):
     """Joint transform of ruin time and undershoot, absorbed at b."""
     _check_interval(x, 0.0, b)
     return eval_Z(ctx, x, theta) - ctx.W(x) / ctx.W(b) * eval_Z(ctx, b, theta)
 
 
-def severity_reflected(ctx: ScaleContext, x: float, b: float, theta: float) -> float:
+def severity_reflected(ctx: ScaleContext, x, b: float, theta: float):
     """Joint transform of ruin time and undershoot, with dividends at b."""
     _check_interval(x, 0.0, b)
-    return eval_Z(ctx, x, theta) - ctx.W(x) * z_deriv(ctx, b, theta) / ctx.W.derivative()(b)
+    return eval_Z(ctx, x, theta) - ctx.W(x) * z_deriv(ctx, b, theta) / ctx.dW(b)
 
 
-def severity_infinite(ctx: ScaleContext, x: float, theta: float, mode: str = "ruin") -> float:
+def severity_infinite(ctx: ScaleContext, x, theta: float, mode: str = "ruin"):
     """Infinite-horizon ruin-time / recovery-time transform."""
-    if x < 0:
-        raise DomainError("x must be nonnegative")
+    _check_interval(x, 0.0, INF)
     if ctx.q <= 0 and ctx.phi_q <= 0:
         raise QZero("the q -> 0 limit is not provided")
     if mode == "recovery":
@@ -81,7 +76,7 @@ def severity_infinite(ctx: ScaleContext, x: float, theta: float, mode: str = "ru
     return eval_Z(ctx, x, theta) - ctx.W(x) * slope
 
 
-def bailouts_to_level(ctx: ScaleContext, x: float, b: float, theta: float) -> float:
+def bailouts_to_level(ctx: ScaleContext, x, b: float, theta: float):
     """Transform of time and injections for the 0-reflected process to reach b."""
     _check_interval(x, 0.0, b)
     if theta == INF:
@@ -90,42 +85,41 @@ def bailouts_to_level(ctx: ScaleContext, x: float, b: float, theta: float) -> fl
 
 
 def dividends_penalty_classic(
-    ctx: ScaleContext, x: float, b: float, theta: float, vartheta: float
-) -> float:
+    ctx: ScaleContext, x, b: float, theta: float, vartheta: float
+):
     """Joint dividends-and-severity transform for the process reflected at b."""
     _check_interval(x, 0.0, b)
     if vartheta < 0:
         raise DomainError("vartheta must be nonnegative")
     num = z_deriv(ctx, b, theta) + vartheta * eval_Z(ctx, b, theta)
-    den = ctx.W.derivative()(b) + vartheta * ctx.W(b)
+    den = ctx.dW(b) + vartheta * ctx.W(b)
     return eval_Z(ctx, x, theta) - ctx.W(x) * num / den
 
 
 def gs_exit(
     ctx: ScaleContext,
-    x: float,
+    x,
     b: float,
     penalty: PenaltySpec | GerberShiu,
     boundary: str = "absorbed",
-) -> float:
+):
     """Penalty-at-ruin transform with absorption or reflection at b."""
     _check_interval(x, 0.0, b)
     gs = penalty if isinstance(penalty, GerberShiu) else build_gerber_shiu(ctx, penalty)
     if boundary == "absorbed":
         return gs(x) - ctx.W(x) * gs(b) / ctx.W(b)
     if boundary == "reflected":
-        return gs(x) - ctx.W(x) * gs.deriv(b) / ctx.W.derivative()(b)
+        return gs(x) - ctx.W(x) * gs.deriv(b) / ctx.dW(b)
     raise ValueError(f"unknown boundary {boundary!r}")
 
 
-def time_in_red(ctx_q0: ScaleContext, x: float, r: float) -> float:
+def time_in_red(ctx_q0: ScaleContext, x, r: float):
     """E_x[e^{-r * total time below zero}] for the free process, q = 0."""
     if ctx_q0.q != 0:
-        raise ValueError("time_in_red needs the q = 0 context")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if x < 0:
-        raise DomainError("x must be nonnegative")
+        raise DomainError("time_in_red needs the q = 0 context")
+    if not r > 0:
+        raise DomainError("r must be positive")
+    _check_interval(x, 0.0, INF)
     p = ctx_q0.model.drift
     if p <= 0:
         raise NonpositiveDrift("requires strictly positive drift")
@@ -136,7 +130,7 @@ def time_in_red(ctx_q0: ScaleContext, x: float, r: float) -> float:
 # ---------------------------------------------------------------------------
 # Parisian laws (Poisson-observed insolvency)
 # ---------------------------------------------------------------------------
-def parisian_up_exit(pctx: ParisianContext, x: float, b: float, theta: float) -> float:
+def parisian_up_exit(pctx: ParisianContext, x, b: float, theta: float):
     """Transform of time/injections for Parisian reflection to reach b.
 
     theta = INF is the no-insolvency up-crossing E_x[e^{-q tau_b^+}; tau_b^+ < T_0^-].
@@ -146,30 +140,28 @@ def parisian_up_exit(pctx: ParisianContext, x: float, b: float, theta: float) ->
     return mix(x) / mix(b)
 
 
-def parisian_severity(pctx: ParisianContext, x: float, b: float, theta: float) -> float:
+def parisian_severity(pctx: ParisianContext, x, b: float, theta: float):
     """Severity of Parisian ruin with absorption at b."""
     _check_interval(x, 0.0, b)
-    w = parisian_W_mix(pctx)
+    w = pctx.Wqr
     return eval_parisian_Z(pctx, x, theta) - w(x) / w(b) * eval_parisian_Z(pctx, b, theta)
 
 
-def parisian_resolvent(pctx: ParisianContext, x: float, a: float, b: float, y: float) -> float:
+def parisian_resolvent(pctx: ParisianContext, x, a: float, b: float, y: float):
     """Resolvent density at y of the doubly absorbed Parisian process."""
     _check_interval(x, a, b)
     if not a < y < b:
         raise DomainError("need a < y < b")
-    w = parisian_W_mix(pctx)
+    w = pctx.Wqr
     val = w(x - a) * w(b - y) / w(b - a)
-    if y < x:
-        val -= w(x - y)
-    return val
+    return val - piecewise(x, y < np.asarray(x), lambda z: w(z - y), np.zeros_like)
 
 
-def parisian_resolvent_integral(pctx: ParisianContext, x: float, a: float, b: float) -> float:
+def parisian_resolvent_integral(pctx: ParisianContext, x, a: float, b: float):
     """Exact int_a^b of the resolvent density, via mixture antiderivatives."""
     _check_interval(x, a, b)
-    wbar = parisian_W_mix(pctx).antiderivative()
-    w = parisian_W_mix(pctx)
+    wbar = pctx.Wbar_qr
+    w = pctx.Wqr
     return w(x - a) * wbar(b - a) / w(b - a) - wbar(x - a)
 
 
@@ -180,21 +172,20 @@ def omega(pctx: ParisianContext, b: float) -> float:
     """
     if b < 0:
         raise DomainError("b must be nonnegative")
-    w = parisian_W_mix(pctx)
-    return w.derivative()(b) / w(b)
+    return pctx.dWqr(b) / pctx.Wqr(b)
 
 
 def parisian_dividends_penalty(
-    pctx: ParisianContext, x: float, b: float, theta: float, vartheta: float
-) -> float:
+    pctx: ParisianContext, x, b: float, theta: float, vartheta: float
+):
     """Dividends-penalty law under Parisian ruin, reflected at b."""
     _check_interval(x, 0.0, b)
     if vartheta < 0:
         raise DomainError("vartheta must be nonnegative")
     zm = parisian_Z_mix(pctx, theta)
-    wm = parisian_W_mix(pctx)
-    num = zm.derivative()(b) + vartheta * zm(b)
-    den = wm.derivative()(b) + vartheta * wm(b)
+    wm = pctx.Wqr
+    num = parisian_Z_mix(pctx, theta, 1)(b) + vartheta * zm(b)
+    den = pctx.dWqr(b) + vartheta * wm(b)
     return zm(x) - wm(x) * num / den
 
 
@@ -214,9 +205,7 @@ def parisian_dividends_penalty_factorized(
     return om / (om + vartheta) * inner * r / (r + q - k)
 
 
-def fundamental_identity_residual(
-    ctx: ScaleContext, x: float, b: float, theta: float
-) -> float:
+def fundamental_identity_residual(ctx: ScaleContext, x, b: float, theta: float):
     """Residual of Z(x)/Z(b) - W(x)/W(b) - S(x,b)/Z(b); zero by the exit-law algebra."""
     zb = eval_Z(ctx, b, theta)
     return (

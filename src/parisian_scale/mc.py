@@ -284,6 +284,8 @@ def _chunk_keys(seed: int, n_paths: int):
 
 def estimate(cfg: PathConfig, fn: Functional, n_paths: int, seed: int = 0) -> MCEstimate:
     """Monte-Carlo average of a path functional with its standard error."""
+    if n_paths < 1:
+        raise DomainError(f"need at least one path, got n_paths={n_paths}")
     needs_horizon = fn.name in ("dividends", "bailouts", "slg") and cfg.upper_mode != "absorb"
     tail = 0.0
     if cfg.horizon is None and needs_horizon:
@@ -533,6 +535,8 @@ def network_paths(spec, u0: float, b: float, horizon: float | None,
 
 def network_estimate(spec, u0: float, b: float, horizon: float | None = None,
                      n_paths: int = 100_000, seed: int = 0) -> MCEstimate:
+    if n_paths < 1:
+        raise DomainError(f"need at least one path, got n_paths={n_paths}")
     direct, _, _ = network_paths(spec, u0, b, horizon, n_paths, seed)
     mean = float(direct.mean())
     se = float(direct.std(ddof=0) / math.sqrt(n_paths))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .errors import ConvergenceFailure, DegenerateRoots, ModelError, PoleAtTheta
+from .errors import ConvergenceFailure, DegenerateRoots, DomainError, ModelError, PoleAtTheta
 
 _POLE_TOL = 1e-12
 _ROOT_SEP_RTOL = 1e-8
@@ -67,16 +67,11 @@ class LevyModel:
                         raise ModelError("phase rates must be pairwise distinct")
         if not (self.sigma2 > 0 or self.c > 0):
             raise ModelError("need sigma2 > 0 or c > 0")
-        mean_claim = sum(p / m for p, m in phases) if phases else 0.0
-        object.__setattr__(self, "drift", self.c - self.lam * mean_claim)
-
-    @property
-    def n_phases(self) -> int:
-        return len(self.phases)
+        object.__setattr__(self, "drift", self.c - self.lam * self.mean_claim)
 
     @property
     def mean_claim(self) -> float:
-        return sum(p / m for p, m in self.phases) if self.phases else 0.0
+        return sum((p / m for p, m in self.phases), 0.0)
 
     @classmethod
     def from_json(cls, path: str) -> "LevyModel":
@@ -130,11 +125,6 @@ def laplace_exponent_deriv(model: LevyModel, theta: complex, order: int = 1) -> 
     raise ValueError(f"unsupported derivative order {order}")
 
 
-def drift_mean(model: LevyModel) -> float:
-    """kappa'(0+) = c - lam * E[claim]."""
-    return model.drift
-
-
 def _kappa_poly(model: LevyModel, s: float) -> np.polynomial.Polynomial:
     """Numerator polynomial of kappa(theta) - s after clearing the phase poles."""
     P = np.polynomial.Polynomial
@@ -154,9 +144,9 @@ def _kappa_poly(model: LevyModel, s: float) -> np.polynomial.Polynomial:
 
 def phi(model: LevyModel, s: float) -> float:
     """Right inverse of kappa: the largest nonnegative root of kappa(theta) = s."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    kp0 = drift_mean(model)
+    if not s >= 0:
+        raise DomainError("s must be nonnegative")
+    kp0 = model.drift
     if s == 0 and kp0 >= 0:
         return 0.0
     # kappa is convex and increasing on [Phi_0, infinity); bracket then polish.
@@ -196,8 +186,8 @@ def root_set(model: LevyModel, s: float) -> list[complex]:
     Exactly one root has nonnegative real part (it equals ``phi(model, s)``);
     the rest lie in the open left half plane, complex ones in conjugate pairs.
     """
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    if not s >= 0:
+        raise DomainError("s must be nonnegative")
     poly = _kappa_poly(model, s)
     roots = poly.roots()
     polished = []

@@ -8,15 +8,23 @@ scale function,
 the theta_j being the roots of kappa(theta) = q.  The second scale function
 and its relatives are exact Dickson-Hipp transforms of W_q; the Parisian pair
 blends two second-scale evaluations at Phi_{q+r}.
+
+A context compiles each of its mixtures once, the first time it is read, and
+keeps it (so a context that only needs Phi builds nothing); mixtures that
+depend on theta or on a penalty are kept per key in the context's memo.  This
+module alone builds mixtures; the laws and the control layer only evaluate,
+and every ``eval_*`` function takes an array of x.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import QZero, UnsupportedPenalty
+import numpy as np
+
+from .errors import DomainError, QZero, UnsupportedPenalty
 from .expmix import ExpMix
 from .model import (
     LevyModel,
@@ -28,51 +36,79 @@ from .model import (
 
 INF = math.inf
 
-# relative tolerance deciding that kappa(theta) hits the killing rate exactly
-# (theta = Phi_q), where the Dickson-Hipp factor vanishes
-_ONROOT_RTOL = 1e-12
 # spec'd switch to the removable-singularity limit of Z_{q,r} at Phi_{q+r}
 _PARISIAN_SING_RTOL = 1e-8
+_NEAR_ROOT_RTOL = 1e-7
+
+
+def _memo(ctx, key, make):
+    """The context's mixture for ``key``, built by ``make`` on first use."""
+    mix = ctx._memo.get(key)
+    if mix is None:
+        mix = ctx._memo[key] = make()
+    return mix
+
+
+def piecewise(x, inside, f, g):
+    """f(x) where ``inside`` holds and g(x) elsewhere; a scalar x gives a float."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    out[inside] = f(x[inside])
+    out[~inside] = g(x[~inside])
+    return float(out) if out.ndim == 0 else out
+
+
+def _check_nonnegative(x, what="x"):
+    if np.any(~(np.asarray(x) >= 0)):
+        raise DomainError(f"{what} must be nonnegative")
 
 
 @dataclass(frozen=True)
 class ScaleContext:
-    """(model, q) with precomputed roots and the W_q exponential mixture."""
+    """(model, q) with the roots and the W_q family as compiled mixtures.
+
+    W' (dW), W'' (ddW), Wbar, Z_q = 1 + q Wbar (Z0), Zbar and
+    Z_{1,q} = Zbar - p Wbar (Z1) are built on first use and kept.
+    """
 
     model: LevyModel
     q: float
     roots: tuple[complex, ...]
     phi_q: float
     W: ExpMix
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def Wbar(self) -> ExpMix:
-        return _wbar_mix(self)
-
-    @property
-    def Z0(self) -> ExpMix:
-        """Z_q(x) = 1 + q Wbar_q(x)."""
-        return _z0_mix(self)
-
-    @property
-    def Zbar(self) -> ExpMix:
-        return _zbar_mix(self)
-
-    @property
-    def Z1(self) -> ExpMix:
-        """Z_{1,q}(x) = Zbar_q(x) - p Wbar_q(x)."""
-        return _z1_mix(self)
+    dW = cached_property(lambda self: self.W.derivative())
+    ddW = cached_property(lambda self: self.dW.derivative())
+    Wbar = cached_property(lambda self: self.W.antiderivative())
+    Z0 = cached_property(lambda self: ExpMix.constant(1.0) + self.Wbar.scaled(self.q))
+    Zbar = cached_property(lambda self: self.Z0.antiderivative())
+    Z1 = cached_property(lambda self: self.Zbar - self.Wbar.scaled(self.model.drift))
 
 
 @dataclass(frozen=True)
 class ParisianContext:
-    """(model, q, r) with the Phi_{q+r} ingredient of the Parisian pair."""
+    """(model, q, r) with the Phi_{q+r} ingredient of the Parisian pair.
+
+    W_{q,r} = Z_q(., Phi_{q+r}) (Wqr), W'_{q,r} (dWqr), Wbar_{q,r} (Wbar_qr)
+    and the bailout ingredient S(x) = r/(q+r) (Zbar_q(x) + kappa'(0+)/q)
+    with S' and S'' (S, dS, ddS) are built on first use and kept.
+    """
 
     model: LevyModel
     q: float
     r: float
     base: ScaleContext
     phi_qr: float
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    Wqr = cached_property(lambda self: z_mix(self.base, self.phi_qr))
+    dWqr = cached_property(lambda self: self.Wqr.derivative())
+    Wbar_qr = cached_property(lambda self: self.Wqr.antiderivative())
+    S = cached_property(lambda self: (self.base.Zbar + ExpMix.constant(self.model.drift / self.q))
+                        .scaled(self.r / (self.q + self.r)))
+    dS = cached_property(lambda self: self.base.Z0.scaled(self.r / (self.q + self.r)))
+    ddS = cached_property(lambda self: self.base.W.scaled(self.r / (self.q + self.r) * self.q))
 
 
 def build_scale(model: LevyModel, q: float) -> ScaleContext:
@@ -85,36 +121,12 @@ def build_scale(model: LevyModel, q: float) -> ScaleContext:
 
 
 def build_parisian(model: LevyModel, q: float, r: float) -> ParisianContext:
-    if r <= 0:
-        raise ValueError("Parisian observation rate r must be positive")
+    if not r > 0:
+        raise DomainError("Parisian observation rate r must be positive")
     base = build_scale(model, q)
     return ParisianContext(model=model, q=float(q), r=float(r), base=base, phi_qr=phi(model, q + r))
 
 
-@lru_cache(maxsize=512)
-def _wbar_mix(ctx: ScaleContext) -> ExpMix:
-    return ctx.W.antiderivative()
-
-
-@lru_cache(maxsize=512)
-def _z0_mix(ctx: ScaleContext) -> ExpMix:
-    return ExpMix.constant(1.0) + _wbar_mix(ctx).scaled(ctx.q)
-
-
-@lru_cache(maxsize=512)
-def _zbar_mix(ctx: ScaleContext) -> ExpMix:
-    return _z0_mix(ctx).antiderivative()
-
-
-@lru_cache(maxsize=512)
-def _z1_mix(ctx: ScaleContext) -> ExpMix:
-    return _zbar_mix(ctx) - _wbar_mix(ctx).scaled(ctx.model.drift)
-
-
-_NEAR_ROOT_RTOL = 1e-7
-
-
-@lru_cache(maxsize=2048)
 def z_mix(ctx: ScaleContext, theta: float) -> ExpMix:
     """Z_q(., theta) on x >= 0 as an exponential mixture.
 
@@ -127,20 +139,21 @@ def z_mix(ctx: ScaleContext, theta: float) -> ExpMix:
     (there kappa - q vanishes too); near a root it is replaced by its
     Taylor limit w_j (kappa'(rho_j) + d kappa''(rho_j) / 2).
     """
-    kq = laplace_exponent(ctx.model, theta).real - ctx.q
-    terms = []
-    for w, rho, _ in ctx.W.terms:
-        d = complex(theta) - rho
-        if abs(d) <= _NEAR_ROOT_RTOL * (1.0 + abs(theta) + abs(rho)):
-            kp = laplace_exponent_deriv(ctx.model, rho)
-            kpp = laplace_exponent_deriv(ctx.model, rho, order=2)
-            terms.append((w * (kp + 0.5 * d * kpp), rho, 0))
-        else:
-            terms.append((w * kq / d, rho, 0))
-    return ExpMix.build(terms)
+    def make():
+        kq = laplace_exponent(ctx.model, theta).real - ctx.q
+        terms = []
+        for w, rho in zip(ctx.W.w.tolist(), ctx.W.rho.tolist()):
+            d = complex(theta) - rho
+            if abs(d) <= _NEAR_ROOT_RTOL * (1.0 + abs(theta) + abs(rho)):
+                kp = laplace_exponent_deriv(ctx.model, rho)
+                kpp = laplace_exponent_deriv(ctx.model, rho, order=2)
+                terms.append((w * (kp + 0.5 * d * kpp), rho, 0))
+            else:
+                terms.append((w * kq / d, rho, 0))
+        return ExpMix.build(terms)
+    return _memo(ctx, ("Z", theta), make)
 
 
-@lru_cache(maxsize=2048)
 def dz_dtheta_mix(ctx: ScaleContext, theta: float) -> ExpMix:
     """d/dtheta of Z_q(., theta), exact, as a mixture over the rho_j.
 
@@ -148,106 +161,85 @@ def dz_dtheta_mix(ctx: ScaleContext, theta: float) -> ExpMix:
     fixed, so no x e^{theta x} term ever arises.  Near theta = rho_j
     the coefficient derivative tends to w_j kappa''(rho_j) / 2.
     """
-    kq = laplace_exponent(ctx.model, theta).real - ctx.q
-    kp_t = laplace_exponent_deriv(ctx.model, theta).real
-    terms = []
-    for w, rho, _ in ctx.W.terms:
-        d = complex(theta) - rho
-        if abs(d) <= _NEAR_ROOT_RTOL * (1.0 + abs(theta) + abs(rho)):
-            kpp = laplace_exponent_deriv(ctx.model, rho, order=2)
-            kppp = laplace_exponent_deriv(ctx.model, rho, order=3)
-            terms.append((w * (0.5 * kpp + d * kppp / 3.0), rho, 0))
-        else:
-            terms.append((w * (kp_t * d - kq) / d**2, rho, 0))
-    return ExpMix.build(terms)
+    def make():
+        kq = laplace_exponent(ctx.model, theta).real - ctx.q
+        kp_t = laplace_exponent_deriv(ctx.model, theta).real
+        terms = []
+        for w, rho in zip(ctx.W.w.tolist(), ctx.W.rho.tolist()):
+            d = complex(theta) - rho
+            if abs(d) <= _NEAR_ROOT_RTOL * (1.0 + abs(theta) + abs(rho)):
+                kpp = laplace_exponent_deriv(ctx.model, rho, order=2)
+                kppp = laplace_exponent_deriv(ctx.model, rho, order=3)
+                terms.append((w * (0.5 * kpp + d * kppp / 3.0), rho, 0))
+            else:
+                terms.append((w * (kp_t * d - kq) / d**2, rho, 0))
+        return ExpMix.build(terms)
+    return _memo(ctx, ("dZ", theta), make)
 
 
-def eval_W(ctx: ScaleContext, x: float, deriv_order: int = 0) -> float:
+def eval_W(ctx: ScaleContext, x, deriv_order: int = 0):
     """W_q^{(k)}(x) for x >= 0, k in {0, 1, 2}; right limits at 0."""
-    if x < 0:
-        raise ValueError("eval_W expects x >= 0 (W vanishes on the negative axis)")
-    mix = ctx.W
-    for _ in range(deriv_order):
-        mix = mix.derivative()
-    return mix(x)
+    _check_nonnegative(x, "eval_W's x (W vanishes on the negative axis)")
+    return getattr(ctx, ("W", "dW", "ddW")[deriv_order])(x)
 
 
-def eval_Wbar(ctx: ScaleContext, x: float) -> float:
-    if x <= 0:
-        return 0.0
-    return ctx.Wbar(x)
+def eval_Wbar(ctx: ScaleContext, x):
+    return piecewise(x, np.asarray(x) > 0, ctx.Wbar, np.zeros_like)
 
 
-def eval_Z(ctx: ScaleContext, x: float, theta: float, dtheta: int = 0) -> float:
+def eval_Z(ctx: ScaleContext, x, theta: float, dtheta: int = 0):
     """Second scale function Z_q(x, theta); exterior value e^{theta x} for x <= 0."""
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    if x <= 0:
-        return x * math.exp(theta * x) if dtheta == 1 else math.exp(theta * x)
+    if not theta >= 0:
+        raise DomainError("theta must be nonnegative")
     mix = dz_dtheta_mix(ctx, theta) if dtheta == 1 else z_mix(ctx, theta)
-    return mix(x)
+    return piecewise(x, np.asarray(x) > 0, mix, lambda y: y**dtheta * np.exp(theta * y))
 
 
-def eval_Z0_family(ctx: ScaleContext, x: float, kind: str) -> float:
+def eval_Z0_family(ctx: ScaleContext, x, kind: str):
     """Z_q(x), Zbar_q(x) or Z_{1,q}(x) for x >= 0."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if kind == "Z":
-        return ctx.Z0(x)
-    if kind == "Zbar":
-        return ctx.Zbar(x)
-    if kind == "Z1":
-        return ctx.Z1(x)
-    raise ValueError(f"unknown kind {kind!r}")
+    _check_nonnegative(x)
+    if kind not in ("Z", "Zbar", "Z1"):
+        raise ValueError(f"unknown kind {kind!r}")
+    return getattr(ctx, "Z0" if kind == "Z" else kind)(x)
 
 
-def parisian_W_mix(pctx: ParisianContext) -> ExpMix:
-    """W_{q,r}(.) = Z_q(., Phi_{q+r})."""
-    return z_mix(pctx.base, pctx.phi_qr)
+def parisian_Z_mix(pctx: ParisianContext, theta: float, deriv_x: int = 0) -> ExpMix:
+    """Z_{q,r}(., theta) or its x-derivatives as a mixture; theta = INF gives W_{q,r}."""
+    if theta == INF and deriv_x < 2:
+        return getattr(pctx, ("Wqr", "dWqr")[deriv_x])
+    if deriv_x:
+        return _memo(pctx, (theta, deriv_x),
+                     lambda: parisian_Z_mix(pctx, theta, deriv_x - 1).derivative())
+
+    def make():
+        q, r = pctx.q, pctx.r
+        k = laplace_exponent(pctx.model, theta).real
+        denom = q + r - k
+        if abs(denom) < _PARISIAN_SING_RTOL * (q + r):
+            kp_star = laplace_exponent_deriv(pctx.model, pctx.phi_qr).real
+            return pctx.Wqr - dz_dtheta_mix(pctx.base, pctx.phi_qr).scaled(r / kp_star)
+        return z_mix(pctx.base, theta).scaled(r / denom) + pctx.Wqr.scaled((q - k) / denom)
+    return _memo(pctx, (theta, 0), make)
 
 
-def parisian_Z_mix(pctx: ParisianContext, theta: float) -> ExpMix:
-    """Z_{q,r}(., theta) as a mixture; theta = INF gives W_{q,r}."""
-    if theta == INF:
-        return parisian_W_mix(pctx)
-    q, r = pctx.q, pctx.r
-    k = laplace_exponent(pctx.model, theta).real
-    denom = q + r - k
-    w_mix = parisian_W_mix(pctx)
-    if abs(denom) < _PARISIAN_SING_RTOL * (q + r):
-        kp_star = laplace_exponent_deriv(pctx.model, pctx.phi_qr).real
-        return w_mix - dz_dtheta_mix(pctx.base, pctx.phi_qr).scaled(r / kp_star)
-    return z_mix(pctx.base, theta).scaled(r / denom) + w_mix.scaled((q - k) / denom)
-
-
-def eval_parisian_Z(pctx: ParisianContext, x: float, theta: float, deriv_x: int = 0) -> float:
+def eval_parisian_Z(pctx: ParisianContext, x, theta: float, deriv_x: int = 0):
     """Z_{q,r}(x, theta) and its x-derivatives; theta = INF evaluates W_{q,r}."""
-    if theta != INF and theta < 0:
-        raise ValueError("theta must be nonnegative")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    mix = parisian_Z_mix(pctx, theta)
-    for _ in range(deriv_x):
-        mix = mix.derivative()
-    return mix(x)
+    if not theta >= 0:
+        raise DomainError("theta must be nonnegative")
+    _check_nonnegative(x)
+    return parisian_Z_mix(pctx, theta, deriv_x)(x)
 
 
 def scriptS_mix(pctx: ParisianContext, deriv_x: int = 0) -> ExpMix:
     """Expected-bailout ingredient S(x) = r/(q+r) * (Zbar_q(x) + kappa'(0+)/q)."""
-    q, r = pctx.q, pctx.r
-    if q <= 0:
+    if pctx.q <= 0:
         raise QZero("the bailout ingredient S requires q > 0")
-    f = r / (q + r)
-    if deriv_x == 0:
-        return (pctx.base.Zbar + ExpMix.constant(pctx.model.drift / q)).scaled(f)
-    if deriv_x == 1:
-        return pctx.base.Z0.scaled(f)
-    if deriv_x == 2:
-        return pctx.base.W.scaled(f * q)
-    raise ValueError("deriv_x must be 0, 1 or 2")
+    if deriv_x not in (0, 1, 2):
+        raise ValueError("deriv_x must be 0, 1 or 2")
+    return getattr(pctx, ("S", "dS", "ddS")[deriv_x])
 
 
-def eval_scriptS(pctx: ParisianContext, x: float, deriv_x: int = 0) -> float:
+def eval_scriptS(pctx: ParisianContext, x, deriv_x: int = 0):
     return scriptS_mix(pctx, deriv_x)(x)
 
 
@@ -284,43 +276,42 @@ class GerberShiu:
     """Smooth harmonic function fitting an exterior penalty w.
 
     Evaluates the closed-form mixture on x >= 0 and the penalty itself on
-    x < 0; ``deriv`` gives exact x-derivatives of the interior part.
+    x < 0; ``deriv`` gives the exact x-derivative of the interior part.
     """
 
     ctx: ScaleContext
     penalty: PenaltySpec
     mix: ExpMix
 
-    def __call__(self, x: float) -> float:
-        if x < 0:
-            return self.penalty_value(x)
-        return self.mix(x)
+    dmix = cached_property(lambda self: self.mix.derivative())
 
-    def deriv(self, x: float, order: int = 1) -> float:
-        mix = self.mix
-        for _ in range(order):
-            mix = mix.derivative()
-        return mix(x)
+    def __call__(self, x):
+        return piecewise(x, np.asarray(x) >= 0, self.mix, self.penalty_value)
 
-    def penalty_value(self, x: float) -> float:
+    def deriv(self, x):
+        return self.dmix(x)
+
+    def penalty_value(self, x):
         w = self.penalty
         if isinstance(w, Exponential):
-            return math.exp(w.theta * x)
+            return np.exp(w.theta * x)
         if isinstance(w, Linear):
             return w.k * x + w.K
-        return w.K
+        return np.full(np.shape(x), w.K)
 
 
 def build_gerber_shiu(ctx: ScaleContext, penalty: PenaltySpec) -> GerberShiu:
     """Closed-form Gerber-Shiu function for the supported penalty family."""
-    if isinstance(penalty, Exponential):
-        if penalty.theta < 0:
-            raise UnsupportedPenalty("exponential penalty needs theta >= 0")
-        mix = z_mix(ctx, penalty.theta)
-    elif isinstance(penalty, Linear):
-        mix = ctx.Z1.scaled(penalty.k) + ctx.Z0.scaled(penalty.K)
-    elif isinstance(penalty, Constant):
-        mix = ctx.Z0.scaled(penalty.K)
-    else:
-        raise UnsupportedPenalty(f"penalty {penalty!r} has no closed form here")
-    return GerberShiu(ctx=ctx, penalty=penalty, mix=mix)
+    def make():
+        if isinstance(penalty, Exponential):
+            if penalty.theta < 0:
+                raise UnsupportedPenalty("exponential penalty needs theta >= 0")
+            mix = z_mix(ctx, penalty.theta)
+        elif isinstance(penalty, Linear):
+            mix = ctx.Z1.scaled(penalty.k) + ctx.Z0.scaled(penalty.K)
+        elif isinstance(penalty, Constant):
+            mix = ctx.Z0.scaled(penalty.K)
+        else:
+            raise UnsupportedPenalty(f"penalty {penalty!r} has no closed form here")
+        return GerberShiu(ctx=ctx, penalty=penalty, mix=mix)
+    return _memo(ctx, penalty, make)

@@ -5,18 +5,30 @@ import math
 
 import pytest
 
+from parisian_scale import LevyModel, build_parisian, build_scale, control, laws, scale
 from parisian_scale.cli import main
-from parisian_scale.scale import build_scale, eval_W
+from parisian_scale.scale import eval_W
 
 
 M1 = {"c": 1.0, "sigma2": 0.0, "lambda": 1.0,
       "phases": [{"weight": 1.0, "rate": 2.0}]}
+# three phases and a Brownian part: mixtures of up to seven terms
+M3 = {"c": 2.0, "sigma2": 0.3, "lambda": 1.5,
+      "phases": [{"weight": 0.3, "rate": 1.0}, {"weight": 0.5, "rate": 3.0},
+                 {"weight": 0.2, "rate": 8.0}]}
 
 
 @pytest.fixture()
 def model_path(tmp_path):
     p = tmp_path / "m1.json"
     p.write_text(json.dumps(M1))
+    return str(p)
+
+
+@pytest.fixture()
+def m3_path(tmp_path):
+    p = tmp_path / "m3.json"
+    p.write_text(json.dumps(M3))
     return str(p)
 
 
@@ -43,11 +55,19 @@ class TestScaleCommand:
 
     def test_values_round_trip_exactly(self, capsys, model_path, m1):
         code, out = run(capsys, ["scale", "--model", model_path, "--q", "0.6666666666666666",
-                                 "--x-grid", "0:2:5"])
+                                 "--r", "0.5", "--theta", "1.5", "--x-grid", "0:2:5"])
         ctx = build_scale(m1, 2.0 / 3.0)
+        pctx = build_parisian(m1, 2.0 / 3.0, 0.5)
+        columns = (
+            lambda x: eval_W(ctx, x), lambda x: eval_W(ctx, x, deriv_order=1),
+            lambda x: scale.eval_Wbar(ctx, x), lambda x: scale.eval_Z0_family(ctx, x, "Z"),
+            lambda x: scale.eval_Z0_family(ctx, x, "Zbar"), lambda x: scale.eval_Z(ctx, x, 1.5),
+            lambda x: scale.eval_parisian_Z(pctx, x, math.inf),
+            lambda x: scale.eval_parisian_Z(pctx, x, 0.0), lambda x: scale.eval_scriptS(pctx, x),
+        )
         for line in out.splitlines()[1:]:
-            fields = [float(v) for v in line.split(",")]
-            assert fields[1] == eval_W(ctx, fields[0])
+            x, *fields = [float(v) for v in line.split(",")]
+            assert fields == [f(x) for f in columns]
 
     def test_writes_file(self, capsys, model_path, tmp_path):
         dest = tmp_path / "table.csv"
@@ -84,6 +104,65 @@ class TestLawCommand:
                                "--q", "0.5", "--b", "1.0", "--x-grid", "0:1:2"])
         assert code == 2
 
+    def test_time_in_red_needs_r(self, capsys, model_path):
+        assert main(["law", "time_in_red", "--model", model_path, "--q", "0",
+                     "--x-grid", "0:1:2"]) == 2
+
+
+Q, R, THETA, VARTHETA, B, K, KK = 0.5, 0.75, 1.25, 0.5, 1.75, 2.0, 0.5
+
+# each law and objective as the scalar library call that the CLI's column must reproduce
+SCALAR_CALLS = {
+    "two_sided": lambda c, p, x: laws.two_sided_exit(c, x, 0.0, B),
+    "severity_absorbed": lambda c, p, x: laws.severity_absorbed(c, x, B, THETA),
+    "severity_reflected": lambda c, p, x: laws.severity_reflected(c, x, B, THETA),
+    "severity_infinite": lambda c, p, x: laws.severity_infinite(c, x, THETA),
+    "bailouts_to_level": lambda c, p, x: laws.bailouts_to_level(c, x, B, THETA),
+    "dividends_penalty": lambda c, p, x: laws.dividends_penalty_classic(c, x, B, THETA, VARTHETA),
+    "time_in_red": lambda c, p, x: laws.time_in_red(c, x, R),
+    "parisian_up_exit": lambda c, p, x: laws.parisian_up_exit(p, x, B, THETA),
+    "parisian_severity": lambda c, p, x: laws.parisian_severity(p, x, B, THETA),
+    "parisian_resolvent_integral": lambda c, p, x: laws.parisian_resolvent_integral(p, x, 0.0, B),
+    "parisian_dividends_penalty":
+        lambda c, p, x: laws.parisian_dividends_penalty(p, x, B, THETA, VARTHETA),
+    "vf_dividends_classic": lambda c, p, x: control.vf_dividends_classic(c, x, B),
+    "value_definetti": lambda c, p, x: control.value_definetti(c, x, B, scale.Linear(K, KK)),
+    "value_slg_classic": lambda c, p, x: control.value_slg_classic(c, x, B, K),
+    "slg_parisian": lambda c, p, x: control.slg_parisian_value(p, x, B, K),
+    **{part: (lambda part: lambda c, p, x: control.value_parisian(p, x, B, part, THETA))(part)
+       for part in ("VF_div", "VF_bail", "VS_div", "VS_div_theta", "VS_bail")},
+}
+LAWS = ("two_sided", "severity_absorbed", "severity_reflected", "severity_infinite",
+        "bailouts_to_level", "dividends_penalty", "time_in_red", "parisian_up_exit",
+        "parisian_severity", "parisian_resolvent_integral", "parisian_dividends_penalty")
+
+
+class TestGridCommands:
+    @pytest.mark.parametrize("name", sorted(SCALAR_CALLS))
+    def test_values_round_trip_exactly(self, capsys, m3_path, name):
+        q = 0.0 if name == "time_in_red" else Q
+        code, out = run(capsys, ["law" if name in LAWS else "value", name, "--model", m3_path,
+                                 "--q", repr(q), "--r", repr(R), "--theta", repr(THETA),
+                                 "--vartheta", repr(VARTHETA), "--k", repr(K), "--K", repr(KK),
+                                 "--b", repr(B), "--x-grid", f"0:{B!r}:13"])
+        assert code == 0
+        model = LevyModel.from_dict(M3)
+        ctx = build_scale(model, q)
+        pctx = build_parisian(model, q, R)
+        rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+        assert len(rows) == 13
+        for x, value in rows:
+            assert value == SCALAR_CALLS[name](ctx, pctx, x), x
+
+    def test_grid_ends_exactly_at_b(self, capsys, model_path):
+        # a + (b - a)(n - 1)/(n - 1) overshoots this b by one ulp
+        b = 2.5231517515339483
+        code, out = run(capsys, ["law", "two_sided", "--model", model_path, "--q", "0.5",
+                                 "--b", repr(b), "--x-grid", f"0:{b!r}:31"])
+        assert code == 0
+        last = [float(v) for v in out.splitlines()[-1].split(",")]
+        assert last == [b, 1.0]
+
 
 class TestExitCodes:
     def test_missing_model_file(self, capsys):
@@ -104,6 +183,37 @@ class TestExitCodes:
 
     def test_missing_subcommand_is_two(self, capsys):
         assert main([]) == 2
+
+    def test_zero_r_is_one(self, capsys, model_path):
+        assert main(["scale", "--model", model_path, "--q", "0.5", "--r", "0",
+                     "--x-grid", "0:1:2"]) == 1
+
+    def test_negative_theta_is_one(self, capsys, model_path):
+        assert main(["scale", "--model", model_path, "--q", "0.5", "--theta", "-1",
+                     "--x-grid", "0:1:2"]) == 1
+
+    def test_negative_q_is_one(self, capsys, model_path):
+        assert main(["scale", "--model", model_path, "--q", "-1", "--x-grid", "0:1:2"]) == 1
+
+    def test_time_in_red_zero_r_is_one(self, capsys, model_path):
+        assert main(["law", "time_in_red", "--model", model_path, "--q", "0", "--r", "0",
+                     "--x-grid", "0:1:2"]) == 1
+
+    def test_imaginary_residue_is_one(self, capsys, model_path, monkeypatch):
+        # a complex root without its conjugate leaves an imaginary part in W
+        monkeypatch.setattr(scale, "root_set", lambda model, q: [complex(1.0), -1.0 + 1.0j])
+        assert main(["scale", "--model", model_path, "--q", "0.5", "--x-grid", "0:1:2"]) == 1
+        assert "imaginary residue" in capsys.readouterr().err
+
+    def test_simulate_zero_paths_is_two(self, capsys, model_path):
+        assert main(["simulate", "two_sided", "--model", model_path, "--q", "0.5",
+                     "--x", "0.6", "--b", "1.5", "--paths", "0"]) == 2
+
+    def test_network_zero_paths_is_two(self, capsys, tmp_path):
+        spec = tmp_path / "net.json"
+        spec.write_text("{}")
+        assert main(["network", "--spec", str(spec), "--u0", "1.0", "--b", "2.0",
+                     "--paths", "0"]) == 2
 
 
 class TestEfficiencyCommand:

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from parisian_scale import Constant, LevyModel, build_parisian, build_scale
 from parisian_scale import control as ctl
 from parisian_scale.errors import DomainError, NoSolution, RetentionOutOfRange
+from parisian_scale.expmix import ExpMix
 from parisian_scale.scale import eval_W
 
 
@@ -65,6 +66,30 @@ class TestOptimizer:
             assert (slope > 0) == (sol.b_star > 0)
 
 
+class TestMixturesBuiltOnce:
+    """A solve builds each mixture once: the count does not grow with the grid."""
+
+    @pytest.mark.parametrize("kind, k, b_max", [
+        ("SLG_classic", 1.2, 6.0), ("SLG_parisian", 5.0, 8.0), ("deFinetti_classic", 0.0, 8.0)])
+    def test_build_count_independent_of_grid(self, m1, monkeypatch, kind, k, b_max):
+        calls = []
+        build = ExpMix.build.__func__
+        monkeypatch.setattr(ExpMix, "build",
+                            classmethod(lambda cls, terms: calls.append(1) or build(cls, terms)))
+        counts = []
+        for n_grid in (100, 1000):
+            calls.clear()
+            if kind == "SLG_parisian":
+                ctx = build_parisian(m1, 1.0 / 3.0, 1.0 / 3.0)
+            else:
+                ctx = build_scale(m1, 0.1 if kind == "deFinetti_classic" else 2.0 / 3.0)
+            ctl.optimize_barrier(
+                lambda b: ctl.barrier_function(kind, ctx, b, k=k, penalty=Constant(0.0)),
+                b_max, n_grid=n_grid)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+
 class TestValues:
     def test_definetti_zero_penalty_is_dividends(self, m1):
         ctx = build_scale(m1, 0.1)
@@ -76,6 +101,12 @@ class TestValues:
         ctx = build_scale(m1, 0.1)
         vb = ctl.value_definetti(ctx, 1.5, 1.5, Constant(0.0))
         assert ctl.value_definetti(ctx, 2.3, 1.5, Constant(0.0)) == pytest.approx(vb + 0.8)
+
+    def test_definetti_array_across_barrier(self, m1):
+        ctx = build_scale(m1, 0.1)
+        xs = np.linspace(0.0, 3.0, 13)
+        got = ctl.value_definetti(ctx, xs, 1.5, Constant(0.2))
+        assert got.tolist() == [ctl.value_definetti(ctx, float(x), 1.5, Constant(0.2)) for x in xs]
 
     def test_slg_value_peaks_at_optimizer(self, m1_q23):
         k = 2.5

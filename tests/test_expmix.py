@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
@@ -21,12 +23,12 @@ class TestEvaluation:
 
     def test_build_merges_equal_rates(self):
         f = ExpMix.build([(1.0, 1.0, 0), (2.0, 1.0, 0)])
-        assert len(f.terms) == 1
+        assert f.w.size == 1
         assert f(0.3) == pytest.approx(3 * math.exp(0.3))
 
     def test_zero_weights_dropped(self):
         f = ExpMix.build([(1.0, 1.0, 0), (-1.0, 1.0, 0)])
-        assert f.terms == ()
+        assert f.w.size == 0
         assert f(2.0) == 0.0
 
 
@@ -90,7 +92,41 @@ weights = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 terms = st.lists(st.tuples(weights, rates, st.integers(0, 2)), min_size=1, max_size=4)
 
 
+def loop_value(f, x):
+    """Reference evaluation, one term at a time, and the sum of the terms' sizes."""
+    terms = [w * x**k * cmath.exp(rho * x)
+             for w, rho, k in zip(f.w.tolist(), f.rho.tolist(), f.k.tolist())]
+    return sum(terms).real, sum(abs(t) for t in terms)
+
+
+def loop_build(tm):
+    """Reference merge: each term joins the first kept term of equal power and rate."""
+    acc = {}
+    for w, rho, k in tm:
+        key = next((key for key in acc if key[1] == k
+                    and abs(key[0] - rho) <= 1e-10 * (1.0 + abs(rho))), (complex(rho), k))
+        acc[key] = acc.get(key, 0j) + w
+    return [(w, rho, k) for (rho, k), w in acc.items() if abs(w) > 0]
+
+
 class TestProperties:
+    @given(terms, st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=9))
+    @settings(max_examples=60, deadline=None)
+    def test_grid_equals_term_loop(self, tm, xs):
+        f = ExpMix.build(tm)
+        grid = f(np.array(xs))
+        assert grid.tolist() == [f(x) for x in xs]
+        # x^2 may round differently as a power than as a product: a few ulps of the terms
+        for x in xs:
+            value, size = loop_value(f, x)
+            assert abs(f(x) - value) <= 4 * np.finfo(float).eps * size
+
+    @given(st.lists(st.tuples(weights, st.sampled_from([0.0, 0.5, 0.5 + 1e-12, -1.0, 2.0]),
+                              st.integers(0, 2)), max_size=8))
+    def test_build_matches_sequential_merge(self, tm):
+        f = ExpMix.build(tm)
+        assert list(zip(f.w.tolist(), f.rho.tolist(), f.k.tolist())) == loop_build(tm)
+
     @given(terms)
     @settings(max_examples=60, deadline=None)
     def test_derivative_inverts_antiderivative(self, tm):

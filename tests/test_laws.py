@@ -36,6 +36,21 @@ class TestFundamentalIdentity:
         assert laws.bailouts_to_level(m1_q23, b, b, 0.8) == pytest.approx(1.0)
 
 
+class TestArrayInput:
+    """A law on an array of x equals its scalar calls, bit for bit."""
+
+    @pytest.mark.parametrize("law", [
+        lambda c, p, x: laws.z_deriv(c, x, 1.3),
+        lambda c, p, x: laws.gs_exit(c, x, 1.8, Exponential(1.3)),
+        lambda c, p, x: laws.gs_exit(c, x, 1.8, Exponential(1.3), "reflected"),
+        lambda c, p, x: laws.fundamental_identity_residual(c, x, 1.8, 0.7),
+        lambda c, p, x: laws.parisian_resolvent(p, x, 0.0, 1.8, 0.9),
+    ])
+    def test_array_equals_scalar_calls(self, m1_q23, m1_par, law):
+        xs = np.linspace(0.0, 1.8, 11)
+        assert law(m1_q23, m1_par, xs).tolist() == [law(m1_q23, m1_par, float(x)) for x in xs]
+
+
 class TestBoundsAndMonotonicity:
     def test_transforms_live_in_unit_interval(self, m1_q23, m2_q1, m1_par, m2_par):
         rng = np.random.default_rng(11)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from parisian_scale import INF, LevyModel, build_parisian, build_scale, laws, mc
-from parisian_scale.errors import HorizonRequired, SigmaUnsupported
+from parisian_scale.errors import DomainError, HorizonRequired, SigmaUnsupported
 from parisian_scale.scale import eval_W
 
 
@@ -27,6 +27,11 @@ class TestConstruction:
     def test_horizon_required_at_q_zero(self):
         with pytest.raises(HorizonRequired):
             mc.default_horizon(0.0, 1.0, 2.0)
+
+    def test_needs_a_path(self, m1):
+        cfg = m1_cfg(m1, x0=0.5, q=0.5, upper_barrier=1.5, lower="classical_absorb")
+        with pytest.raises(DomainError):
+            mc.estimate(cfg, mc.Functional("up_exit"), n_paths=0)
 
 
 class TestDeterminism:

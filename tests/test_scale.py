@@ -206,7 +206,7 @@ class TestGerberShiu:
     def test_constant_zero_vanishes(self, m1_q23):
         gs = build_gerber_shiu(m1_q23, Constant(0.0))
         assert gs(1.3) == 0.0
-        assert gs.deriv(1.3, 1) == 0.0
+        assert gs.deriv(1.3) == 0.0
 
     def test_unknown_penalty_rejected(self, m1_q23):
         with pytest.raises(UnsupportedPenalty):
