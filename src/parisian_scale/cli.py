@@ -36,6 +36,9 @@ _VALUES = (
 
 _FUNCTIONALS = ("two_sided", "severity", "bailouts_to_level", "parisian_up_exit",
                 "parisian_severity", "vf_dividends", "slg_value", "time_in_red")
+# simulate functionals that read --r (the observation rate, or the red-time rate)
+_FUNCTIONALS_NEEDING_R = ("parisian_up_exit", "parisian_severity", "vf_dividends",
+                          "slg_value", "time_in_red")
 
 
 def _parse_grid(spec: str):
@@ -199,6 +202,8 @@ def cmd_simulate(args) -> int:
     if args.name not in _FUNCTIONALS:
         return _usage_error(
             f"unknown functional {args.name!r}; valid functionals: {', '.join(_FUNCTIONALS)}")
+    if args.name in _FUNCTIONALS_NEEDING_R and args.r is None:
+        return _usage_error(f"functional {args.name!r} needs --r")
     model, ctx, pctx = _build(args)
     x, b = args.x, args.b
     theta = args.theta if args.theta is not None else 0.0
@@ -229,8 +234,7 @@ def cmd_simulate(args) -> int:
         analytic = laws.parisian_severity(pctx, x, b, theta)
     elif args.name == "vf_dividends":
         cfg = mc.PathConfig(model, x, q=args.q, upper_barrier=b, upper_mode="reflect",
-                            lower="parisian_absorb", r=args.r,
-                            horizon=mc.default_horizon(args.q, x, b))
+                            lower="parisian_absorb", r=args.r)
         fn = mc.Functional("dividends")
         analytic = control.value_parisian(pctx, x, b, "VF_div")
     elif args.name == "slg_value":
@@ -245,8 +249,8 @@ def cmd_simulate(args) -> int:
         analytic = laws.time_in_red(ctx, x, args.r)
     est = mc.estimate(cfg, fn, args.paths, seed=args.seed)
     zscore = (est.mean - analytic) / est.std_error if est.std_error > 0 else 0.0
-    _write_json({"mean": est.mean, "se": est.std_error,
-                 "ci95": list(est.ci95), "analytic": analytic, "z_score": zscore},
+    _write_json({"mean": est.mean, "se": est.std_error, "ci95": list(est.ci95),
+                 "tail_bound": est.tail_bound, "analytic": analytic, "z_score": zscore},
                 args.out)
     return 0
 

@@ -5,10 +5,30 @@ every crossing, dividend accrual and discount factor on a segment has a
 closed form and the simulation is exact: disagreement with an analytic
 law implicates the formula, never a discretization step.
 
+Engine: each chunk of paths is advanced one event per step, and only the
+paths still running are carried, in path-index order, as the columns of
+one stacked state array (time, level, and the dividend, bailout,
+raw-bailout and red-time accumulators; `network_paths` carries its own
+rows the same way).  A path's finals are scattered into the chunk's
+record once, when it stops, and the stopped columns are dropped with one
+gather, so a step costs in proportion to the paths still alive.
+
 Reproducibility: paths are generated in fixed-size chunks, each chunk
-seeded by a Philox key (seed, chunk_index).  Chunk results are reduced
-in index order, so estimates are bit-identical for a given (config,
-functional, n_paths, seed) regardless of the worker count.
+seeded by a Philox key (seed, chunk_index), with one draw per live path
+per step in index order.  Chunk results are reduced in index order, so
+records and means are bit-identical for a given (config, functional,
+n_paths, seed) regardless of the worker count.  The standard error comes
+from per-chunk (n, sum, residual, M2) merged by the pairwise update of
+Chan, Golub & LeVeque, which keeps its digits when the spread is small
+against the mean.
+
+Horizon: dividends, bailouts and slg under reflection at the upper
+barrier accrue for ever; without an explicit horizon `estimate` cuts them
+at `default_horizon` T and reports in `tail_bound` what the cut can miss:
+c e^{-qT}/q for dividends, lam E[C] e^{-qT}/q for bailouts (plus
+lam E[C] e^{-qT}/r under Parisian reflection), and the dividend tail plus
+k times the bailout tail for slg.  Every other functional stops with the
+path and has no tail.
 """
 
 from __future__ import annotations
@@ -27,6 +47,11 @@ _CHUNK = 1 << 16
 
 # stop causes
 ALIVE, UP, DOWN, HORIZON = 0, 1, 2, 3
+
+# rows of the live-path state in _simulate_chunk: time (the stop time once
+# stopped), level, the dividend, bailout, raw-bailout and red-time
+# accumulators, and last the path's index in the chunk
+_T, _X, _DIV, _BAIL, _BAIL_RAW, _RED, _IDX = range(7)
 
 _LOWER_MODES = ("none", "classical_absorb", "classical_reflect",
                 "parisian_absorb", "parisian_reflect")
@@ -120,14 +145,22 @@ def _disc_weight(q, t1, t2):
 
 
 def _sample_claims(rng, n, phases):
+    if len(phases) == 1:
+        return rng.exponential(1.0, size=n) / phases[0][1]
     weights = np.array([w for w, _ in phases])
     rates = np.array([mu for _, mu in phases])
-    idx = rng.choice(len(phases), size=n, p=weights) if len(phases) > 1 else np.zeros(n, dtype=int)
+    idx = rng.choice(len(phases), size=n, p=weights)
     return rng.exponential(1.0, size=n) / rates[idx]
 
 
 def _simulate_chunk(cfg: PathConfig, n: int, rng) -> dict:
-    """Run n paths to their stop; return per-path accounting arrays."""
+    """Run n paths to their stop; return per-path accounting arrays.
+
+    Only the paths still running are carried, in path-index order, as the
+    columns of one stacked state array, so that dropping the stopped paths
+    is one gather; a path's finals are scattered into the record once, at
+    its stop.
+    """
     m = cfg.model
     c, lam = m.c, m.lam
     q = cfg.q
@@ -139,115 +172,88 @@ def _simulate_chunk(cfg: PathConfig, n: int, rng) -> dict:
     T = cfg.horizon if cfg.horizon is not None else math.inf
     if not math.isfinite(T) and total_rate == 0.0 and not absorb_up:
         raise HorizonRequired("path has no stopping mechanism and no horizon")
+    classical = cfg.lower.startswith("classical")
+    absorb_down = cfg.lower.endswith("absorb")
+    reflect_down = cfg.lower.endswith("reflect")
 
-    t = np.zeros(n)
-    x = np.full(n, float(cfg.x0))
+    state = np.zeros((_IDX + 1, n))
+    state[_X] = cfg.x0
+    state[_IDX] = np.arange(n)
+    rec = np.zeros((_IDX, n))           # the state rows but the path index
     cause = np.zeros(n, dtype=np.int8)
-    stop_t = np.zeros(n)
     under = np.zeros(n)
-    div = np.zeros(n)
-    bail = np.zeros(n)
-    bail_raw = np.zeros(n)
-    red = np.zeros(n)
 
-    while True:
-        alive = cause == ALIVE
-        if not alive.any():
-            break
-        na = int(alive.sum())
+    while state.shape[1]:
+        na = state.shape[1]
+        t, x = state[_T], state[_X]
         if total_rate > 0:
             dt = rng.exponential(1.0 / total_rate, size=na)
-            is_claim = (rng.random(na) < lam / total_rate) if obs_rate > 0 else np.ones(na, bool)
-            claim_sizes = np.where(is_claim, _sample_claims(rng, na, m.phases), 0.0) \
-                if lam > 0 else np.zeros(na)
+            is_claim = rng.random(na) < lam / total_rate if obs_rate > 0 else None
+            claim_sizes = _sample_claims(rng, na, m.phases) if lam > 0 else None
         else:
             dt = np.full(na, np.inf)
-            is_claim = np.zeros(na, bool)
-            claim_sizes = np.zeros(na)
 
-        ta = t[alive]
-        xa = x[alive]
-        t2 = ta + dt
+        t2 = t + dt
         clipped = np.minimum(t2, T)
         cut = t2 > T                      # horizon reached inside this segment
 
-        ca = np.full(na, ALIVE, dtype=np.int8)
-        st = np.zeros(na)
-        un = np.zeros(na)
-
         # time below zero on the linear piece before any barrier interaction
-        below = xa < 0
+        below = x < 0
         if below.any():
-            t_zero = ta - xa / c
-            red_add = np.where(below, np.minimum(clipped, np.maximum(t_zero, ta)) - ta, 0.0)
-            red[alive] += red_add
+            t_zero = t - x / c
+            state[_RED] += np.where(below, np.minimum(clipped, np.maximum(t_zero, t)) - t, 0.0)
 
+        up = None
+        t_new = clipped
         if reflect_up:
-            t_hit = np.where(xa >= b, ta, ta + (b - xa) / c)
+            t_hit = np.where(x >= b, t, t + (b - x) / c)
             paying = np.minimum(t_hit, clipped)
-            div[alive] += c * _disc_weight(q, paying, clipped)
-            x_end = np.where(clipped > t_hit, b, xa + c * (clipped - ta))
+            state[_DIV] += c * _disc_weight(q, paying, clipped)
+            x_new = np.where(clipped > t_hit, b, x + c * (clipped - t))
         elif absorb_up:
             # the barrier sits above 0, so an up-stop never truncates red time
-            t_hit = ta + (b - xa) / c
-            hit = t_hit <= clipped
-            ca = np.where(hit, UP, ca)
-            st = np.where(hit, t_hit, st)
-            x_end = np.where(hit, b, xa + c * (clipped - ta))
+            t_hit = t + (b - x) / c
+            up = t_hit <= clipped
+            t_new = np.where(up, t_hit, clipped)
+            x_new = np.where(up, b, x + c * (clipped - t))
         else:
-            x_end = xa + c * (clipped - ta)
+            x_new = x + c * (clipped - t)
+        stop = cut if up is None else cut | up
 
-        live = ca == ALIVE
-        hz = live & cut
-        ca = np.where(hz, HORIZON, ca)
-        st = np.where(hz, T, st)
-
-        live = ca == ALIVE
-        # event at t2 for still-live paths
+        # event at t2 for the paths still running
         if total_rate > 0:
-            ev_claim = live & is_claim
-            ev_obs = live & ~is_claim
-            x_new = np.where(ev_claim, x_end - claim_sizes, x_end)
-            if cfg.lower == "classical_absorb":
-                ruin = ev_claim & (x_new < 0)
-                ca = np.where(ruin, DOWN, ca)
-                st = np.where(ruin, t2, st)
-                un = np.where(ruin, x_new, un)
-            elif cfg.lower == "classical_reflect":
-                inj = ev_claim & (x_new < 0)
-                amt = np.where(inj, -x_new, 0.0)
-                bail[alive] += amt * (np.exp(-q * t2) if q > 0 else 1.0)
-                bail_raw[alive] += amt
-                x_new = np.where(inj, 0.0, x_new)
-            elif cfg.lower == "parisian_absorb":
-                ruin = ev_obs & (x_new < 0)
-                ca = np.where(ruin, DOWN, ca)
-                st = np.where(ruin, t2, st)
-                un = np.where(ruin, x_new, un)
-            elif cfg.lower == "parisian_reflect":
-                inj = ev_obs & (x_new < 0)
-                amt = np.where(inj, -x_new, 0.0)
-                bail[alive] += amt * (np.exp(-q * t2) if q > 0 else 1.0)
-                bail_raw[alive] += amt
-                x_new = np.where(inj, 0.0, x_new)
-        else:
-            x_new = x_end
+            running = ~stop
+            ev_claim = running if is_claim is None else running & is_claim
+            if claim_sizes is not None:
+                x_new = np.where(ev_claim, x_new - claim_sizes, x_new)
+            if cfg.lower != "none":
+                # the lower mechanism acts at claims (classical) or observations
+                acted = ev_claim if classical else running & ~is_claim
+                neg = acted & (x_new < 0)
+            if absorb_down:
+                stop = stop | neg
+            elif reflect_down:
+                amt = np.where(neg, -x_new, 0.0)
+                state[_BAIL] += amt * (np.exp(-q * t2) if q > 0 else 1.0)
+                state[_BAIL_RAW] += amt
+                x_new = np.where(neg, 0.0, x_new)
 
-        stopped = ca != ALIVE
-        bval = b if b is not None else 0.0
-        x_fin = np.where(ca == UP, bval, np.where(ca == HORIZON, x_end, x_new))
-        t_fin = np.where(stopped, st, clipped)
-
-        t[alive] = t_fin
-        x[alive] = x_fin
-        idx = np.flatnonzero(alive)
-        cause[idx[stopped]] = ca[stopped]
-        stop_t[idx[stopped]] = st[stopped]
-        under[idx[stopped]] = un[stopped]
+        state[_T] = t_new
+        state[_X] = x_new
+        if stop.any():
+            ca = np.where(cut[stop], HORIZON, DOWN)
+            if up is not None:
+                ca = np.where(up[stop], UP, ca)
+            done = state.compress(stop, axis=1)
+            idx = done[_IDX].astype(np.intp)
+            rec[:, idx] = done[:_IDX]
+            cause[idx] = ca
+            under[idx] = np.where(ca == DOWN, done[_X], 0.0)
+            state = state.compress(~stop, axis=1)
 
     return {
-        "cause": cause, "stop_t": stop_t, "under": under, "div": div,
-        "bail": bail, "bail_raw": bail_raw, "red": red, "final": x,
+        "cause": cause, "stop_t": rec[_T], "under": under, "div": rec[_DIV],
+        "bail": rec[_BAIL], "bail_raw": rec[_BAIL_RAW], "red": rec[_RED], "final": rec[_X],
     }
 
 
@@ -282,38 +288,100 @@ def _chunk_keys(seed: int, n_paths: int):
     return [(seed, i, sizes[i]) for i in range(n_chunks)]
 
 
+def _chunk_rng(seed: int, index: int):
+    return np.random.Generator(np.random.Philox(key=[seed, index]))
+
+
+def _map_chunks(run, keys) -> list:
+    """run(key) for every chunk key, on the worker threads, in index order."""
+    w = _workers()
+    if w > 1:
+        with ThreadPoolExecutor(max_workers=w) as ex:
+            return list(ex.map(run, keys))
+    return [run(k) for k in keys]
+
+
+def _tail_bound(cfg: PathConfig, fn: Functional, T: float) -> float:
+    """Bound on what fn accrues after the horizon T, for the path laws of cfg.
+
+    Dividends are paid at rate at most c, so their tail is at most
+    c e^{-qT}/q.  Each injected unit repays a claim made no later, so the
+    injections after T are at most the discounted claims after T,
+    lam E[C] e^{-qT}/q; under Parisian reflection the deficit carried past
+    T (the claims since the last observation, lam E[C]/r in mean) adds
+    lam E[C] e^{-qT}/r.  slg = dividends - k bailouts takes both tails.
+    """
+    m, q = cfg.model, cfg.q
+    disc = math.exp(-q * T)
+    reflect_up = cfg.upper_barrier is not None and cfg.upper_mode == "reflect"
+    dividends = m.c * disc / q if reflect_up else 0.0
+    injections = 0.0
+    if cfg.lower.endswith("reflect"):
+        injections = m.lam * m.mean_claim * disc / q
+        if cfg.lower == "parisian_reflect":
+            injections += m.lam * m.mean_claim * disc / cfg.r
+    return {"dividends": dividends, "bailouts": injections,
+            "slg": dividends + abs(fn.k) * injections}[fn.name]
+
+
+def _chunk_moments(v: np.ndarray) -> tuple:
+    """(n, sum, residual, M2) of one chunk's values about its float mean.
+
+    With m = sum/n, residual = sum(v - m) keeps what rounding m dropped and
+    M2 = sum((v - m)^2), so the merge can difference two chunk means
+    without losing the digits they share.
+    """
+    s = float(v.sum())
+    d = v - s / v.size
+    return v.size, s, float(d.sum()), float((d * d).sum())
+
+
+def _merge_m2(parts) -> float:
+    """Sum of squared deviations from the overall mean, merged in index order.
+
+    The pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 1983):
+    M2 = M2_a + M2_b + delta^2 n_a n_b / (n_a + n_b), with delta the
+    difference of the two exact means, each carried as its float mean
+    plus residual/n about it.
+    """
+    n = 0
+    for nc, sc, rc, m2c in parts:
+        mean_c = sc / nc
+        m2c -= rc * rc / nc              # about the chunk's exact mean
+        if n == 0:
+            n, pivot, r, m2 = nc, mean_c, rc, m2c
+            continue
+        delta = (mean_c - pivot) + (rc / nc - r / n)
+        m2 += m2c + delta * delta * (n * nc / (n + nc))
+        r += rc + nc * (mean_c - pivot)
+        n += nc
+    return m2
+
+
 def estimate(cfg: PathConfig, fn: Functional, n_paths: int, seed: int = 0) -> MCEstimate:
-    """Monte-Carlo average of a path functional with its standard error."""
+    """Monte-Carlo average of a path functional with its standard error.
+
+    Dividend and bailout functionals under reflection at the upper barrier
+    accrue for ever; without an explicit horizon they are cut at
+    default_horizon and tail_bound reports what the cut can miss.
+    """
     if n_paths < 1:
         raise DomainError(f"need at least one path, got n_paths={n_paths}")
     needs_horizon = fn.name in ("dividends", "bailouts", "slg") and cfg.upper_mode != "absorb"
     tail = 0.0
     if cfg.horizon is None and needs_horizon:
         b = cfg.upper_barrier if cfg.upper_barrier is not None else 0.0
-        T = default_horizon(cfg.q, cfg.x0, b)
-        cfg = replace(cfg, horizon=T)
-        tail = cfg.model.c * math.exp(-cfg.q * T) / cfg.q
+        cfg = replace(cfg, horizon=default_horizon(cfg.q, cfg.x0, b))
+        tail = _tail_bound(cfg, fn, cfg.horizon)
 
     def run(key):
         s, i, size = key
-        rng = np.random.Generator(np.random.Philox(key=[s, i]))
-        rec = _simulate_chunk(cfg, size, rng)
-        v = _functional_values(fn, rec, cfg.q)
-        return float(v.sum()), float((v * v).sum()), size
+        rec = _simulate_chunk(cfg, size, _chunk_rng(s, i))
+        return _chunk_moments(_functional_values(fn, rec, cfg.q))
 
-    keys = _chunk_keys(seed, n_paths)
-    w = _workers()
-    if w > 1:
-        with ThreadPoolExecutor(max_workers=w) as ex:
-            parts = list(ex.map(run, keys))
-    else:
-        parts = [run(k) for k in keys]
-
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    mean = total / n_paths
-    var = max(total_sq / n_paths - mean * mean, 0.0)
-    se = math.sqrt(var / n_paths)
+    parts = _map_chunks(run, _chunk_keys(seed, n_paths))
+    mean = sum(p[1] for p in parts) / n_paths
+    se = math.sqrt(max(_merge_m2(parts), 0.0) / n_paths / n_paths)
     return MCEstimate(
         mean=mean, std_error=se, n_paths=n_paths,
         ci95=(mean - 1.96 * se, mean + 1.96 * se), tail_bound=tail,
@@ -436,13 +504,26 @@ def network_paths(spec, u0: float, b: float, horizon: float | None,
     """
     if not spec.cheap:
         raise NotCheap("claims-line policy is undefined without cheap reinsurance")
-    subs = spec.subsidiaries
-    for s in subs:
+    for s in spec.subsidiaries:
         if not s.phases:
             raise DomainError("each subsidiary needs a claim size mixture")
-    q = spec.q
+    if n_paths < 1:
+        raise DomainError(f"need at least one path, got n_paths={n_paths}")
     if horizon is None:
-        horizon = default_horizon(q, u0, b)
+        horizon = default_horizon(spec.q, u0, b)
+
+    def run(key):
+        s, i, size = key
+        return _network_chunk(spec, u0, b, horizon, size, _chunk_rng(s, i))
+
+    parts = _map_chunks(run, _chunk_keys(seed, n_paths))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _network_chunk(spec, u0, b, horizon, n, rng):
+    """Run n network paths to ruin or the horizon, carrying the live ones only."""
+    subs = spec.subsidiaries
+    q = spec.q
     gamma = spec.gamma
     c_tilde = spec.c_tilde
     c0 = spec.c0
@@ -453,90 +534,80 @@ def network_paths(spec, u0: float, b: float, horizon: float | None,
     lam_tot = float(lams.sum())
     sum_c = float(cs.sum())
 
-    n_chunks = (n_paths + _CHUNK - 1) // _CHUNK
-    direct_all, lemma_all, short_all = [], [], []
-    for ci in range(n_chunks):
-        n = min(_CHUNK, n_paths - ci * _CHUNK)
-        rng = np.random.Generator(np.random.Philox(key=[seed, ci]))
-        u = np.full(n, float(u0))
-        t = np.zeros(n)
-        direct = np.zeros(n)
-        lemma = np.zeros(n)
-        short = np.zeros(n)
-        alive = np.ones(n, bool)
-        while alive.any():
-            na = int(alive.sum())
-            dt = rng.exponential(1.0 / lam_tot, size=na)
-            which = rng.choice(len(subs), size=na, p=lams / lam_tot) if len(subs) > 1 \
-                else np.zeros(na, dtype=int)
-            sizes = np.zeros(na)
-            for i, s in enumerate(subs):
-                sel = which == i
-                if sel.any():
-                    sizes[sel] = _sample_claims(rng, int(sel.sum()), s.phases)
+    # live-path rows: level, time, the three outputs, and the path index
+    U, TIME, DIRECT, LEMMA, SHORT, IDX = range(6)
+    state = np.zeros((6, n))
+    state[U] = u0
+    state[IDX] = np.arange(n)
+    out = np.zeros((3, n))
+    while state.shape[1]:
+        na = state.shape[1]
+        dt = rng.exponential(1.0 / lam_tot, size=na)
+        which = rng.choice(len(subs), size=na, p=lams / lam_tot) if len(subs) > 1 \
+            else np.zeros(na, dtype=int)
+        sizes = np.zeros(na)
+        for i, s in enumerate(subs):
+            sel = which == i
+            if sel.any():
+                sizes[sel] = _sample_claims(rng, int(sel.sum()), s.phases)
 
-            ta = t[alive]
-            ua = u[alive]
-            t2 = np.minimum(ta + dt, horizon)
-            ended = ta + dt > horizon
+        ta, ua = state[TIME], state[U]
+        t2 = np.minimum(ta + dt, horizon)
+        ended = ta + dt > horizon
 
-            # continuous part, split at the barrier hit
-            t_hit = np.where(ua >= b, ta, ta + (b - ua) / c0)
-            free_end = np.minimum(t_hit, t2)
-            w_free = _disc_weight(q, ta, free_end)
-            w_pin = _disc_weight(q, np.maximum(t_hit, ta), np.maximum(t2, t_hit))
-            w_pin = np.where(t2 > t_hit, w_pin, 0.0)
-            # off the barrier: subsidiaries pay their excess premium;
-            # on it: the CB routes c0 to dividends and targets freeze
-            direct[alive] += (sum_c - gamma * c0) * w_free + (c0 + sum_c) * w_pin
-            # lemma integrand with dX_0 = c0 dt - dR_0, dX_i = c_i dt - a_i dC_i
-            lemma[alive] += (
-                (c_tilde - gamma * c0 - (c_tilde - sum_c)) * w_free
-                + (c0 + c_tilde - (c_tilde - sum_c)) * w_pin
-            )
-            u_pre = np.where(t2 > t_hit, b, ua + c0 * (t2 - ta))
+        # continuous part, split at the barrier hit
+        t_hit = np.where(ua >= b, ta, ta + (b - ua) / c0)
+        free_end = np.minimum(t_hit, t2)
+        w_free = _disc_weight(q, ta, free_end)
+        w_pin = _disc_weight(q, np.maximum(t_hit, ta), np.maximum(t2, t_hit))
+        w_pin = np.where(t2 > t_hit, w_pin, 0.0)
+        # off the barrier: subsidiaries pay their excess premium;
+        # on it: the CB routes c0 to dividends and targets freeze
+        state[DIRECT] += (sum_c - gamma * c0) * w_free + (c0 + sum_c) * w_pin
+        # lemma integrand with dX_0 = c0 dt - dR_0, dX_i = c_i dt - a_i dC_i
+        state[LEMMA] += (
+            (c_tilde - gamma * c0 - (c_tilde - sum_c)) * w_free
+            + (c0 + c_tilde - (c_tilde - sum_c)) * w_pin
+        )
+        u_pre = np.where(t2 > t_hit, b, ua + c0 * (t2 - ta))
 
-            # claim of subsidiary `which`: CB covers the ceded share
-            live = ~ended
-            ceded = (1.0 - alphas[which]) * sizes
-            kept = alphas[which] * sizes
-            disc_ev = np.exp(-q * t2)
-            u_post = np.where(live, u_pre - ceded, u_pre)
-            ruined = live & (u_post < 0)
+        # claim of subsidiary `which`: CB covers the ceded share
+        live = ~ended
+        ceded = (1.0 - alphas[which]) * sizes
+        kept = alphas[which] * sizes
+        disc_ev = np.exp(-q * t2)
+        u_post = np.where(live, u_pre - ceded, u_pre)
+        ruined = live & (u_post < 0)
 
-            idx = np.flatnonzero(alive)
-            # subsidiary bookkeeping: excess dividends keep reserves on the
-            # line ratio_i u(t), so at a claim they sit at ratio_i u_pre;
-            # the hit subsidiary pays its kept share, then every survivor
-            # pays a lump back down to the line through u_post
-            sub = u_pre[:, None] * ratios[None, :]
-            sub[np.arange(na), which] -= np.where(live, kept, 0.0)
-            target = np.maximum(u_post, 0.0)[:, None] * ratios[None, :]
-            target = np.where(ruined[:, None], sub, target)   # no lumps at ruin
-            lump = np.where(live[:, None], sub - target, 0.0)
-            short[idx] = np.maximum(short[idx], -lump.min(axis=1))
-            direct[idx] += np.where(live & ~ruined, lump.sum(axis=1) * disc_ev, 0.0)
-            lemma[idx] += np.where(
-                live & ~ruined,
-                (gamma * (1.0 - alphas[which]) / alphas[which] - 1.0) * kept * disc_ev,
-                0.0,
-            )
+        # subsidiary bookkeeping: excess dividends keep reserves on the
+        # line ratio_i u(t), so at a claim they sit at ratio_i u_pre;
+        # the hit subsidiary pays its kept share, then every survivor
+        # pays a lump back down to the line through u_post
+        sub = u_pre[:, None] * ratios[None, :]
+        sub[np.arange(na), which] -= np.where(live, kept, 0.0)
+        target = np.maximum(u_post, 0.0)[:, None] * ratios[None, :]
+        target = np.where(ruined[:, None], sub, target)   # no lumps at ruin
+        lump = np.where(live[:, None], sub - target, 0.0)
+        state[SHORT] = np.maximum(state[SHORT], -lump.min(axis=1))
+        state[DIRECT] += np.where(live & ~ruined, lump.sum(axis=1) * disc_ev, 0.0)
+        state[LEMMA] += np.where(
+            live & ~ruined,
+            (gamma * (1.0 - alphas[which]) / alphas[which] - 1.0) * kept * disc_ev,
+            0.0,
+        )
 
-            t[alive] = t2
-            u[alive] = u_post
-            dead = ended | ruined
-            alive[idx[dead]] = False
-        direct_all.append(direct)
-        lemma_all.append(lemma)
-        short_all.append(short)
-    return (np.concatenate(direct_all), np.concatenate(lemma_all),
-            np.concatenate(short_all))
+        state[TIME] = t2
+        state[U] = u_post
+        dead = ended | ruined
+        if dead.any():
+            done = state.compress(dead, axis=1)
+            out[:, done[IDX].astype(np.intp)] = done[DIRECT:IDX]
+            state = state.compress(~dead, axis=1)
+    return out[0], out[1], out[2]
 
 
 def network_estimate(spec, u0: float, b: float, horizon: float | None = None,
                      n_paths: int = 100_000, seed: int = 0) -> MCEstimate:
-    if n_paths < 1:
-        raise DomainError(f"need at least one path, got n_paths={n_paths}")
     direct, _, _ = network_paths(spec, u0, b, horizon, n_paths, seed)
     mean = float(direct.mean())
     se = float(direct.std(ddof=0) / math.sqrt(n_paths))

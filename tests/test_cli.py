@@ -209,6 +209,13 @@ class TestExitCodes:
         assert main(["simulate", "two_sided", "--model", model_path, "--q", "0.5",
                      "--x", "0.6", "--b", "1.5", "--paths", "0"]) == 2
 
+    @pytest.mark.parametrize("name", ["parisian_up_exit", "parisian_severity",
+                                      "vf_dividends", "slg_value", "time_in_red"])
+    def test_simulate_without_r_is_two(self, capsys, model_path, name):
+        assert main(["simulate", name, "--model", model_path, "--q", "0.5",
+                     "--x", "1.0", "--b", "2.0", "--paths", "100"]) == 2
+        assert "needs --r" in capsys.readouterr().err
+
     def test_network_zero_paths_is_two(self, capsys, tmp_path):
         spec = tmp_path / "net.json"
         spec.write_text("{}")
@@ -244,6 +251,15 @@ class TestSimulateCommand:
         obj = json.loads(out)
         assert abs(obj["z_score"]) < 4.0
         assert obj["ci95"][0] < obj["analytic"] < obj["ci95"][1] or abs(obj["z_score"]) < 4.0
+        assert obj["tail_bound"] == 0.0     # absorbed at b: no truncation
+
+    def test_vf_dividends_reports_tail_bound(self, capsys, model_path):
+        code, out = run(capsys, ["simulate", "vf_dividends", "--model", model_path,
+                                 "--q", "0.5", "--r", "0.5", "--x", "0.6", "--b", "1.5",
+                                 "--paths", "2000", "--seed", "1"])
+        assert code == 0
+        obj = json.loads(out)
+        assert 0.0 < obj["tail_bound"] < 0.1 * obj["se"]
 
 
 class TestNetworkCommand:

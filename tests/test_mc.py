@@ -174,3 +174,52 @@ class TestAnalyticCrossChecks:
                      lower="classical_absorb")
         est = mc.estimate(cfg, mc.Functional("dividends"), n_paths=2_000, seed=20)
         assert 0.0 < est.tail_bound < 1e-10
+
+
+class TestTailBound:
+    """The horizon cut's bound: c e^{-qT}/q for dividends, lam E[C] e^{-qT}
+    (1/q, plus 1/r under Parisian reflection) for injections."""
+
+    @pytest.mark.parametrize("lower,name,k", [
+        ("classical_absorb", "dividends", 0.0),
+        ("classical_absorb", "bailouts", 0.0),
+        ("classical_reflect", "bailouts", 0.0),
+        ("parisian_reflect", "bailouts", 0.0),
+        ("classical_reflect", "slg", 2.0),
+        ("parisian_reflect", "slg", 2.0),
+    ])
+    def test_formula(self, m1, lower, name, k):
+        q, r, x0, b = 0.5, 0.25, 0.6, 1.5
+        cfg = m1_cfg(m1, x0=x0, q=q, upper_barrier=b, upper_mode="reflect", lower=lower,
+                     r=r if lower.startswith("parisian") else 0.0)
+        est = mc.estimate(cfg, mc.Functional(name, k=k), n_paths=500, seed=20)
+        disc = math.exp(-q * mc.default_horizon(q, x0, b))
+        dividends = m1.c * disc / q
+        per_claim = m1.lam * m1.mean_claim * disc
+        injections = {"classical_reflect": per_claim / q,
+                      "parisian_reflect": per_claim * (1 / q + 1 / r)}.get(lower, 0.0)
+        expected = {"dividends": dividends, "bailouts": injections,
+                    "slg": dividends + k * injections}[name]
+        assert est.tail_bound == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_explicit_horizon_has_no_tail(self, m1):
+        cfg = m1_cfg(m1, x0=0.6, q=0.5, upper_barrier=1.5, upper_mode="reflect",
+                     lower="classical_reflect", horizon=5.0)
+        assert mc.estimate(cfg, mc.Functional("slg", k=2.0), n_paths=500).tail_bound == 0.0
+
+
+class TestReduction:
+    def test_chunk_merge_matches_two_pass_variance(self):
+        """Values 1e8 + 1e-2 noise: sum v^2/n - mean^2 cancels every digit."""
+        v = 1e8 + 1e-2 * np.random.default_rng(3).standard_normal(2 * 65_536 + 3_000)
+        chunks = np.split(v, [65_536, 2 * 65_536])
+        parts = [mc._chunk_moments(c) for c in chunks]
+        var = mc._merge_m2(parts) / v.size
+        reference = np.var(v)
+        assert abs(var - reference) < 1e-10 * reference
+        naive = sum(float((c * c).sum()) for c in chunks) / v.size - (v.sum() / v.size) ** 2
+        assert abs(naive - reference) > reference
+
+    def test_constant_values_have_no_spread(self):
+        parts = [mc._chunk_moments(np.full(n, 0.1)) for n in (7, 65_536, 3)]
+        assert mc._merge_m2(parts) <= 1e-30

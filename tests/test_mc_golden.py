@@ -1,0 +1,101 @@
+"""Golden values that pin the Monte-Carlo engine to the bit.
+
+Each estimate mean is stored as `float.hex` and each network array as the
+sha256 of its little-endian float64 bytes, recorded with numpy 2.4 on
+x86-64.  A change in the draw order, in the per-path arithmetic or in the
+reduction of the means fails here.  So would a numpy upgrade that moves
+the last bit of `exp` or of the Philox streams; then the values need
+recording again from a commit whose engine is known to be right.
+"""
+
+import hashlib
+
+import pytest
+
+from parisian_scale import LevyModel, mc
+from parisian_scale import control as ctl
+
+M1 = LevyModel(c=1.0, sigma2=0.0, lam=1.0, phases=((1.0, 2.0),))
+M3 = LevyModel(c=2.0, sigma2=0.0, lam=1.5, phases=((0.3, 1.0), (0.5, 3.0), (0.2, 8.0)))
+MODELS = {"m1": M1, "m3": M3}
+X, B, Q, R = 0.6, 1.5, 2.0 / 3.0, 1.0 / 3.0
+N, SEED = 5000, 5
+
+# (model, lower, upper) -> (mean of the first functional, mean of the second)
+GOLDEN = {
+    ("m1", "none", "absorb"): ("0x1.9f29c73cc2898p-2", "0x1.d0cb7da5a94f4p-1"),
+    ("m1", "none", "reflect"): ("0x1.9f4e33205b3dap-2", "0x1.59a9c1c200aa0p-2"),
+    ("m1", "classical_absorb", "absorb"): ("0x1.87da76572052dp-2", "0x1.75252e74aa714p-4"),
+    ("m1", "classical_absorb", "reflect"): ("0x1.863f5d37a1f71p-2", "0x1.cb10829d44556p-4"),
+    ("m1", "classical_reflect", "absorb"): ("0x1.a4bb8debb9284p-2", "0x1.9979ee00b362dp-4"),
+    ("m1", "classical_reflect", "reflect"): ("0x1.3c04772828f2bp-3", "0x1.163235d88fe8ap-3"),
+    ("m1", "parisian_absorb", "absorb"): ("0x1.9a1e50417bb98p-2", "0x1.d45e702a95735p-7"),
+    ("m1", "parisian_absorb", "reflect"): ("0x1.9e873966d5c68p-2", "0x1.22e43b2a8c96fp-6"),
+    ("m1", "parisian_reflect", "absorb"): ("0x1.9e5ef77cb7277p-2", "0x1.1db252fb98e02p-6"),
+    ("m1", "parisian_reflect", "reflect"): ("0x1.7693683fb0b56p-2", "0x1.72c79a137a30ep-6"),
+    ("m3", "none", "absorb"): ("0x1.512051c8ea3dcp-1", "0x1.eb8735710c382p-1"),
+    ("m3", "none", "reflect"): ("0x1.6cac0800e8a39p+0", "0x1.2544afe0e4782p-2"),
+    ("m3", "classical_absorb", "absorb"): ("0x1.3e555cc87b2efp-1", "0x1.ba94543954391p-5"),
+    ("m3", "classical_absorb", "reflect"): ("0x1.45f101b056296p+0", "0x1.756f3d082d178p-4"),
+    ("m3", "classical_reflect", "absorb"): ("0x1.50203491d7de5p-1", "0x1.c162356ef3745p-4"),
+    ("m3", "classical_reflect", "reflect"): ("0x1.063d0edec9a46p+0", "0x1.f1d3643396b9cp-3"),
+    ("m3", "parisian_absorb", "absorb"): ("0x1.4ca2b59b21cd8p-1", "0x1.8600dc9b69520p-8"),
+    ("m3", "parisian_absorb", "reflect"): ("0x1.6510666dc7e9ep+0", "0x1.6cf86f8bfff19p-7"),
+    ("m3", "parisian_reflect", "absorb"): ("0x1.4eb8d5bbf7674p-1", "0x1.2fdfd457a12a5p-6"),
+    ("m3", "parisian_reflect", "reflect"): ("0x1.58d5777c01a6fp+0", "0x1.472e67dd6f06fp-5"),
+}
+
+# the second functional reads the record fields the lower mechanism writes
+SECOND = {
+    "none": mc.Functional("time_in_red", red_rate=0.7),
+    "classical_absorb": mc.Functional("joint", theta=1.0, vartheta=0.5),
+    "parisian_absorb": mc.Functional("joint", theta=1.0, vartheta=0.5),
+    "classical_reflect": mc.Functional("bailouts"),
+    "parisian_reflect": mc.Functional("bailouts"),
+}
+
+
+def _config(model, lower, upper, horizon=None):
+    r = R if lower.startswith("parisian") else 0.0
+    return mc.PathConfig(model=MODELS[model], x0=X, q=Q, upper_barrier=B,
+                         upper_mode=upper, lower=lower, r=r, horizon=horizon)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: "-".join(k))
+def test_estimate_means(key):
+    model, lower, upper = key
+    first = mc.Functional("up_exit", theta=0.5) if upper == "absorb" \
+        else mc.Functional("slg", k=2.0)
+    got = (mc.estimate(_config(model, lower, upper), first, N, seed=SEED).mean.hex(),
+           mc.estimate(_config(model, lower, upper, horizon=30.0), SECOND[lower], N,
+                       seed=SEED).mean.hex())
+    assert got == GOLDEN[key]
+
+
+@pytest.mark.parametrize("model,expected", [("m1", "0x1.b6007132b4057p-1"),
+                                            ("m3", "0x1.d661642f9c646p-1")])
+def test_time_in_red_mean(model, expected):
+    cfg = mc.PathConfig(model=MODELS[model], x0=X, q=0.0, upper_barrier=20.0,
+                        lower="none", horizon=100.0)
+    est = mc.estimate(cfg, mc.Functional("time_in_red", red_rate=0.7), N, seed=SEED)
+    assert est.mean.hex() == expected
+
+
+def test_two_chunk_mean():
+    est = mc.estimate(_config("m1", "classical_absorb", "absorb"), mc.Functional("up_exit"),
+                      (1 << 16) + 1000, seed=SEED)
+    assert est.mean.hex() == "0x1.8b9985786f664p-2"
+
+
+def test_network_paths_arrays():
+    spec = ctl.NetworkSpec(subsidiaries=(
+        ctl.Subsidiary(premium=2.0, lam=1.0, phases=((1.0, 2.0),), retention=0.5),
+        ctl.Subsidiary(premium=3.0, lam=1.0, phases=((1.0, 2.0),), retention=0.25),
+    ), c0=1.0, q=0.5)
+    arrays = mc.network_paths(spec, 1.0, 2.0, 40.0, N, 1)
+    digests = [hashlib.sha256(a.astype("<f8").tobytes()).hexdigest() for a in arrays]
+    assert digests == [
+        "7dfc6544f40611c0b0d8d427f74a7e0a83e3d8343f1e9100f1624afd4d828bf1",
+        "e9a82e7de212dc78e9c7bc0c8124ff8fefacbe860844e85a89cccf56a81f921a",
+        "10b68f29d9219486616beff249249efaa3876092c04041096f69c3607e4f24d1",
+    ]

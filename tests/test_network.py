@@ -5,7 +5,7 @@ import pytest
 
 from parisian_scale import control as ctl
 from parisian_scale import mc
-from parisian_scale.errors import NotCheap
+from parisian_scale.errors import DomainError, NotCheap
 
 
 def make_spec(premiums, alphas, c0, q=0.5, lam=1.0):
@@ -29,6 +29,21 @@ class TestPathIdentity:
         _, _, short = mc.network_paths(spec, u0=0.7, b=1.5, horizon=40.0,
                                        n_paths=100_000, seed=22)
         assert short.max() < 1e-12
+
+    def test_needs_a_path(self):
+        spec = make_spec((2.0, 3.0), (0.5, 0.5), c0=1.0)
+        with pytest.raises(DomainError):
+            mc.network_paths(spec, u0=1.0, b=2.0, horizon=10.0, n_paths=0, seed=0)
+
+    def test_bit_identical_across_thread_counts(self, monkeypatch):
+        spec = make_spec((2.0, 3.0), (0.5, 0.25), c0=1.0)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PARISIAN_SCALE_THREADS", threads)
+            runs.append(mc.network_paths(spec, u0=0.7, b=1.5, horizon=10.0,
+                                         n_paths=(1 << 16) + 300, seed=5))
+        for one, two in zip(*runs):
+            assert one.tobytes() == two.tobytes()
 
     def test_not_cheap_rejected(self):
         spec = make_spec((3.0, 2.0), (1.0 / 3.0, 0.5), c0=10.0)
