@@ -67,7 +67,6 @@ from .control import (
     is_efficient,
     network_check,
     network_claims_line,
-    network_value_mc,
     optimize_barrier,
     slg_parisian_value,
     solve_patience,
@@ -76,7 +75,7 @@ from .control import (
     value_slg_classic,
     vf_dividends_classic,
 )
-from .mc import Functional, MCEstimate, PathConfig, estimate, simulate_path
+from .mc import Functional, MCEstimate, PathConfig, estimate
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands: scale, law, value, efficiency, simulate, network.  Tabular
+Subcommands: scale, law, value, efficiency, simulate, network.  Each law
+and objective is one row of a table: whether it needs --r, its column
+over a grid, and, where the Monte-Carlo oracle checks it, the path modes
+and functional that `simulate` runs against its closed form.  Tabular
 output is CSV with 17 significant digits so values round-trip through
 text exactly; each column is evaluated over the whole grid in one call.
-Scalar outputs are JSON.  Exit codes: 0 success, 1 numerical or domain
-failure, 2 usage or configuration error.
+Scalar outputs are JSON.  Exit codes: 0 success, 1 numerical, domain or
+malformed-file failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -13,32 +16,94 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ParisianScaleError
-from .model import LevyModel
+from .model import LevyModel, load_json, read_field
 from . import control, laws, mc, scale
 
 _FMT = "{:.17g}"
 
-_LAWS = (
-    "two_sided", "severity_absorbed", "severity_reflected", "severity_infinite",
-    "bailouts_to_level", "dividends_penalty", "time_in_red",
-    "parisian_up_exit", "parisian_severity", "parisian_resolvent_integral",
-    "parisian_dividends_penalty",
-)
 
-_VALUES = (
-    "vf_dividends_classic", "value_definetti", "value_slg_classic",
-    "VF_div", "VF_bail", "VS_div", "VS_div_theta", "VS_bail", "slg_parisian",
-)
+class Check(NamedTuple):
+    lower: str                  # the PathConfig modes; upper None: the law has no barrier
+    upper: str | None
+    functional: Callable        # args -> the mc.Functional to average
+    name: str | None = None     # the `simulate` name, where it is not the row's
+    theta: float | None = None  # the closed form's theta, whatever --theta says
 
-_FUNCTIONALS = ("two_sided", "severity", "bailouts_to_level", "parisian_up_exit",
-                "parisian_severity", "vf_dividends", "slg_value", "time_in_red")
-# simulate functionals that read --r (the observation rate, or the red-time rate)
-_FUNCTIONALS_NEEDING_R = ("parisian_up_exit", "parisian_severity", "vf_dividends",
-                          "slg_value", "time_in_red")
+
+class Row(NamedTuple):
+    needs_r: bool
+    column: Callable            # (ctx, pctx, x, args) -> the values on the grid x
+    check: Check | None = None  # the `simulate` cross-check, if the oracle has one
+
+
+def _theta(args, absent=0.0):
+    return absent if args.theta is None else args.theta
+
+
+def _parisian_value(part):
+    return lambda c, p, x, a: control.value_parisian(p, x, a.b, part, _theta(a))
+
+
+# absent flags read as 0, except --theta of parisian_up_exit (see there)
+_LAWS = {
+    "two_sided": Row(False, lambda c, p, x, a: laws.two_sided_exit(c, x, 0.0, a.b),
+                     Check("classical_absorb", "absorb", lambda a: mc.Functional("up_exit"))),
+    "severity_absorbed": Row(
+        False, lambda c, p, x, a: laws.severity_absorbed(c, x, a.b, _theta(a)),
+        Check("classical_absorb", "absorb",
+              lambda a: mc.Functional("severity", theta=_theta(a)), name="severity")),
+    "severity_reflected": Row(
+        False, lambda c, p, x, a: laws.severity_reflected(c, x, a.b, _theta(a))),
+    "severity_infinite": Row(False, lambda c, p, x, a: laws.severity_infinite(c, x, _theta(a))),
+    "bailouts_to_level": Row(
+        False, lambda c, p, x, a: laws.bailouts_to_level(c, x, a.b, _theta(a)),
+        Check("classical_reflect", "absorb",
+              lambda a: mc.Functional("up_exit", theta=_theta(a)))),
+    "dividends_penalty": Row(
+        False, lambda c, p, x, a: laws.dividends_penalty_classic(c, x, a.b, _theta(a), a.vartheta)),
+    "time_in_red": Row(True, lambda c, p, x, a: laws.time_in_red(c, x, a.r),
+                       Check("none", None, lambda a: mc.Functional("time_in_red", red_rate=a.r))),
+    # theta = infinity, the up-crossing before Parisian ruin, unless --theta is given;
+    # `simulate` checks that one
+    "parisian_up_exit": Row(
+        True, lambda c, p, x, a: laws.parisian_up_exit(p, x, a.b, _theta(a, math.inf)),
+        Check("parisian_absorb", "absorb", lambda a: mc.Functional("up_exit"),
+              theta=math.inf)),
+    "parisian_severity": Row(
+        True, lambda c, p, x, a: laws.parisian_severity(p, x, a.b, _theta(a)),
+        Check("parisian_absorb", "absorb",
+              lambda a: mc.Functional("severity", theta=_theta(a)))),
+    "parisian_resolvent_integral": Row(
+        True, lambda c, p, x, a: laws.parisian_resolvent_integral(p, x, 0.0, a.b)),
+    "parisian_dividends_penalty": Row(
+        True, lambda c, p, x, a: laws.parisian_dividends_penalty(p, x, a.b, _theta(a), a.vartheta)),
+}
+
+_OBJECTIVES = {
+    "vf_dividends_classic": Row(False, lambda c, p, x, a: control.vf_dividends_classic(c, x, a.b)),
+    "value_definetti": Row(
+        False, lambda c, p, x, a: control.value_definetti(c, x, a.b, scale.Linear(a.k, a.K))),
+    "value_slg_classic": Row(False, lambda c, p, x, a: control.value_slg_classic(c, x, a.b, a.k)),
+    "VF_div": Row(True, _parisian_value("VF_div"),
+                  Check("parisian_absorb", "reflect", lambda a: mc.Functional("dividends"),
+                        name="vf_dividends")),
+    "VF_bail": Row(True, _parisian_value("VF_bail")),
+    "VS_div": Row(True, _parisian_value("VS_div")),
+    "VS_div_theta": Row(True, _parisian_value("VS_div_theta")),
+    "VS_bail": Row(True, _parisian_value("VS_bail")),
+    "slg_parisian": Row(True, lambda c, p, x, a: control.slg_parisian_value(p, x, a.b, a.k),
+                        Check("parisian_reflect", "reflect",
+                              lambda a: mc.Functional("slg", k=a.k), name="slg_value")),
+}
+
+# `simulate` names: the rows with a check
+_SIMULATE = {row.check.name or name: row
+             for name, row in {**_LAWS, **_OBJECTIVES}.items() if row.check}
 
 
 def _parse_grid(spec: str):
@@ -64,42 +129,36 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _write(text: str, out):
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_columns(header, columns, out):
     lines = [",".join(header)]
     for row in np.column_stack(columns).tolist():
         lines.append(",".join(_FMT.format(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", out)
 
 
 def _write_json(obj, out):
-    text = json.dumps(obj, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _load_model(path: str) -> LevyModel:
-    return LevyModel.from_json(path)
+    _write(json.dumps(obj, indent=2) + "\n", out)
 
 
 def _build(args):
-    model = _load_model(args.model)
-    ctx = scale.build_scale(model, args.q)
-    pctx = None
-    if args.r is not None:
-        pctx = scale.build_parisian(model, args.q, args.r)
-    return model, ctx, pctx
+    """The model's scale context at q and, with --r, its Parisian context."""
+    model = LevyModel.from_json(args.model)
+    if args.r is None:
+        return scale.build_scale(model, args.q), None
+    pctx = scale.build_parisian(model, args.q, args.r)
+    return pctx.base, pctx
 
 
 def cmd_scale(args) -> int:
-    _, ctx, pctx = _build(args)
+    ctx, pctx = _build(args)
     header = ["x", "W", "W_prime", "W_bar", "Z", "Z_bar"]
     if args.theta is not None:
         header.append("Z_theta")
@@ -119,134 +178,44 @@ def cmd_scale(args) -> int:
     return 0
 
 
-def cmd_law(args) -> int:
-    if args.name not in _LAWS:
-        return _usage_error(f"unknown law {args.name!r}; valid laws: {', '.join(_LAWS)}")
-    _, ctx, pctx = _build(args)
-    theta = args.theta if args.theta is not None else 0.0
-    vartheta = args.vartheta if args.vartheta is not None else 0.0
-    b = args.b
-
-    def column(x):
-        if args.name == "two_sided":
-            return laws.two_sided_exit(ctx, x, 0.0, b)
-        if args.name == "severity_absorbed":
-            return laws.severity_absorbed(ctx, x, b, theta)
-        if args.name == "severity_reflected":
-            return laws.severity_reflected(ctx, x, b, theta)
-        if args.name == "severity_infinite":
-            return laws.severity_infinite(ctx, x, theta)
-        if args.name == "bailouts_to_level":
-            return laws.bailouts_to_level(ctx, x, b, theta)
-        if args.name == "dividends_penalty":
-            return laws.dividends_penalty_classic(ctx, x, b, theta, vartheta)
-        if args.name == "time_in_red":
-            return laws.time_in_red(ctx, x, args.r)
-        if args.name == "parisian_up_exit":
-            return laws.parisian_up_exit(pctx, x, b, theta if args.theta is not None else math.inf)
-        if args.name == "parisian_severity":
-            return laws.parisian_severity(pctx, x, b, theta)
-        if args.name == "parisian_resolvent_integral":
-            return laws.parisian_resolvent_integral(pctx, x, 0.0, b)
-        if args.name == "parisian_dividends_penalty":
-            return laws.parisian_dividends_penalty(pctx, x, b, theta, vartheta)
-        raise AssertionError(args.name)
-
-    if (args.name == "time_in_red" or args.name.startswith("parisian")) and pctx is None:
-        return _usage_error(f"law {args.name!r} needs --r")
+def cmd_grid(args) -> int:
+    """A law (`law`) or a barrier objective (`value`) on the --x-grid."""
+    row = args.table[args.name]
+    if row.needs_r and args.r is None:
+        return _usage_error(f"{args.kind} {args.name!r} needs --r")
+    ctx, pctx = _build(args)
     x = _parse_grid(args.x_grid)
-    _write_columns(["x", "value"], [x, column(x)], args.out)
-    return 0
-
-
-def cmd_value(args) -> int:
-    if args.name not in _VALUES:
-        return _usage_error(f"unknown objective {args.name!r}; valid objectives: {', '.join(_VALUES)}")
-    _, ctx, pctx = _build(args)
-    b, k, K = args.b, args.k or 0.0, args.K or 0.0
-    theta = args.theta if args.theta is not None else 0.0
-
-    def column(x):
-        if args.name == "vf_dividends_classic":
-            return control.vf_dividends_classic(ctx, x, b)
-        if args.name == "value_definetti":
-            return control.value_definetti(ctx, x, b, scale.Linear(k, K))
-        if args.name == "value_slg_classic":
-            return control.value_slg_classic(ctx, x, b, k)
-        if args.name == "slg_parisian":
-            return control.slg_parisian_value(pctx, x, b, k)
-        return control.value_parisian(pctx, x, b, args.name, theta)
-
-    if args.name in ("VF_div", "VF_bail", "VS_div", "VS_div_theta", "VS_bail",
-                     "slg_parisian") and pctx is None:
-        return _usage_error(f"objective {args.name!r} needs --r")
-    x = _parse_grid(args.x_grid)
-    _write_columns(["x", "value"], [x, column(x)], args.out)
+    _write_columns(["x", "value"], [x, row.column(ctx, pctx, x, args)], args.out)
     return 0
 
 
 def cmd_efficiency(args) -> int:
-    _, _, pctx = _build(args)
+    _, pctx = _build(args)
     if pctx is None:
         return _usage_error("efficiency needs --r")
     threshold = control.efficiency_index(pctx)
-    k = args.k if args.k is not None else 0.0
-    efficient = k <= threshold
-    patience = 0.0 if efficient else control.solve_patience(pctx, k)
+    efficient = args.k <= threshold
+    patience = 0.0 if efficient else control.solve_patience(pctx, args.k)
     _write_json({"threshold": threshold, "efficient": efficient, "patience": patience},
                 args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    if args.name not in _FUNCTIONALS:
-        return _usage_error(
-            f"unknown functional {args.name!r}; valid functionals: {', '.join(_FUNCTIONALS)}")
-    if args.name in _FUNCTIONALS_NEEDING_R and args.r is None:
-        return _usage_error(f"functional {args.name!r} needs --r")
-    model, ctx, pctx = _build(args)
-    x, b = args.x, args.b
-    theta = args.theta if args.theta is not None else 0.0
-    if args.name == "two_sided":
-        cfg = mc.PathConfig(model, x, q=args.q, upper_barrier=b, upper_mode="absorb",
-                            lower="classical_absorb")
-        fn = mc.Functional("up_exit")
-        analytic = laws.two_sided_exit(ctx, x, 0.0, b)
-    elif args.name == "severity":
-        cfg = mc.PathConfig(model, x, q=args.q, upper_barrier=b, upper_mode="absorb",
-                            lower="classical_absorb")
-        fn = mc.Functional("severity", theta=theta)
-        analytic = laws.severity_absorbed(ctx, x, b, theta)
-    elif args.name == "bailouts_to_level":
-        cfg = mc.PathConfig(model, x, q=args.q, upper_barrier=b, upper_mode="absorb",
-                            lower="classical_reflect")
-        fn = mc.Functional("up_exit", theta=theta)
-        analytic = laws.bailouts_to_level(ctx, x, b, theta)
-    elif args.name == "parisian_up_exit":
-        cfg = mc.PathConfig(model, x, q=args.q, upper_barrier=b, upper_mode="absorb",
-                            lower="parisian_absorb", r=args.r)
-        fn = mc.Functional("up_exit")
-        analytic = laws.parisian_up_exit(pctx, x, b, math.inf)
-    elif args.name == "parisian_severity":
-        cfg = mc.PathConfig(model, x, q=args.q, upper_barrier=b, upper_mode="absorb",
-                            lower="parisian_absorb", r=args.r)
-        fn = mc.Functional("severity", theta=theta)
-        analytic = laws.parisian_severity(pctx, x, b, theta)
-    elif args.name == "vf_dividends":
-        cfg = mc.PathConfig(model, x, q=args.q, upper_barrier=b, upper_mode="reflect",
-                            lower="parisian_absorb", r=args.r)
-        fn = mc.Functional("dividends")
-        analytic = control.value_parisian(pctx, x, b, "VF_div")
-    elif args.name == "slg_value":
-        cfg = mc.PathConfig(model, x, q=args.q, upper_barrier=b, upper_mode="reflect",
-                            lower="parisian_reflect", r=args.r)
-        fn = mc.Functional("slg", k=args.k or 0.0)
-        analytic = control.slg_parisian_value(pctx, x, b, args.k or 0.0)
-    else:  # time_in_red
-        cfg = mc.PathConfig(model, x, q=0.0, upper_barrier=max(60.0, x + 60.0),
-                            upper_mode="absorb", lower="none")
-        fn = mc.Functional("time_in_red", red_rate=args.r)
-        analytic = laws.time_in_red(ctx, x, args.r)
+    row = args.table[args.name]
+    if row.needs_r and args.r is None:
+        return _usage_error(f"{args.kind} {args.name!r} needs --r")
+    ctx, pctx = _build(args)
+    b, upper = args.b, row.check.upper
+    if upper is None:
+        # no barrier in the law: absorb far above, past any return to the red
+        b, upper = max(60.0, args.x + 60.0), "absorb"
+    cfg = mc.PathConfig(ctx.model, args.x, q=args.q, upper_barrier=b, upper_mode=upper,
+                        lower=row.check.lower, r=args.r or 0.0)
+    fn = row.check.functional(args)
+    if row.check.theta is not None:
+        args = argparse.Namespace(**{**vars(args), "theta": row.check.theta})
+    analytic = row.column(ctx, pctx, args.x, args)
     est = mc.estimate(cfg, fn, args.paths, seed=args.seed)
     zscore = (est.mean - analytic) / est.std_error if est.std_error > 0 else 0.0
     _write_json({"mean": est.mean, "se": est.std_error, "ci95": list(est.ci95),
@@ -255,34 +224,38 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_network(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        raw = json.load(fh)
+def _network_spec(raw) -> control.NetworkSpec:
     subs = tuple(
         control.Subsidiary(
-            premium=s["c"], lam=s["lambda"],
-            phases=tuple((p["weight"], p["rate"]) for p in s["phases"]),
-            retention=s["alpha"],
+            premium=read_field(s, "c"), lam=read_field(s, "lambda"),
+            phases=tuple((read_field(p, "weight"), read_field(p, "rate"))
+                         for p in read_field(s, "phases", kind=list)),
+            retention=read_field(s, "alpha"),
         )
-        for s in raw["subsidiaries"]
+        for s in read_field(raw, "subsidiaries", kind=list)
     )
-    spec = control.NetworkSpec(subsidiaries=subs, c0=raw["c0"], q=raw["q"])
+    return control.NetworkSpec(subsidiaries=subs, c0=read_field(raw, "c0"),
+                               q=read_field(raw, "q"))
+
+
+def cmd_network(args) -> int:
+    spec = load_json(args.spec, _network_spec)
     check = control.network_check(spec)
-    est = control.network_value_mc(spec, args.u0, args.b, n_paths=args.paths, seed=args.seed)
+    est = mc.network_estimate(spec, args.u0, args.b, n_paths=args.paths, seed=args.seed)
     _write_json({"cheap": check["cheap"], "gamma": check["gamma"],
                  "c_tilde": check["c_tilde"], "mc_value": est.mean, "se": est.std_error},
                 args.out)
     return 0
 
 
-def _add_common(p, q_required=True):
+def _add_common(p):
     p.add_argument("--model", required=True)
-    p.add_argument("--q", type=float, required=q_required, default=0.0)
+    p.add_argument("--q", type=float, required=True)
     p.add_argument("--r", type=float)
     p.add_argument("--theta", type=float)
-    p.add_argument("--vartheta", type=float)
-    p.add_argument("--k", type=float)
-    p.add_argument("--K", type=float)
+    p.add_argument("--vartheta", type=float, default=0.0)
+    p.add_argument("--k", type=float, default=0.0)
+    p.add_argument("--K", type=float, default=0.0)
     p.add_argument("--out")
 
 
@@ -296,31 +269,31 @@ def build_parser():
     p.set_defaults(fn=cmd_scale)
 
     p = sub.add_parser("law", help="evaluate a passage law on a grid")
-    p.add_argument("name")
+    p.add_argument("name", choices=_LAWS, metavar="law")
     _add_common(p)
     p.add_argument("--x-grid", required=True)
     p.add_argument("--b", type=float, default=0.0)
-    p.set_defaults(fn=cmd_law)
+    p.set_defaults(fn=cmd_grid, kind="law", table=_LAWS)
 
     p = sub.add_parser("value", help="evaluate a barrier objective on a grid")
-    p.add_argument("name")
+    p.add_argument("name", choices=_OBJECTIVES, metavar="objective")
     _add_common(p)
     p.add_argument("--x-grid", required=True)
     p.add_argument("--b", type=float, required=True)
-    p.set_defaults(fn=cmd_value)
+    p.set_defaults(fn=cmd_grid, kind="objective", table=_OBJECTIVES)
 
     p = sub.add_parser("efficiency", help="efficiency threshold and patience")
     _add_common(p)
     p.set_defaults(fn=cmd_efficiency)
 
     p = sub.add_parser("simulate", help="Monte-Carlo cross-check of a law")
-    p.add_argument("name")
+    p.add_argument("name", choices=_SIMULATE, metavar="functional")
     _add_common(p)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--paths", type=_positive_int, default=100_000)
-    p.set_defaults(fn=cmd_simulate)
+    p.set_defaults(fn=cmd_simulate, kind="functional", table=_SIMULATE)
 
     p = sub.add_parser("network", help="claims-line network valuation")
     p.add_argument("--spec", required=True)
@@ -344,8 +317,8 @@ def main(argv=None) -> int:
     except ParisianScaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:      # a missing file, or a grid too long to hold
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -307,9 +307,3 @@ def network_claims_line(spec: NetworkSpec, u0: float) -> list:
     """Subsidiary reserves on the claims line through central reserve u0."""
     return [u0 * s.retention / (1.0 - s.retention) for s in spec.subsidiaries]
 
-
-def network_value_mc(spec: NetworkSpec, u0: float, b: float, horizon: float | None = None,
-                     n_paths: int = 100_000, seed: int = 0):
-    from .mc import network_estimate
-
-    return network_estimate(spec, u0, b, horizon=horizon, n_paths=n_paths, seed=seed)

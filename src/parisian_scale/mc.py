@@ -29,6 +29,14 @@ c e^{-qT}/q for dividends, lam E[C] e^{-qT}/q for bailouts (plus
 lam E[C] e^{-qT}/r under Parisian reflection), and the dividend tail plus
 k times the bailout tail for slg.  Every other functional stops with the
 path and has no tail.
+
+Stopping: without a finite horizon, a path must stop for sure, so a
+configuration runs only if the upper barrier absorbs and either a lower
+mechanism acts or the drift is not negative, or if the lower mechanism
+absorbs, claims arrive, and either there is a barrier or the drift is not
+positive.  Any other configuration (say, reflection at 0 and no barrier,
+or absorption at 0 with a positive drift and no barrier) raises
+HorizonRequired before a step runs.
 """
 
 from __future__ import annotations
@@ -107,21 +115,6 @@ class MCEstimate:
     tail_bound: float = 0.0
 
 
-@dataclass(frozen=True)
-class PathRecord:
-    events: tuple
-    stop_cause: int
-    stop_time: float
-    final_level: float
-    undershoot: float
-    dividends_discounted: float
-    bailouts_discounted: float
-    dividends_raw: float
-    bailouts_raw: float
-    claims_raw: float
-    time_in_red: float
-
-
 def default_horizon(q: float, x0: float, b: float) -> float:
     """Truncation horizon with tail error at most c e^{-qT}/q for dividends."""
     if q <= 0:
@@ -153,6 +146,21 @@ def _sample_claims(rng, n, phases):
     return rng.exponential(1.0, size=n) / rates[idx]
 
 
+def _stops(cfg: PathConfig) -> bool:
+    """Whether every path of cfg stops for sure without a horizon.
+
+    An absorbing barrier stops the path unless it can drift off below (no
+    lower mechanism and a negative drift); an absorbing lower mechanism
+    stops it unless it can escape upward (no barrier and a positive
+    drift).  Nothing else stops a path.
+    """
+    m = cfg.model
+    barrier = cfg.upper_barrier is not None
+    if barrier and cfg.upper_mode == "absorb" and (cfg.lower != "none" or m.drift >= 0):
+        return True
+    return cfg.lower.endswith("absorb") and m.lam > 0 and (barrier or m.drift <= 0)
+
+
 def _simulate_chunk(cfg: PathConfig, n: int, rng) -> dict:
     """Run n paths to their stop; return per-path accounting arrays.
 
@@ -170,8 +178,8 @@ def _simulate_chunk(cfg: PathConfig, n: int, rng) -> dict:
     obs_rate = cfg.r if cfg.lower.startswith("parisian") else 0.0
     total_rate = lam + obs_rate
     T = cfg.horizon if cfg.horizon is not None else math.inf
-    if not math.isfinite(T) and total_rate == 0.0 and not absorb_up:
-        raise HorizonRequired("path has no stopping mechanism and no horizon")
+    if not math.isfinite(T) and not _stops(cfg):
+        raise HorizonRequired("a path may never stop: give a finite horizon")
     classical = cfg.lower.startswith("classical")
     absorb_down = cfg.lower.endswith("absorb")
     reflect_down = cfg.lower.endswith("reflect")
@@ -386,104 +394,6 @@ def estimate(cfg: PathConfig, fn: Functional, n_paths: int, seed: int = 0) -> MC
         mean=mean, std_error=se, n_paths=n_paths,
         ci95=(mean - 1.96 * se, mean + 1.96 * se), tail_bound=tail,
     )
-
-
-def simulate_path(cfg: PathConfig, rng) -> PathRecord:
-    """Single path with a full event log; reference for the vector engine."""
-    m = cfg.model
-    c, lam, q = m.c, m.lam, cfg.q
-    b = cfg.upper_barrier
-    reflect_up = b is not None and cfg.upper_mode == "reflect"
-    absorb_up = b is not None and cfg.upper_mode == "absorb"
-    obs_rate = cfg.r if cfg.lower.startswith("parisian") else 0.0
-    total_rate = lam + obs_rate
-    T = cfg.horizon if cfg.horizon is not None else math.inf
-    if not math.isfinite(T) and total_rate == 0.0 and not absorb_up:
-        raise HorizonRequired("path has no stopping mechanism and no horizon")
-
-    t, x = 0.0, float(cfg.x0)
-    events = []
-    div = bail = div_raw = bail_raw = claims_raw = red = 0.0
-    cause, stop_t, under = ALIVE, 0.0, 0.0
-
-    def disc(t1, t2):
-        return (math.exp(-q * t1) - math.exp(-q * t2)) / q if q > 0 else t2 - t1
-
-    while cause == ALIVE:
-        if total_rate > 0:
-            dt = rng.exponential(1.0 / total_rate)
-            is_claim = rng.random() < lam / total_rate if obs_rate > 0 else True
-        else:
-            dt, is_claim = math.inf, False
-        t2 = min(t + dt, T)
-        seg_end = t2
-
-        if absorb_up and x < b:
-            t_hit = t + (b - x) / c
-            if t_hit <= t2:
-                seg_end = t_hit
-                cause, stop_t = UP, t_hit
-
-        if x < 0:
-            red += max(min(seg_end, t - x / c) - t, 0.0)
-
-        if reflect_up:
-            t_hit = t if x >= b else t + (b - x) / c
-            if t_hit < seg_end:
-                amt = c * disc(t_hit, seg_end)
-                div += amt
-                div_raw += c * (seg_end - t_hit)
-                events.append(("dividend", seg_end, c * (seg_end - t_hit)))
-            x = min(x + c * (seg_end - t), b)
-        else:
-            x = x + c * (seg_end - t)
-        t = seg_end
-
-        if cause != ALIVE:
-            break
-        if t >= T:
-            cause, stop_t = HORIZON, T
-            break
-
-        # event at t
-        if is_claim:
-            size = _sample_claims(rng, 1, m.phases)[0]
-            claims_raw += size
-            x -= size
-            events.append(("claim", t, size))
-            if cfg.lower == "classical_absorb" and x < 0:
-                cause, stop_t, under = DOWN, t, x
-            elif cfg.lower == "classical_reflect" and x < 0:
-                amt = -x
-                bail += amt * (math.exp(-q * t) if q > 0 else 1.0)
-                bail_raw += amt
-                events.append(("injection", t, amt))
-                x = 0.0
-        else:
-            events.append(("observation", t, x))
-            if x < 0:
-                if cfg.lower == "parisian_absorb":
-                    cause, stop_t, under = DOWN, t, x
-                elif cfg.lower == "parisian_reflect":
-                    amt = -x
-                    bail += amt * (math.exp(-q * t) if q > 0 else 1.0)
-                    bail_raw += amt
-                    events.append(("injection", t, amt))
-                    x = 0.0
-
-    return PathRecord(
-        events=tuple(events), stop_cause=cause, stop_time=stop_t, final_level=x,
-        undershoot=under, dividends_discounted=div, bailouts_discounted=bail,
-        dividends_raw=div_raw, bailouts_raw=bail_raw, claims_raw=claims_raw,
-        time_in_red=red,
-    )
-
-
-def balance_residual(cfg: PathConfig, rec: PathRecord) -> float:
-    """x0 + premium income - claims + injections - dividends - final level."""
-    t_end = rec.stop_time if rec.stop_cause != ALIVE else 0.0
-    return (cfg.x0 + cfg.model.c * t_end - rec.claims_raw + rec.bailouts_raw
-            - rec.dividends_raw - rec.final_level)
 
 
 # ---------------------------------------------------------------------------

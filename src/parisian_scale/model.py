@@ -24,6 +24,31 @@ _POLE_TOL = 1e-12
 _ROOT_SEP_RTOL = 1e-8
 
 
+def read_field(raw, key: str, default=None, kind=float):
+    """kind(raw[key]), or default if the key is absent; else a ModelError naming the key."""
+    if not isinstance(raw, dict) or (key not in raw and default is None):
+        raise ModelError(f"missing field {key!r}")
+    value = raw.get(key, default)
+    if kind is list and not isinstance(value, list):
+        raise ModelError(f"field {key!r} is not a list: {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ModelError(f"field {key!r} is not a number: {value!r}") from None
+
+
+def load_json(path: str, parse):
+    """parse(the JSON in the file at path); a malformed file is a ModelError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"{path}: not valid JSON ({exc})") from None
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class LevyModel:
     """Finite-activity spectrally negative Levy model, immutable after construction.
@@ -76,18 +101,17 @@ class LevyModel:
     @classmethod
     def from_json(cls, path: str) -> "LevyModel":
         """Load a model from the documented JSON schema."""
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return cls.from_dict(raw)
+        return load_json(path, cls.from_dict)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "LevyModel":
-        phases = tuple((ph["weight"], ph["rate"]) for ph in raw.get("phases", []))
+        """A model from the documented schema; a missing or invalid field is a ModelError."""
         return cls(
-            c=float(raw["c"]),
-            sigma2=float(raw.get("sigma2", 0.0)),
-            lam=float(raw.get("lambda", 0.0)),
-            phases=phases,
+            c=read_field(raw, "c"),
+            sigma2=read_field(raw, "sigma2", 0.0),
+            lam=read_field(raw, "lambda", 0.0),
+            phases=tuple((read_field(ph, "weight"), read_field(ph, "rate"))
+                         for ph in read_field(raw, "phases", [], list)),
         )
 
     def to_dict(self) -> dict:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -110,40 +111,52 @@ class TestLawCommand:
 
 
 Q, R, THETA, VARTHETA, B, K, KK = 0.5, 0.75, 1.25, 0.5, 1.75, 2.0, 0.5
+# the optional flags as given, and as read when they are absent
+FLAGS = SimpleNamespace(theta=THETA, vartheta=VARTHETA, k=K, K=KK)
+NO_FLAGS = SimpleNamespace(theta=0.0, vartheta=0.0, k=0.0, K=0.0)
 
 # each law and objective as the scalar library call that the CLI's column must reproduce
 SCALAR_CALLS = {
-    "two_sided": lambda c, p, x: laws.two_sided_exit(c, x, 0.0, B),
-    "severity_absorbed": lambda c, p, x: laws.severity_absorbed(c, x, B, THETA),
-    "severity_reflected": lambda c, p, x: laws.severity_reflected(c, x, B, THETA),
-    "severity_infinite": lambda c, p, x: laws.severity_infinite(c, x, THETA),
-    "bailouts_to_level": lambda c, p, x: laws.bailouts_to_level(c, x, B, THETA),
-    "dividends_penalty": lambda c, p, x: laws.dividends_penalty_classic(c, x, B, THETA, VARTHETA),
-    "time_in_red": lambda c, p, x: laws.time_in_red(c, x, R),
-    "parisian_up_exit": lambda c, p, x: laws.parisian_up_exit(p, x, B, THETA),
-    "parisian_severity": lambda c, p, x: laws.parisian_severity(p, x, B, THETA),
-    "parisian_resolvent_integral": lambda c, p, x: laws.parisian_resolvent_integral(p, x, 0.0, B),
+    "two_sided": lambda c, p, x, f: laws.two_sided_exit(c, x, 0.0, B),
+    "severity_absorbed": lambda c, p, x, f: laws.severity_absorbed(c, x, B, f.theta),
+    "severity_reflected": lambda c, p, x, f: laws.severity_reflected(c, x, B, f.theta),
+    "severity_infinite": lambda c, p, x, f: laws.severity_infinite(c, x, f.theta),
+    "bailouts_to_level": lambda c, p, x, f: laws.bailouts_to_level(c, x, B, f.theta),
+    "dividends_penalty":
+        lambda c, p, x, f: laws.dividends_penalty_classic(c, x, B, f.theta, f.vartheta),
+    "time_in_red": lambda c, p, x, f: laws.time_in_red(c, x, R),
+    # an absent --theta reads as infinity here: the up-crossing without insolvency
+    "parisian_up_exit": lambda c, p, x, f: laws.parisian_up_exit(
+        p, x, B, math.inf if f is NO_FLAGS else f.theta),
+    "parisian_severity": lambda c, p, x, f: laws.parisian_severity(p, x, B, f.theta),
+    "parisian_resolvent_integral":
+        lambda c, p, x, f: laws.parisian_resolvent_integral(p, x, 0.0, B),
     "parisian_dividends_penalty":
-        lambda c, p, x: laws.parisian_dividends_penalty(p, x, B, THETA, VARTHETA),
-    "vf_dividends_classic": lambda c, p, x: control.vf_dividends_classic(c, x, B),
-    "value_definetti": lambda c, p, x: control.value_definetti(c, x, B, scale.Linear(K, KK)),
-    "value_slg_classic": lambda c, p, x: control.value_slg_classic(c, x, B, K),
-    "slg_parisian": lambda c, p, x: control.slg_parisian_value(p, x, B, K),
-    **{part: (lambda part: lambda c, p, x: control.value_parisian(p, x, B, part, THETA))(part)
+        lambda c, p, x, f: laws.parisian_dividends_penalty(p, x, B, f.theta, f.vartheta),
+    "vf_dividends_classic": lambda c, p, x, f: control.vf_dividends_classic(c, x, B),
+    "value_definetti":
+        lambda c, p, x, f: control.value_definetti(c, x, B, scale.Linear(f.k, f.K)),
+    "value_slg_classic": lambda c, p, x, f: control.value_slg_classic(c, x, B, f.k),
+    "slg_parisian": lambda c, p, x, f: control.slg_parisian_value(p, x, B, f.k),
+    **{part: (lambda part: lambda c, p, x, f: control.value_parisian(p, x, B, part, f.theta))(part)
        for part in ("VF_div", "VF_bail", "VS_div", "VS_div_theta", "VS_bail")},
 }
 LAWS = ("two_sided", "severity_absorbed", "severity_reflected", "severity_infinite",
         "bailouts_to_level", "dividends_penalty", "time_in_red", "parisian_up_exit",
         "parisian_severity", "parisian_resolvent_integral", "parisian_dividends_penalty")
+ROUND_TRIPS = ([pytest.param(name, FLAGS, id=name) for name in sorted(SCALAR_CALLS)]
+               + [pytest.param(name, NO_FLAGS, id=f"{name}-no-optional-flags")
+                  for name in sorted(SCALAR_CALLS)])
 
 
 class TestGridCommands:
-    @pytest.mark.parametrize("name", sorted(SCALAR_CALLS))
-    def test_values_round_trip_exactly(self, capsys, m3_path, name):
+    @pytest.mark.parametrize("name,flags", ROUND_TRIPS)
+    def test_values_round_trip_exactly(self, capsys, m3_path, name, flags):
         q = 0.0 if name == "time_in_red" else Q
+        optional = ["--theta", repr(THETA), "--vartheta", repr(VARTHETA), "--k", repr(K),
+                    "--K", repr(KK)] if flags is FLAGS else []
         code, out = run(capsys, ["law" if name in LAWS else "value", name, "--model", m3_path,
-                                 "--q", repr(q), "--r", repr(R), "--theta", repr(THETA),
-                                 "--vartheta", repr(VARTHETA), "--k", repr(K), "--K", repr(KK),
+                                 "--q", repr(q), "--r", repr(R), *optional,
                                  "--b", repr(B), "--x-grid", f"0:{B!r}:13"])
         assert code == 0
         model = LevyModel.from_dict(M3)
@@ -152,7 +165,7 @@ class TestGridCommands:
         rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
         assert len(rows) == 13
         for x, value in rows:
-            assert value == SCALAR_CALLS[name](ctx, pctx, x), x
+            assert value == SCALAR_CALLS[name](ctx, pctx, x, flags), x
 
     def test_grid_ends_exactly_at_b(self, capsys, model_path):
         # a + (b - a)(n - 1)/(n - 1) overshoots this b by one ulp
@@ -216,6 +229,35 @@ class TestExitCodes:
                      "--x", "1.0", "--b", "2.0", "--paths", "100"]) == 2
         assert "needs --r" in capsys.readouterr().err
 
+    def test_model_not_json_is_one(self, capsys, tmp_path):
+        p = tmp_path / "broken.json"
+        p.write_text('{"c": 1.0,')
+        assert main(["scale", "--model", str(p), "--q", "0.5", "--x-grid", "0:1:2"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "broken.json" in err
+
+    def test_model_missing_field_is_one(self, capsys, tmp_path):
+        p = tmp_path / "no_c.json"
+        p.write_text(json.dumps({k: v for k, v in M1.items() if k != "c"}))
+        assert main(["scale", "--model", str(p), "--q", "0.5", "--x-grid", "0:1:2"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no_c.json" in err and "'c'" in err
+
+    def test_network_spec_missing_field_is_one(self, capsys, tmp_path):
+        p = tmp_path / "net.json"
+        p.write_text(json.dumps({"c0": 1.0, "q": 0.5, "subsidiaries": [
+            {"c": 2.0, "alpha": 0.5, "phases": [{"weight": 1.0, "rate": 2.0}]}]}))
+        assert main(["network", "--spec", str(p), "--u0", "1.0", "--b", "2.0",
+                     "--paths", "100"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "net.json" in err and "'lambda'" in err
+
+    def test_oversized_grid_is_two(self, capsys, model_path):
+        # numpy refuses the 800 GB grid at once, so nothing is allocated
+        assert main(["scale", "--model", model_path, "--q", "0.5",
+                     "--x-grid", "0:1:100000000000"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_network_zero_paths_is_two(self, capsys, tmp_path):
         spec = tmp_path / "net.json"
         spec.write_text("{}")
@@ -260,6 +302,79 @@ class TestSimulateCommand:
         assert code == 0
         obj = json.loads(out)
         assert 0.0 < obj["tail_bound"] < 0.1 * obj["se"]
+
+
+# simulate output at 2,000 paths and seed 1, as float.hex of (mean, se, analytic,
+# tail_bound): pins each name's configuration, functional, flag defaults and closed form
+SIMULATE_FLAGS = {
+    "all": ["--theta", "1.25", "--vartheta", "0.5", "--k", "2.0", "--K", "0.5"],
+    "none": [],
+    "theta1": ["--theta", "1.0"],       # parisian_up_exit still checks theta = infinity
+}
+SIMULATE_PINS = {
+    ("two_sided", "all"): ("0x1.e77399bd80e8ep-2", "0x1.52608c72d018bp-8",
+                           "0x1.daa1bd76fc751p-2", "0x0.0p+0"),
+    ("two_sided", "none"): ("0x1.e77399bd80e8ep-2", "0x1.52608c72d018bp-8",
+                            "0x1.daa1bd76fc751p-2", "0x0.0p+0"),
+    ("severity", "all"): ("0x1.3eb24ea2ce225p-4", "0x1.2167c5ee9d955p-8",
+                          "0x1.66d0aae7344e0p-4", "0x0.0p+0"),
+    ("severity", "none"): ("0x1.086aa181e25dbp-3", "0x1.b476487b540c7p-8",
+                           "0x1.23898adbda800p-3", "0x0.0p+0"),
+    ("bailouts_to_level", "all"): ("0x1.f7cdbb4ad6f6ep-2", "0x1.20b8665981265p-8",
+                                   "0x1.f52a2a0fafa78p-2", "0x0.0p+0"),
+    ("bailouts_to_level", "none"): ("0x1.08698c2a36e8ap-1", "0x1.c692faaff56ebp-9",
+                                    "0x1.07497cda01b65p-1", "0x0.0p+0"),
+    ("parisian_up_exit", "all"): ("0x1.f87d474224c14p-2", "0x1.28dc0743fe62cp-8",
+                                  "0x1.f11be327ec4e5p-2", "0x0.0p+0"),
+    ("parisian_up_exit", "none"): ("0x1.f87d474224c14p-2", "0x1.28dc0743fe62cp-8",
+                                   "0x1.f11be327ec4e5p-2", "0x0.0p+0"),
+    ("parisian_up_exit", "theta1"): ("0x1.f87d474224c14p-2", "0x1.28dc0743fe62cp-8",
+                                     "0x1.f11be327ec4e5p-2", "0x0.0p+0"),
+    ("parisian_severity", "all"): ("0x1.9af352515a87ap-6", "0x1.2e5ef8b83b358p-9",
+                                   "0x1.abd011c40bc00p-6", "0x0.0p+0"),
+    ("parisian_severity", "none"): ("0x1.71afa7d502b12p-5", "0x1.de078961ab77fp-9",
+                                    "0x1.8ce93894942e0p-5", "0x0.0p+0"),
+    ("vf_dividends", "all"): ("0x1.4908fc576659ap-1", "0x1.f3f19b8d841cfp-8",
+                              "0x1.3b4acf2fa7ef2p-1", "0x1.947b48001f03dp-59"),
+    ("vf_dividends", "none"): ("0x1.4908fc576659ap-1", "0x1.f3f19b8d841cfp-8",
+                               "0x1.3b4acf2fa7ef2p-1", "0x1.947b48001f03dp-59"),
+    ("slg_value", "all"): ("0x1.269b85af925a2p-1", "0x1.8358d1632f69dp-7",
+                           "0x1.10e45894d65e8p-1", "0x1.0da785556a029p-57"),
+    ("slg_value", "none"): ("0x1.58fe78af2bba2p-1", "0x1.ce6940d74ffaap-8",
+                            "0x1.4a9730f00d0a4p-1", "0x1.947b48001f03dp-59"),
+    ("time_in_red", "all"): ("0x1.b7374d8475935p-1", "0x1.a29787880a40ep-8",
+                             "0x1.b636853b09e39p-1", "0x0.0p+0"),
+    ("time_in_red", "none"): ("0x1.b7374d8475935p-1", "0x1.a29787880a40ep-8",
+                              "0x1.b636853b09e39p-1", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("name,flags", sorted(SIMULATE_PINS), ids="-".join)
+def test_simulate_pinned(capsys, model_path, name, flags):
+    q = "0.0" if name == "time_in_red" else "0.5"
+    code, out = run(capsys, ["simulate", name, "--model", model_path, "--q", q, "--r", "0.75",
+                             "--x", "0.6", "--b", "1.5", "--paths", "2000", "--seed", "1",
+                             *SIMULATE_FLAGS[flags]])
+    assert code == 0
+    obj = json.loads(out)
+    got = tuple(float(obj[k]).hex() for k in ("mean", "se", "analytic", "tail_bound"))
+    assert got == SIMULATE_PINS[name, flags]
+
+
+def test_build_scale_once_with_r(capsys, model_path, monkeypatch):
+    """A request with --r builds its scale context once, inside build_parisian."""
+    calls = []
+    original = scale.build_scale
+
+    def counted(model, q):
+        calls.append(q)
+        return original(model, q)
+
+    monkeypatch.setattr(scale, "build_scale", counted)
+    code, _ = run(capsys, ["law", "parisian_severity", "--model", model_path, "--q", "0.5",
+                           "--r", "0.75", "--theta", "1.0", "--b", "1.5",
+                           "--x-grid", "0:1.5:4"])
+    assert code == 0 and calls == [0.5]
 
 
 class TestNetworkCommand:

@@ -2,9 +2,13 @@
 
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_mc_engine import balance_residuals
 
 from parisian_scale import INF, LevyModel, build_parisian, build_scale, laws, mc
 from parisian_scale.errors import DomainError, HorizonRequired, SigmaUnsupported
@@ -32,6 +36,58 @@ class TestConstruction:
         cfg = m1_cfg(m1, x0=0.5, q=0.5, upper_barrier=1.5, lower="classical_absorb")
         with pytest.raises(DomainError):
             mc.estimate(cfg, mc.Functional("up_exit"), n_paths=0)
+
+
+# configurations in which nothing need ever stop a path: (PathConfig, Functional)
+NEVER_STOPS = {
+    "reflect-at-0-no-barrier": ("PathConfig(M1, x0=0.5, q=0.5, lower='classical_reflect')",
+                                "Functional('bailouts')"),
+    "absorb-at-0-positive-drift": ("PathConfig(M1, x0=0.5, q=0.5, lower='classical_absorb')",
+                                   "Functional('severity', theta=1.0)"),
+    "reflect-at-0-and-b": ("PathConfig(M1, x0=0.5, q=0.5, upper_barrier=1.5, "
+                           "upper_mode='reflect', lower='classical_reflect')",
+                           "Functional('severity')"),
+}
+
+
+class TestStopping:
+    @pytest.mark.parametrize("name", sorted(NEVER_STOPS))
+    def test_never_stopping_config_is_refused(self, name):
+        """Run in a child process, so that a loop that never ends fails on its timeout."""
+        cfg, fn = NEVER_STOPS[name]
+        script = (
+            "from parisian_scale import LevyModel\n"
+            "from parisian_scale.errors import HorizonRequired\n"
+            "from parisian_scale.mc import Functional, PathConfig, estimate\n"
+            "M1 = LevyModel(c=1.0, sigma2=0.0, lam=1.0, phases=((1.0, 2.0),))\n"
+            "try:\n"
+            f"    estimate({cfg}, {fn}, 100)\n"
+            "except HorizonRequired:\n"
+            "    print('refused')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert done.stdout.strip() == "refused", done.stderr
+
+    @pytest.mark.parametrize("c,barrier,upper,lower,stops", [
+        (1.0, 1.5, "absorb", "none", True),              # drift 1/2 carries it to b
+        (0.4, 1.5, "absorb", "none", False),             # drift -1/10 can carry it off below
+        (0.4, 1.5, "absorb", "classical_reflect", True),
+        (0.4, None, "absorb", "classical_absorb", True),  # ruin is certain
+        (1.0, None, "absorb", "classical_absorb", False),
+        (1.0, 1.5, "reflect", "parisian_absorb", True),
+        (1.0, 1.5, "reflect", "parisian_reflect", False),
+        (1.0, None, "absorb", "none", False),
+    ])
+    def test_stopping_rule(self, c, barrier, upper, lower, stops):
+        model = LevyModel(c=c, sigma2=0.0, lam=1.0, phases=((1.0, 2.0),))
+        cfg = mc.PathConfig(model=model, x0=0.5, q=0.5, upper_barrier=barrier,
+                            upper_mode=upper, lower=lower,
+                            r=1.0 if lower.startswith("parisian") else 0.0)
+        assert mc._stops(cfg) is stops
 
 
 class TestDeterminism:
@@ -69,7 +125,6 @@ class TestDeterminism:
 
 class TestPathAccounting:
     def test_balance_identity(self, m1):
-        rng = np.random.default_rng(17)
         configs = [
             m1_cfg(m1, x0=0.8, q=0.5, upper_barrier=2.0, upper_mode="reflect",
                    lower="classical_reflect", horizon=30.0),
@@ -80,10 +135,8 @@ class TestPathAccounting:
             m1_cfg(m1, x0=0.3, q=0.5, upper_barrier=1.2, lower="parisian_absorb",
                    r=2.0, horizon=30.0),
         ]
-        for cfg in configs:
-            for _ in range(40):
-                rec = mc.simulate_path(cfg, rng)
-                assert abs(mc.balance_residual(cfg, rec)) < 1e-9
+        for seed, cfg in enumerate(configs):
+            assert np.abs(balance_residuals(cfg, 40, seed)).max() < 1e-9
 
     def test_deterministic_drift_path(self):
         """With no claims the first passage of b is exact: tau = (b - x)/c."""

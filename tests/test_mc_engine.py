@@ -19,8 +19,12 @@ LOWERS = ("none", "classical_absorb", "classical_reflect", "parisian_absorb",
           "parisian_reflect")
 
 
-def masked_chunk(cfg, n, rng):
-    """Run n paths to their stop, masking full-width arrays on every step."""
+def masked_chunk(cfg, n, rng, raw=False):
+    """Run n paths to their stop, masking full-width arrays on every step.
+
+    With raw=True the record also holds each path's raw claims and raw
+    dividends, which the engine does not keep, for the balance identity.
+    """
     m = cfg.model
     c, lam = m.c, m.lam
     q = cfg.q
@@ -42,6 +46,8 @@ def masked_chunk(cfg, n, rng):
     bail = np.zeros(n)
     bail_raw = np.zeros(n)
     red = np.zeros(n)
+    claims = np.zeros(n)
+    div_raw = np.zeros(n)
 
     while True:
         alive = cause == mc.ALIVE
@@ -79,6 +85,7 @@ def masked_chunk(cfg, n, rng):
             t_hit = np.where(xa >= b, ta, ta + (b - xa) / c)
             paying = np.minimum(t_hit, clipped)
             div[alive] += c * mc._disc_weight(q, paying, clipped)
+            div_raw[alive] += c * (clipped - paying)
             x_end = np.where(clipped > t_hit, b, xa + c * (clipped - ta))
         elif absorb_up:
             # the barrier sits above 0, so an up-stop never truncates red time
@@ -101,6 +108,7 @@ def masked_chunk(cfg, n, rng):
             ev_claim = live & is_claim
             ev_obs = live & ~is_claim
             x_new = np.where(ev_claim, x_end - claim_sizes, x_end)
+            claims[alive] += np.where(ev_claim, claim_sizes, 0.0)
             if cfg.lower == "classical_absorb":
                 ruin = ev_claim & (x_new < 0)
                 ca = np.where(ruin, mc.DOWN, ca)
@@ -138,10 +146,26 @@ def masked_chunk(cfg, n, rng):
         stop_t[idx[stopped]] = st[stopped]
         under[idx[stopped]] = un[stopped]
 
-    return {
+    rec = {
         "cause": cause, "stop_t": stop_t, "under": under, "div": div,
         "bail": bail, "bail_raw": bail_raw, "red": red, "final": x,
     }
+    if raw:
+        rec.update(claims=claims, div_raw=div_raw)
+    return rec
+
+
+def balance_residuals(cfg, n, seed):
+    """x0 + c stop_t - claims + injections - dividends - final level, per path.
+
+    stop_t, the injections and the final level come from the engine's own
+    record; the raw claims and dividends, which the engine does not keep,
+    from the reference run on the same stream.
+    """
+    live = mc._simulate_chunk(cfg, n, np.random.Generator(np.random.Philox(key=[seed, 0])))
+    ref = masked_chunk(cfg, n, np.random.Generator(np.random.Philox(key=[seed, 0])), raw=True)
+    return (cfg.x0 + cfg.model.c * live["stop_t"] - ref["claims"] + live["bail_raw"]
+            - ref["div_raw"] - live["final"])
 
 
 
@@ -171,3 +195,11 @@ def test_records_byte_identical(name):
         assert sorted(live) == sorted(masked)
         for key, arr in masked.items():
             assert live[key].dtype == arr.dtype and live[key].tobytes() == arr.tobytes(), key
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_balance_identity(name):
+    """Premiums in, claims out, injections in, dividends out: the level balances."""
+    cfg = CONFIGS[name]
+    for seed in (1, 2):
+        assert np.abs(balance_residuals(cfg, 3000, seed)).max() < 1e-9

@@ -69,9 +69,3 @@ class TestValues:
         a = mc.network_estimate(spec, 1.0, 2.0, horizon=30.0, n_paths=20_000, seed=7)
         b = mc.network_estimate(spec, 1.0, 2.0, horizon=30.0, n_paths=20_000, seed=7)
         assert a.mean == b.mean
-
-    def test_network_value_mc_delegates(self):
-        spec = make_spec((2.0,), (0.5,), c0=1.0, q=1.0)
-        est = ctl.network_value_mc(spec, u0=0.5, b=1.0, horizon=30.0,
-                                   n_paths=5_000, seed=25)
-        assert est.n_paths == 5_000 and est.mean > 0
