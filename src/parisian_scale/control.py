@@ -115,8 +115,8 @@ def optimize_barrier(G, b_max: float, n_grid: int = 1000, tol: float = 1e-8) -> 
     bracketing cell.  Raises NoSolution if G is still increasing at
     b_max, so a truncated search is never reported as an optimum.
     """
-    if b_max <= 0:
-        raise DomainError(f"need b_max > 0, got {b_max}")
+    if not (b_max > 0 and n_grid >= 1 and tol > 0):
+        raise DomainError(f"need b_max > 0, n_grid >= 1 and tol > 0, got {b_max}, {n_grid}, {tol}")
     bs = [b_max * i / n_grid for i in range(n_grid + 1)]
     vals = [G(b) for b in bs]
     best = max(range(len(bs)), key=lambda i: (vals[i], i))
@@ -124,14 +124,15 @@ def optimize_barrier(G, b_max: float, n_grid: int = 1000, tol: float = 1e-8) -> 
         raise NoSolution(
             f"barrier function still increasing at b_max={b_max}; enlarge the search interval"
         )
-    lo = bs[max(best - 1, 0)]
-    hi = bs[min(best + 1, len(bs) - 1)]
-    # golden section for the last maximum: on ties keep the right subinterval
-    a, d = lo, hi
+    # golden section for the last maximum: on ties keep the right subinterval; stop
+    # at tol, or where rounding stops the bracket from shrinking
+    a, d = bs[max(best - 1, 0)], bs[min(best + 1, n_grid)]
     c1 = d - _GOLD * (d - a)
     c2 = a + _GOLD * (d - a)
     f1, f2 = G(c1), G(c2)
-    while d - a > tol:
+    width = math.inf
+    while tol < d - a < width:
+        width = d - a
         if f1 > f2:
             d, c2, f2 = c2, c1, f1
             c1 = d - _GOLD * (d - a)
@@ -148,13 +149,8 @@ def optimize_barrier(G, b_max: float, n_grid: int = 1000, tol: float = 1e-8) -> 
     g0 = vals[0]
     if g0 >= g_star and best == 0:
         b_star, g_star = 0.0, g0
-    return BarrierSolution(
-        b_star=b_star,
-        G_at_b_star=g_star,
-        is_boundary=(b_star == 0.0),
-        grid=tuple(zip(bs, vals)),
-        refinement_tol=tol,
-    )
+    return BarrierSolution(b_star=b_star, G_at_b_star=g_star, is_boundary=(b_star == 0.0),
+                           grid=tuple(zip(bs, vals)), refinement_tol=tol)
 
 
 def value_slg_classic(ctx: ScaleContext, x, b: float, k: float):
@@ -236,6 +232,8 @@ def solve_patience(pctx: ParisianContext, k: float, tol: float = 1e-8) -> float:
     efficient upper bound is bracketed by doubling.
     """
     model, q, r = pctx.model, pctx.q, pctx.r
+    if not q > 0:
+        raise DomainError("patience needs q > 0")
     if k <= _threshold(model, q, r):
         return 0.0
     hi = q

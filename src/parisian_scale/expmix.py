@@ -6,16 +6,18 @@ axis) and small integer powers.  The class is closed under differentiation,
 definite antidifferentiation from 0, multiplication by x and by e^{a x}, which
 is everything the scale-function calculus needs; no gridding anywhere.
 
-A mixture is compiled once into three read-only arrays (w, rho, k) and then
-only evaluated: ``__call__`` is the one evaluator, and it takes a whole array
-of x at once (a scalar x is a length-1 array that comes back as a float).
-The algebra (``derivative``, ``antiderivative``, ``scaled``, ``+``) builds new
-mixtures; the scale module calls it once per context, never per evaluation.
+The terms (rho, k) are a basis and the weights w a row on it, three read-only
+arrays.  ``derivative``, ``antiderivative``, ``scaled``, ``+`` and ``-`` give
+rows on the same ``rho`` and ``k`` arrays, appending a term only where the
+basis lacks one, so a scale context lays out one basis for all its mixtures.
+``__call__``, the one evaluator, takes a whole array of x (a scalar x comes
+back as a float) and skips zero weights: 0 * e^{rho x} never overflows to NaN.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,64 +48,78 @@ class ExpMix:
 
     @classmethod
     def build(cls, terms) -> "ExpMix":
-        """Normalize ``(w, rho, k)`` triples: merge equal (rho, k), drop zero weights.
+        """Normalize ``(w, rho, k)`` triples: merge equal (rho, k), drop zero weights."""
+        f = cls(np.zeros(0, dtype=complex), np.zeros(0, dtype=complex), np.zeros(0, int)).row(terms)
+        keep = f.w != 0
+        return cls(f.w[keep], f.rho[keep], f.k[keep])
 
-        Terms keep the order in which their (rho, k) first appears, and the
-        weights of merged terms are added in input order.
-        """
-        t = np.asarray(terms, dtype=complex).reshape(-1, 3)
-        w, rho, k = t[:, 0], t[:, 1], t[:, 2].real.astype(int)
-        # each term joins the first earlier term of the same power within the tolerance
-        same = (k[:, None] == k[None, :]) & (
-            np.abs(rho[None, :] - rho[:, None]) <= _MERGE_TOL * (1.0 + np.abs(rho[:, None]))
-        )
-        first = same.argmax(axis=1) if len(w) else np.arange(0)
-        while np.any(first[first] != first):
-            first = first[first]
-        acc = np.zeros(len(w), dtype=complex)
-        np.add.at(acc, first, w)
-        keep = np.unique(first)
-        keep = keep[np.abs(acc[keep]) > 0.0]
-        return cls(acc[keep], rho[keep], k[keep])
+    def with_powers(self) -> "ExpMix":
+        """This mixture on its basis plus 1 and x, and x^2 after a zero rate (the 1 in place):
+        the basis that holds the rows, derivatives and antiderivatives a scale context takes."""
+        powers = 3 if np.any(np.abs(self.rho) <= _MERGE_TOL) else 2
+        return self.row(self._terms() + [(0.0, 0.0, j) for j in range(powers)])
 
-    @classmethod
-    def constant(cls, value: float) -> "ExpMix":
-        return cls.build([(value, 0.0, 0)])
+    def row(self, terms) -> "ExpMix":
+        """The sum of ``(w, rho, k)`` terms, in input order, as a row on this basis: a term
+        joins the first of its power with a rate within the tolerance, or is appended."""
+        rho, k = self.rho.tolist(), self.k.tolist()
+        w = [0j] * len(rho)
+        for wt, r, j in terms:
+            i = next((i for i, (r0, j0) in enumerate(zip(rho, k))
+                      if j0 == j and abs(r0 - r) <= _MERGE_TOL * (1.0 + abs(r))), len(rho))
+            if i == len(rho):
+                rho, k, w = rho + [complex(r)], k + [int(j)], w + [0j]
+            w[i] += wt
+        if len(rho) == self.rho.size:
+            return ExpMix(np.array(w, dtype=complex), self.rho, self.k)
+        return ExpMix(np.array(w, dtype=complex), np.array(rho, dtype=complex), np.array(k))
+
+    def _terms(self):
+        return [t for t in zip(self.w.tolist(), self.rho.tolist(), self.k.tolist()) if t[0]]
+
+    @cached_property
+    def _live(self):
+        live = self.w != 0
+        return self.w[live], self.rho[live], self.k[live]
 
     def __call__(self, x):
         """Evaluate at real x (scalar or array); imaginary parts must cancel."""
         x = np.asarray(x, dtype=float)
         xs = x.reshape(1, -1)
-        if not self.w.size:
+        w, rho, k = self._live
+        if not w.size:
             return 0.0 if x.ndim == 0 else np.zeros(x.shape)
-        coef = self.w[:, None]
-        if self.k.any():
-            coef = coef * xs ** self.k[:, None]
+        coef = w[:, None]
+        if k.any():
+            coef = coef * xs ** k[:, None]
         # sequential sum over the terms, so a point's value does not depend on
         # the grid it is evaluated in
-        val = np.cumsum(coef * np.exp(self.rho[:, None] * xs), axis=0)[-1]
+        val = np.cumsum(coef * np.exp(rho[:, None] * xs), axis=0)[-1]
         if np.any(np.abs(val.imag) > _IMAG_TOL * (1.0 + np.abs(val))):
             raise ParisianScaleError("conjugate pairing violated: imaginary residue")
         return float(val.real[0]) if x.ndim == 0 else val.real.reshape(x.shape)
 
-    def _terms(self, w=None, rho=None, k=None):
-        return np.column_stack([self.w if w is None else w, self.rho if rho is None else rho,
-                                self.k if k is None else k])
-
     def derivative(self) -> "ExpMix":
-        """d/dx, exact."""
-        # w x^k e^{rho x} -> w rho x^k e^{rho x} + w k x^{k-1} e^{rho x}; the
-        # second term has weight 0 (and is dropped) when k = 0
-        pairs = np.stack([self._terms(w=self.w * self.rho),
-                          self._terms(w=self.w * self.k, k=self.k - 1)], axis=1)
-        return ExpMix.build(pairs.reshape(-1, 3))
+        """d/dx, exact: w x^k e^{rho x} -> w rho x^k e^{rho x} + w k x^{k-1} e^{rho x}."""
+        out = [(w * rho, rho, k) for w, rho, k in self._terms()]
+        out += [(w * k, rho, k - 1) for w, rho, k in self._terms() if k]
+        return self.row(out)
 
     def antiderivative(self) -> "ExpMix":
-        """F with F' = self and F(0) = 0, exact."""
-        new = []
-        for w, rho, k in zip(self.w.tolist(), self.rho.tolist(), self.k.tolist()):
-            new.extend(_antider_term(w, rho, k))
-        return ExpMix.build(new)
+        """F with F' = self and F(0) = 0, exact: x^k integrates to x^{k+1}/(k+1), and
+        x^k e^{rho x} by parts, to x^k e^{rho x}/rho - (k/rho) int x^{k-1} e^{rho x}."""
+        out = []
+        for w, rho, k in self._terms():
+            if abs(rho) <= _MERGE_TOL:
+                out.append((w / (k + 1), 0.0, k + 1))
+                continue
+            coeff = w / rho
+            out.append((coeff, rho, k))
+            for j in range(k, 0, -1):
+                coeff = -coeff * j / rho
+                out.append((coeff, rho, j - 1))
+            out.append((-coeff, 0.0, 0))   # the value at 0 (only the k = 0 term has one)
+        return self.row(out)
 
     def integral(self, x) -> float:
         """Definite integral over [0, x]."""
@@ -111,17 +127,21 @@ class ExpMix:
 
     def shift_rate(self, a: complex) -> "ExpMix":
         """Multiply by e^{a x}."""
-        return ExpMix.build(self._terms(rho=self.rho + a))
+        return ExpMix.build([(w, rho + a, k) for w, rho, k in self._terms()])
 
     def mul_x(self) -> "ExpMix":
         """Multiply by x."""
-        return ExpMix.build(self._terms(k=self.k + 1))
+        return ExpMix.build([(w, rho, k + 1) for w, rho, k in self._terms()])
 
     def scaled(self, factor: complex) -> "ExpMix":
-        return ExpMix.build(self._terms(w=self.w * factor))
+        return ExpMix(self.w * factor, self.rho, self.k)
 
-    def __add__(self, other: "ExpMix") -> "ExpMix":
-        return ExpMix.build(np.concatenate([self._terms(), other._terms()]))
+    def __add__(self, other) -> "ExpMix":
+        """Pointwise sum; a number adds a constant.  Rows on one basis add elementwise."""
+        if isinstance(other, ExpMix) and other.rho is self.rho and other.k is self.k:
+            return ExpMix(self.w + other.w, self.rho, self.k)
+        more = other._terms() if isinstance(other, ExpMix) else [(other, 0.0, 0)]
+        return self.row(self._terms() + more)
 
     def __sub__(self, other: "ExpMix") -> "ExpMix":
         return self + other.scaled(-1.0)
@@ -133,18 +153,3 @@ class ExpMix:
         polynomial), not a numerical limit.
         """
         return self.shift_rate(-theta).integral(x)
-
-
-def _antider_term(w: complex, rho: complex, k: int):
-    """Terms of the antiderivative (vanishing at 0) of w x^k e^{rho x}."""
-    if abs(rho) <= _MERGE_TOL:
-        return [(w / (k + 1), 0.0, k + 1)]
-    # integration by parts: int x^k e^{rho x} = x^k e^{rho x}/rho - (k/rho) int x^{k-1} e^{rho x}
-    out = [(w / rho, rho, k)]
-    coeff = w / rho
-    for j in range(k, 0, -1):
-        coeff = -coeff * j / rho
-        out.append((coeff, rho, j - 1))
-    # subtract the value at 0 (only the k=0 exponential term is nonzero at 0)
-    out.append((-coeff, 0.0, 0))
-    return out

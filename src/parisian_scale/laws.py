@@ -195,13 +195,10 @@ def parisian_dividends_penalty_factorized(
     """Equivalent x = b form via the Omega factorization (consistency check)."""
     if b < 0:
         raise DomainError("b must be nonnegative")
-    ctx = pctx.base
     q, r = pctx.q, pctx.r
     k = laplace_exponent(pctx.model, theta).real
     om = omega(pctx, b)
-    inner = eval_Z(ctx, b, theta) - (
-        theta * eval_Z(ctx, b, theta) + (q - k) * ctx.W(b)
-    ) / om
+    inner = eval_Z(pctx.base, b, theta) - z_deriv(pctx.base, b, theta) / om
     return om / (om + vartheta) * inner * r / (r + q - k)
 
 

@@ -207,8 +207,10 @@ def phi(model: LevyModel, s: float) -> float:
 def root_set(model: LevyModel, s: float) -> list[complex]:
     """All roots of kappa(theta) = s, Newton-polished, Phi_s first.
 
-    Exactly one root has nonnegative real part (it equals ``phi(model, s)``);
-    the rest lie in the open left half plane, complex ones in conjugate pairs.
+    Every root is real: with its n poles -mu_i cleared, kappa - s has degree
+    n + 1 (n + 2 if sigma2 > 0) and as many real roots, one between each two
+    neighbouring poles, two on (-mu_min, inf), where kappa is convex and
+    kappa(0) = 0 <= s, and, if sigma2 > 0, one below -mu_max.
     """
     if not s >= 0:
         raise DomainError("s must be nonnegative")

@@ -9,11 +9,12 @@ the theta_j being the roots of kappa(theta) = q.  The second scale function
 and its relatives are exact Dickson-Hipp transforms of W_q; the Parisian pair
 blends two second-scale evaluations at Phi_{q+r}.
 
-A context compiles each of its mixtures once, the first time it is read, and
-keeps it (so a context that only needs Phi builds nothing); mixtures that
-depend on theta or on a penalty are kept per key in the context's memo.  This
-module alone builds mixtures; the laws and the control layer only evaluate,
-and every ``eval_*`` function takes an array of x.
+For a rational kappa all of them are mixtures over the roots of kappa = q
+and the powers 1 and x (x^2 too when a root is 0).  ``build_scale`` lays out
+that basis once, with W_q; every other mixture of a context is a row on it,
+computed when first read and kept (per theta or penalty in the context's
+memo).  Only this module makes mixtures; the laws and the control layer
+only evaluate, and every ``eval_*`` function takes an array of x.
 """
 
 from __future__ import annotations
@@ -65,10 +66,10 @@ def _check_nonnegative(x, what="x"):
 
 @dataclass(frozen=True)
 class ScaleContext:
-    """(model, q) with the roots and the W_q family as compiled mixtures.
+    """(model, q) with the roots and the W_q family as rows on W's basis.
 
     W' (dW), W'' (ddW), Wbar, Z_q = 1 + q Wbar (Z0), Zbar and
-    Z_{1,q} = Zbar - p Wbar (Z1) are built on first use and kept.
+    Z_{1,q} = Zbar - p Wbar (Z1) are computed on first use and kept.
     """
 
     model: LevyModel
@@ -81,7 +82,7 @@ class ScaleContext:
     dW = cached_property(lambda self: self.W.derivative())
     ddW = cached_property(lambda self: self.dW.derivative())
     Wbar = cached_property(lambda self: self.W.antiderivative())
-    Z0 = cached_property(lambda self: ExpMix.constant(1.0) + self.Wbar.scaled(self.q))
+    Z0 = cached_property(lambda self: self.Wbar.scaled(self.q) + 1.0)
     Zbar = cached_property(lambda self: self.Z0.antiderivative())
     Z1 = cached_property(lambda self: self.Zbar - self.Wbar.scaled(self.model.drift))
 
@@ -92,7 +93,7 @@ class ParisianContext:
 
     W_{q,r} = Z_q(., Phi_{q+r}) (Wqr), W'_{q,r} (dWqr), Wbar_{q,r} (Wbar_qr)
     and the bailout ingredient S(x) = r/(q+r) (Zbar_q(x) + kappa'(0+)/q)
-    with S' and S'' (S, dS, ddS) are built on first use and kept.
+    with S' and S'' (S, dS, ddS) are computed on first use and kept.
     """
 
     model: LevyModel
@@ -105,19 +106,18 @@ class ParisianContext:
     Wqr = cached_property(lambda self: z_mix(self.base, self.phi_qr))
     dWqr = cached_property(lambda self: self.Wqr.derivative())
     Wbar_qr = cached_property(lambda self: self.Wqr.antiderivative())
-    S = cached_property(lambda self: (self.base.Zbar + ExpMix.constant(self.model.drift / self.q))
+    S = cached_property(lambda self: (self.base.Zbar + self.model.drift / self.q)
                         .scaled(self.r / (self.q + self.r)))
     dS = cached_property(lambda self: self.base.Z0.scaled(self.r / (self.q + self.r)))
     ddS = cached_property(lambda self: self.base.W.scaled(self.r / (self.q + self.r) * self.q))
 
 
 def build_scale(model: LevyModel, q: float) -> ScaleContext:
-    """Assemble the partial-fraction form of W_q."""
+    """Assemble the partial-fraction form of W_q on the context's basis."""
     roots = tuple(root_set(model, q))
     terms = [(1.0 / laplace_exponent_deriv(model, rho), rho, 0) for rho in roots]
-    return ScaleContext(
-        model=model, q=float(q), roots=roots, phi_q=float(roots[0].real), W=ExpMix.build(terms)
-    )
+    W = ExpMix.build(terms).with_powers()
+    return ScaleContext(model=model, q=float(q), roots=roots, phi_q=float(roots[0].real), W=W)
 
 
 def build_parisian(model: LevyModel, q: float, r: float) -> ParisianContext:
@@ -142,7 +142,7 @@ def z_mix(ctx: ScaleContext, theta: float) -> ExpMix:
     def make():
         kq = laplace_exponent(ctx.model, theta).real - ctx.q
         terms = []
-        for w, rho in zip(ctx.W.w.tolist(), ctx.W.rho.tolist()):
+        for w, rho in zip(ctx.W.w.tolist(), ctx.roots):
             d = complex(theta) - rho
             if abs(d) <= _NEAR_ROOT_RTOL * (1.0 + abs(theta) + abs(rho)):
                 kp = laplace_exponent_deriv(ctx.model, rho)
@@ -150,7 +150,7 @@ def z_mix(ctx: ScaleContext, theta: float) -> ExpMix:
                 terms.append((w * (kp + 0.5 * d * kpp), rho, 0))
             else:
                 terms.append((w * kq / d, rho, 0))
-        return ExpMix.build(terms)
+        return ctx.W.row(terms)
     return _memo(ctx, ("Z", theta), make)
 
 
@@ -165,7 +165,7 @@ def dz_dtheta_mix(ctx: ScaleContext, theta: float) -> ExpMix:
         kq = laplace_exponent(ctx.model, theta).real - ctx.q
         kp_t = laplace_exponent_deriv(ctx.model, theta).real
         terms = []
-        for w, rho in zip(ctx.W.w.tolist(), ctx.W.rho.tolist()):
+        for w, rho in zip(ctx.W.w.tolist(), ctx.roots):
             d = complex(theta) - rho
             if abs(d) <= _NEAR_ROOT_RTOL * (1.0 + abs(theta) + abs(rho)):
                 kpp = laplace_exponent_deriv(ctx.model, rho, order=2)
@@ -173,7 +173,7 @@ def dz_dtheta_mix(ctx: ScaleContext, theta: float) -> ExpMix:
                 terms.append((w * (0.5 * kpp + d * kppp / 3.0), rho, 0))
             else:
                 terms.append((w * (kp_t * d - kq) / d**2, rho, 0))
-        return ExpMix.build(terms)
+        return ctx.W.row(terms)
     return _memo(ctx, ("dZ", theta), make)
 
 
@@ -230,17 +230,13 @@ def eval_parisian_Z(pctx: ParisianContext, x, theta: float, deriv_x: int = 0):
     return parisian_Z_mix(pctx, theta, deriv_x)(x)
 
 
-def scriptS_mix(pctx: ParisianContext, deriv_x: int = 0) -> ExpMix:
-    """Expected-bailout ingredient S(x) = r/(q+r) * (Zbar_q(x) + kappa'(0+)/q)."""
+def eval_scriptS(pctx: ParisianContext, x, deriv_x: int = 0):
+    """Expected-bailout ingredient S(x) = r/(q+r) * (Zbar_q(x) + kappa'(0+)/q), or S', S''."""
     if pctx.q <= 0:
         raise QZero("the bailout ingredient S requires q > 0")
     if deriv_x not in (0, 1, 2):
         raise ValueError("deriv_x must be 0, 1 or 2")
-    return getattr(pctx, ("S", "dS", "ddS")[deriv_x])
-
-
-def eval_scriptS(pctx: ParisianContext, x, deriv_x: int = 0):
-    return scriptS_mix(pctx, deriv_x)(x)
+    return getattr(pctx, ("S", "dS", "ddS")[deriv_x])(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
 from parisian_scale import LevyModel, build_parisian, build_scale
+from parisian_scale.expmix import ExpMix
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +47,13 @@ def m1_par_sym(m1):
 def m2_par(m2):
     """q=1, r=3 so Phi_4 = 2 and W_{1,3} = (3 e^x - e^{-x})/2."""
     return build_parisian(m2, 1.0, 3.0)
+
+
+@pytest.fixture()
+def build_calls(monkeypatch):
+    """A list that grows by one entry on every ExpMix.build."""
+    calls = []
+    build = ExpMix.build.__func__
+    monkeypatch.setattr(ExpMix, "build",
+                        classmethod(lambda cls, terms: calls.append(1) or build(cls, terms)))
+    return calls

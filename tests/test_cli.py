@@ -377,6 +377,15 @@ def test_build_scale_once_with_r(capsys, model_path, monkeypatch):
     assert code == 0 and calls == [0.5]
 
 
+@pytest.mark.parametrize("path", ["model_path", "m3_path"])
+def test_one_mixture_build_per_request(capsys, request, build_calls, path):
+    """`scale` with --r and --theta fills nine columns from the one basis W is built on."""
+    code, out = run(capsys, ["scale", "--model", request.getfixturevalue(path), "--q", "0.5",
+                             "--r", "0.5", "--theta", "1.5", "--x-grid", "0:2:5"])
+    assert code == 0 and len(out.splitlines()[0].split(",")) == 10
+    assert len(build_calls) == 1
+
+
 class TestNetworkCommand:
     def test_check_and_value(self, capsys, tmp_path, model_path):
         spec = {

@@ -1,0 +1,698 @@
+"""Pinned values of every context mixture and of the 11 CLI laws.
+
+The pins are ``float.hex`` strings.  Mixtures whose terms are the roots of
+kappa = q alone (W, W', W'', Z_q(., theta), d/dtheta Z_q, W_{q,r}, W'_{q,r},
+the Z_{q,r}(., theta) family, S'' and the exponential Gerber-Shiu function)
+must match bit for bit.  Mixtures that also carry the rate-0 terms 1, x
+and x^2 may sum their terms in another order, so they must stay within
+4 eps times the sum of their terms' sizes; the one law that reads such a
+mixture (the resolvent integral, through Wbar_{q,r}) gets the bound that
+error propagates to.  A law that raises pins the error's class name.
+"""
+
+import argparse
+import math
+
+import numpy as np
+import pytest
+
+from parisian_scale import LevyModel, build_parisian, build_scale, cli, scale
+
+EPS = np.finfo(float).eps
+X = (0.0, 0.45, 1.7, 2.5, 6.0)
+B = 2.5
+THETAS = (0.0, 1.3)
+
+MODELS = {
+    "m1": (LevyModel(c=1.0, lam=1.0, phases=((1.0, 2.0),)), 2.0 / 3.0, 1.0 / 3.0),
+    "m2": (LevyModel(c=0.0, sigma2=2.0), 1.0, 3.0),
+    "m3": (LevyModel(c=2.0, sigma2=0.5, lam=1.5, phases=((0.3, 1.0), (0.5, 3.0), (0.2, 7.0))),
+           0.5, 2.0),
+    "neg_q0": (LevyModel(c=0.5, lam=1.0, phases=((1.0, 1.0),)), 0.0, 1.0),
+}
+
+EXACT = ({"W", "dW", "ddW", "Wqr", "dWqr", "ddS"}
+         | {f"{name}({theta})" for theta in ("0.0", "1.3")
+            for name in ("z_mix", "dz_dtheta_mix", "gs_exp", "gs_exp_d")}
+         | {f"pZ{d}({theta})" for theta in ("0.0", "1.3", "phi_qr", "inf") for d in (0, 1, 2)})
+
+
+def mixtures(ctx, pctx):
+    """name -> the context mixture it pins."""
+    out = {name: getattr(ctx, name) for name in ("W", "dW", "ddW", "Wbar", "Z0", "Zbar", "Z1")}
+    out.update((name, getattr(pctx, name)) for name in ("Wqr", "dWqr", "Wbar_qr"))
+    if ctx.q > 0:
+        out.update((name, getattr(pctx, name)) for name in ("S", "dS", "ddS"))
+    thetas = {str(t): t for t in THETAS}
+    for key, theta in thetas.items():
+        out[f"z_mix({key})"] = scale.z_mix(ctx, theta)
+        out[f"dz_dtheta_mix({key})"] = scale.dz_dtheta_mix(ctx, theta)
+        gs = scale.build_gerber_shiu(ctx, scale.Exponential(theta))
+        out[f"gs_exp({key})"], out[f"gs_exp_d({key})"] = gs.mix, gs.dmix
+    for key, theta in {**thetas, "phi_qr": pctx.phi_qr, "inf": math.inf}.items():
+        for d in (0, 1, 2):
+            out[f"pZ{d}({key})"] = scale.parisian_Z_mix(pctx, theta, d)
+    for name, penalty in (("gs_lin", scale.Linear(0.7, -0.4)), ("gs_const", scale.Constant(1.5))):
+        gs = scale.build_gerber_shiu(ctx, penalty)
+        out[name], out[f"{name}_d"] = gs.mix, gs.dmix
+    return out
+
+
+def terms_size(mix, x):
+    """Sum over the terms of |w x^k e^{rho x}|."""
+    return sum(abs(w * x**k * np.exp(rho * x))
+               for w, rho, k in zip(mix.w.tolist(), mix.rho.tolist(), mix.k.tolist()) if w)
+
+
+def law_values(ctx, pctx):
+    """name -> the law's values (or its error's class name) on the x <= b points."""
+    args = argparse.Namespace(b=B, theta=1.3, vartheta=0.4, r=pctx.r, k=0.0, K=0.0)
+    out = {}
+    for name, row in cli._LAWS.items():
+        try:
+            c = build_scale(ctx.model, 0.0) if name == "time_in_red" else ctx
+            out[name] = [float(v).hex() for v in row.column(c, pctx, np.array(X[:4]), args)]
+        except Exception as exc:  # noqa: BLE001  the class of the error is the pin
+            out[name] = type(exc).__name__
+    return out
+
+
+def contexts(label):
+    model, q, r = MODELS[label]
+    pctx = build_parisian(model, q, r)
+    return pctx.base, pctx
+
+
+def record():
+    """The pins of this tree, in the form of MIXTURE_PINS and LAW_PINS."""
+    mix_pins, law_pins = {}, {}
+    for label in MODELS:
+        ctx, pctx = contexts(label)
+        for name, mix in mixtures(ctx, pctx).items():
+            mix_pins[label, name] = tuple(float(v).hex() for v in mix(np.array(X)))
+        for name, value in law_values(ctx, pctx).items():
+            law_pins[label, name] = value if isinstance(value, str) else tuple(value)
+    return mix_pins, law_pins
+
+
+MIXTURE_PINS = {
+    ('m1', 'W'): (
+        '0x1.ffffffffffffep-1', '0x1.dc0e9e456e1c5p+0', '0x1.c0883ffe2aad4p+2',
+        '0x1.f4e57d839fd34p+3', '0x1.0358d731cc297p+9'),
+    ('m1', 'dW'): (
+        '0x1.aaaaaaaaaaaaap+0', '0x1.1cdc48419c708p+1', '0x1.c4f4765510626p+2',
+        '0x1.f5a8515f2fb35p+3', '0x1.0358de85d72adp+9'),
+    ('m1', 'ddW'): (
+        '0x1.8e38e38e38e33p-1', '0x1.bcd5f830d5300p+0', '0x1.bf0ed88bde1b6p+2',
+        '0x1.f4a48c3a6fddbp+3', '0x1.0358d4c07328fp+9'),
+    ('m1', 'Wbar'): (
+        '-0x1.0000000000000p-54', '0x1.449c27e78c5ffp-1', '0x1.63d968bf56f54p+2',
+        '0x1.c5779c684bbb7p+3', '0x1.0298dcb0d46a8p+9'),
+    ('m1', 'Z0'): (
+        '0x1.0000000000000p+0', '0x1.6c340d4d2ecabp+0', '0x1.2d3b9b2a39f8dp+2',
+        '0x1.4e4fbd9add27ap+3', '0x1.59cbd0ebc5e36p+8'),
+    ('m1', 'Zbar'): (
+        '0x1.0000000000000p-55', '0x1.1228a4ec0581ep-1', '0x1.f7260d9347a9ep+1',
+        '0x1.3606ae2887339p+3', '0x1.590bcb6cbda27p+8'),
+    ('m1', 'Z1'): (
+        '0x1.0000000000000p-54', '0x1.bf6a43e0fd478p-3', '0x1.269949a7e1693p+0',
+        '0x1.4d2b7fd185579p+1', '0x1.59cbbaefa4df8p+6'),
+    ('m1', 'Wqr'): (
+        '0x1.ffffffffffffdp-1', '0x1.9a88e0aedb6aep+0', '0x1.6a3f09ae7341fp+2',
+        '0x1.935030432c37cp+3', '0x1.a169ae50e64f4p+8'),
+    ('m1', 'dWqr'): (
+        '0x1.14b491129e675p+0', '0x1.a5e5e3edb184ep+0', '0x1.6ac865f05d82dp+2',
+        '0x1.9367d337f4e5dp+3', '0x1.a169b0181aa02p+8'),
+    ('m1', 'Wbar_qr'): (
+        '-0x1.a000000000000p-55', '0x1.270e6ca00a620p-1', '0x1.26c433ac653f7p+2',
+        '0x1.7170fce103e0cp+3', '0x1.a05a28397f954p+8'),
+    ('m1', 'S'): (
+        '0x1.fffffffffffffp-3', '0x1.b6c5c34803abep-2', '0x1.8f6eb3b7851bep+0',
+        '0x1.bd5e3d8b5eef8p+1', '0x1.cd0fb9e6522dep+6'),
+    ('m1', 'dS'): (
+        '0x1.5555555555555p-2', '0x1.e59abc66e90e3p-2', '0x1.91a4cee2f7f66p+0',
+        '0x1.bdbfa77926df7p+1', '0x1.cd0fc13a5d2f2p+6'),
+    ('m1', 'ddS'): (
+        '0x1.c71c71c71c719p-3', '0x1.a729703db735ap-2', '0x1.8eb1fffe5ed2ep+0',
+        '0x1.bd3dc4e6c6f49p+1', '0x1.cd0fb774f92d3p+6'),
+    ('m1', 'z_mix(0.0)'): (
+        '0x1.0000000000000p+0', '0x1.6c340d4d2ecaap+0', '0x1.2d3b9b2a39f8cp+2',
+        '0x1.4e4fbd9add279p+3', '0x1.59cbd0ebc5e35p+8'),
+    ('m1', 'dz_dtheta_mix(0.0)'): (
+        '0x0.0p+0', '0x1.bf6a43e0fd474p-3', '0x1.269949a7e1691p+0',
+        '0x1.4d2b7fd185577p+1', '0x1.59cbbaefa4df7p+6'),
+    ('m1', 'gs_exp(0.0)'): (
+        '0x1.0000000000000p+0', '0x1.6c340d4d2ecaap+0', '0x1.2d3b9b2a39f8cp+2',
+        '0x1.4e4fbd9add279p+3', '0x1.59cbd0ebc5e35p+8'),
+    ('m1', 'gs_exp_d(0.0)'): (
+        '0x1.5555555555554p-1', '0x1.3d5f142e49683p+0', '0x1.2b057ffec71e3p+2',
+        '0x1.4dee53ad15377p+3', '0x1.59cbc997bae1ep+8'),
+    ('m1', 'z_mix(1.3)'): (
+        '0x1.ffffffffffffap-1', '0x1.984455ed09ac8p+0', '0x1.674286c389477p+2',
+        '0x1.8fef94d786eedp+3', '0x1.9de84ef4300f0p+8'),
+    ('m1', 'dz_dtheta_mix(1.3)'): (
+        '0x1.0c00000000000p-49', '0x1.48adf9eaa1324p-4', '0x1.b0d5eeafa9ba6p-2',
+        '0x1.e9817f6170fa6p-1', '0x1.fc0e69de189b5p+4'),
+    ('m1', 'gs_exp(1.3)'): (
+        '0x1.ffffffffffffap-1', '0x1.984455ed09ac8p+0', '0x1.674286c389477p+2',
+        '0x1.8fef94d786eedp+3', '0x1.9de84ef4300f0p+8'),
+    ('m1', 'gs_exp_d(1.3)'): (
+        '0x1.0f83e0f83e0f4p+0', '0x1.a0c8262133613p+0', '0x1.67a9746e5857dp+2',
+        '0x1.90014b02c28ecp+3', '0x1.9de8504949550p+8'),
+    ('m1', 'pZ0(0.0)'): (
+        '0x1.ffffffffffffdp-1', '0x1.8b1744e3a1e01p+0', '0x1.55e88f8260298p+2',
+        '0x1.7c500a0b11dd0p+3', '0x1.898a6484862b4p+8'),
+    ('m1', 'pZ1(0.0)'): (
+        '0x1.e2b7dddfefa62p-1', '0x1.830e49588ed0bp+0', '0x1.55876e9fd60bfp+2',
+        '0x1.7c3f535effabcp+3', '0x1.898a6342a560bp+8'),
+    ('m1', 'pZ2(0.0)'): (
+        '0x1.04e15b05580ecp+0', '0x1.8dc4ee11fd8fdp+0', '0x1.5608efcde388bp+2',
+        '0x1.7c559c446d42ap+3', '0x1.898a64efd1195p+8'),
+    ('m1', 'pZ0(1.3)'): (
+        '0x1.fffffffffffeep-1', '0x1.927ce3cd90117p+0', '0x1.5fa64164a05d5p+2',
+        '0x1.87543a5197667p+3', '0x1.94f974b5575a9p+8'),
+    ('m1', 'pZ1(1.3)'): (
+        '0x1.0249de20614fdp+0', '0x1.93be6bbd3c3fep+0', '0x1.5fb570127cb87p+2',
+        '0x1.8756d7205b0b6p+3', '0x1.94f974e7a7955p+8'),
+    ('m1', 'pZ2(1.3)'): (
+        '0x1.fe796bea69c90p-1', '0x1.9211b67dac01cp+0', '0x1.5fa131d556e96p+2',
+        '0x1.87535b6200d9ep+3', '0x1.94f974a491f17p+8'),
+    ('m1', 'pZ0(phi_qr)'): (
+        '0x1.ffffffffffff9p-1', '0x1.92d012c93ea55p+0', '0x1.6013cc9869b5ap+2',
+        '0x1.87d01d271f0a2p+3', '0x1.957a096ab63d2p+8'),
+    ('m1', 'pZ1(phi_qr)'): (
+        '0x1.030840014b1d1p+0', '0x1.947a16a3202a9p+0', '0x1.6027ea4819c74p+2',
+        '0x1.87d3934b7a489p+3', '0x1.957a09ad60003p+8'),
+    ('m1', 'pZ2(phi_qr)'): (
+        '0x1.fdfa7fff23412p-1', '0x1.924211809e236p+0', '0x1.600d1808845a3p+2',
+        '0x1.87cef5c5ab4a7p+3', '0x1.957a09547da67p+8'),
+    ('m1', 'pZ0(inf)'): (
+        '0x1.ffffffffffffdp-1', '0x1.9a88e0aedb6aep+0', '0x1.6a3f09ae7341fp+2',
+        '0x1.935030432c37cp+3', '0x1.a169ae50e64f4p+8'),
+    ('m1', 'pZ1(inf)'): (
+        '0x1.14b491129e675p+0', '0x1.a5e5e3edb184ep+0', '0x1.6ac865f05d82dp+2',
+        '0x1.9367d337f4e5dp+3', '0x1.a169b0181aa02p+8'),
+    ('m1', 'pZ2(inf)'): (
+        '0x1.f23249f396654p-1', '0x1.96bf34ef3eb75p+0', '0x1.6a114043252c2p+2',
+        '0x1.93484f46e952dp+3', '0x1.a169adb92a341p+8'),
+    ('m1', 'gs_lin'): (
+        '-0x1.999999999999ap-2', '-0x1.aa214a53256b6p-2', '-0x1.13c0de4e0bc49p+0',
+        '-0x1.2dadef7eb7b56p+1', '-0x1.37377e9e4935dp+6'),
+    ('m1', 'gs_lin_d'): (
+        '0x1.555555555555ep-4', '-0x1.35027e0cb2c7dp-3', '-0x1.06ed73eba4d09p+0',
+        '-0x1.2b78ef81fcde7p+1', '-0x1.3737541d3c945p+6'),
+    ('m1', 'gs_const'): (
+        '0x1.8000000000001p+0', '0x1.112709f9e3180p+1', '0x1.c3d968bf56f54p+2',
+        '0x1.f5779c684bbb7p+3', '0x1.0358dcb0d46a8p+9'),
+    ('m1', 'gs_const_d'): (
+        '0x1.ffffffffffffep-1', '0x1.dc0e9e456e1c5p+0', '0x1.c0883ffe2aad4p+2',
+        '0x1.f4e57d839fd34p+3', '0x1.0358d731cc297p+9'),
+    ('m2', 'W'): (
+        '0x0.0p+0', '0x1.dc829e20bf8c1p-2', '0x1.52a411348ac57p+1',
+        '0x1.83368cdb0b6d3p+2', '0x1.936d22f67c805p+7'),
+    ('m2', 'dW'): (
+        '0x1.0000000000000p+0', '0x1.1a5c40c269585p+0', '0x1.6a063dad344f7p+1',
+        '0x1.88776e4b30aa3p+2', '0x1.936e67db9b919p+7'),
+    ('m2', 'ddW'): (
+        '0x0.0p+0', '0x1.dc829e20bf8c1p-2', '0x1.52a411348ac57p+1',
+        '0x1.83368cdb0b6d3p+2', '0x1.936d22f67c805p+7'),
+    ('m2', 'Wbar'): (
+        '0x0.0p+0', '0x1.a5c40c269584cp-4', '0x1.d40c7b5a689eep+0',
+        '0x1.48776e4b30aa3p+2', '0x1.916e67db9b919p+7'),
+    ('m2', 'Z0'): (
+        '0x1.0000000000000p+0', '0x1.1a5c40c269585p+0', '0x1.6a063dad344f7p+1',
+        '0x1.88776e4b30aa3p+2', '0x1.936e67db9b919p+7'),
+    ('m2', 'Zbar'): (
+        '0x0.0p+0', '0x1.dc829e20bf8c1p-2', '0x1.52a411348ac57p+1',
+        '0x1.83368cdb0b6d3p+2', '0x1.936d22f67c805p+7'),
+    ('m2', 'Z1'): (
+        '0x0.0p+0', '0x1.dc829e20bf8c1p-2', '0x1.52a411348ac57p+1',
+        '0x1.83368cdb0b6d3p+2', '0x1.936d22f67c805p+7'),
+    ('m2', 'Wqr'): (
+        '0x1.0000000000000p+0', '0x1.044ec7e9648f3p+1', '0x1.03d3980592769p+3',
+        '0x1.23b9220051e12p+4', '0x1.2e922b7225249p+9'),
+    ('m2', 'dWqr'): (
+        '0x1.0000000000000p+1', '0x1.55ec94868149dp+1', '0x1.09ac2323bcd91p+3',
+        '0x1.25095a5c5b306p+4', '0x1.2e927cab6ce8dp+9'),
+    ('m2', 'Wbar_qr'): (
+        '0x0.0p+0', '0x1.57b2521a05274p-1', '0x1.9358464779b22p+2',
+        '0x1.05095a5c5b306p+4', '0x1.2d927cab6ce8dp+9'),
+    ('m2', 'S'): (
+        '0x0.0p+0', '0x1.6561f6988fa91p-2', '0x1.fbf619ced0282p+0',
+        '0x1.2268e9a44891ep+2', '0x1.2e91da38dd604p+7'),
+    ('m2', 'dS'): (
+        '0x1.8000000000000p-1', '0x1.a78a61239e048p-1', '0x1.0f84ae41e73b9p+1',
+        '0x1.265992b8647fap+2', '0x1.2e92cde4b4ad2p+7'),
+    ('m2', 'ddS'): (
+        '0x0.0p+0', '0x1.6561f6988fa91p-2', '0x1.fbf619ced0282p+0',
+        '0x1.2268e9a44891ep+2', '0x1.2e91da38dd604p+7'),
+    ('m2', 'z_mix(0.0)'): (
+        '0x1.0000000000000p+0', '0x1.1a5c40c269585p+0', '0x1.6a063dad344f7p+1',
+        '0x1.88776e4b30aa3p+2', '0x1.936e67db9b919p+7'),
+    ('m2', 'dz_dtheta_mix(0.0)'): (
+        '0x0.0p+0', '0x1.dc829e20bf8c1p-2', '0x1.52a411348ac57p+1',
+        '0x1.83368cdb0b6d3p+2', '0x1.936d22f67c805p+7'),
+    ('m2', 'gs_exp(0.0)'): (
+        '0x1.0000000000000p+0', '0x1.1a5c40c269585p+0', '0x1.6a063dad344f7p+1',
+        '0x1.88776e4b30aa3p+2', '0x1.936e67db9b919p+7'),
+    ('m2', 'gs_exp_d(0.0)'): (
+        '0x0.0p+0', '0x1.dc829e20bf8c1p-2', '0x1.52a411348ac57p+1',
+        '0x1.83368cdb0b6d3p+2', '0x1.936d22f67c805p+7'),
+    ('m2', 'z_mix(1.3)'): (
+        '0x1.0000000000000p+0', '0x1.b539e759dacc4p+0', '0x1.9120f6d25ac1cp+2',
+        '0x1.bfebf91a5fc28p+3', '0x1.cff157746b82bp+8'),
+    ('m2', 'dz_dtheta_mix(1.3)'): (
+        '-0x1.8000000000000p-52', '0x1.dc829e20bf8b7p-2', '0x1.52a411348ac53p+1',
+        '0x1.83368cdb0b6cep+2', '0x1.936d22f67c800p+7'),
+    ('m2', 'gs_exp(1.3)'): (
+        '0x1.0000000000000p+0', '0x1.b539e759dacc4p+0', '0x1.9120f6d25ac1cp+2',
+        '0x1.bfebf91a5fc28p+3', '0x1.cff157746b82bp+8'),
+    ('m2', 'gs_exp_d(1.3)'): (
+        '0x1.4cccccccccccep+0', '0x1.e6322eeb526f8p+0', '0x1.94a2e3e474300p+2',
+        '0x1.c0b5b484cbbeep+3', '0x1.cff18830635edp+8'),
+    ('m2', 'pZ0(0.0)'): (
+        '0x1.0000000000000p+0', '0x1.55ec94868149dp+0', '0x1.09ac2323bcd91p+2',
+        '0x1.25095a5c5b306p+3', '0x1.2e927cab6ce8dp+8'),
+    ('m2', 'pZ1(0.0)'): (
+        '0x1.0000000000000p-1', '0x1.044ec7e9648f3p+0', '0x1.03d3980592769p+2',
+        '0x1.23b9220051e12p+3', '0x1.2e922b7225249p+8'),
+    ('m2', 'pZ2(0.0)'): (
+        '0x1.0000000000000p+0', '0x1.55ec94868149dp+0', '0x1.09ac2323bcd91p+2',
+        '0x1.25095a5c5b306p+3', '0x1.2e927cab6ce8dp+8'),
+    ('m2', 'pZ0(1.3)'): (
+        '0x1.0000000000001p+0', '0x1.9c51549ccc218p+0', '0x1.6db9b3dbfd1f2p+2',
+        '0x1.9770be28b5d69p+3', '0x1.a5c42fba11b1cp+8'),
+    ('m2', 'pZ1(1.3)'): (
+        '0x1.1745d1745d175p+0', '0x1.ab2833ff2e720p+0', '0x1.6ec9cd274aa56p+2',
+        '0x1.97addfadcecdbp+3', '0x1.a5c43e7eaa612p+8'),
+    ('m2', 'pZ2(1.3)'): (
+        '0x1.0000000000001p+0', '0x1.9c51549ccc218p+0', '0x1.6db9b3dbfd1f2p+2',
+        '0x1.9770be28b5d69p+3', '0x1.a5c42fba11b1cp+8'),
+    ('m2', 'pZ0(phi_qr)'): (
+        '0x1.0000000000000p+0', '0x1.af45122ca5341p+0', '0x1.88a9a99770e32p+2',
+        '0x1.b63dcf2e7f795p+3', '0x1.c5db69c7db990p+8'),
+    ('m2', 'pZ1(phi_qr)'): (
+        '0x1.4000000000000p+0', '0x1.d813f87b33917p+0', '0x1.8b95ef2686146p+2',
+        '0x1.b6e5eb5c8420fp+3', '0x1.c5db92647f7b2p+8'),
+    ('m2', 'pZ2(phi_qr)'): (
+        '0x1.0000000000000p+0', '0x1.af45122ca5341p+0', '0x1.88a9a99770e32p+2',
+        '0x1.b63dcf2e7f795p+3', '0x1.c5db69c7db990p+8'),
+    ('m2', 'pZ0(inf)'): (
+        '0x1.0000000000000p+0', '0x1.044ec7e9648f3p+1', '0x1.03d3980592769p+3',
+        '0x1.23b9220051e12p+4', '0x1.2e922b7225249p+9'),
+    ('m2', 'pZ1(inf)'): (
+        '0x1.0000000000000p+1', '0x1.55ec94868149dp+1', '0x1.09ac2323bcd91p+3',
+        '0x1.25095a5c5b306p+4', '0x1.2e927cab6ce8dp+9'),
+    ('m2', 'pZ2(inf)'): (
+        '0x1.0000000000000p+0', '0x1.044ec7e9648f3p+1', '0x1.03d3980592769p+3',
+        '0x1.23b9220051e12p+4', '0x1.2e922b7225249p+9'),
+    ('m2', 'gs_lin'): (
+        '-0x1.999999999999bp-2', '-0x1.d8e0b08089e08p-4', '0x1.70f49a4aca766p-1',
+        '0x1.c8400d203887ap+0', '0x1.e41a8885fd4b1p+5'),
+    ('m2', 'gs_lin_d'): (
+        '0x1.6666666666666p-1', '0x1.2c00a17006c60p-1', '0x1.d7d7c45db46f4p-1',
+        '0x1.df5d86a742c76p+0', '0x1.e4201e0fb9309p+5'),
+    ('m2', 'gs_const'): (
+        '0x1.8000000000000p+0', '0x1.a78a61239e048p+0', '0x1.0f84ae41e73b9p+2',
+        '0x1.265992b8647fap+3', '0x1.2e92cde4b4ad2p+8'),
+    ('m2', 'gs_const_d'): (
+        '0x0.0p+0', '0x1.6561f6988fa91p-1', '0x1.fbf619ced0282p+1',
+        '0x1.2268e9a44891ep+3', '0x1.2e91da38dd604p+8'),
+    ('m3', 'W'): (
+        '0x1.0000000000000p-56', '0x1.269c4419dc958p-1', '0x1.069ac1bd53e30p+0',
+        '0x1.5e9651d1d54b6p+0', '0x1.20eeea9fb2b96p+2'),
+    ('m3', 'dW'): (
+        '0x1.fffffffffffffp+1', '0x1.be9e80f57742ep-2', '0x1.89ef24dd5e912p-2',
+        '0x1.ecfb011f9f2f2p-2', '0x1.862e6e256ade0p+0'),
+    ('m3', 'ddW'): (
+        '-0x1.0000000000000p+5', '-0x1.7182daac6b645p-1', '0x1.816168cda42e5p-4',
+        '0x1.2c0a994ab0160p-3', '0x1.06bebfffb6ce6p-1'),
+    ('m3', 'Wbar'): (
+        '0x0.0p+0', '0x1.6cc0ad46cf160p-3', '0x1.2dfb07dc5f4e8p+0',
+        '0x1.10f7bac95d40ep+1', '0x1.6c6a08fada931p+3'),
+    ('m3', 'Z0'): (
+        '0x1.0000000000000p+0', '0x1.16cc0ad46cf16p+0', '0x1.96fd83ee2fa76p+0',
+        '0x1.087bdd64aea07p+1', '0x1.ac6a08fada931p+2'),
+    ('m3', 'Zbar'): (
+        '-0x1.c000000000000p-54', '0x1.dd00d366f3af2p-2', '0x1.0e430f69d14e4p+1',
+        '0x1.c84846e4a5e6ep+1', '0x1.1539ef1b1f150p+4'),
+    ('m3', 'Z1'): (
+        '-0x1.0000000000000p-54', '0x1.ef75d449004aap-3', '0x1.41c847256b89cp-1',
+        '0x1.c47de554dfef4p-1', '0x1.8153ddfa29e1ap+1'),
+    ('m3', 'Wqr'): (
+        '0x1.0000000000000p+0', '0x1.57c6e8161a3fbp+0', '0x1.14e0eb5ad3588p+1',
+        '0x1.6dc3b95bc892fp+1', '0x1.2b753dff49257p+3'),
+    ('m3', 'dWqr'): (
+        '0x1.4d6451622fb36p+0', '0x1.32305d8eaba7ap-1', '0x1.87e9412472abfp-1',
+        '0x1.f7026c18b4c15p-1', '0x1.9437c01229c2fp+1'),
+    ('m3', 'Wbar_qr'): (
+        '-0x1.0000000000000p-55', '0x1.12d799ebe6344p-1', '0x1.5a32f56e420bfp+1',
+        '0x1.2ce34ff74ed69p+2', '0x1.7e81bda753ac0p+4'),
+    ('m3', 'S'): (
+        '0x1.01767dce434a9p+1', '0x1.3129c6255ba8fp+1', '0x1.d9ac23bc84561p+1',
+        '0x1.373e8e75ca681p+2', '0x1.fbed846bc28ddp+3'),
+    ('m3', 'dS'): (
+        '0x1.999999999999bp-1', '0x1.be13448714b57p-1', '0x1.45979cbe8c85ep+0',
+        '0x1.a72c956de433fp+0', '0x1.56bb3a624875bp+2'),
+    ('m3', 'ddS'): (
+        '0x1.8000000000000p-56', '0x1.d7606cf62dbc2p-3', '0x1.a42acf955304dp-2',
+        '0x1.18784174aaa2bp-1', '0x1.ce4b10ff845bep+0'),
+    ('m3', 'z_mix(0.0)'): (
+        '0x1.fffffffffffffp-1', '0x1.16cc0ad46cf16p+0', '0x1.96fd83ee2fa74p+0',
+        '0x1.087bdd64aea07p+1', '0x1.ac6a08fada931p+2'),
+    ('m3', 'dz_dtheta_mix(0.0)'): (
+        '-0x1.c000000000000p-52', '0x1.ef75d4490049bp-3', '0x1.41c847256b896p-1',
+        '0x1.c47de554dfeebp-1', '0x1.8153ddfa29e14p+1'),
+    ('m3', 'gs_exp(0.0)'): (
+        '0x1.fffffffffffffp-1', '0x1.16cc0ad46cf16p+0', '0x1.96fd83ee2fa74p+0',
+        '0x1.087bdd64aea07p+1', '0x1.ac6a08fada931p+2'),
+    ('m3', 'gs_exp_d(0.0)'): (
+        '0x1.0000000000000p-57', '0x1.269c4419dc958p-2', '0x1.069ac1bd53e30p-1',
+        '0x1.5e9651d1d54b6p-1', '0x1.20eeea9fb2b96p+1'),
+    ('m3', 'z_mix(1.3)'): (
+        '0x1.0000000000000p+0', '0x1.57acd3df5bf03p+0', '0x1.14c63d423e3acp+1',
+        '0x1.6d9f6d81746dcp+1', '0x1.2b56f7f1e84aep+3'),
+    ('m3', 'dz_dtheta_mix(1.3)'): (
+        '-0x1.6000000000000p-53', '0x1.608a38524d2fdp-3', '0x1.68b34d9d736f8p-2',
+        '0x1.eab6b59c203c9p-2', '0x1.994b045efd455p+0'),
+    ('m3', 'gs_exp(1.3)'): (
+        '0x1.0000000000000p+0', '0x1.57acd3df5bf03p+0', '0x1.14c63d423e3acp+1',
+        '0x1.6d9f6d81746dcp+1', '0x1.2b56f7f1e84aep+3'),
+    ('m3', 'gs_exp_d(1.3)'): (
+        '0x1.4ccccccccccccp+0', '0x1.31fa764fd4420p-1', '0x1.87bd434d1e7aap-1',
+        '0x1.f6cd5a5df4791p-1', '0x1.940ed5f98094cp+1'),
+    ('m3', 'pZ0(0.0)'): (
+        '0x1.0000000000000p+0', '0x1.23cb03e18f9a9p+0', '0x1.b457fae2e10fbp+0',
+        '0x1.1cbd6fc94d6a8p+1', '0x1.ce83b9953284ap+2'),
+    ('m3', 'pZ1(0.0)'): (
+        '0x1.0ab6a781bfc2bp-2', '0x1.6629f580f5212p-2', '0x1.2077419ec0719p-1',
+        '0x1.7d125713352fbp-1', '0x1.37fd7bb69754ep+1'),
+    ('m3', 'pZ2(0.0)'): (
+        '0x1.5b581c074bbe1p-2', '0x1.3f00b7f17e8c8p-3', '0x1.984ffdf3faaa0p-3',
+        '0x1.0607b4960573bp-2', '0x1.a52255b2a97b0p-1'),
+    ('m3', 'pZ0(1.3)'): (
+        '0x1.ffffffffffbf8p-1', '0x1.33438c6f90dd3p+0', '0x1.df0c38e2ea1c7p+0',
+        '0x1.3af236a13d888p+1', '0x1.01126789a410ap+3'),
+    ('m3', 'pZ1(1.3)'): (
+        '0x1.e501e5b3a2fcfp-2', '0x1.cd701ef3599c2p-2', '0x1.4a5190dc5c9a6p-1',
+        '0x1.acb50f888739dp-1', '0x1.5aeefb6b5852fp+1'),
+    ('m3', 'pZ2(1.3)'): (
+        '-0x1.d77f42a9d55c2p-2', '0x1.774ca04a00bc6p-4', '0x1.a637d4e984d2bp-3',
+        '0x1.1b4e1e4e04bbdp-2', '0x1.d3efd26838705p-1'),
+    ('m3', 'pZ0(phi_qr)'): (
+        '0x1.ffffffffffffep-1', '0x1.3347857f74b95p+0', '0x1.df16301ae9597p+0',
+        '0x1.3af92c57c7d35p+1', '0x1.01184e3fe70a4p+3'),
+    ('m3', 'pZ1(phi_qr)'): (
+        '0x1.e5443a55de0cdp-2', '0x1.cd877272cdbe4p-2', '0x1.4a5ad3b6ca89ap-1',
+        '0x1.acbfc6b5b5fb2p-1', '0x1.5af6f7511c4d0p+1'),
+    ('m3', 'pZ2(phi_qr)'): (
+        '-0x1.d8c8ba8a19f2fp-2', '0x1.76ff765050873p-4', '0x1.a63bcd7d6b72bp-3',
+        '0x1.1b533d7b814b3p-2', '0x1.d3fa8739a8f28p-1'),
+    ('m3', 'pZ0(inf)'): (
+        '0x1.0000000000000p+0', '0x1.57c6e8161a3fbp+0', '0x1.14e0eb5ad3588p+1',
+        '0x1.6dc3b95bc892fp+1', '0x1.2b753dff49257p+3'),
+    ('m3', 'pZ1(inf)'): (
+        '0x1.4d6451622fb36p+0', '0x1.32305d8eaba7ap-1', '0x1.87e9412472abfp-1',
+        '0x1.f7026c18b4c15p-1', '0x1.9437c01229c2fp+1'),
+    ('m3', 'pZ2(inf)'): (
+        '-0x1.9374773db8548p+2', '-0x1.7eecd83cc89b1p-4', '0x1.d1d3624e6b0d2p-3',
+        '0x1.443084aedce42p-2', '0x1.1078f9f3d1f73p+0'),
+    ('m3', 'gs_lin'): (
+        '-0x1.999999999999bp-2', '-0x1.10aa070721683p-2', '-0x1.9160def7d1c8ep-3',
+        '-0x1.a9b839fd1dcbfp-3', '-0x1.24021599795f2p-1'),
+    ('m3', 'gs_lin_d'): (
+        '0x1.6666666666666p-1', '0x1.208be34019cbfp-3', '0x1.47c36ebc85208p-8',
+        '-0x1.0b6ab3ab08f5ep-5', '-0x1.850e3f9c0addep-3'),
+    ('m3', 'gs_const'): (
+        '0x1.8000000000000p+0', '0x1.a232103ea36a1p+0', '0x1.313e22f2a3bd7p+1',
+        '0x1.8cb9cc1705f0bp+1', '0x1.414f86bc23ee5p+3'),
+    ('m3', 'gs_const_d'): (
+        '0x1.0000000000000p-55', '0x1.b9ea6626cae07p-2', '0x1.89e8229bfdd47p-1',
+        '0x1.06f0bd5d5ff88p+0', '0x1.b1665fef8c160p+1'),
+    ('neg_q0', 'W'): (
+        '0x1.0000000000002p+1', '0x1.117ce84a993b6p+2', '0x1.3e552770df8a5p+4',
+        '0x1.75d6fd931e0bap+5', '0x1.92edc5690c085p+10'),
+    ('neg_q0', 'dW'): (
+        '0x1.0000000000000p+2', '0x1.917ce84a993b4p+2', '0x1.5e552770df8a4p+4',
+        '0x1.85d6fd931e0b8p+5', '0x1.936dc5690c083p+10'),
+    ('neg_q0', 'ddW'): (
+        '0x1.ffffffffffffep+1', '0x1.917ce84a993b2p+2', '0x1.5e552770df8a3p+4',
+        '0x1.85d6fd931e0b6p+5', '0x1.936dc5690c081p+10'),
+    ('neg_q0', 'Wbar'): (
+        '0x0.0p+0', '0x1.5f8d3ac3fe86ep+0', '0x1.cfdd8214f247fp+3',
+        '0x1.3dd6fd931e0bbp+5', '0x1.8f6dc5690c086p+10'),
+    ('neg_q0', 'Z0'): (
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    ('neg_q0', 'Zbar'): (
+        '0x0.0p+0', '0x1.ccccccccccccdp-2', '0x1.b333333333333p+0',
+        '0x1.4000000000000p+1', '0x1.8000000000000p+2'),
+    ('neg_q0', 'Z1'): (
+        '0x0.0p+0', '0x1.22f9d0953276ap+0', '0x1.1e552770df8a6p+3',
+        '0x1.65d6fd931e0bbp+4', '0x1.926dc5690c086p+9'),
+    ('neg_q0', 'Wqr'): (
+        '0x1.0000000000000p+0', '0x1.e32fe3d02846cp+0', '0x1.ff1f9f918164ep+2',
+        '0x1.276493ad63f44p+4', '0x1.3ab4f7df11fc2p+9'),
+    ('neg_q0', 'dWqr'): (
+        '0x1.8fc1ecd5fda0cp+0', '0x1.3978e85312f3cp+1', '0x1.11880d6380668p+3',
+        '0x1.3060b27ac3ce4p+4', '0x1.3afcd8d57cfaep+9'),
+    ('neg_q0', 'Wbar_qr'): (
+        '0x0.0p+0', '0x1.44fe0c12ec49cp-1', '0x1.8206ce1cf59a6p+2',
+        '0x1.00ee46abf4534p+4', '0x1.3885b21890036p+9'),
+    ('neg_q0', 'z_mix(0.0)'): (
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    ('neg_q0', 'dz_dtheta_mix(0.0)'): (
+        '0x1.0000000000000p-50', '0x1.22f9d0953276ep+0', '0x1.1e552770df8a7p+3',
+        '0x1.65d6fd931e0bbp+4', '0x1.926dc5690c086p+9'),
+    ('neg_q0', 'gs_exp(0.0)'): (
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    ('neg_q0', 'gs_exp_d(0.0)'): (
+        '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+        '0x0.0p+0', '0x0.0p+0'),
+    ('neg_q0', 'z_mix(1.3)'): (
+        '0x1.ffffffffffff4p-1', '0x1.a476f054542c2p+0', '0x1.83ae2c95db4dep+2',
+        '0x1.b483ba79c8eb0p+3', '0x1.c7eb64b98808ap+8'),
+    ('neg_q0', 'dz_dtheta_mix(1.3)'): (
+        '0x1.6000000000000p-48', '0x1.b80a00e1a111cp-3', '0x1.b104682af054ep+0',
+        '0x1.0e940bb759088p+2', '0x1.304b4284a9c7bp+7'),
+    ('neg_q0', 'gs_exp(1.3)'): (
+        '0x1.ffffffffffff4p-1', '0x1.a476f054542c2p+0', '0x1.83ae2c95db4dep+2',
+        '0x1.b483ba79c8eb0p+3', '0x1.c7eb64b98808ap+8'),
+    ('neg_q0', 'gs_exp_d(1.3)'): (
+        '0x1.21642c8590b1ap+0', '0x1.c5db1cd9e4de1p+0', '0x1.8c0737b73f7a4p+2',
+        '0x1.b8b0400a7b013p+3', '0x1.c80cc8e60d994p+8'),
+    ('neg_q0', 'pZ0(0.0)'): (
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    ('neg_q0', 'pZ1(0.0)'): (
+        '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+        '0x0.0p+0', '0x0.0p+0'),
+    ('neg_q0', 'pZ2(0.0)'): (
+        '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+        '0x0.0p+0', '0x0.0p+0'),
+    ('neg_q0', 'pZ0(1.3)'): (
+        '0x1.ffffffffffff2p-1', '0x1.9ea77a4e54971p+0', '0x1.783eb9583c698p+2',
+        '0x1.a639314d3a1d1p+3', '0x1.b7d8fb6b454b3p+8'),
+    ('neg_q0', 'pZ1(1.3)'): (
+        '0x1.172ad7d16bd8ep+0', '0x1.b5d2521fc0705p+0', '0x1.7e096f4c975fcp+2',
+        '0x1.a91e8c4767983p+3', '0x1.b7f0264316b6fp+8'),
+    ('neg_q0', 'pZ2(1.3)'): (
+        '0x1.172ad7d16bd8dp+0', '0x1.b5d2521fc0704p+0', '0x1.7e096f4c975fap+2',
+        '0x1.a91e8c4767981p+3', '0x1.b7f0264316b6dp+8'),
+    ('neg_q0', 'pZ0(phi_qr)'): (
+        '0x1.ffffffffffffep-1', '0x1.c43eb67b4f922p+0', '0x1.c23a12404b8b1p+2',
+        '0x1.01572ce4bb4a7p+4', '0x1.0fe9bacc38d41p+9'),
+    ('neg_q0', 'pZ1(phi_qr)'): (
+        '0x1.594fd9fdc2c9ap+0', '0x1.0ec7483c892dep+1', '0x1.d88e08bfbc3d6p+2',
+        '0x1.06ec2a8497770p+4', '0x1.101662b937b57p+9'),
+    ('neg_q0', 'pZ2(phi_qr)'): (
+        '0x1.594fd9fdc2c99p+0', '0x1.0ec7483c892dep+1', '0x1.d88e08bfbc3d5p+2',
+        '0x1.06ec2a8497770p+4', '0x1.101662b937b56p+9'),
+    ('neg_q0', 'pZ0(inf)'): (
+        '0x1.0000000000000p+0', '0x1.e32fe3d02846cp+0', '0x1.ff1f9f918164ep+2',
+        '0x1.276493ad63f44p+4', '0x1.3ab4f7df11fc2p+9'),
+    ('neg_q0', 'pZ1(inf)'): (
+        '0x1.8fc1ecd5fda0cp+0', '0x1.3978e85312f3cp+1', '0x1.11880d6380668p+3',
+        '0x1.3060b27ac3ce4p+4', '0x1.3afcd8d57cfaep+9'),
+    ('neg_q0', 'pZ2(inf)'): (
+        '0x1.8fc1ecd5fda0ap+0', '0x1.3978e85312f3ap+1', '0x1.11880d6380667p+3',
+        '0x1.3060b27ac3ce2p+4', '0x1.3afcd8d57cfacp+9'),
+    ('neg_q0', 'gs_lin'): (
+        '-0x1.999999999999cp-2', '0x1.9521e1a1c07f0p-2', '0x1.774404046c282p+2',
+        '0x1.e82cfc9ac3a9ep+3', '0x1.19800a2feed2bp+9'),
+    ('neg_q0', 'gs_lin_d'): (
+        '0x1.6666666666668p+0', '0x1.190aa29a9e766p+1', '0x1.ea7737379f5b5p+2',
+        '0x1.10e34b1a2ea1cp+4', '0x1.1a66709655390p+9'),
+    ('neg_q0', 'gs_const'): (
+        '0x1.8000000000000p+0', '0x1.8000000000000p+0', '0x1.8000000000000p+0',
+        '0x1.8000000000000p+0', '0x1.8000000000000p+0'),
+    ('neg_q0', 'gs_const_d'): (
+        '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+        '0x0.0p+0', '0x0.0p+0'),
+}
+LAW_PINS = {
+    ('m1', 'two_sided'): (
+        '0x1.05acc2a4db80ap-4', '0x1.e69c2b24c566ap-4',
+        '0x1.ca7999d138a4fp-2', '0x1.0000000000000p+0'),
+    ('m1', 'severity_absorbed'): (
+        '0x1.9ccb60cc9db94p-3', '0x1.c29eef1c2e250p-4',
+        '0x1.223a598b1ec00p-6', '0x0.0p+0'),
+    ('m1', 'severity_reflected'): (
+        '0x1.9efe21d44f724p-3', '0x1.cacbed35bf6a0p-4',
+        '0x1.9d7a03a109500p-6', '0x1.13465f6726000p-6'),
+    ('m1', 'severity_infinite'): (
+        '0x1.9dbcc48676f48p-3', '0x1.c620b588b0550p-4',
+        '0x1.5718395ce1900p-6', '0x1.d84f2b8b55800p-8'),
+    ('m1', 'bailouts_to_level'): (
+        '0x1.47bb884260407p-4', '0x1.05552e7d5a22fp-3',
+        '0x1.cbed26f4b3019p-2', '0x1.0000000000000p+0'),
+    ('m1', 'dividends_penalty'): (
+        '0x1.9e5d8503c2220p-3', '0x1.c87693b672680p-4',
+        '0x1.7a4d069384a00p-6', '0x1.896b9da171800p-7'),
+    ('m1', 'time_in_red'): (
+        '0x1.a54ff53a5f1d5p-1', '0x1.c62ccc49d8566p-1',
+        '0x1.ef6ecfc63cebfp-1', '0x1.f88e4fabfb17ap-1'),
+    ('m1', 'parisian_up_exit'): (
+        '0x1.4ef0cf57824f0p-4', '0x1.074cc6242a19ap-3',
+        '0x1.cc15b1fe3af0ap-2', '0x1.0000000000000p+0'),
+    ('m1', 'parisian_severity'): (
+        '0x1.e6d7569878940p-6', '0x1.09b9f60c4f5c0p-6',
+        '0x1.5649ecd094000p-9', '0x0.0p+0'),
+    ('m1', 'parisian_resolvent_integral'): (
+        '0x1.d5000b0199d60p-1', '0x1.c90e68a6c07c6p-1',
+        '0x1.287493db20050p-1', '0x0.0p+0'),
+    ('m1', 'parisian_dividends_penalty'): (
+        '0x1.e924e95eef840p-6', '0x1.0d6b6e5996640p-6',
+        '0x1.be92441272800p-9', '0x1.d06b5db8bc000p-10'),
+    ('m2', 'two_sided'): (
+        '0x0.0p+0', '0x1.3b099558461d7p-4',
+        '0x1.bfc6439d9bee7p-2', '0x1.0000000000000p+0'),
+    ('m2', 'severity_absorbed'): (
+        '0x1.0000000000000p+0', '0x1.433bae95b40ecp-1',
+        '0x1.2c9fede772a20p-3', '0x0.0p+0'),
+    ('m2', 'severity_reflected'): (
+        '0x1.0000000000000p+0', '0x1.49a7a2a566756p-1',
+        '0x1.bea9b9e0d7b20p-3', '0x1.4df84a4076200p-3'),
+    ('m2', 'severity_infinite'): (
+        '0x1.0000000000000p+0', '0x1.4677327472ea8p-1',
+        '0x1.7622c78a98a20p-3', '0x1.50385c094f400p-4'),
+    ('m2', 'bailouts_to_level'): (
+        '0x1.249f5de7bdbafp-4', '0x1.f3c63b3b02b65p-4',
+        '0x1.ca83502553decp-2', '0x1.0000000000000p+0'),
+    ('m2', 'dividends_penalty'): (
+        '0x1.0000000000000p+0', '0x1.47d671498d0fep-1',
+        '0x1.9556977195880p-3', '0x1.deee76c4fd080p-4'),
+    ('m2', 'time_in_red'): 'DegenerateRoots',
+    ('m2', 'parisian_up_exit'): (
+        '0x1.41b23582ef6d9p-4', '0x1.031080ea9536dp-3',
+        '0x1.cb94721867f0bp-2', '0x1.0000000000000p+0'),
+    ('m2', 'parisian_severity'): (
+        '0x1.34e7f11581be0p-2', '0x1.8608a94cfcc88p-3',
+        '0x1.6ac0c9a5f2300p-5', '0x0.0p+0'),
+    ('m2', 'parisian_resolvent_integral'): (
+        '0x1.ca24692e016f0p-1', '0x1.2600cea1bfc29p+0',
+        '0x1.ed29e1a2cf958p-1', '0x0.0p+0'),
+    ('m2', 'parisian_dividends_penalty'): (
+        '0x1.36e65b2e4dd50p-2', '0x1.8e24ac9d5f5f8p-3',
+        '0x1.ec43978eb3c80p-5', '0x1.22d1dc5352100p-5'),
+    ('m3', 'two_sided'): (
+        '0x1.75dd3c9ebf67ep-57', '0x1.ae4049e3c9677p-2',
+        '0x1.7f826e1138ef2p-1', '0x1.0000000000000p+0'),
+    ('m3', 'severity_absorbed'): (
+        '0x1.0000000000000p+0', '0x1.237031b06ed40p-3',
+        '0x1.742b61c664f80p-6', '0x0.0p+0'),
+    ('m3', 'severity_reflected'): (
+        '0x1.0000000000000p+0', '0x1.598fae058fc00p-3',
+        '0x1.1e03db8099300p-4', '0x1.01a042d1cbaa0p-4'),
+    ('m3', 'severity_infinite'): (
+        '0x1.0000000000000p+0', '0x1.33f3a94865508p-3',
+        '0x1.2fd7518ed6100p-5', '0x1.3a6b2828c0080p-6'),
+    ('m3', 'bailouts_to_level'): (
+        '0x1.667d5dd5f570bp-2', '0x1.e143fda6d3e5ep-2',
+        '0x1.8394c3e9e2ec2p-1', '0x1.0000000000000p+0'),
+    ('m3', 'dividends_penalty'): (
+        '0x1.0000000000000p+0', '0x1.3cc138a5ccf38p-3',
+        '0x1.6e9d385b78680p-5', '0x1.e207096582a00p-6'),
+    ('m3', 'time_in_red'): (
+        '0x1.5e813e299a678p-1', '0x1.a6f7abb5d812fp-1',
+        '0x1.dd3148d1918f9p-1', '0x1.ec16d733f440ap-1'),
+    ('m3', 'parisian_up_exit'): (
+        '0x1.a02c3891fe56ap-2', '0x1.f382d7b770133p-2',
+        '0x1.85634e33310f5p-1', '0x1.0000000000000p+0'),
+    ('m3', 'parisian_severity'): (
+        '0x1.1c8b3fa3927dcp-3', '0x1.68032ae76b840p-5',
+        '0x1.1d35183be3a80p-7', '0x0.0p+0'),
+    ('m3', 'parisian_resolvent_integral'): (
+        '0x1.a52f6b34611bap+0', '0x1.ac2dfc317bef4p+0',
+        '0x1.b558db6fe91d0p-1', '0x0.0p+0'),
+    ('m3', 'parisian_dividends_penalty'): (
+        '0x1.24da76bb65a64p-3', '0x1.94a5895f93400p-5',
+        '0x1.1e65d1b6de640p-6', '0x1.7be97d0516400p-7'),
+    ('neg_q0', 'two_sided'): (
+        '0x1.5e9c2d67c768dp-5', '0x1.768f9e355e130p-4',
+        '0x1.b3faa0465e8f5p-2', '0x1.0000000000000p+0'),
+    ('neg_q0', 'severity_absorbed'): (
+        '0x1.aa29995bc04bcp-2', '0x1.948115c28c084p-2',
+        '0x1.ff52960597860p-3', '0x0.0p+0'),
+    ('neg_q0', 'severity_reflected'): (
+        '0x1.bd37a6f4de9c8p-2', '0x1.bd37a6f4de9b0p-2',
+        '0x1.bd37a6f4de9c0p-2', '0x1.bd37a6f4de9a0p-2'),
+    ('neg_q0', 'severity_infinite'): (
+        '0x1.bd37a6f4de9c8p-2', '0x1.bd37a6f4de9acp-2',
+        '0x1.bd37a6f4de9c0p-2', '0x1.bd37a6f4de9a0p-2'),
+    ('neg_q0', 'bailouts_to_level'): (
+        '0x1.2c44fc7683522p-4', '0x1.ed2cafe2641f9p-4',
+        '0x1.c6b894d661d81p-2', '0x1.0000000000000p+0'),
+    ('neg_q0', 'dividends_penalty'): (
+        '0x1.b7ef4425595dcp-2', '0x1.b1ee1c80441d8p-2',
+        '0x1.88aa423d50940p-2', '0x1.41c92b8c47540p-2'),
+    ('neg_q0', 'time_in_red'): 'NonpositiveDrift',
+    ('neg_q0', 'parisian_up_exit'): (
+        '0x1.366eccc447292p-4', '0x1.f6d245bcc90b4p-4',
+        '0x1.c83ecc56f1609p-2', '0x1.0000000000000p+0'),
+    ('neg_q0', 'parisian_severity'): (
+        '0x1.242aa3ef404d8p-2', '0x1.15517518907d4p-2',
+        '0x1.5e8cdcdf18740p-3', '0x0.0p+0'),
+    ('neg_q0', 'parisian_resolvent_integral'): (
+        '0x1.bd558e574211bp-1', '0x1.01c6d73ee8172p+0',
+        '0x1.d45cb75f00cc0p-1', '0x0.0p+0'),
+    ('neg_q0', 'parisian_dividends_penalty'): (
+        '0x1.303823b896190p-2', '0x1.2c112e65a87fcp-2',
+        '0x1.0f882b51eb300p-2', '0x1.bd094f5ad6f40p-3'),
+}
+
+
+@pytest.mark.parametrize("label", sorted(MODELS))
+def test_mixtures_match_pins(label):
+    ctx, pctx = contexts(label)
+    mixes = mixtures(ctx, pctx)
+    assert sorted(mixes) == sorted(name for lab, name in MIXTURE_PINS if lab == label)
+    for name, mix in mixes.items():
+        got = mix(np.array(X))
+        want = np.array([float.fromhex(h) for h in MIXTURE_PINS[label, name]])
+        if name in EXACT:
+            assert got.tolist() == want.tolist(), name
+        else:
+            bound = [4 * EPS * terms_size(mix, x) for x in X]
+            assert np.all(np.abs(got - want) <= bound), (name, got - want, bound)
+
+
+@pytest.mark.parametrize("label", sorted(MODELS))
+def test_laws_match_pins(label):
+    ctx, pctx = contexts(label)
+    got = law_values(ctx, pctx)
+    assert sorted(got) == sorted(cli._LAWS)
+    for name, value in got.items():
+        want = LAW_PINS[label, name]
+        if isinstance(want, str) or name != "parisian_resolvent_integral":
+            assert value == (want if isinstance(want, str) else list(want)), name
+            continue
+        # Wbar_{q,r} may move by its own bound; W_{q,r} is pure-root and exact
+        w, wbar = pctx.Wqr, pctx.Wbar_qr
+        for x, v, h in zip(X, value, want):
+            ratio = w(x) / w(B)
+            slack = (abs(ratio) * 4 * EPS * terms_size(wbar, B) + 4 * EPS * terms_size(wbar, x)
+                     + 2 * EPS * (abs(ratio * wbar(B)) + abs(wbar(x))))
+            assert abs(float.fromhex(v) - float.fromhex(h)) <= slack, (name, x)

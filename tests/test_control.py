@@ -1,12 +1,16 @@
 """Barrier optimization, efficiency thresholds, and network algebra."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from parisian_scale import Constant, LevyModel, build_parisian, build_scale
+from parisian_scale import Constant, LevyModel, Linear, build_parisian, build_scale
 from parisian_scale import control as ctl
 from parisian_scale.errors import DomainError, NoSolution, RetentionOutOfRange
 from parisian_scale.expmix import ExpMix
@@ -15,6 +19,43 @@ from parisian_scale.scale import eval_W
 
 def make_slg_G(ctx, k):
     return lambda b: ctl.barrier_function("SLG_classic", ctx, b, k=k)
+
+
+def run_child(body):
+    """Run ``body`` in a child process and return its output, so that a call which
+    never returns fails on the timeout instead of stalling the suite."""
+    script = ("from parisian_scale import LevyModel, build_parisian, build_scale, control\n"
+              "from parisian_scale.errors import DomainError\n"
+              "M1 = LevyModel(c=1.0, sigma2=0.0, lam=1.0, phases=((1.0, 2.0),))\n"
+              "try:\n" + "".join(f"    {line}\n" for line in body.splitlines())
+              + "except DomainError:\n    print('refused')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+M3 = LevyModel(c=2.0, sigma2=0.5, lam=1.5, phases=((0.3, 1.0), (0.5, 3.0), (0.2, 7.0)))
+
+# b* and G(b*) (float.hex) of solves on [0, 8] at the default grid and tol, recorded
+# with the refinement that ran until the bracket was narrower than tol
+SOLVES = {
+    ("m1", "SLG_classic", None): ("0x0.0p+0", "-0x1.3333333333333p-2"),
+    ("m1", "SLG_parisian", None): ("0x1.ba855132a9aacp-3", "-0x1.7bce7c0fce2eap+1"),
+    ("m1", "deFinetti_classic", Constant(0.0)): ("0x1.0db3554ed3830p+1", "0x1.d334abc99d9d2p+0"),
+    ("m1", "deFinetti_classic", Linear(0.5, 0.2)): ("0x1.0f7174f2a8792p+1",
+                                                    "0x1.98f97504b3468p+0"),
+    ("m1", "deFinetti_classic", Constant(-2.0)): ("0x1.4668e47429cc5p+1", "0x1.6214c98413151p+1"),
+    ("m3", "SLG_classic", None): ("0x1.23f3608ccf6ccp-2", "-0x1.a931c353a1541p-1"),
+    ("m3", "SLG_parisian", None): ("0x1.846c64f507469p-2", "-0x1.a56c7289dc624p+2"),
+    ("m3", "deFinetti_classic", Constant(0.0)): ("0x1.0bd526eb555cfp+2", "0x1.7aeafe1962864p+3"),
+    ("m3", "deFinetti_classic", Linear(0.5, 0.2)): ("0x1.0de1784e5f302p+2",
+                                                    "0x1.657cb8e41fa88p+3"),
+    ("m3", "deFinetti_classic", Constant(-2.0)): ("0x1.1dd661f826879p+2", "0x1.c700c1885bb50p+3"),
+}
 
 
 class TestOptimizer:
@@ -38,6 +79,34 @@ class TestOptimizer:
     def test_rejects_bad_interval(self):
         with pytest.raises(DomainError):
             ctl.optimize_barrier(lambda b: -b, 0.0)
+
+    @pytest.mark.parametrize("n_grid", [0, -3])
+    def test_rejects_empty_grid(self, n_grid):
+        with pytest.raises(DomainError):
+            ctl.optimize_barrier(lambda b: -b, 1.0, n_grid=n_grid)
+
+    @pytest.mark.parametrize("tol, expected", [
+        ("0.0", "refused"), ("-1.0", "refused"), ("float('nan')", "refused"),
+        ("1e-300", "0x1.0db35")])
+    def test_tolerance_never_hangs(self, tol, expected):
+        """A tol below what the bracket can resolve ends where it stops shrinking."""
+        out = run_child(
+            "ctx = build_scale(M1, 0.1)\n"
+            "G = lambda b: control.barrier_function('deFinetti_classic', ctx, b)\n"
+            f"print(control.optimize_barrier(G, 8.0, tol={tol}).b_star.hex())")
+        assert out.startswith(expected)
+
+    @pytest.mark.parametrize("key", SOLVES, ids=lambda key: "-".join(map(str, key)))
+    def test_default_tol_solves_pinned(self, m1, key):
+        label, kind, penalty = key
+        model = {"m1": m1, "m3": M3}[label]
+        if kind == "SLG_parisian":
+            ctx, k = build_parisian(model, 1.0 / 3.0, 1.0 / 3.0), 5.0
+        else:
+            ctx, k = build_scale(model, 2.0 / 3.0 if kind == "SLG_classic" else 0.1), 1.2
+        sol = ctl.optimize_barrier(
+            lambda b: ctl.barrier_function(kind, ctx, b, k=k, penalty=penalty), 8.0)
+        assert (sol.b_star.hex(), sol.G_at_b_star.hex()) == SOLVES[key]
 
     def test_slg_boundary_threshold_m1(self, m1):
         """For compound Poisson, b* = 0 exactly when k <= 1 + q/lam."""
@@ -88,6 +157,16 @@ class TestMixturesBuiltOnce:
                 b_max, n_grid=n_grid)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("kind, k, penalty", [
+        ("SLG_classic", 1.2, None), ("SLG_parisian", 5.0, None),
+        ("deFinetti_classic", 0.0, Constant(0.0)), ("deFinetti_classic", 0.0, Linear(0.5, 0.2))])
+    def test_one_build_per_context(self, build_calls, kind, k, penalty):
+        """A solve reads every mixture it needs as a row on the basis W was built on."""
+        ctx = build_parisian(M3, 0.5, 2.0) if kind == "SLG_parisian" else build_scale(M3, 0.5)
+        ctl.optimize_barrier(
+            lambda b: ctl.barrier_function(kind, ctx, b, k=k, penalty=penalty), 8.0, n_grid=200)
+        assert len(build_calls) == 1
 
 
 class TestValues:
@@ -172,6 +251,10 @@ class TestEfficiency:
     def test_threshold_limit_is_one(self, m1):
         k = ctl.efficiency_index(build_parisian(m1, 1e-9, 1.0 / 3.0))
         assert k == pytest.approx(1.0, abs=1e-6)
+
+    def test_patience_needs_positive_q(self):
+        body = "print(control.solve_patience(build_parisian(M1, 0.0, 1.0), 50.0))"
+        assert run_child(body) == "refused"
 
     def test_patience_zero_when_already_efficient(self, m1_par_sym):
         assert ctl.solve_patience(m1_par_sym, 3.0) == 0.0

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from parisian_scale import (
@@ -114,6 +115,27 @@ class TestRootSet:
         for q in (0.2, 1.0):
             for rho in root_set(two_phase, q):
                 assert abs(laplace_exponent(two_phase, rho) - q) < 1e-9
+
+    def test_roots_are_real(self):
+        """The roots interlace with the poles -mu_i, so none is complex."""
+        rng = np.random.default_rng(11)
+        solved = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            sigma2 = float(rng.uniform(0.05, 2.0)) if rng.random() < 0.5 else 0.0
+            model = LevyModel(c=float(rng.uniform(0.1, 3.0)), sigma2=sigma2,
+                              lam=float(rng.uniform(0.1, 3.0)),
+                              phases=tuple(zip(rng.dirichlet(np.ones(n)).tolist(),
+                                               rng.uniform(0.1, 10.0, n).tolist())))
+            q = float(rng.uniform(0.0, 5.0)) if rng.random() < 0.7 else 0.0
+            try:
+                roots = root_set(model, q)
+            except DegenerateRoots:
+                continue
+            solved += 1
+            assert all(r.imag == 0.0 for r in roots)
+            assert len(roots) == n + 1 + (model.sigma2 > 0)
+        assert solved > 280
 
     def test_count_matches_degree(self, m2):
         assert len(root_set(m2, 1.0)) == 2

@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from test_closed_form_golden import MODELS, mixtures
 
 from parisian_scale import (
     Constant,
     Exponential,
+    LevyModel,
     Linear,
     build_gerber_shiu,
     build_parisian,
@@ -211,3 +214,26 @@ class TestGerberShiu:
     def test_unknown_penalty_rejected(self, m1_q23):
         with pytest.raises(UnsupportedPenalty):
             build_gerber_shiu(m1_q23, "not a penalty")
+
+
+class TestOneBasis:
+    """Every mixture of a context is a row on the basis its W was built on."""
+
+    @pytest.mark.parametrize("label", ["m1_q0", *sorted(MODELS)])
+    def test_mixtures_share_the_basis(self, label):
+        model, q, r = MODELS["m1"][0], 0.0, 1.0 / 3.0
+        if label in MODELS:
+            model, q, r = MODELS[label]
+        pctx = build_parisian(model, q, r)
+        basis = pctx.base.W
+        assert basis.rho.size <= len(pctx.base.roots) + 3
+        for name, mix in mixtures(pctx.base, pctx).items():
+            assert mix.rho is basis.rho and mix.k is basis.k, name
+
+    def test_zero_weight_skips_an_overflowing_term(self):
+        # q = 0 with negative drift: Phi_0 = 1, and Z = 1, Zbar = x hold no e^{x} weight
+        ctx = build_scale(LevyModel(c=0.5, lam=1.0, phases=((1.0, 1.0),)), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eval_Z0_family(ctx, 800.0, "Z") == 1.0
+            assert eval_Z0_family(ctx, 800.0, "Zbar") == 800.0
