@@ -149,8 +149,13 @@ def optimize_barrier(G, b_max: float, n_grid: int = 1000, tol: float = 1e-8) -> 
     g0 = vals[0]
     if g0 >= g_star and best == 0:
         b_star, g_star = 0.0, g0
-    return BarrierSolution(b_star=b_star, G_at_b_star=g_star, is_boundary=(b_star == 0.0),
-                           grid=tuple(zip(bs, vals)), refinement_tol=tol)
+    return BarrierSolution(
+        b_star=b_star,
+        G_at_b_star=g_star,
+        is_boundary=(b_star == 0.0),
+        grid=tuple(zip(bs, vals)),
+        refinement_tol=tol,
+    )
 
 
 def value_slg_classic(ctx: ScaleContext, x, b: float, k: float):

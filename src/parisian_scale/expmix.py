@@ -53,12 +53,6 @@ class ExpMix:
         keep = f.w != 0
         return cls(f.w[keep], f.rho[keep], f.k[keep])
 
-    def with_powers(self) -> "ExpMix":
-        """This mixture on its basis plus 1 and x, and x^2 after a zero rate (the 1 in place):
-        the basis that holds the rows, derivatives and antiderivatives a scale context takes."""
-        powers = 3 if np.any(np.abs(self.rho) <= _MERGE_TOL) else 2
-        return self.row(self._terms() + [(0.0, 0.0, j) for j in range(powers)])
-
     def row(self, terms) -> "ExpMix":
         """The sum of ``(w, rho, k)`` terms, in input order, as a row on this basis: a term
         joins the first of its power with a rate within the tolerance, or is appended."""
@@ -74,7 +68,8 @@ class ExpMix:
             return ExpMix(np.array(w, dtype=complex), self.rho, self.k)
         return ExpMix(np.array(w, dtype=complex), np.array(rho, dtype=complex), np.array(k))
 
-    def _terms(self):
+    def terms(self):
+        """The (w, rho, k) terms with a nonzero weight, in basis order."""
         return [t for t in zip(self.w.tolist(), self.rho.tolist(), self.k.tolist()) if t[0]]
 
     @cached_property
@@ -101,15 +96,15 @@ class ExpMix:
 
     def derivative(self) -> "ExpMix":
         """d/dx, exact: w x^k e^{rho x} -> w rho x^k e^{rho x} + w k x^{k-1} e^{rho x}."""
-        out = [(w * rho, rho, k) for w, rho, k in self._terms()]
-        out += [(w * k, rho, k - 1) for w, rho, k in self._terms() if k]
+        out = [(w * rho, rho, k) for w, rho, k in self.terms()]
+        out += [(w * k, rho, k - 1) for w, rho, k in self.terms() if k]
         return self.row(out)
 
     def antiderivative(self) -> "ExpMix":
         """F with F' = self and F(0) = 0, exact: x^k integrates to x^{k+1}/(k+1), and
         x^k e^{rho x} by parts, to x^k e^{rho x}/rho - (k/rho) int x^{k-1} e^{rho x}."""
         out = []
-        for w, rho, k in self._terms():
+        for w, rho, k in self.terms():
             if abs(rho) <= _MERGE_TOL:
                 out.append((w / (k + 1), 0.0, k + 1))
                 continue
@@ -127,21 +122,19 @@ class ExpMix:
 
     def shift_rate(self, a: complex) -> "ExpMix":
         """Multiply by e^{a x}."""
-        return ExpMix.build([(w, rho + a, k) for w, rho, k in self._terms()])
+        return ExpMix.build([(w, rho + a, k) for w, rho, k in self.terms()])
 
     def mul_x(self) -> "ExpMix":
         """Multiply by x."""
-        return ExpMix.build([(w, rho, k + 1) for w, rho, k in self._terms()])
+        return ExpMix.build([(w, rho, k + 1) for w, rho, k in self.terms()])
 
     def scaled(self, factor: complex) -> "ExpMix":
         return ExpMix(self.w * factor, self.rho, self.k)
 
     def __add__(self, other) -> "ExpMix":
-        """Pointwise sum; a number adds a constant.  Rows on one basis add elementwise."""
-        if isinstance(other, ExpMix) and other.rho is self.rho and other.k is self.k:
-            return ExpMix(self.w + other.w, self.rho, self.k)
-        more = other._terms() if isinstance(other, ExpMix) else [(other, 0.0, 0)]
-        return self.row(self._terms() + more)
+        """Pointwise sum, as a row on this basis; a number adds a constant."""
+        more = other.terms() if isinstance(other, ExpMix) else [(other, 0.0, 0)]
+        return self.row(self.terms() + more)
 
     def __sub__(self, other: "ExpMix") -> "ExpMix":
         return self + other.scaled(-1.0)

@@ -10,10 +10,10 @@ and its relatives are exact Dickson-Hipp transforms of W_q; the Parisian pair
 blends two second-scale evaluations at Phi_{q+r}.
 
 For a rational kappa all of them are mixtures over the roots of kappa = q
-and the powers 1 and x (x^2 too when a root is 0).  ``build_scale`` lays out
-that basis once, with W_q; every other mixture of a context is a row on it,
-computed when first read and kept (per theta or penalty in the context's
-memo).  Only this module makes mixtures; the laws and the control layer
+and the powers 1, x and x^2 (x^2 carries weight only when a root is 0, which
+then serves as the 1).  ``build_scale`` lays out that basis once, with W_q;
+every other mixture of a context is a row on it, computed when first read
+and kept (per theta or penalty in the context's memo).  Only this module makes mixtures; the laws and the control layer
 only evaluate, and every ``eval_*`` function takes an array of x.
 """
 
@@ -115,8 +115,10 @@ class ParisianContext:
 def build_scale(model: LevyModel, q: float) -> ScaleContext:
     """Assemble the partial-fraction form of W_q on the context's basis."""
     roots = tuple(root_set(model, q))
-    terms = [(1.0 / laplace_exponent_deriv(model, rho), rho, 0) for rho in roots]
-    W = ExpMix.build(terms).with_powers()
+    W = ExpMix.build([(1.0 / laplace_exponent_deriv(model, rho), rho, 0) for rho in roots])
+    # the basis: the roots, then 1, x and x^2 (a zero root is the 1 in place, and x^2
+    # holds Zbar then), closed under the derivatives and antiderivatives taken here
+    W = W.row(W.terms() + [(0.0, 0.0, j) for j in range(3)])
     return ScaleContext(model=model, q=float(q), roots=roots, phi_q=float(roots[0].real), W=W)
 
 
@@ -142,7 +144,7 @@ def z_mix(ctx: ScaleContext, theta: float) -> ExpMix:
     def make():
         kq = laplace_exponent(ctx.model, theta).real - ctx.q
         terms = []
-        for w, rho in zip(ctx.W.w.tolist(), ctx.roots):
+        for w, rho, _ in ctx.W.terms():
             d = complex(theta) - rho
             if abs(d) <= _NEAR_ROOT_RTOL * (1.0 + abs(theta) + abs(rho)):
                 kp = laplace_exponent_deriv(ctx.model, rho)
@@ -165,7 +167,7 @@ def dz_dtheta_mix(ctx: ScaleContext, theta: float) -> ExpMix:
         kq = laplace_exponent(ctx.model, theta).real - ctx.q
         kp_t = laplace_exponent_deriv(ctx.model, theta).real
         terms = []
-        for w, rho in zip(ctx.W.w.tolist(), ctx.roots):
+        for w, rho, _ in ctx.W.terms():
             d = complex(theta) - rho
             if abs(d) <= _NEAR_ROOT_RTOL * (1.0 + abs(theta) + abs(rho)):
                 kpp = laplace_exponent_deriv(ctx.model, rho, order=2)
