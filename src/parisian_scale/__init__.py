@@ -35,12 +35,6 @@ from .scale import (
     build_gerber_shiu,
     build_parisian,
     build_scale,
-    eval_parisian_Z,
-    eval_scriptS,
-    eval_W,
-    eval_Wbar,
-    eval_Z,
-    eval_Z0_family,
 )
 from .laws import (
     bailouts_to_level,

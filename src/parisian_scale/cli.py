@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ParisianScaleError
+from .errors import DomainError, ParisianScaleError
 from .model import LevyModel, load_json, read_field
 from . import control, laws, mc, scale
 
@@ -165,15 +165,15 @@ def cmd_scale(args) -> int:
     if pctx is not None:
         header += ["W_qr", "Z_qr", "scriptS"]
     x = _parse_grid(args.x_grid)
-    cols = [x, scale.eval_W(ctx, x), scale.eval_W(ctx, x, deriv_order=1),
-            scale.eval_Wbar(ctx, x), scale.eval_Z0_family(ctx, x, "Z"),
-            scale.eval_Z0_family(ctx, x, "Zbar")]
+    if not np.all(x >= 0):
+        raise DomainError("the scale functions are tabulated on x >= 0")
+    # W-bar vanishes on x <= 0, and Z_theta is e^{theta x} there
+    cols = [x, ctx.W(x), ctx.dW(x), scale.piecewise(x, x > 0, ctx.Wbar, np.zeros_like),
+            ctx.Z0(x), ctx.Zbar(x)]
     if args.theta is not None:
-        cols.append(scale.eval_Z(ctx, x, args.theta))
+        cols.append(scale.build_gerber_shiu(ctx, scale.Exponential(args.theta))(x))
     if pctx is not None:
-        cols += [scale.eval_parisian_Z(pctx, x, math.inf),
-                 scale.eval_parisian_Z(pctx, x, 0.0),
-                 scale.eval_scriptS(pctx, x)]
+        cols += [pctx.Wqr(x), scale.parisian_Z_mix(pctx, 0.0)(x), pctx.S(x)]
     _write_columns(header, cols, args.out)
     return 0
 

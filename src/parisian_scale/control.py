@@ -26,10 +26,7 @@ from .scale import (
     PenaltySpec,
     ScaleContext,
     build_gerber_shiu,
-    eval_parisian_Z,
-    eval_scriptS,
-    eval_W,
-    eval_Z0_family,
+    parisian_Z_mix,
     piecewise,
 )
 
@@ -44,7 +41,7 @@ def _check_barrier_interval(x, b: float):
 def vf_dividends_classic(ctx: ScaleContext, x, b: float):
     """Expected discounted dividends at barrier b until ruin: W_q(x)/W_q'(b)."""
     _check_barrier_interval(x, b)
-    return eval_W(ctx, x) / eval_W(ctx, b, deriv_order=1)
+    return ctx.W(x) / ctx.dW(b)
 
 
 def value_definetti(ctx: ScaleContext, x, b: float, penalty: PenaltySpec):
@@ -57,10 +54,10 @@ def value_definetti(ctx: ScaleContext, x, b: float, penalty: PenaltySpec):
     if not (np.all(np.asarray(x) >= 0) and b >= 0):
         raise DomainError(f"need x >= 0 and b >= 0, got x={x}, b={b}")
     gs = build_gerber_shiu(ctx, penalty)
-    slope_num, slope_den = 1.0 - gs.deriv(b), eval_W(ctx, b, deriv_order=1)
+    slope_num, slope_den = 1.0 - gs.dmix(b), ctx.dW(b)
 
     def inside(y):
-        return gs(y) + eval_W(ctx, y) * slope_num / slope_den
+        return gs(y) + ctx.W(y) * slope_num / slope_den
     return piecewise(x, np.asarray(x) <= b, inside, lambda y: y - b + inside(b))
 
 
@@ -77,16 +74,16 @@ def barrier_function(
     pass `penalty`), "SLG_classic" (reduced form G~, pass cost `k`), or
     "SLG_parisian" (pass cost `k`, ctx must be a ParisianContext).
     """
-    if b < 0:
+    if not b >= 0:
         raise DomainError(f"need b >= 0, got b={b}")
     if kind == "deFinetti_classic":
         gs = build_gerber_shiu(ctx, penalty if penalty is not None else Constant(0.0))
-        return (1.0 - gs.deriv(b)) / eval_W(ctx, b, deriv_order=1)
+        return (1.0 - gs.dmix(b)) / ctx.dW(b)
     if kind == "SLG_classic":
         if ctx.q <= 0:
             raise QZero("SLG barrier function needs q > 0")
-        num = 1.0 - k * eval_Z0_family(ctx, b, "Z")
-        den = ctx.q * eval_W(ctx, b)
+        num = 1.0 - k * ctx.Z0(b)
+        den = ctx.q * ctx.W(b)
         if den == 0.0:
             # only possible at b=0 with sigma > 0; take the W'(0+) limit
             if abs(num) < 1e-14:
@@ -94,7 +91,7 @@ def barrier_function(
             return math.copysign(math.inf, num)
         return num / den
     if kind == "SLG_parisian":
-        return (1.0 - k * eval_scriptS(ctx, b, 1)) / eval_parisian_Z(ctx, b, 0.0, deriv_x=1)
+        return (1.0 - k * ctx.dS(b)) / parisian_Z_mix(ctx, 0.0, 1)(b)
     raise DomainError(f"unknown barrier function kind {kind!r}")
 
 
@@ -164,10 +161,8 @@ def value_slg_classic(ctx: ScaleContext, x, b: float, k: float):
     if ctx.q <= 0:
         raise QZero("SLG value needs q > 0")
     q = ctx.q
-    Zx = eval_Z0_family(ctx, x, "Z")
-    Zb = eval_Z0_family(ctx, b, "Z")
-    lx = eval_Z0_family(ctx, x, "Zbar") + ctx.model.drift / q
-    return k * lx + Zx * (1.0 - k * Zb) / (q * eval_W(ctx, b))
+    lx = ctx.Zbar(x) + ctx.model.drift / q
+    return k * lx + ctx.Z0(x) * (1.0 - k * ctx.Z0(b)) / (q * ctx.W(b))
 
 
 def value_parisian(pctx: ParisianContext, x, b: float, part: str, theta: float = 0.0):
@@ -180,19 +175,16 @@ def value_parisian(pctx: ParisianContext, x, b: float, part: str, theta: float =
     if pctx.q <= 0:
         raise QZero("Parisian barrier values need q > 0")
     if part == "VF_div":
-        return eval_parisian_Z(pctx, x, math.inf) / eval_parisian_Z(pctx, b, math.inf, deriv_x=1)
-    if part == "VF_bail":
-        Zx = eval_parisian_Z(pctx, x, 0.0)
-        Zb = eval_parisian_Z(pctx, b, 0.0)
-        return Zx * eval_scriptS(pctx, b) / Zb - eval_scriptS(pctx, x)
-    if part == "VS_div":
-        return eval_parisian_Z(pctx, x, 0.0) / eval_parisian_Z(pctx, b, 0.0, deriv_x=1)
+        return pctx.Wqr(x) / pctx.dWqr(b)
     if part == "VS_div_theta":
-        return eval_parisian_Z(pctx, x, theta) / eval_parisian_Z(pctx, b, theta, deriv_x=1)
+        return parisian_Z_mix(pctx, theta)(x) / parisian_Z_mix(pctx, theta, 1)(b)
+    z = parisian_Z_mix(pctx, 0.0)
+    if part == "VF_bail":
+        return z(x) * pctx.S(b) / z(b) - pctx.S(x)
+    if part == "VS_div":
+        return z(x) / parisian_Z_mix(pctx, 0.0, 1)(b)
     if part == "VS_bail":
-        Zx = eval_parisian_Z(pctx, x, 0.0)
-        dZb = eval_parisian_Z(pctx, b, 0.0, deriv_x=1)
-        return Zx * eval_scriptS(pctx, b, 1) / dZb - eval_scriptS(pctx, x)
+        return z(x) * pctx.dS(b) / parisian_Z_mix(pctx, 0.0, 1)(b) - pctx.S(x)
     raise DomainError(f"unknown Parisian value part {part!r}")
 
 
@@ -201,9 +193,8 @@ def slg_parisian_value(pctx: ParisianContext, x, b: float, k: float):
     _check_barrier_interval(x, b)
     if pctx.q <= 0:
         raise QZero("SLG value needs q > 0")
-    Zx = eval_parisian_Z(pctx, x, 0.0)
-    dZb = eval_parisian_Z(pctx, b, 0.0, deriv_x=1)
-    return k * eval_scriptS(pctx, x) + Zx * (1.0 - k * eval_scriptS(pctx, b, 1)) / dZb
+    dZb = parisian_Z_mix(pctx, 0.0, 1)(b)
+    return k * pctx.S(x) + parisian_Z_mix(pctx, 0.0)(x) * (1.0 - k * pctx.dS(b)) / dZb
 
 
 def _threshold(model: LevyModel, q: float, r: float) -> float:

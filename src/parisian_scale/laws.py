@@ -16,13 +16,11 @@ from .errors import DomainError, NonpositiveDrift, QZero
 from .model import laplace_exponent, laplace_exponent_deriv, phi as _phi
 from .scale import (
     INF,
-    GerberShiu,
+    Exponential,
     ParisianContext,
     PenaltySpec,
     ScaleContext,
     build_gerber_shiu,
-    eval_parisian_Z,
-    eval_Z,
     parisian_Z_mix,
     piecewise,
     z_mix,  # noqa: F401  re-exported; perfbench/test_perfbench.py checks laws.z_mix
@@ -37,8 +35,9 @@ def _check_interval(x, a: float, b: float):
 
 def z_deriv(ctx: ScaleContext, x, theta: float):
     """Z'_q(x, theta) = theta Z_q(x, theta) + (q - kappa(theta)) W_q(x)."""
+    z = build_gerber_shiu(ctx, Exponential(theta))
     k = laplace_exponent(ctx.model, theta).real
-    return theta * eval_Z(ctx, x, theta) + (ctx.q - k) * ctx.W(x)
+    return theta * z(x) + (ctx.q - k) * ctx.W(x)
 
 
 def two_sided_exit(ctx: ScaleContext, x, a: float, b: float):
@@ -49,14 +48,14 @@ def two_sided_exit(ctx: ScaleContext, x, a: float, b: float):
 
 def severity_absorbed(ctx: ScaleContext, x, b: float, theta: float):
     """Joint transform of ruin time and undershoot, absorbed at b."""
-    _check_interval(x, 0.0, b)
-    return eval_Z(ctx, x, theta) - ctx.W(x) / ctx.W(b) * eval_Z(ctx, b, theta)
+    return gs_exit(ctx, x, b, Exponential(theta))
 
 
 def severity_reflected(ctx: ScaleContext, x, b: float, theta: float):
     """Joint transform of ruin time and undershoot, with dividends at b."""
     _check_interval(x, 0.0, b)
-    return eval_Z(ctx, x, theta) - ctx.W(x) * z_deriv(ctx, b, theta) / ctx.dW(b)
+    z = build_gerber_shiu(ctx, Exponential(theta))
+    return z(x) - ctx.W(x) * z_deriv(ctx, b, theta) / ctx.dW(b)
 
 
 def severity_infinite(ctx: ScaleContext, x, theta: float, mode: str = "ruin"):
@@ -65,7 +64,8 @@ def severity_infinite(ctx: ScaleContext, x, theta: float, mode: str = "ruin"):
     if ctx.q <= 0 and ctx.phi_q <= 0:
         raise QZero("the q -> 0 limit is not provided")
     if mode == "recovery":
-        return eval_Z(ctx, x, ctx.phi_q) - ctx.q * ctx.W(x) / ctx.phi_q
+        z = build_gerber_shiu(ctx, Exponential(ctx.phi_q))
+        return z(x) - ctx.q * ctx.W(x) / ctx.phi_q
     if mode != "ruin":
         raise ValueError(f"unknown mode {mode!r}")
     k = laplace_exponent(ctx.model, theta).real
@@ -73,7 +73,7 @@ def severity_infinite(ctx: ScaleContext, x, theta: float, mode: str = "ruin"):
         slope = laplace_exponent_deriv(ctx.model, ctx.phi_q).real
     else:
         slope = (k - ctx.q) / (theta - ctx.phi_q)
-    return eval_Z(ctx, x, theta) - ctx.W(x) * slope
+    return build_gerber_shiu(ctx, Exponential(theta))(x) - ctx.W(x) * slope
 
 
 def bailouts_to_level(ctx: ScaleContext, x, b: float, theta: float):
@@ -81,7 +81,8 @@ def bailouts_to_level(ctx: ScaleContext, x, b: float, theta: float):
     _check_interval(x, 0.0, b)
     if theta == INF:
         return ctx.W(x) / ctx.W(b)
-    return eval_Z(ctx, x, theta) / eval_Z(ctx, b, theta)
+    z = build_gerber_shiu(ctx, Exponential(theta))
+    return z(x) / z(b)
 
 
 def dividends_penalty_classic(
@@ -89,27 +90,28 @@ def dividends_penalty_classic(
 ):
     """Joint dividends-and-severity transform for the process reflected at b."""
     _check_interval(x, 0.0, b)
-    if vartheta < 0:
+    if not vartheta >= 0:
         raise DomainError("vartheta must be nonnegative")
-    num = z_deriv(ctx, b, theta) + vartheta * eval_Z(ctx, b, theta)
+    z = build_gerber_shiu(ctx, Exponential(theta))
+    num = z_deriv(ctx, b, theta) + vartheta * z(b)
     den = ctx.dW(b) + vartheta * ctx.W(b)
-    return eval_Z(ctx, x, theta) - ctx.W(x) * num / den
+    return z(x) - ctx.W(x) * num / den
 
 
 def gs_exit(
     ctx: ScaleContext,
     x,
     b: float,
-    penalty: PenaltySpec | GerberShiu,
+    penalty: PenaltySpec,
     boundary: str = "absorbed",
 ):
     """Penalty-at-ruin transform with absorption or reflection at b."""
     _check_interval(x, 0.0, b)
-    gs = penalty if isinstance(penalty, GerberShiu) else build_gerber_shiu(ctx, penalty)
+    gs = build_gerber_shiu(ctx, penalty)
     if boundary == "absorbed":
-        return gs(x) - ctx.W(x) * gs(b) / ctx.W(b)
+        return gs(x) - ctx.W(x) / ctx.W(b) * gs(b)
     if boundary == "reflected":
-        return gs(x) - ctx.W(x) * gs.deriv(b) / ctx.dW(b)
+        return gs(x) - ctx.W(x) * gs.dmix(b) / ctx.dW(b)
     raise ValueError(f"unknown boundary {boundary!r}")
 
 
@@ -124,7 +126,7 @@ def time_in_red(ctx_q0: ScaleContext, x, r: float):
     if p <= 0:
         raise NonpositiveDrift("requires strictly positive drift")
     phi_r = _phi(ctx_q0.model, r)
-    return p * phi_r / r * eval_Z(ctx_q0, x, phi_r)
+    return p * phi_r / r * build_gerber_shiu(ctx_q0, Exponential(phi_r))(x)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +145,8 @@ def parisian_up_exit(pctx: ParisianContext, x, b: float, theta: float):
 def parisian_severity(pctx: ParisianContext, x, b: float, theta: float):
     """Severity of Parisian ruin with absorption at b."""
     _check_interval(x, 0.0, b)
-    w = pctx.Wqr
-    return eval_parisian_Z(pctx, x, theta) - w(x) / w(b) * eval_parisian_Z(pctx, b, theta)
+    z, w = parisian_Z_mix(pctx, theta), pctx.Wqr
+    return z(x) - w(x) / w(b) * z(b)
 
 
 def parisian_resolvent(pctx: ParisianContext, x, a: float, b: float, y: float):
@@ -180,7 +182,7 @@ def parisian_dividends_penalty(
 ):
     """Dividends-penalty law under Parisian ruin, reflected at b."""
     _check_interval(x, 0.0, b)
-    if vartheta < 0:
+    if not vartheta >= 0:
         raise DomainError("vartheta must be nonnegative")
     zm = parisian_Z_mix(pctx, theta)
     wm = pctx.Wqr
@@ -198,15 +200,17 @@ def parisian_dividends_penalty_factorized(
     q, r = pctx.q, pctx.r
     k = laplace_exponent(pctx.model, theta).real
     om = omega(pctx, b)
-    inner = eval_Z(pctx.base, b, theta) - z_deriv(pctx.base, b, theta) / om
+    z = build_gerber_shiu(pctx.base, Exponential(theta))
+    inner = z(b) - z_deriv(pctx.base, b, theta) / om
     return om / (om + vartheta) * inner * r / (r + q - k)
 
 
 def fundamental_identity_residual(ctx: ScaleContext, x, b: float, theta: float):
     """Residual of Z(x)/Z(b) - W(x)/W(b) - S(x,b)/Z(b); zero by the exit-law algebra."""
-    zb = eval_Z(ctx, b, theta)
+    z = build_gerber_shiu(ctx, Exponential(theta))
+    zb = z(b)
     return (
-        eval_Z(ctx, x, theta) / zb
+        z(x) / zb
         - ctx.W(x) / ctx.W(b)
         - severity_absorbed(ctx, x, b, theta) / zb
     )

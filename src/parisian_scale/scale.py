@@ -13,8 +13,11 @@ For a rational kappa all of them are mixtures over the roots of kappa = q
 and the powers 1, x and x^2 (x^2 carries weight only when a root is 0, which
 then serves as the 1).  ``build_scale`` lays out that basis once, with W_q;
 every other mixture of a context is a row on it, computed when first read
-and kept (per theta or penalty in the context's memo).  Only this module makes mixtures; the laws and the control layer
-only evaluate, and every ``eval_*`` function takes an array of x.
+and kept (per theta or penalty in the context's memo).  Only this module
+makes mixtures; the laws and the control layer read them from the context
+(``ctx.W``, ``pctx.dS``, ``z_mix``, ``parisian_Z_mix``) and call them on a
+float or an array of x >= 0.  Z_q(., theta) together with its exterior value
+e^{theta x} on x <= 0 is the Gerber-Shiu function of ``Exponential(theta)``.
 """
 
 from __future__ import annotations
@@ -59,9 +62,9 @@ def piecewise(x, inside, f, g):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_nonnegative(x, what="x"):
-    if np.any(~(np.asarray(x) >= 0)):
-        raise DomainError(f"{what} must be nonnegative")
+def _check_theta(theta):
+    if not theta >= 0:
+        raise DomainError("theta must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ class ParisianContext:
 
     W_{q,r} = Z_q(., Phi_{q+r}) (Wqr), W'_{q,r} (dWqr), Wbar_{q,r} (Wbar_qr)
     and the bailout ingredient S(x) = r/(q+r) (Zbar_q(x) + kappa'(0+)/q)
-    with S' and S'' (S, dS, ddS) are computed on first use and kept.
+    with S' and S'' (S, dS, ddS; q > 0 only) are computed on first use and kept.
     """
 
     model: LevyModel
@@ -106,10 +109,20 @@ class ParisianContext:
     Wqr = cached_property(lambda self: z_mix(self.base, self.phi_qr))
     dWqr = cached_property(lambda self: self.Wqr.derivative())
     Wbar_qr = cached_property(lambda self: self.Wqr.antiderivative())
-    S = cached_property(lambda self: (self.base.Zbar + self.model.drift / self.q)
-                        .scaled(self.r / (self.q + self.r)))
-    dS = cached_property(lambda self: self.base.Z0.scaled(self.r / (self.q + self.r)))
-    ddS = cached_property(lambda self: self.base.W.scaled(self.r / (self.q + self.r) * self.q))
+
+    def _bailout_share(self):
+        """r/(q+r), the factor of S, which divides by q: q <= 0 raises QZero."""
+        if self.q <= 0:
+            raise QZero("the bailout ingredient S requires q > 0")
+        return self.r / (self.q + self.r)
+
+    @cached_property
+    def S(self):
+        share = self._bailout_share()
+        return (self.base.Zbar + self.model.drift / self.q).scaled(share)
+
+    dS = cached_property(lambda self: self.base.Z0.scaled(self._bailout_share()))
+    ddS = cached_property(lambda self: self.base.W.scaled(self._bailout_share() * self.q))
 
 
 def build_scale(model: LevyModel, q: float) -> ScaleContext:
@@ -141,6 +154,8 @@ def z_mix(ctx: ScaleContext, theta: float) -> ExpMix:
     (there kappa - q vanishes too); near a root it is replaced by its
     Taylor limit w_j (kappa'(rho_j) + d kappa''(rho_j) / 2).
     """
+    _check_theta(theta)
+
     def make():
         kq = laplace_exponent(ctx.model, theta).real - ctx.q
         terms = []
@@ -163,6 +178,8 @@ def dz_dtheta_mix(ctx: ScaleContext, theta: float) -> ExpMix:
     fixed, so no x e^{theta x} term ever arises.  Near theta = rho_j
     the coefficient derivative tends to w_j kappa''(rho_j) / 2.
     """
+    _check_theta(theta)
+
     def make():
         kq = laplace_exponent(ctx.model, theta).real - ctx.q
         kp_t = laplace_exponent_deriv(ctx.model, theta).real
@@ -179,34 +196,9 @@ def dz_dtheta_mix(ctx: ScaleContext, theta: float) -> ExpMix:
     return _memo(ctx, ("dZ", theta), make)
 
 
-def eval_W(ctx: ScaleContext, x, deriv_order: int = 0):
-    """W_q^{(k)}(x) for x >= 0, k in {0, 1, 2}; right limits at 0."""
-    _check_nonnegative(x, "eval_W's x (W vanishes on the negative axis)")
-    return getattr(ctx, ("W", "dW", "ddW")[deriv_order])(x)
-
-
-def eval_Wbar(ctx: ScaleContext, x):
-    return piecewise(x, np.asarray(x) > 0, ctx.Wbar, np.zeros_like)
-
-
-def eval_Z(ctx: ScaleContext, x, theta: float, dtheta: int = 0):
-    """Second scale function Z_q(x, theta); exterior value e^{theta x} for x <= 0."""
-    if not theta >= 0:
-        raise DomainError("theta must be nonnegative")
-    mix = dz_dtheta_mix(ctx, theta) if dtheta == 1 else z_mix(ctx, theta)
-    return piecewise(x, np.asarray(x) > 0, mix, lambda y: y**dtheta * np.exp(theta * y))
-
-
-def eval_Z0_family(ctx: ScaleContext, x, kind: str):
-    """Z_q(x), Zbar_q(x) or Z_{1,q}(x) for x >= 0."""
-    _check_nonnegative(x)
-    if kind not in ("Z", "Zbar", "Z1"):
-        raise ValueError(f"unknown kind {kind!r}")
-    return getattr(ctx, "Z0" if kind == "Z" else kind)(x)
-
-
 def parisian_Z_mix(pctx: ParisianContext, theta: float, deriv_x: int = 0) -> ExpMix:
     """Z_{q,r}(., theta) or its x-derivatives as a mixture; theta = INF gives W_{q,r}."""
+    _check_theta(theta)
     if theta == INF and deriv_x < 2:
         return getattr(pctx, ("Wqr", "dWqr")[deriv_x])
     if deriv_x:
@@ -222,23 +214,6 @@ def parisian_Z_mix(pctx: ParisianContext, theta: float, deriv_x: int = 0) -> Exp
             return pctx.Wqr - dz_dtheta_mix(pctx.base, pctx.phi_qr).scaled(r / kp_star)
         return z_mix(pctx.base, theta).scaled(r / denom) + pctx.Wqr.scaled((q - k) / denom)
     return _memo(pctx, (theta, 0), make)
-
-
-def eval_parisian_Z(pctx: ParisianContext, x, theta: float, deriv_x: int = 0):
-    """Z_{q,r}(x, theta) and its x-derivatives; theta = INF evaluates W_{q,r}."""
-    if not theta >= 0:
-        raise DomainError("theta must be nonnegative")
-    _check_nonnegative(x)
-    return parisian_Z_mix(pctx, theta, deriv_x)(x)
-
-
-def eval_scriptS(pctx: ParisianContext, x, deriv_x: int = 0):
-    """Expected-bailout ingredient S(x) = r/(q+r) * (Zbar_q(x) + kappa'(0+)/q), or S', S''."""
-    if pctx.q <= 0:
-        raise QZero("the bailout ingredient S requires q > 0")
-    if deriv_x not in (0, 1, 2):
-        raise ValueError("deriv_x must be 0, 1 or 2")
-    return getattr(pctx, ("S", "dS", "ddS")[deriv_x])(x)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +248,8 @@ PenaltySpec = Exponential | Linear | Constant
 class GerberShiu:
     """Smooth harmonic function fitting an exterior penalty w.
 
-    Evaluates the closed-form mixture on x >= 0 and the penalty itself on
-    x < 0; ``deriv`` gives the exact x-derivative of the interior part.
+    Evaluates the closed-form mixture on x > 0 and the penalty itself on
+    x <= 0; ``dmix`` is the exact x-derivative of the interior part.
     """
 
     ctx: ScaleContext
@@ -284,10 +259,7 @@ class GerberShiu:
     dmix = cached_property(lambda self: self.mix.derivative())
 
     def __call__(self, x):
-        return piecewise(x, np.asarray(x) >= 0, self.mix, self.penalty_value)
-
-    def deriv(self, x):
-        return self.dmix(x)
+        return piecewise(x, np.asarray(x) > 0, self.mix, self.penalty_value)
 
     def penalty_value(self, x):
         w = self.penalty
@@ -302,8 +274,6 @@ def build_gerber_shiu(ctx: ScaleContext, penalty: PenaltySpec) -> GerberShiu:
     """Closed-form Gerber-Shiu function for the supported penalty family."""
     def make():
         if isinstance(penalty, Exponential):
-            if penalty.theta < 0:
-                raise UnsupportedPenalty("exponential penalty needs theta >= 0")
             mix = z_mix(ctx, penalty.theta)
         elif isinstance(penalty, Linear):
             mix = ctx.Z1.scaled(penalty.k) + ctx.Z0.scaled(penalty.K)

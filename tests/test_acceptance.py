@@ -13,7 +13,9 @@ from scipy.integrate import quad
 from parisian_scale import (
     INF,
     Constant,
+    Exponential,
     LevyModel,
+    build_gerber_shiu,
     build_parisian,
     build_scale,
     laws,
@@ -21,14 +23,6 @@ from parisian_scale import (
 )
 from parisian_scale import control as ctl
 from parisian_scale.model import laplace_exponent, phi
-from parisian_scale.scale import (
-    eval_parisian_Z,
-    eval_scriptS,
-    eval_W,
-    eval_Wbar,
-    eval_Z,
-    eval_Z0_family,
-)
 
 
 GRID20 = np.linspace(0.0, 3.0, 20)
@@ -42,7 +36,7 @@ def test_criterion_1_laplace_transform_identity(m1, m2):
         phi_q = phi(model, q)
         for dtheta in (0.4, 0.8, 1.3, 2.0, 3.0, 5.0):
             theta = phi_q + dtheta
-            num, _ = quad(lambda x: math.exp(-theta * x) * eval_W(ctx, x),
+            num, _ = quad(lambda x: math.exp(-theta * x) * ctx.W(x),
                           0.0, 200.0, limit=300)
             k = laplace_exponent(model, theta).real
             assert num == pytest.approx(1.0 / (k - q), rel=1e-6)
@@ -51,12 +45,12 @@ def test_criterion_1_laplace_transform_identity(m1, m2):
 def test_criterion_2_closed_form_fixtures(m1, m2, m1_q0, m1_q23, m2_q1, m2_par):
     for x in GRID20:
         x = float(x)
-        assert eval_W(m1_q0, x) == pytest.approx(2.0 - math.exp(-x), rel=1e-10)
-        assert eval_W(m1_q23, x) == pytest.approx(
+        assert m1_q0.W(x) == pytest.approx(2.0 - math.exp(-x), rel=1e-10)
+        assert m1_q23.W(x) == pytest.approx(
             (9.0 / 7.0) * math.exp(x) - (2.0 / 7.0) * math.exp(-4.0 * x / 3.0), rel=1e-10)
-        assert eval_W(m2_q1, x) == pytest.approx(math.sinh(x), rel=1e-10, abs=1e-12)
-        assert eval_Z0_family(m2_q1, x, "Z") == pytest.approx(math.cosh(x), rel=1e-10)
-        assert eval_parisian_Z(m2_par, x, INF) == pytest.approx(
+        assert m2_q1.W(x) == pytest.approx(math.sinh(x), rel=1e-10, abs=1e-12)
+        assert m2_q1.Z0(x) == pytest.approx(math.cosh(x), rel=1e-10)
+        assert m2_par.Wqr(x) == pytest.approx(
             (3.0 * math.exp(x) - math.exp(-x)) / 2.0, rel=1e-10)
         assert laws.severity_infinite(m1_q23, x, 0.0) == pytest.approx(
             math.exp(-4.0 * x / 3.0) / 3.0, rel=1e-10)
@@ -71,16 +65,16 @@ def test_criterion_3_harmonicity(m1, m1_q23):
 
     def gen(x, theta):
         deriv = laws.z_deriv(ctx, x, theta)
+        z_theta = build_gerber_shiu(ctx, Exponential(theta))
         jump, _ = quad(
-            lambda z: (eval_Z(ctx, x - z, theta) - eval_Z(ctx, x, theta))
-            * 2.0 * math.exp(-2.0 * z),
+            lambda z: (z_theta(x - z) - z_theta(x)) * 2.0 * math.exp(-2.0 * z),
             0.0, 80.0, points=[x], limit=300)
         return c * deriv + lam * jump
 
     for theta in (0.0, 1.2):
         for x in (0.5, 1.0, 2.0):
             lhs = gen(x, theta)
-            rhs = q * eval_Z(ctx, x, theta)
+            rhs = q * build_gerber_shiu(ctx, Exponential(theta))(x)
             assert lhs == pytest.approx(rhs, rel=2e-6, abs=2e-6)
 
 
@@ -106,7 +100,7 @@ def test_criterion_5_parisian_reduces_to_classical(m1, m1_q23):
     p_over_q = m1.drift / q
 
     def ell(x):
-        return eval_Z0_family(ctx, x, "Zbar") + p_over_q
+        return ctx.Zbar(x) + p_over_q
 
     def close(got, want):
         assert got == pytest.approx(want, rel=1e-2, abs=1e-4)
@@ -129,13 +123,14 @@ def test_criterion_5_parisian_reduces_to_classical(m1, m1_q23):
         # 5. barrier dividends until ruin
         close(ctl.value_parisian(pctx, x, b, "VF_div"), ctl.vf_dividends_classic(ctx, x, b))
         # 6. bailouts until up-crossing
-        zx, zb = eval_Z(ctx, x, 0.0), eval_Z(ctx, b, 0.0)
+        z0 = build_gerber_shiu(ctx, Exponential(0.0))
+        zx, zb = z0(x), z0(b)
         close(ctl.value_parisian(pctx, x, b, "VF_bail"), zx * ell(b) / zb - ell(x))
         # 7. doubly reflected dividends
-        close(ctl.value_parisian(pctx, x, b, "VS_div"), zx / (q * eval_W(ctx, b)))
+        close(ctl.value_parisian(pctx, x, b, "VS_div"), zx / (q * ctx.W(b)))
         # 8. doubly reflected bailouts
         close(ctl.value_parisian(pctx, x, b, "VS_bail"),
-              zx * zb / (q * eval_W(ctx, b)) - ell(x))
+              zx * zb / (q * ctx.W(b)) - ell(x))
 
 
 class TestCriterion6MCOracleEquivalence:

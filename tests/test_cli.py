@@ -8,7 +8,6 @@ import pytest
 
 from parisian_scale import LevyModel, build_parisian, build_scale, control, laws, scale
 from parisian_scale.cli import main
-from parisian_scale.scale import eval_W
 
 
 M1 = {"c": 1.0, "sigma2": 0.0, "lambda": 1.0,
@@ -60,11 +59,9 @@ class TestScaleCommand:
         ctx = build_scale(m1, 2.0 / 3.0)
         pctx = build_parisian(m1, 2.0 / 3.0, 0.5)
         columns = (
-            lambda x: eval_W(ctx, x), lambda x: eval_W(ctx, x, deriv_order=1),
-            lambda x: scale.eval_Wbar(ctx, x), lambda x: scale.eval_Z0_family(ctx, x, "Z"),
-            lambda x: scale.eval_Z0_family(ctx, x, "Zbar"), lambda x: scale.eval_Z(ctx, x, 1.5),
-            lambda x: scale.eval_parisian_Z(pctx, x, math.inf),
-            lambda x: scale.eval_parisian_Z(pctx, x, 0.0), lambda x: scale.eval_scriptS(pctx, x),
+            ctx.W, ctx.dW, lambda x: ctx.Wbar(x) if x > 0 else 0.0, ctx.Z0, ctx.Zbar,
+            scale.build_gerber_shiu(ctx, scale.Exponential(1.5)),
+            pctx.Wqr, scale.parisian_Z_mix(pctx, 0.0), pctx.S,
         )
         for line in out.splitlines()[1:]:
             x, *fields = [float(v) for v in line.split(",")]
@@ -144,6 +141,11 @@ SCALAR_CALLS = {
 LAWS = ("two_sided", "severity_absorbed", "severity_reflected", "severity_infinite",
         "bailouts_to_level", "dividends_penalty", "time_in_red", "parisian_up_exit",
         "parisian_severity", "parisian_resolvent_integral", "parisian_dividends_penalty")
+# the rows whose column reads --theta
+THETA_ROWS = [("law", name) for name in (
+    "severity_absorbed", "severity_reflected", "severity_infinite", "bailouts_to_level",
+    "dividends_penalty", "parisian_up_exit", "parisian_severity",
+    "parisian_dividends_penalty")] + [("value", "VS_div_theta")]
 ROUND_TRIPS = ([pytest.param(name, FLAGS, id=name) for name in sorted(SCALAR_CALLS)]
                + [pytest.param(name, NO_FLAGS, id=f"{name}-no-optional-flags")
                   for name in sorted(SCALAR_CALLS)])
@@ -204,6 +206,15 @@ class TestExitCodes:
     def test_negative_theta_is_one(self, capsys, model_path):
         assert main(["scale", "--model", model_path, "--q", "0.5", "--theta", "-1",
                      "--x-grid", "0:1:2"]) == 1
+
+    def test_negative_scale_grid_is_one(self, capsys, model_path):
+        assert main(["scale", "--model", model_path, "--q", "0.5", "--x-grid=-1:1:3"]) == 1
+
+    @pytest.mark.parametrize("theta", ["-0.5", "nan"])
+    @pytest.mark.parametrize("kind,name", THETA_ROWS)
+    def test_bad_theta_is_one(self, capsys, model_path, kind, name, theta):
+        assert main([kind, name, "--model", model_path, "--q", "0.5", "--r", "0.5",
+                     "--theta", theta, "--b", "1.0", "--x-grid", "0:1:3"]) == 1
 
     def test_negative_q_is_one(self, capsys, model_path):
         assert main(["scale", "--model", model_path, "--q", "-1", "--x-grid", "0:1:2"]) == 1

@@ -14,7 +14,6 @@ from parisian_scale import Constant, LevyModel, Linear, build_parisian, build_sc
 from parisian_scale import control as ctl
 from parisian_scale.errors import DomainError, NoSolution, RetentionOutOfRange
 from parisian_scale.expmix import ExpMix
-from parisian_scale.scale import eval_W
 
 
 def make_slg_G(ctx, k):
@@ -66,7 +65,7 @@ class TestOptimizer:
         assert not sol.is_boundary
         assert sol.b_star == pytest.approx(2.107035, abs=1e-4)
         # the optimum is a minimum of W', so W'' vanishes there
-        assert eval_W(ctx, sol.b_star, deriv_order=2) == pytest.approx(0.0, abs=1e-5)
+        assert ctx.ddW(sol.b_star) == pytest.approx(0.0, abs=1e-5)
 
     def test_boundary_detection(self, m1_q23):
         sol = ctl.optimize_barrier(make_slg_G(m1_q23, 1.2), 6.0)
@@ -203,18 +202,18 @@ class TestValues:
             lambda b: ctl.barrier_function("deFinetti_classic", ctx, b, penalty=Constant(0.0)),
             8.0)
         bstar = sol.b_star
-        wp_b = eval_W(ctx, bstar, deriv_order=1)
-        v_b = eval_W(ctx, bstar) / wp_b
+        wp_b = ctx.dW(bstar)
+        v_b = ctx.W(bstar) / wp_b
 
         def V(y):
             if y < 0:
                 return 0.0
             if y <= bstar:
-                return eval_W(ctx, y) / wp_b
+                return ctx.W(y) / wp_b
             return y - bstar + v_b
 
         def Vp(y):
-            return eval_W(ctx, y, deriv_order=1) / wp_b if y <= bstar else 1.0
+            return ctx.dW(y) / wp_b if y <= bstar else 1.0
 
         def gen_minus_q(y):
             jump, _ = quad(lambda z: (V(y - z) - V(y)) * 2.0 * math.exp(-2.0 * z),

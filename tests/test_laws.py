@@ -10,12 +10,14 @@ from parisian_scale import (
     Exponential,
     INF,
     LevyModel,
+    build_gerber_shiu,
     build_parisian,
     build_scale,
     laws,
 )
 from parisian_scale.errors import DomainError, NonpositiveDrift
-from parisian_scale.scale import eval_W, eval_Z, eval_parisian_Z
+from parisian_scale.scale import parisian_Z_mix
+from test_closed_form_golden import MODELS
 
 
 class TestFundamentalIdentity:
@@ -118,6 +120,27 @@ class TestClosedForms:
         gs = laws.gs_exit(m1_q23, x, b, Exponential(theta))
         assert gs == pytest.approx(laws.severity_absorbed(m1_q23, x, b, theta), rel=1e-12)
 
+    @pytest.mark.parametrize("label", sorted(MODELS))
+    def test_gs_exit_exponential_is_severity_bit_for_bit(self, label):
+        model, q, _ = MODELS[label]
+        ctx = build_scale(model, q)
+        b = 2.5
+        xs = np.array([0.0, 0.45, 1.7, b])
+        for theta in (0.0, 1.3):
+            gs = laws.gs_exit(ctx, xs, b, Exponential(theta))
+            sev = laws.severity_absorbed(ctx, xs, b, theta)
+            assert [float(v).hex() for v in gs] == [float(v).hex() for v in sev], theta
+            for x in xs:
+                assert laws.gs_exit(ctx, x, b, Exponential(theta)) == \
+                    laws.severity_absorbed(ctx, x, b, theta)
+
+    @pytest.mark.parametrize("vartheta", [-1.0, math.nan])
+    def test_vartheta_must_be_nonnegative(self, m1_q23, m1_par, vartheta):
+        with pytest.raises(DomainError):
+            laws.dividends_penalty_classic(m1_q23, 0.5, 1.5, 1.0, vartheta)
+        with pytest.raises(DomainError):
+            laws.parisian_dividends_penalty(m1_par, 0.5, 1.5, 1.0, vartheta)
+
 
 class TestParisianLimits:
     def test_large_r_recovers_classical_laws(self, m1, m1_q23):
@@ -134,8 +157,8 @@ class TestParisianLimits:
     def test_moderate_theta_z_limit(self, m1, m1_q23):
         pctx = build_parisian(m1, 2.0 / 3.0, 1e3)
         for x in (0.0, 0.8, 1.9):
-            assert eval_parisian_Z(pctx, x, 1.2) == pytest.approx(
-                eval_Z(m1_q23, x, 1.2), rel=1e-2)
+            assert parisian_Z_mix(pctx, 1.2)(x) == pytest.approx(
+                build_gerber_shiu(m1_q23, Exponential(1.2))(x), rel=1e-2)
 
 
 class TestResolvent:
@@ -176,6 +199,6 @@ class TestOmegaFactorization:
 
         b = 1.1
         phi_qr = phi(m1_par.model, m1_par.q + m1_par.r)
-        expected = phi_qr - m1_par.r * eval_W(m1_par.base, b) / eval_Z(
-            m1_par.base, b, phi_qr)
+        z_star = build_gerber_shiu(m1_par.base, Exponential(phi_qr))
+        expected = phi_qr - m1_par.r * m1_par.base.W(b) / z_star(b)
         assert laws.omega(m1_par, b) == pytest.approx(expected, rel=1e-12)

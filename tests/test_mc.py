@@ -12,7 +12,6 @@ from test_mc_engine import balance_residuals
 
 from parisian_scale import INF, LevyModel, build_parisian, build_scale, laws, mc
 from parisian_scale.errors import DomainError, HorizonRequired, SigmaUnsupported
-from parisian_scale.scale import eval_W
 
 
 def m1_cfg(m1, **kw):

@@ -14,15 +14,10 @@ from parisian_scale import (
     build_gerber_shiu,
     build_parisian,
     build_scale,
-    eval_parisian_Z,
-    eval_scriptS,
-    eval_W,
-    eval_Wbar,
-    eval_Z,
-    eval_Z0_family,
     laplace_exponent,
 )
-from parisian_scale.errors import QZero, UnsupportedPenalty
+from parisian_scale.errors import DomainError, QZero, UnsupportedPenalty
+from parisian_scale.scale import dz_dtheta_mix, parisian_Z_mix, z_mix
 
 GRID = [0.0, 0.1, 0.5, 1.0, 1.7, 2.5, 4.0]
 
@@ -30,32 +25,33 @@ GRID = [0.0, 0.1, 0.5, 1.0, 1.7, 2.5, 4.0]
 class TestClosedForms:
     def test_m1_w0(self, m1_q0):
         for x in GRID:
-            assert eval_W(m1_q0, x) == pytest.approx(2 - math.exp(-x), abs=1e-12)
+            assert m1_q0.W(x) == pytest.approx(2 - math.exp(-x), abs=1e-12)
 
     def test_m1_w_two_thirds(self, m1_q23):
         for x in GRID:
             exact = (9 / 7) * math.exp(x) - (2 / 7) * math.exp(-4 * x / 3)
-            assert eval_W(m1_q23, x) == pytest.approx(exact, rel=1e-12)
+            assert m1_q23.W(x) == pytest.approx(exact, rel=1e-12)
 
     def test_m2_sinh_cosh(self, m2_q1):
         for x in GRID:
-            assert eval_W(m2_q1, x) == pytest.approx(math.sinh(x), abs=1e-12)
-            assert eval_Z0_family(m2_q1, x, "Z") == pytest.approx(math.cosh(x), rel=1e-12)
+            assert m2_q1.W(x) == pytest.approx(math.sinh(x), abs=1e-12)
+            assert m2_q1.Z0(x) == pytest.approx(math.cosh(x), rel=1e-12)
 
     def test_m1_z0_theta1(self, m1_q0):
+        z = build_gerber_shiu(m1_q0, Exponential(1.0))
         for x in GRID:
             exact = 4 / 3 - math.exp(-x) / 3
-            assert eval_Z(m1_q0, x, 1.0) == pytest.approx(exact, rel=1e-12)
+            assert z(x) == pytest.approx(exact, rel=1e-12)
 
     def test_m2_parisian_w(self, m2_par):
         for x in GRID:
             exact = (3 * math.exp(x) - math.exp(-x)) / 2
-            assert eval_parisian_Z(m2_par, x, math.inf) == pytest.approx(exact, rel=1e-12)
+            assert m2_par.Wqr(x) == pytest.approx(exact, rel=1e-12)
 
     def test_m2_scriptS_is_scaled_sinh(self, m2_par):
         # r/(q+r) Zbar_1 = (3/4) sinh(x) since kappa'(0+) = 0
         for x in GRID:
-            assert eval_scriptS(m2_par, x) == pytest.approx(0.75 * math.sinh(x), rel=1e-12)
+            assert m2_par.S(x) == pytest.approx(0.75 * math.sinh(x), rel=1e-12)
 
 
 class TestLaplaceIdentity:
@@ -64,13 +60,13 @@ class TestLaplaceIdentity:
         ctx = build_scale(m1, q)
         from parisian_scale.model import phi
         for theta in np.linspace(phi(m1, q) + 0.4, phi(m1, q) + 3.0, 6):
-            val, _ = quad(lambda x: math.exp(-theta * x) * eval_W(ctx, x), 0, 80, limit=300)
+            val, _ = quad(lambda x: math.exp(-theta * x) * ctx.W(x), 0, 80, limit=300)
             expected = 1.0 / (laplace_exponent(m1, theta) - q)
             assert val == pytest.approx(expected, rel=1e-6)
 
     def test_m2(self, m2, m2_q1):
         for theta in np.linspace(1.4, 4.4, 6):
-            val, _ = quad(lambda x: math.exp(-theta * x) * eval_W(m2_q1, x), 0, 80, limit=300)
+            val, _ = quad(lambda x: math.exp(-theta * x) * m2_q1.W(x), 0, 80, limit=300)
             assert val == pytest.approx(1.0 / (theta**2 - 1.0), rel=1e-6)
 
 
@@ -94,46 +90,46 @@ class TestHarmonicity:
     def test_z_is_q_harmonic_m1(self, m1, m1_q23, theta):
         q = 2.0 / 3.0
         for x in (0.5, 1.0, 2.0):
-            f = lambda y: eval_Z(m1_q23, y, theta)
+            f = build_gerber_shiu(m1_q23, Exponential(theta))
             assert generator_apply(m1, f, x) == pytest.approx(q * f(x), rel=2e-6, abs=2e-6)
 
     def test_w_is_q_harmonic_inside(self, m1, m1_q23):
-        f = lambda y: eval_W(m1_q23, y) if y >= 0 else 0.0
+        f = lambda y: m1_q23.W(y) if y >= 0 else 0.0
         for x in (1.0, 2.0):
             assert generator_apply(m1, f, x) == pytest.approx((2 / 3) * f(x), rel=2e-6)
 
 
 class TestZFamily:
     def test_z_exterior_value(self, m1_q23):
+        z = build_gerber_shiu(m1_q23, Exponential(1.3))
         for x in (-0.5, -2.0):
-            assert eval_Z(m1_q23, x, 1.3) == pytest.approx(math.exp(1.3 * x), rel=1e-14)
+            assert z(x) == pytest.approx(math.exp(1.3 * x), rel=1e-14)
 
     def test_z_via_dickson_hipp_definition(self, m1, m1_q23):
         # Z(x, theta) = e^{theta x} (1 - (kappa(theta)-q) int_0^x e^{-theta y} W(y) dy)
         q, theta, x = 2 / 3, 1.9, 1.4
-        tail, _ = quad(lambda y: math.exp(-theta * y) * eval_W(m1_q23, y), 0, x)
+        tail, _ = quad(lambda y: math.exp(-theta * y) * m1_q23.W(y), 0, x)
         expected = math.exp(theta * x) * (1 - (laplace_exponent(m1, theta) - q) * tail)
-        assert eval_Z(m1_q23, x, theta) == pytest.approx(expected, rel=1e-10)
+        assert z_mix(m1_q23, theta)(x) == pytest.approx(expected, rel=1e-10)
 
     def test_z_zero_is_one_plus_qwbar(self, m1_q23):
         q = 2 / 3
         for x in GRID:
-            assert eval_Z0_family(m1_q23, x, "Z") == pytest.approx(
-                1 + q * eval_Wbar(m1_q23, x), rel=1e-12)
+            assert m1_q23.Z0(x) == pytest.approx(1 + q * m1_q23.Wbar(x), rel=1e-12)
 
     def test_z1_definition(self, m1_q23):
         # Z1 = Zbar - drift * Wbar
         p = 0.5
         for x in GRID:
-            expected = eval_Z0_family(m1_q23, x, "Zbar") - p * eval_Wbar(m1_q23, x)
-            assert eval_Z0_family(m1_q23, x, "Z1") == pytest.approx(expected, rel=1e-12)
+            expected = m1_q23.Zbar(x) - p * m1_q23.Wbar(x)
+            assert m1_q23.Z1(x) == pytest.approx(expected, rel=1e-12)
 
     def test_theta_derivative_matches_fd(self, m1_q23):
         h = 1e-6
         for theta in (0.4, 1.6):
             for x in (0.5, 2.0):
-                fd = (eval_Z(m1_q23, x, theta + h) - eval_Z(m1_q23, x, theta - h)) / (2 * h)
-                assert eval_Z(m1_q23, x, theta, dtheta=1) == pytest.approx(fd, rel=1e-7)
+                fd = (z_mix(m1_q23, theta + h)(x) - z_mix(m1_q23, theta - h)(x)) / (2 * h)
+                assert dz_dtheta_mix(m1_q23, theta)(x) == pytest.approx(fd, rel=1e-7)
 
 
 class TestParisianFamily:
@@ -141,59 +137,59 @@ class TestParisianFamily:
         # Z_{q,r}(x) = (r Z_q(x) + q W_{q,r}(x) kappa-free blend) / (q + r) at theta=0
         q, r = 2 / 3, 1 / 3
         for x in GRID:
-            zq = eval_Z0_family(m1_par.base, x, "Z")
-            wqr = eval_parisian_Z(m1_par, x, math.inf)
+            zq = m1_par.base.Z0(x)
+            wqr = m1_par.Wqr(x)
             expected = (r * zq + q * wqr) / (q + r)
-            assert eval_parisian_Z(m1_par, x, 0.0) == pytest.approx(expected, rel=1e-12)
+            assert parisian_Z_mix(m1_par, 0.0)(x) == pytest.approx(expected, rel=1e-12)
 
     def test_removable_singularity_continuous(self, m1_par):
         star = m1_par.phi_qr
         x = 1.3
-        at = eval_parisian_Z(m1_par, x, star)
-        near = eval_parisian_Z(m1_par, x, star + 1e-7)
+        at = parisian_Z_mix(m1_par, star)(x)
+        near = parisian_Z_mix(m1_par, star + 1e-7)(x)
         assert at == pytest.approx(near, rel=1e-5)
 
     def test_x_derivative_closed_form(self, m1_par):
         # Z_{q,r}'(x) = q/(q+r) Phi_{q+r} Z_q(x, Phi_{q+r})
         q, r = 2 / 3, 1 / 3
         star = m1_par.phi_qr
+        z_star = build_gerber_shiu(m1_par.base, Exponential(star))
         for x in (0.0, 0.9, 2.2):
-            expected = q / (q + r) * star * eval_Z(m1_par.base, x, star)
-            assert eval_parisian_Z(m1_par, x, 0.0, deriv_x=1) == pytest.approx(expected, rel=1e-12)
+            expected = q / (q + r) * star * z_star(x)
+            assert parisian_Z_mix(m1_par, 0.0, 1)(x) == pytest.approx(expected, rel=1e-12)
 
     def test_scriptS_derivatives(self, m1_par):
         q, r = 2 / 3, 1 / 3
         for x in (0.0, 1.0, 2.5):
-            assert eval_scriptS(m1_par, x, 1) == pytest.approx(
-                r / (q + r) * eval_Z0_family(m1_par.base, x, "Z"), rel=1e-12)
-            assert eval_scriptS(m1_par, x, 2) == pytest.approx(
-                r * q / (q + r) * eval_W(m1_par.base, x), rel=1e-12)
+            assert m1_par.dS(x) == pytest.approx(r / (q + r) * m1_par.base.Z0(x), rel=1e-12)
+            assert m1_par.ddS(x) == pytest.approx(r * q / (q + r) * m1_par.base.W(x), rel=1e-12)
 
     def test_scriptS_at_zero(self, m1_par):
         # S(0) = r/(q+r) kappa'(0+)/q
-        assert eval_scriptS(m1_par, 0.0) == pytest.approx((1 / 3) * 0.5 / (2 / 3), rel=1e-12)
+        assert m1_par.S(0.0) == pytest.approx((1 / 3) * 0.5 / (2 / 3), rel=1e-12)
 
     def test_scriptS_needs_positive_q(self, m1):
         pctx = build_parisian(m1, 0.0, 1.0)
-        with pytest.raises(QZero):
-            eval_scriptS(pctx, 1.0)
+        for name in ("S", "dS", "ddS"):
+            with pytest.raises(QZero):
+                getattr(pctx, name)
 
     def test_large_r_reduces_to_classical(self, m1, m1_q23):
         pctx = build_parisian(m1, 2 / 3, 1e4)
         for x in (0.0, 0.8, 1.9):
             # W_{q,r} ~ (r / Phi_{q+r}) W_q, so ratios converge to W ratios
-            ratio = eval_parisian_Z(pctx, x, math.inf) / eval_parisian_Z(pctx, 2.5, math.inf)
+            ratio = pctx.Wqr(x) / pctx.Wqr(2.5)
             assert ratio == pytest.approx(
-                eval_W(m1_q23, x) / eval_W(m1_q23, 2.5), rel=2e-3)
-            assert eval_parisian_Z(pctx, x, 1.2) == pytest.approx(
-                eval_Z(m1_q23, x, 1.2), rel=1e-2)
+                m1_q23.W(x) / m1_q23.W(2.5), rel=2e-3)
+            assert parisian_Z_mix(pctx, 1.2)(x) == pytest.approx(
+                build_gerber_shiu(m1_q23, Exponential(1.2))(x), rel=1e-2)
 
 
 class TestGerberShiu:
     def test_exponential_penalty_is_z(self, m1_q23):
         gs = build_gerber_shiu(m1_q23, Exponential(1.4))
         for x in (0.3, 1.5):
-            assert gs(x) == pytest.approx(eval_Z(m1_q23, x, 1.4), rel=1e-12)
+            assert gs(x) == pytest.approx(z_mix(m1_q23, 1.4)(x), rel=1e-12)
 
     def test_exterior_matches_penalty(self, m1_q23):
         gs = build_gerber_shiu(m1_q23, Linear(2.0, 0.5))
@@ -202,18 +198,40 @@ class TestGerberShiu:
     def test_linear_assembly(self, m1_q23):
         gs = build_gerber_shiu(m1_q23, Linear(2.0, 0.5))
         for x in (0.0, 0.7, 2.1):
-            expected = 2.0 * eval_Z0_family(m1_q23, x, "Z1") \
-                + 0.5 * eval_Z0_family(m1_q23, x, "Z")
+            expected = 2.0 * m1_q23.Z1(x) + 0.5 * m1_q23.Z0(x)
             assert gs(x) == pytest.approx(expected, rel=1e-12)
 
     def test_constant_zero_vanishes(self, m1_q23):
         gs = build_gerber_shiu(m1_q23, Constant(0.0))
         assert gs(1.3) == 0.0
-        assert gs.deriv(1.3) == 0.0
+        assert gs.dmix(1.3) == 0.0
 
     def test_unknown_penalty_rejected(self, m1_q23):
         with pytest.raises(UnsupportedPenalty):
             build_gerber_shiu(m1_q23, "not a penalty")
+
+    @pytest.mark.parametrize("label", sorted(MODELS))
+    def test_boundary_value_is_the_penalty(self, label):
+        # S_w(0) = w(0) exactly: the exterior condition holds on x <= 0, 0 included
+        model, q, _ = MODELS[label]
+        ctx = build_scale(model, q)
+        for penalty, w0 in ((Exponential(0.0), 1.0), (Exponential(1.3), 1.0),
+                            (Linear(0.7, -0.4), -0.4), (Linear(0.7, 0.0), 0.0),
+                            (Constant(1.5), 1.5)):
+            gs = build_gerber_shiu(ctx, penalty)
+            assert gs(0.0) == w0, penalty
+            assert gs(np.array([0.0, 1.0]))[0] == w0, penalty
+
+    @pytest.mark.parametrize("theta", [-0.5, math.nan])
+    def test_theta_must_be_nonnegative(self, m1_par, theta):
+        for make in (lambda: z_mix(m1_par.base, theta),
+                     lambda: dz_dtheta_mix(m1_par.base, theta),
+                     lambda: parisian_Z_mix(m1_par, theta),
+                     lambda: parisian_Z_mix(m1_par, theta, 1),
+                     lambda: build_gerber_shiu(m1_par.base, Exponential(theta))):
+            with pytest.raises(DomainError):
+                make()
+        assert parisian_Z_mix(m1_par, math.inf) is m1_par.Wqr
 
 
 class TestOneBasis:
@@ -235,5 +253,5 @@ class TestOneBasis:
         ctx = build_scale(LevyModel(c=0.5, lam=1.0, phases=((1.0, 1.0),)), 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert eval_Z0_family(ctx, 800.0, "Z") == 1.0
-            assert eval_Z0_family(ctx, 800.0, "Zbar") == 800.0
+            assert ctx.Z0(800.0) == 1.0
+            assert ctx.Zbar(800.0) == 800.0
