@@ -9,7 +9,7 @@ as a scalar or a numpy array (b and k are scalars); G takes a scalar b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,8 @@ _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _check_barrier_interval(x, b: float):
-    if not np.all((0.0 <= np.asarray(x)) & (np.asarray(x) <= b)):
-        raise DomainError(f"need 0 <= x <= b, got x={x}, b={b}")
+    if not (b < math.inf and np.all((0.0 <= np.asarray(x)) & (np.asarray(x) <= b))):
+        raise DomainError(f"need 0 <= x <= b with a finite b, got x={x}, b={b}")
 
 
 def vf_dividends_classic(ctx: ScaleContext, x, b: float):
@@ -51,8 +51,8 @@ def value_definetti(ctx: ScaleContext, x, b: float, penalty: PenaltySpec):
     S_w is the smooth harmonic extension of the penalty w.  Above the
     barrier the excess is paid out immediately as a lump sum.
     """
-    if not (np.all(np.asarray(x) >= 0) and b >= 0):
-        raise DomainError(f"need x >= 0 and b >= 0, got x={x}, b={b}")
+    if not (np.all(np.asarray(x) >= 0) and 0 <= b < math.inf):
+        raise DomainError(f"need x >= 0 and a finite b >= 0, got x={x}, b={b}")
     gs = build_gerber_shiu(ctx, penalty)
     slope_num, slope_den = 1.0 - gs.dmix(b), ctx.dW(b)
 
@@ -74,8 +74,8 @@ def barrier_function(
     pass `penalty`), "SLG_classic" (reduced form G~, pass cost `k`), or
     "SLG_parisian" (pass cost `k`, ctx must be a ParisianContext).
     """
-    if not b >= 0:
-        raise DomainError(f"need b >= 0, got b={b}")
+    if not 0 <= b < math.inf:
+        raise DomainError(f"need a finite b >= 0, got b={b}")
     if kind == "deFinetti_classic":
         gs = build_gerber_shiu(ctx, penalty if penalty is not None else Constant(0.0))
         return (1.0 - gs.dmix(b)) / ctx.dW(b)
@@ -100,8 +100,6 @@ class BarrierSolution:
     b_star: float
     G_at_b_star: float
     is_boundary: bool
-    grid: tuple = field(repr=False, default=())
-    refinement_tol: float = 1e-8
 
 
 def optimize_barrier(G, b_max: float, n_grid: int = 1000, tol: float = 1e-8) -> BarrierSolution:
@@ -110,12 +108,18 @@ def optimize_barrier(G, b_max: float, n_grid: int = 1000, tol: float = 1e-8) -> 
     Coarse grid scan (ties broken toward larger b, since barrier
     functions can plateau) followed by golden-section refinement of the
     bracketing cell.  Raises NoSolution if G is still increasing at
-    b_max, so a truncated search is never reported as an optimum.
+    b_max, so a truncated search is never reported as an optimum, and
+    also if G is NaN on the grid or 0 at every grid point past b = 0,
+    where the grid is too coarse to resolve the maximum.
     """
-    if not (b_max > 0 and n_grid >= 1 and tol > 0):
-        raise DomainError(f"need b_max > 0, n_grid >= 1 and tol > 0, got {b_max}, {n_grid}, {tol}")
+    if not (b_max > 0 and n_grid >= 1 and tol > 0 and math.isfinite(b_max * n_grid)):
+        raise DomainError(f"need b_max > 0, n_grid >= 1, tol > 0 and a finite b_max * n_grid,"
+                          f" got {b_max}, {n_grid}, {tol}")
     bs = [b_max * i / n_grid for i in range(n_grid + 1)]
     vals = [G(b) for b in bs]
+    if any(math.isnan(v) for v in vals) or not any(vals[1:]):
+        raise NoSolution(f"the grid on [0, {b_max}] does not resolve the barrier function:"
+                         " it is NaN or 0 past b = 0; shrink the search interval")
     best = max(range(len(bs)), key=lambda i: (vals[i], i))
     if best == len(bs) - 1 and vals[-1] > vals[-2]:
         raise NoSolution(
@@ -150,8 +154,6 @@ def optimize_barrier(G, b_max: float, n_grid: int = 1000, tol: float = 1e-8) -> 
         b_star=b_star,
         G_at_b_star=g_star,
         is_boundary=(b_star == 0.0),
-        grid=tuple(zip(bs, vals)),
-        refinement_tol=tol,
     )
 
 
@@ -230,6 +232,8 @@ def solve_patience(pctx: ParisianContext, k: float, tol: float = 1e-8) -> float:
     model, q, r = pctx.model, pctx.q, pctx.r
     if not q > 0:
         raise DomainError("patience needs q > 0")
+    if math.isnan(k):
+        raise DomainError("patience needs a cost k, got NaN")
     if k <= _threshold(model, q, r):
         return 0.0
     hi = q

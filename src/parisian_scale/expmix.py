@@ -3,8 +3,8 @@
 An :class:`ExpMix` represents ``f(x) = sum_j w_j x^{k_j} e^{rho_j x}`` with
 complex weights/rates (in conjugate pairs, so the value is real on the real
 axis) and small integer powers.  The class is closed under differentiation,
-definite antidifferentiation from 0, multiplication by x and by e^{a x}, which
-is everything the scale-function calculus needs; no gridding anywhere.
+definite antidifferentiation from 0, scaling and sums, which is everything the
+scale-function calculus needs; no gridding anywhere.
 
 The terms (rho, k) are a basis and the weights w a row on it, three read-only
 arrays.  ``derivative``, ``antiderivative``, ``scaled``, ``+`` and ``-`` give
@@ -116,18 +116,6 @@ class ExpMix:
             out.append((-coeff, 0.0, 0))   # the value at 0 (only the k = 0 term has one)
         return self.row(out)
 
-    def integral(self, x) -> float:
-        """Definite integral over [0, x]."""
-        return self.antiderivative()(x)
-
-    def shift_rate(self, a: complex) -> "ExpMix":
-        """Multiply by e^{a x}."""
-        return ExpMix.build([(w, rho + a, k) for w, rho, k in self.terms()])
-
-    def mul_x(self) -> "ExpMix":
-        """Multiply by x."""
-        return ExpMix.build([(w, rho, k + 1) for w, rho, k in self.terms()])
-
     def scaled(self, factor: complex) -> "ExpMix":
         return ExpMix(self.w * factor, self.rho, self.k)
 
@@ -138,11 +126,3 @@ class ExpMix:
 
     def __sub__(self, other: "ExpMix") -> "ExpMix":
         return self + other.scaled(-1.0)
-
-    def dickson_hipp(self, theta: complex, x) -> float:
-        """Truncated Laplace transform ``int_0^x e^{-theta y} f(y) dy``.
-
-        The confluent case theta ~ rho_j is exact (the term integrates to a
-        polynomial), not a numerical limit.
-        """
-        return self.shift_rate(-theta).integral(x)

@@ -6,6 +6,13 @@ a scalar or a numpy array (b, theta, vartheta and r are scalars) and returns
 a float or an array of the same shape.  Transform-type results are Laplace
 transforms of nonnegative functionals and therefore live in [0, 1] for
 nonnegative arguments.
+
+The exit laws on [0, b] are one law, ``exit_law``: S(x) - W(x) B[S]/B[W] for a
+smooth Gerber-Shiu function S and the scale function W of the same problem.
+B[f] = f(b) when the process is absorbed at b (vartheta = INF), and
+B[f] = f'(b) + vartheta f(b) when it is reflected at b with the dividends
+discounted at rate vartheta.  The classical laws take (Z_q(., theta), W_q) and
+the Parisian ones (Z_{q,r}(., theta), W_{q,r}).
 """
 
 from __future__ import annotations
@@ -27,10 +34,12 @@ from .scale import (
 )
 
 
-def _check_interval(x, a: float, b: float):
+def _check_interval(x, a: float, b: float | None):
+    """a <= x <= b with finite a < b; b None, for a law with no barrier, checks a <= x."""
     x = np.asarray(x)
-    if not a < b or not np.all((a <= x) & (x <= b)):
-        raise DomainError(f"need a <= x <= b with a < b, got x={x}, a={a}, b={b}")
+    top = INF if b is None else b
+    if not (-INF < a < top and b != INF) or not np.all((a <= x) & (x <= top)):
+        raise DomainError(f"need a <= x <= b with finite a < b, got x={x}, a={a}, b={b}")
 
 
 def z_deriv(ctx: ScaleContext, x, theta: float):
@@ -46,6 +55,20 @@ def two_sided_exit(ctx: ScaleContext, x, a: float, b: float):
     return ctx.W(x - a) / ctx.W(b - a)
 
 
+def exit_law(S, W, x, b: float, vartheta: float, dS=None, dW=None):
+    """S(x) - W(x) B[S]/B[W] on 0 <= x <= b: the exit law of the Gerber-Shiu function S.
+
+    B[f] = f(b) for vartheta = INF (absorbed at b); otherwise B[f] = f'(b) + vartheta f(b)
+    (reflected at b, dividends discounted at rate vartheta), with dS = S' and dW = W'.
+    """
+    _check_interval(x, 0.0, b)
+    if not vartheta >= 0:
+        raise DomainError("vartheta must be nonnegative")
+    if vartheta == INF:
+        return S(x) - W(x) / W(b) * S(b)
+    return S(x) - W(x) * (dS(b) + vartheta * S(b)) / (dW(b) + vartheta * W(b))
+
+
 def severity_absorbed(ctx: ScaleContext, x, b: float, theta: float):
     """Joint transform of ruin time and undershoot, absorbed at b."""
     return gs_exit(ctx, x, b, Exponential(theta))
@@ -53,21 +76,14 @@ def severity_absorbed(ctx: ScaleContext, x, b: float, theta: float):
 
 def severity_reflected(ctx: ScaleContext, x, b: float, theta: float):
     """Joint transform of ruin time and undershoot, with dividends at b."""
-    _check_interval(x, 0.0, b)
-    z = build_gerber_shiu(ctx, Exponential(theta))
-    return z(x) - ctx.W(x) * z_deriv(ctx, b, theta) / ctx.dW(b)
+    return dividends_penalty_classic(ctx, x, b, theta, 0.0)
 
 
-def severity_infinite(ctx: ScaleContext, x, theta: float, mode: str = "ruin"):
-    """Infinite-horizon ruin-time / recovery-time transform."""
-    _check_interval(x, 0.0, INF)
+def severity_infinite(ctx: ScaleContext, x, theta: float):
+    """Infinite-horizon ruin-time transform."""
+    _check_interval(x, 0.0, None)
     if ctx.q <= 0 and ctx.phi_q <= 0:
         raise QZero("the q -> 0 limit is not provided")
-    if mode == "recovery":
-        z = build_gerber_shiu(ctx, Exponential(ctx.phi_q))
-        return z(x) - ctx.q * ctx.W(x) / ctx.phi_q
-    if mode != "ruin":
-        raise ValueError(f"unknown mode {mode!r}")
     k = laplace_exponent(ctx.model, theta).real
     if abs(theta - ctx.phi_q) < 1e-9:
         slope = laplace_exponent_deriv(ctx.model, ctx.phi_q).real
@@ -88,14 +104,9 @@ def bailouts_to_level(ctx: ScaleContext, x, b: float, theta: float):
 def dividends_penalty_classic(
     ctx: ScaleContext, x, b: float, theta: float, vartheta: float
 ):
-    """Joint dividends-and-severity transform for the process reflected at b."""
-    _check_interval(x, 0.0, b)
-    if not vartheta >= 0:
-        raise DomainError("vartheta must be nonnegative")
+    """Joint dividends-and-severity transform, reflected at b (absorbed for vartheta = INF)."""
     z = build_gerber_shiu(ctx, Exponential(theta))
-    num = z_deriv(ctx, b, theta) + vartheta * z(b)
-    den = ctx.dW(b) + vartheta * ctx.W(b)
-    return z(x) - ctx.W(x) * num / den
+    return exit_law(z, ctx.W, x, b, vartheta, lambda y: z_deriv(ctx, y, theta), ctx.dW)
 
 
 def gs_exit(
@@ -103,16 +114,12 @@ def gs_exit(
     x,
     b: float,
     penalty: PenaltySpec,
-    boundary: str = "absorbed",
+    vartheta: float = INF,
 ):
-    """Penalty-at-ruin transform with absorption or reflection at b."""
-    _check_interval(x, 0.0, b)
+    """Penalty-at-ruin transform, absorbed at b, or reflected there for a finite vartheta."""
     gs = build_gerber_shiu(ctx, penalty)
-    if boundary == "absorbed":
-        return gs(x) - ctx.W(x) / ctx.W(b) * gs(b)
-    if boundary == "reflected":
-        return gs(x) - ctx.W(x) * gs.dmix(b) / ctx.dW(b)
-    raise ValueError(f"unknown boundary {boundary!r}")
+    # S' is built only where the law reads it, at a reflecting b
+    return exit_law(gs, ctx.W, x, b, vartheta, lambda y: gs.dmix(y), ctx.dW)
 
 
 def time_in_red(ctx_q0: ScaleContext, x, r: float):
@@ -121,7 +128,7 @@ def time_in_red(ctx_q0: ScaleContext, x, r: float):
         raise DomainError("time_in_red needs the q = 0 context")
     if not r > 0:
         raise DomainError("r must be positive")
-    _check_interval(x, 0.0, INF)
+    _check_interval(x, 0.0, None)
     p = ctx_q0.model.drift
     if p <= 0:
         raise NonpositiveDrift("requires strictly positive drift")
@@ -144,9 +151,7 @@ def parisian_up_exit(pctx: ParisianContext, x, b: float, theta: float):
 
 def parisian_severity(pctx: ParisianContext, x, b: float, theta: float):
     """Severity of Parisian ruin with absorption at b."""
-    _check_interval(x, 0.0, b)
-    z, w = parisian_Z_mix(pctx, theta), pctx.Wqr
-    return z(x) - w(x) / w(b) * z(b)
+    return exit_law(parisian_Z_mix(pctx, theta), pctx.Wqr, x, b, INF)
 
 
 def parisian_resolvent(pctx: ParisianContext, x, a: float, b: float, y: float):
@@ -172,31 +177,25 @@ def omega(pctx: ParisianContext, b: float) -> float:
 
     Omega = W'_{q,r}(b)/W_{q,r}(b) = Phi_{q+r} - r W_q(b)/Z_q(b, Phi_{q+r}).
     """
-    if b < 0:
-        raise DomainError("b must be nonnegative")
+    if not 0 <= b < INF:
+        raise DomainError(f"b must be finite and nonnegative, got {b}")
     return pctx.dWqr(b) / pctx.Wqr(b)
 
 
 def parisian_dividends_penalty(
     pctx: ParisianContext, x, b: float, theta: float, vartheta: float
 ):
-    """Dividends-penalty law under Parisian ruin, reflected at b."""
-    _check_interval(x, 0.0, b)
-    if not vartheta >= 0:
-        raise DomainError("vartheta must be nonnegative")
-    zm = parisian_Z_mix(pctx, theta)
-    wm = pctx.Wqr
-    num = parisian_Z_mix(pctx, theta, 1)(b) + vartheta * zm(b)
-    den = pctx.dWqr(b) + vartheta * wm(b)
-    return zm(x) - wm(x) * num / den
+    """Dividends-penalty law under Parisian ruin, reflected at b (absorbed for vartheta = INF)."""
+    return exit_law(parisian_Z_mix(pctx, theta), pctx.Wqr, x, b, vartheta,
+                    parisian_Z_mix(pctx, theta, 1), pctx.dWqr)
 
 
 def parisian_dividends_penalty_factorized(
     pctx: ParisianContext, b: float, theta: float, vartheta: float
 ) -> float:
     """Equivalent x = b form via the Omega factorization (consistency check)."""
-    if b < 0:
-        raise DomainError("b must be nonnegative")
+    if not 0 <= b < INF:
+        raise DomainError(f"b must be finite and nonnegative, got {b}")
     q, r = pctx.q, pctx.r
     k = laplace_exponent(pctx.model, theta).real
     om = omega(pctx, b)

@@ -63,8 +63,8 @@ def piecewise(x, inside, f, g):
 
 
 def _check_theta(theta):
-    if not theta >= 0:
-        raise DomainError("theta must be nonnegative")
+    if not 0 <= theta < INF:
+        raise DomainError(f"theta must be finite and nonnegative, got {theta}")
 
 
 @dataclass(frozen=True)
@@ -198,12 +198,12 @@ def dz_dtheta_mix(ctx: ScaleContext, theta: float) -> ExpMix:
 
 def parisian_Z_mix(pctx: ParisianContext, theta: float, deriv_x: int = 0) -> ExpMix:
     """Z_{q,r}(., theta) or its x-derivatives as a mixture; theta = INF gives W_{q,r}."""
-    _check_theta(theta)
     if theta == INF and deriv_x < 2:
         return getattr(pctx, ("Wqr", "dWqr")[deriv_x])
     if deriv_x:
         return _memo(pctx, (theta, deriv_x),
                      lambda: parisian_Z_mix(pctx, theta, deriv_x - 1).derivative())
+    _check_theta(theta)
 
     def make():
         q, r = pctx.q, pctx.r

@@ -90,6 +90,14 @@ class TestLawCommand:
         got = float(out.splitlines()[1].split(",")[1])
         assert got == pytest.approx(1.0 - 0.25 * math.exp(-1.0), rel=1e-12)
 
+    def test_infinite_vartheta_is_absorption(self, capsys, model_path):
+        common = ["--model", model_path, "--q", "0.5", "--theta", "1.25", "--b", "1.75",
+                  "--x-grid", "0:1.75:8"]
+        code, absorbed = run(capsys, ["law", "severity_absorbed", *common])
+        assert code == 0
+        assert run(capsys, ["law", "dividends_penalty", "--vartheta", "inf", *common]) == \
+            (0, absorbed)
+
     def test_unknown_law_lists_names(self, capsys, model_path):
         code = main(["law", "nope", "--model", model_path, "--q", "0.5",
                      "--x-grid", "0:1:2"])
@@ -146,6 +154,9 @@ THETA_ROWS = [("law", name) for name in (
     "severity_absorbed", "severity_reflected", "severity_infinite", "bailouts_to_level",
     "dividends_penalty", "parisian_up_exit", "parisian_severity",
     "parisian_dividends_penalty")] + [("value", "VS_div_theta")]
+# the rows whose column reads --b: all but the two laws with no barrier
+B_ROWS = [("law" if name in LAWS else "value", name) for name in sorted(SCALAR_CALLS)
+          if name not in ("severity_infinite", "time_in_red")]
 ROUND_TRIPS = ([pytest.param(name, FLAGS, id=name) for name in sorted(SCALAR_CALLS)]
                + [pytest.param(name, NO_FLAGS, id=f"{name}-no-optional-flags")
                   for name in sorted(SCALAR_CALLS)])
@@ -215,6 +226,23 @@ class TestExitCodes:
     def test_bad_theta_is_one(self, capsys, model_path, kind, name, theta):
         assert main([kind, name, "--model", model_path, "--q", "0.5", "--r", "0.5",
                      "--theta", theta, "--b", "1.0", "--x-grid", "0:1:3"]) == 1
+
+    @pytest.mark.parametrize("kind,name", B_ROWS)
+    def test_infinite_b_is_one(self, capsys, model_path, kind, name):
+        assert main([kind, name, "--model", model_path, "--q", "0.5", "--r", "0.5",
+                     "--b", "inf", "--x-grid", "0:1:3"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["law", name, "--b", "1.0"] for name in
+        ("severity_absorbed", "severity_reflected", "severity_infinite", "dividends_penalty")]
+        + [["scale"]], ids=lambda argv: argv[-3] if len(argv) > 1 else argv[0])
+    def test_infinite_classical_theta_is_one(self, capsys, model_path, argv):
+        assert main([*argv, "--model", model_path, "--q", "0.5", "--theta", "inf",
+                     "--x-grid", "0:1:3"]) == 1
+
+    def test_nan_cost_is_one(self, capsys, model_path):
+        assert main(["efficiency", "--model", model_path, "--q", "0.5", "--r", "0.5",
+                     "--k", "nan"]) == 1
 
     def test_negative_q_is_one(self, capsys, model_path):
         assert main(["scale", "--model", model_path, "--q", "-1", "--x-grid", "0:1:2"]) == 1

@@ -75,6 +75,18 @@ class TestOptimizer:
         with pytest.raises(NoSolution):
             ctl.optimize_barrier(lambda b: b, 5.0)
 
+    def test_rejects_unresolvable_grid(self, m1):
+        """Past the optimum 2.107, W' overflows: G reads 0 on a 1e300-wide grid and
+        NaN on a 1e308-wide one, whose points b_max * i overflow."""
+        ctx = build_scale(m1, 0.1)
+        G = lambda b: ctl.barrier_function("deFinetti_classic", ctx, b, penalty=Constant(0.0))
+        with pytest.raises(NoSolution):
+            ctl.optimize_barrier(G, 1e300)
+        with pytest.raises(DomainError):
+            ctl.optimize_barrier(G, 1e308)
+        with pytest.raises(NoSolution):
+            ctl.optimize_barrier(lambda b: math.nan if b > 1.0 else -b, 5.0)
+
     def test_rejects_bad_interval(self):
         with pytest.raises(DomainError):
             ctl.optimize_barrier(lambda b: -b, 0.0)

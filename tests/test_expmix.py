@@ -47,38 +47,11 @@ class TestCalculus:
     def test_integral_matches_quadrature(self):
         f = simple_mix()
         val, _ = quad(f, 0.0, 1.3)
-        assert f.integral(1.3) == pytest.approx(val, rel=1e-10)
+        assert f.antiderivative()(1.3) == pytest.approx(val, rel=1e-10)
 
     def test_antiderivative_with_zero_rate_term(self):
         f = ExpMix.build([(2.0, 0.0, 1)])           # 2x
-        assert f.integral(3.0) == pytest.approx(9.0)
-
-    def test_shift_rate(self):
-        f = simple_mix()
-        g = f.shift_rate(-1.0)
-        x = 0.8
-        assert g(x) == pytest.approx(f(x) * math.exp(-x), rel=1e-13)
-
-    def test_mul_x(self):
-        f = simple_mix()
-        g = f.mul_x()
-        assert g(1.1) == pytest.approx(1.1 * f(1.1), rel=1e-13)
-
-    def test_dickson_hipp_is_truncated_laplace(self):
-        f = simple_mix()
-        theta = 1.7
-        x = 2.0
-        val, _ = quad(lambda y: math.exp(-theta * y) * f(y), 0.0, x)
-        assert f.dickson_hipp(theta, x) == pytest.approx(val, rel=1e-10)
-
-    def test_dickson_hipp_near_term_rate(self):
-        # theta close to a mixture rate must not blow up: the confluent
-        # branch takes over once the gap is below the merge threshold
-        f = ExpMix.build([(1.0, 2.0, 0)])
-        close = f.dickson_hipp(2.0 + 1e-12, 1.5)
-        exact = f.dickson_hipp(2.0, 1.5)
-        assert close == pytest.approx(exact, rel=1e-9)
-        assert exact == pytest.approx(1.5)
+        assert f.antiderivative()(3.0) == pytest.approx(9.0)
 
 
 # rates are either exactly zero (polynomial terms) or bounded away from it:

@@ -44,7 +44,7 @@ class TestArrayInput:
     @pytest.mark.parametrize("law", [
         lambda c, p, x: laws.z_deriv(c, x, 1.3),
         lambda c, p, x: laws.gs_exit(c, x, 1.8, Exponential(1.3)),
-        lambda c, p, x: laws.gs_exit(c, x, 1.8, Exponential(1.3), "reflected"),
+        lambda c, p, x: laws.gs_exit(c, x, 1.8, Exponential(1.3), 0.0),
         lambda c, p, x: laws.fundamental_identity_residual(c, x, 1.8, 0.7),
         lambda c, p, x: laws.parisian_resolvent(p, x, 0.0, 1.8, 0.9),
     ])
@@ -134,6 +134,35 @@ class TestClosedForms:
                 assert laws.gs_exit(ctx, x, b, Exponential(theta)) == \
                     laws.severity_absorbed(ctx, x, b, theta)
 
+    @pytest.mark.parametrize("label", sorted(MODELS))
+    def test_infinite_vartheta_is_absorption_bit_for_bit(self, label):
+        model, q, r = MODELS[label]
+        pctx = build_parisian(model, q, r)
+        ctx, b = pctx.base, 2.5
+        xs = np.array([0.0, 0.45, 1.7, b])
+        for theta in (0.0, 1.3, 4.0):
+            pairs = [(laws.dividends_penalty_classic(ctx, xs, b, theta, INF),
+                      laws.severity_absorbed(ctx, xs, b, theta)),
+                     (laws.parisian_dividends_penalty(pctx, xs, b, theta, INF),
+                      laws.parisian_severity(pctx, xs, b, theta))]
+            for got, want in pairs:
+                assert [float(v).hex() for v in got] == [float(v).hex() for v in want], theta
+
+    @pytest.mark.parametrize("label", sorted(MODELS))
+    def test_reflected_exit_laws_agree(self, label):
+        """severity_reflected is dividends_penalty at vartheta = 0, and gs_exit reflects
+        at b with the law's vartheta."""
+        model, q, _ = MODELS[label]
+        ctx, b = build_scale(model, q), 2.5
+        xs = np.linspace(0.0, b, 101)
+        for theta in (0.0, 0.7, 1.3, 4.0):
+            sev = laws.severity_reflected(ctx, xs, b, theta)
+            assert sev.tolist() == laws.dividends_penalty_classic(ctx, xs, b, theta, 0.0).tolist()
+            for vartheta in (0.0, 0.4, 3.0):
+                want = laws.dividends_penalty_classic(ctx, xs, b, theta, vartheta)
+                got = laws.gs_exit(ctx, xs, b, Exponential(theta), vartheta)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("vartheta", [-1.0, math.nan])
     def test_vartheta_must_be_nonnegative(self, m1_q23, m1_par, vartheta):
         with pytest.raises(DomainError):
@@ -185,6 +214,13 @@ class TestResolvent:
 
 
 class TestOmegaFactorization:
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -0.5])
+    def test_b_must_be_finite_and_nonnegative(self, m1_par, b):
+        with pytest.raises(DomainError):
+            laws.omega(m1_par, b)
+        with pytest.raises(DomainError):
+            laws.parisian_dividends_penalty_factorized(m1_par, b, 1.0, 0.5)
+
     def test_matches_direct_form_at_b(self, m1_par, m2_par):
         for pctx in (m1_par, m2_par):
             for b in (0.5, 1.3, 2.4):
