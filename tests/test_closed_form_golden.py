@@ -1,4 +1,5 @@
-"""Pinned values of every context mixture and of the 11 CLI laws.
+"""Pinned values of every context mixture, the 11 CLI laws, the 9 CLI objectives
+and the 3 barrier functions.
 
 The pins are ``float.hex`` strings.  Mixtures whose terms are the roots of
 kappa = q alone (W, W', W'', Z_q(., theta), d/dtheta Z_q, W_{q,r}, W'_{q,r},
@@ -7,7 +8,10 @@ must match bit for bit.  Mixtures that also carry the rate-0 terms 1, x
 and x^2 may sum their terms in another order, so they must stay within
 4 eps times the sum of their terms' sizes; the one law that reads such a
 mixture (the resolvent integral, through Wbar_{q,r}) gets the bound that
-error propagates to.  A law that raises pins the error's class name.
+error propagates to.  The objectives and barrier functions must match bit
+for bit, except VF_bail, which may move by the rounding of its own
+operation order (see test_objectives_match_pins).  A law, objective or
+barrier function that raises pins the error's class name.
 """
 
 import argparse
@@ -16,12 +20,14 @@ import math
 import numpy as np
 import pytest
 
-from parisian_scale import LevyModel, build_parisian, build_scale, cli, scale
+from parisian_scale import LevyModel, build_parisian, build_scale, cli, control, scale
 
 EPS = np.finfo(float).eps
 X = (0.0, 0.45, 1.7, 2.5, 6.0)
 B = 2.5
 THETAS = (0.0, 1.3)
+K_COST, K_LUMP = 1.7, 0.6       # k and K of the objectives and barrier functions
+BARRIER_BS = (0.5, B)
 
 MODELS = {
     "m1": (LevyModel(c=1.0, lam=1.0, phases=((1.0, 2.0),)), 2.0 / 3.0, 1.0 / 3.0),
@@ -64,17 +70,37 @@ def terms_size(mix, x):
                for w, rho, k in zip(mix.w.tolist(), mix.rho.tolist(), mix.k.tolist()) if w)
 
 
+def hexes(values):
+    """float.hex of each value, or the class name of the error computing them raises."""
+    try:
+        return [float(v).hex() for v in values()]
+    except Exception as exc:  # noqa: BLE001  the class of the error is the pin
+        return type(exc).__name__
+
+
 def law_values(ctx, pctx):
     """name -> the law's values (or its error's class name) on the x <= b points."""
     args = argparse.Namespace(b=B, theta=1.3, vartheta=0.4, r=pctx.r, k=0.0, K=0.0)
-    out = {}
-    for name, row in cli._LAWS.items():
-        try:
-            c = build_scale(ctx.model, 0.0) if name == "time_in_red" else ctx
-            out[name] = [float(v).hex() for v in row.column(c, pctx, np.array(X[:4]), args)]
-        except Exception as exc:  # noqa: BLE001  the class of the error is the pin
-            out[name] = type(exc).__name__
-    return out
+    return {name: hexes(lambda: row.column(
+                build_scale(ctx.model, 0.0) if name == "time_in_red" else ctx, pctx,
+                np.array(X[:4]), args))
+            for name, row in cli._LAWS.items()}
+
+
+def objective_values(ctx, pctx):
+    """name -> the objective's values (or its error's class name) on the x <= b points."""
+    args = argparse.Namespace(b=B, theta=1.3, vartheta=0.4, r=pctx.r, k=K_COST, K=K_LUMP)
+    return {name: hexes(lambda: row.column(ctx, pctx, np.array(X[:4]), args))
+            for name, row in cli._OBJECTIVES.items()}
+
+
+def barrier_values(ctx, pctx):
+    """kind -> G at the BARRIER_BS (or its error's class name)."""
+    penalty = scale.Linear(K_COST, K_LUMP)
+    return {kind: hexes(lambda: [control.barrier_function(
+                kind, pctx if kind == "SLG_parisian" else ctx, b, k=K_COST, penalty=penalty)
+                for b in BARRIER_BS])
+            for kind in ("deFinetti_classic", "SLG_classic", "SLG_parisian")}
 
 
 def contexts(label):
@@ -84,15 +110,18 @@ def contexts(label):
 
 
 def record():
-    """The pins of this tree, in the form of MIXTURE_PINS and LAW_PINS."""
-    mix_pins, law_pins = {}, {}
+    """The pins of this tree, in the form of MIXTURE_PINS, LAW_PINS, OBJECTIVE_PINS
+    and BARRIER_PINS."""
+    pins = {}, {}, {}, {}
     for label in MODELS:
         ctx, pctx = contexts(label)
-        for name, mix in mixtures(ctx, pctx).items():
-            mix_pins[label, name] = tuple(float(v).hex() for v in mix(np.array(X)))
-        for name, value in law_values(ctx, pctx).items():
-            law_pins[label, name] = value if isinstance(value, str) else tuple(value)
-    return mix_pins, law_pins
+        values = ({name: [float(v).hex() for v in mix(np.array(X))]
+                   for name, mix in mixtures(ctx, pctx).items()},
+                  law_values(ctx, pctx), objective_values(ctx, pctx), barrier_values(ctx, pctx))
+        for table, got in zip(pins, values):
+            for name, value in got.items():
+                table[label, name] = value if isinstance(value, str) else tuple(value)
+    return pins
 
 
 MIXTURE_PINS = {
@@ -663,6 +692,136 @@ LAW_PINS = {
         '0x1.0f882b51eb300p-2', '0x1.bd094f5ad6f40p-3'),
 }
 
+OBJECTIVE_PINS = {
+    ('m1', 'vf_dividends_classic'): (
+        '0x1.0547225f71a53p-4', '0x1.e5df2f561c4c2p-4',
+        '0x1.c9c78b41332dap-2', '0x1.ff3927de3ba56p-1'),
+    ('m1', 'value_definetti'): (
+        '-0x1.445d4c8ba5fc0p-6', '0x1.289e43e323be0p-4',
+        '0x1.bf1e99293f8b0p-2', '0x1.fbacbfa367410p-1'),
+    ('m1', 'value_slg_classic'): (
+        '-0x1.530e3cf78eb08p-2', '-0x1.983ea2cc57560p-4',
+        '0x1.976ad092e6fa0p-2', '0x1.ee7571bd782a0p-1'),
+    ('m1', 'VF_div'): (
+        '0x1.44e9e902d175ep-4', '0x1.04862c4e73286p-3',
+        '0x1.cbc2c557f658ap-2', '0x1.ffe200295da5ap-1'),
+    ('m1', 'VF_bail'): (
+        '0x1.5e5397008b184p-5', '0x1.7e6dbd461e1c0p-6',
+        '0x1.ec9da7a165e00p-9', '0x0.0p+0'),
+    ('m1', 'VS_div'): (
+        '0x1.58b3b18780936p-4', '0x1.09fe4be9a182ap-3',
+        '0x1.cc607f8e4df72p-2', '0x1.000b409944f45p+0'),
+    ('m1', 'VS_div_theta'): (
+        '0x1.4eee92ebab35fp-4', '0x1.074b0427dd693p-3',
+        '0x1.cc129fb29edf6p-2', '0x1.fffc94faf4af5p-1'),
+    ('m1', 'VS_bail'): (
+        '0x1.60c9aca962bc4p-5', '0x1.860696a827ef0p-6',
+        '0x1.5f7fbba89ab00p-8', '0x1.d406930e79000p-9'),
+    ('m1', 'slg_parisian'): (
+        '0x1.66a88fbc32020p-7', '0x1.6e39cafefed90p-4',
+        '0x1.c30a4e2bd3750p-2', '0x1.fcfadc6bbe1b0p-1'),
+    ('m2', 'vf_dividends_classic'): (
+        '0x0.0p+0', '0x1.36d20837c3937p-4',
+        '0x1.b9c7db8ab5adfp-2', '0x1.f9258260a71c3p-1'),
+    ('m2', 'value_definetti'): (
+        '0x1.3333333333333p-1', '0x1.d94a786e0571ap-2',
+        '0x1.1fe3c9a714ca8p-1', '0x1.159ef9f529368p+0'),
+    ('m2', 'value_slg_classic'): (
+        '-0x1.8ecab83ce841cp+0', '-0x1.daad695b6ea0cp-1',
+        '0x1.77844971dc000p-4', '0x1.771563f378d70p-1'),
+    ('m2', 'VF_div'): (
+        '0x1.bf49f7b76954cp-5', '0x1.c6d0c56a0a714p-4',
+        '0x1.c5f98933632aap-2', '0x1.fdb48c71e23c9p-1'),
+    ('m2', 'VF_bail'): (
+        '0x1.fb6918e3c4791p-2', '0x1.4055f2d522ae5p-2',
+        '0x1.29ee137e35620p-4', '0x0.0p+0'),
+    ('m2', 'VS_div'): (
+        '0x1.c14d7b7410bc2p-4', '0x1.2c0db6c62310bp-3',
+        '0x1.d24752866838ap-2', '0x1.01270c4e41c34p+0'),
+    ('m2', 'VS_div_theta'): (
+        '0x1.4181f89c4ce64p-4', '0x1.02e9a83f632dap-3',
+        '0x1.cb4f8845ab814p-2', '0x1.ffb339eed9d4dp-1'),
+    ('m2', 'VS_bail'): (
+        '0x1.024e189c83869p-1', '0x1.4c9f82af826c5p-2',
+        '0x1.c2af4ffc3a360p-4', '0x1.50fa1c970c8c0p-4'),
+    ('m2', 'slg_parisian'): (
+        '-0x1.7ef4ad9b90b39p-1', '-0x1.9f6eb5fa7f62ep-2',
+        '0x1.12bcd08802ae0p-2', '0x1.bab28c22d0dc0p-1'),
+    ('m3', 'vf_dividends_classic'): (
+        '0x1.09e06c1ed7547p-55', '0x1.31fa07a7c6d12p+0',
+        '0x1.10bc68df6e409p+1', '0x1.6c1cf24b746bbp+1'),
+    ('m3', 'value_definetti'): (
+        '0x1.3333333333333p-1', '0x1.118f589ae6234p+0',
+        '0x1.03be24a4217ebp+1', '0x1.602f5f76b12cbp+1'),
+    ('m3', 'value_slg_classic'): (
+        '0x1.35a28e1013004p-1', '0x1.11e3b25d158c8p+0',
+        '0x1.03d286ab0b460p+1', '0x1.6041d4c1d781ep+1'),
+    ('m3', 'VF_div'): (
+        '0x1.04935b84d1f79p+0', '0x1.5debe5d3c85f1p+0',
+        '0x1.19d3cf2afe874p+1', '0x1.744d5266ff371p+1'),
+    ('m3', 'VF_bail'): (
+        '0x1.65dc733542ac0p-3', '0x1.b94dbb86e3960p-4',
+        '0x1.a4c69577f9b00p-6', '0x0.0p+0'),
+    ('m3', 'VS_div'): (
+        '0x1.57f4d17fd7230p+0', '0x1.880c0e7d5f7e7p+0',
+        '0x1.2521950b6afa6p+1', '0x1.7e921e5a1c1f5p+1'),
+    ('m3', 'VS_div_theta'): (
+        '0x1.31bcdddaed888p+0', '0x1.6ef62a34228f7p+0',
+        '0x1.1e0f7df3aced0p+1', '0x1.7822ede6a88e2p+1'),
+    ('m3', 'VS_bail'): (
+        '0x1.ad238b36dd390p-3', '0x1.2de53481f07f0p-3',
+        '0x1.5c2ccd2af7b20p-4', '0x1.3d1e74f981b40p-4'),
+    ('m3', 'slg_parisian'): (
+        '0x1.f98754a1f6a74p-1', '0x1.47e4f354f5fd2p+0',
+        '0x1.12a266f1ef6b6p+1', '0x1.6db94cf00e084p+1'),
+    ('neg_q0', 'vf_dividends_classic'): (
+        '0x1.50385c094f42ap-5', '0x1.673026878efb0p-4',
+        '0x1.a215d8d6f3d05p-2', '0x1.eafc7a3f6b0c0p-1'),
+    ('neg_q0', 'value_definetti'): (
+        '-0x1.0f17d6b94f1fep+0', '-0x1.0326973120aa4p+0',
+        '-0x1.622846c7b94a0p-1', '-0x1.20dae3cf20b00p-3'),
+    ('neg_q0', 'value_slg_classic'): 'QZero',
+    ('neg_q0', 'VF_div'): 'QZero',
+    ('neg_q0', 'VF_bail'): 'QZero',
+    ('neg_q0', 'VS_div'): 'QZero',
+    ('neg_q0', 'VS_div_theta'): 'QZero',
+    ('neg_q0', 'VS_bail'): 'QZero',
+    ('neg_q0', 'slg_parisian'): 'QZero',
+}
+BARRIER_PINS = {
+    ('m1', 'deFinetti_classic'): (
+        '-0x1.1ab380f5f62aap-2', '-0x1.3d561d9790632p-1',
+        ),
+    ('m1', 'SLG_classic'): (
+        '-0x1.29340bcdc4fe1p+0', '-0x1.9b29f5a44a128p+0',
+        ),
+    ('m1', 'SLG_parisian'): (
+        '0x1.95ae3044cae34p-4', '-0x1.a7fdeeb551a34p-2',
+        ),
+    ('m2', 'deFinetti_classic'): (
+        '-0x1.1727d2d97c123p+0', '-0x1.107fb550de7b9p+1',
+        ),
+    ('m2', 'SLG_classic'): (
+        '-0x1.c27ac8fca8133p+0', '-0x1.8ecab83ce841cp+0',
+        ),
+    ('m2', 'SLG_parisian'): (
+        '-0x1.9d2611e32e7bbp-2', '-0x1.7ef4ad9b90b39p-1',
+        ),
+    ('m3', 'deFinetti_classic'): (
+        '0x1.14a87b1f002d9p-1', '0x1.bb4dd6fcff6d9p-8',
+        ),
+    ('m3', 'SLG_classic'): (
+        '-0x1.78212f91b72ddp+1', '-0x1.d5b327d24a3e7p+1',
+        ),
+    ('m3', 'SLG_parisian'): (
+        '-0x1.66bfbd92f27dap+0', '-0x1.374e00b627ee8p+1',
+        ),
+    ('neg_q0', 'deFinetti_classic'): (
+        '-0x1.6590674174db2p-1', '-0x1.a8b17052e8b93p-1',
+        ),
+    ('neg_q0', 'SLG_classic'): 'QZero',
+    ('neg_q0', 'SLG_parisian'): 'QZero',
+}
 
 @pytest.mark.parametrize("label", sorted(MODELS))
 def test_mixtures_match_pins(label):
@@ -696,3 +855,30 @@ def test_laws_match_pins(label):
             slack = (abs(ratio) * 4 * EPS * terms_size(wbar, B) + 4 * EPS * terms_size(wbar, x)
                      + 2 * EPS * (abs(ratio * wbar(B)) + abs(wbar(x))))
             assert abs(float.fromhex(v) - float.fromhex(h)) <= slack, (name, x)
+
+
+@pytest.mark.parametrize("label", sorted(MODELS))
+def test_objectives_match_pins(label):
+    ctx, pctx = contexts(label)
+    got = objective_values(ctx, pctx)
+    assert sorted(got) == sorted(cli._OBJECTIVES)
+    for name, value in got.items():
+        want = OBJECTIVE_PINS[label, name]
+        if isinstance(want, str) or name != "VF_bail":
+            assert value == (want if isinstance(want, str) else list(want)), name
+            continue
+        # the exit law forms Z(x)/Z(b)*S(b) where the pin formed Z(x)*S(b)/Z(b)
+        z, s = scale.parisian_Z_mix(pctx, 0.0), pctx.S
+        for x, v, h in zip(X, value, want):
+            slack = 2 * EPS * (abs(s(x)) + abs(z(x) * s(B) / z(B)))
+            assert abs(float.fromhex(v) - float.fromhex(h)) <= slack, (name, x)
+        assert value[X.index(B)] == "0x0.0p+0"
+
+
+@pytest.mark.parametrize("label", sorted(MODELS))
+def test_barrier_functions_match_pins(label):
+    ctx, pctx = contexts(label)
+    got = barrier_values(ctx, pctx)
+    for kind, value in got.items():
+        want = BARRIER_PINS[label, kind]
+        assert value == (want if isinstance(want, str) else list(want)), kind
