@@ -53,21 +53,22 @@ from .laws import (
     two_sided_exit,
 )
 from .control import (
+    Barrier,
     BarrierSolution,
     NetworkSpec,
     Subsidiary,
     barrier_function,
+    definetti,
     efficiency_index,
     is_efficient,
     network_check,
     network_claims_line,
     optimize_barrier,
-    slg_parisian_value,
+    parisian_bailouts,
+    parisian_dividends,
+    slg_classic,
+    slg_parisian,
     solve_patience,
-    value_definetti,
-    value_parisian,
-    value_slg_classic,
-    vf_dividends_classic,
 )
 from .mc import Functional, MCEstimate, PathConfig, estimate
 

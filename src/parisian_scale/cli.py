@@ -45,10 +45,6 @@ def _theta(args, absent=0.0):
     return absent if args.theta is None else args.theta
 
 
-def _parisian_value(part):
-    return lambda c, p, x, a: control.value_parisian(p, x, a.b, part, _theta(a))
-
-
 # absent flags read as 0, except --theta of parisian_up_exit (see there)
 _LAWS = {
     "two_sided": Row(False, lambda c, p, x, a: laws.two_sided_exit(c, x, 0.0, a.b),
@@ -85,18 +81,19 @@ _LAWS = {
 }
 
 _OBJECTIVES = {
-    "vf_dividends_classic": Row(False, lambda c, p, x, a: control.vf_dividends_classic(c, x, a.b)),
-    "value_definetti": Row(
-        False, lambda c, p, x, a: control.value_definetti(c, x, a.b, scale.Linear(a.k, a.K))),
-    "value_slg_classic": Row(False, lambda c, p, x, a: control.value_slg_classic(c, x, a.b, a.k)),
-    "VF_div": Row(True, _parisian_value("VF_div"),
+    "vf_dividends_classic": Row(False, lambda c, p, x, a: control.Barrier(c.W, c.dW).value(x, a.b)),
+    "value_definetti": Row(False, lambda c, p, x, a: control.definetti(
+        c, scale.Linear(a.k, a.K)).value(x, a.b)),
+    "value_slg_classic": Row(False, lambda c, p, x, a: control.slg_classic(c, a.k).value(x, a.b)),
+    "VF_div": Row(True, lambda c, p, x, a: control.parisian_dividends(p, math.inf).value(x, a.b),
                   Check("parisian_absorb", "reflect", lambda a: mc.Functional("dividends"),
                         name="vf_dividends")),
-    "VF_bail": Row(True, _parisian_value("VF_bail")),
-    "VS_div": Row(True, _parisian_value("VS_div")),
-    "VS_div_theta": Row(True, _parisian_value("VS_div_theta")),
-    "VS_bail": Row(True, _parisian_value("VS_bail")),
-    "slg_parisian": Row(True, lambda c, p, x, a: control.slg_parisian_value(p, x, a.b, a.k),
+    "VF_bail": Row(True, lambda c, p, x, a: control.parisian_bailouts(p, x, a.b, math.inf)),
+    "VS_div": Row(True, lambda c, p, x, a: control.parisian_dividends(p, 0.0).value(x, a.b)),
+    "VS_div_theta": Row(
+        True, lambda c, p, x, a: control.parisian_dividends(p, _theta(a)).value(x, a.b)),
+    "VS_bail": Row(True, lambda c, p, x, a: control.parisian_bailouts(p, x, a.b, 0.0)),
+    "slg_parisian": Row(True, lambda c, p, x, a: control.slg_parisian(p, a.k).value(x, a.b),
                         Check("parisian_reflect", "reflect",
                               lambda a: mc.Functional("slg", k=a.k), name="slg_value")),
 }
@@ -210,6 +207,8 @@ def cmd_simulate(args) -> int:
     if upper is None:
         # no barrier in the law: absorb far above, past any return to the red
         b, upper = max(60.0, args.x + 60.0), "absorb"
+    elif not 0 <= args.x <= b:
+        raise DomainError(f"the start must lie in [0, b], got x={args.x}, b={b}")
     cfg = mc.PathConfig(ctx.model, args.x, q=args.q, upper_barrier=b, upper_mode=upper,
                         lower=row.check.lower, r=args.r or 0.0)
     fn = row.check.functional(args)
@@ -314,7 +313,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ParisianScaleError as exc:
+    except (ParisianScaleError, OverflowError) as exc:   # OverflowError: kappa(huge theta)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, MemoryError) as exc:      # a missing file, or a grid too long to hold

@@ -1,15 +1,20 @@
 """Dividend and bailout optimization on top of the scale calculus.
 
-Barrier value functions, the barrier influence function G and its last
-global maximizer, the efficiency threshold k(q, r) with its patience
-solver, and the claims-line network helpers.  The value functions take x
-as a scalar or a numpy array (b and k are scalars); G takes a scalar b.
+Each barrier objective is a ``Barrier`` row (W, W', S, S'): the dividends at
+b net of S, V(x) = S(x) + W(x) (1 - S'(b)) / W'(b) on [0, b] and
+x - b + V(b) above b, with the barrier function G(b) = (1 - S'(b)) / W'(b).
+The makers ``definetti``, ``slg_classic``, ``parisian_dividends`` and
+``slg_parisian`` give the rows; ``parisian_bailouts`` is the exit law of S.
+Also here: the last-global-maximum optimizer, the efficiency threshold
+k(q, r) with its patience solver, and the claims-line network helpers.
+Values take x as a scalar or a numpy array; b, theta and k are scalars.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,6 +24,7 @@ from .errors import (
     QZero,
     RetentionOutOfRange,
 )
+from .laws import exit_law
 from .model import LevyModel, phi
 from .scale import (
     Constant,
@@ -33,32 +39,83 @@ from .scale import (
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _check_barrier_interval(x, b: float):
-    if not (b < math.inf and np.all((0.0 <= np.asarray(x)) & (np.asarray(x) <= b))):
-        raise DomainError(f"need 0 <= x <= b with a finite b, got x={x}, b={b}")
+def _need_q(ctx):
+    if ctx.q <= 0:
+        raise QZero("this barrier objective needs q > 0")
 
 
-def vf_dividends_classic(ctx: ScaleContext, x, b: float):
-    """Expected discounted dividends at barrier b until ruin: W_q(x)/W_q'(b)."""
-    _check_barrier_interval(x, b)
-    return ctx.W(x) / ctx.dW(b)
+class Barrier(NamedTuple):
+    """Dividends at b net of S, V(x) = S(x) + W(x) (1 - S'(b)) / W'(b); S = None reads as 0.
+    W and S are read on x >= 0, dW and dS at b only."""
+
+    W: Callable
+    dW: Callable
+    S: Callable | None = None
+    dS: Callable | None = None
+
+    def _slope(self, b):
+        if not 0 <= b < math.inf:
+            raise DomainError(f"need a finite b >= 0, got b={b}")
+        return (1.0 if self.dS is None else 1.0 - self.dS(b)), self.dW(b)
+
+    def G(self, b: float) -> float:
+        """(1 - S'(b)) / W'(b); where W'(b) = 0 (b = 0, sigma > 0), its limit as b -> 0+."""
+        num, den = self._slope(b)
+        if den == 0.0:
+            return 0.0 if abs(num) < 1e-14 else math.copysign(math.inf, num)
+        return num / den
+
+    def value(self, x, b: float):
+        """V on 0 <= x <= b, and x - b + V(b) above b."""
+        num, den = self._slope(b)
+        if not np.all(np.asarray(x) >= 0) or den == 0.0:
+            raise DomainError(f"need x >= 0 and W'(b) != 0, got x={x}, b={b}")
+
+        def inside(y):
+            v = self.W(y) * num / den
+            return v if self.S is None else self.S(y) + v
+        return piecewise(x, np.asarray(x) <= b, inside, lambda y: y - b + inside(b))
 
 
-def value_definetti(ctx: ScaleContext, x, b: float, penalty: PenaltySpec):
-    """Barrier dividend value with a terminal penalty (Dickson-Waters form).
-
-    For x <= b the value is S_w(x) + W_q(x) (1 - S_w'(b)) / W_q'(b) where
-    S_w is the smooth harmonic extension of the penalty w.  Above the
-    barrier the excess is paid out immediately as a lump sum.
-    """
-    if not (np.all(np.asarray(x) >= 0) and 0 <= b < math.inf):
-        raise DomainError(f"need x >= 0 and a finite b >= 0, got x={x}, b={b}")
+def definetti(ctx: ScaleContext, penalty: PenaltySpec) -> Barrier:
+    """Dividends at b until ruin, net of the penalty w at ruin: S_w is w's Gerber-Shiu function."""
     gs = build_gerber_shiu(ctx, penalty)
-    slope_num, slope_den = 1.0 - gs.dmix(b), ctx.dW(b)
+    return Barrier(ctx.W, ctx.dW, gs, gs.dmix)
 
-    def inside(y):
-        return gs(y) + ctx.W(y) * slope_num / slope_den
-    return piecewise(x, np.asarray(x) <= b, inside, lambda y: y - b + inside(b))
+
+def slg_classic(ctx: ScaleContext, k: float) -> Barrier:
+    """Dividends at b less k times the injections that reflect the surplus at 0."""
+    _need_q(ctx)
+    q, p, brownian = ctx.q, ctx.model.drift, ctx.model.sigma2 > 0
+    # W_q(0) = 0 exactly when sigma > 0, where the mixture leaves a residue of either sign
+    return Barrier(ctx.Z0, lambda b: 0.0 if brownian and b == 0 else q * ctx.W(b),
+                   lambda y: k * (ctx.Zbar(y) + p / q), lambda y: k * ctx.Z0(y))
+
+
+def parisian_dividends(pctx: ParisianContext, theta: float) -> Barrier:
+    """Dividends at b under Parisian observation at 0: until ruin for theta = INF (VF_div),
+    with bailouts for theta = 0 (VS_div)."""
+    _need_q(pctx)
+    return Barrier(parisian_Z_mix(pctx, theta), parisian_Z_mix(pctx, theta, 1))
+
+
+def slg_parisian(pctx: ParisianContext, k: float) -> Barrier:
+    """Dividends at b less k times the bailouts of Parisian reflection at 0."""
+    _need_q(pctx)
+    return Barrier(parisian_Z_mix(pctx, 0.0), parisian_Z_mix(pctx, 0.0, 1),
+                   lambda y: k * pctx.S(y), lambda y: k * pctx.dS(y))
+
+
+def parisian_bailouts(pctx: ParisianContext, x, b: float, vartheta: float):
+    """Bailouts of Parisian reflection at 0 until b (vartheta = INF, VF_bail), or for ever with
+    reflection at b too (vartheta = 0, VS_bail): 0.0 - the exit law of S, +0.0 at x = b."""
+    return 0.0 - exit_law(pctx.S, parisian_Z_mix(pctx, 0.0), x, b, vartheta,
+                          pctx.dS, parisian_Z_mix(pctx, 0.0, 1))
+
+
+_ROWS = {"deFinetti_classic": lambda ctx, k, w: definetti(ctx, Constant(0.0) if w is None else w),
+         "SLG_classic": lambda ctx, k, w: slg_classic(ctx, k),
+         "SLG_parisian": lambda ctx, k, w: slg_parisian(ctx, k)}
 
 
 def barrier_function(
@@ -68,31 +125,11 @@ def barrier_function(
     k: float = 0.0,
     penalty: PenaltySpec | None = None,
 ) -> float:
-    """Barrier influence function G(b) whose last global max locates b*.
-
-    kind selects the objective: "deFinetti_classic" (terminal penalty,
-    pass `penalty`), "SLG_classic" (reduced form G~, pass cost `k`), or
-    "SLG_parisian" (pass cost `k`, ctx must be a ParisianContext).
-    """
-    if not 0 <= b < math.inf:
-        raise DomainError(f"need a finite b >= 0, got b={b}")
-    if kind == "deFinetti_classic":
-        gs = build_gerber_shiu(ctx, penalty if penalty is not None else Constant(0.0))
-        return (1.0 - gs.dmix(b)) / ctx.dW(b)
-    if kind == "SLG_classic":
-        if ctx.q <= 0:
-            raise QZero("SLG barrier function needs q > 0")
-        num = 1.0 - k * ctx.Z0(b)
-        den = ctx.q * ctx.W(b)
-        if den == 0.0:
-            # only possible at b=0 with sigma > 0; take the W'(0+) limit
-            if abs(num) < 1e-14:
-                return 0.0
-            return math.copysign(math.inf, num)
-        return num / den
-    if kind == "SLG_parisian":
-        return (1.0 - k * ctx.dS(b)) / parisian_Z_mix(ctx, 0.0, 1)(b)
-    raise DomainError(f"unknown barrier function kind {kind!r}")
+    """G(b) of the row of kind "deFinetti_classic" (pass `penalty`), "SLG_classic" or
+    "SLG_parisian" (pass the cost `k`; ctx a ParisianContext); its last global max is b*."""
+    if kind not in _ROWS:
+        raise DomainError(f"unknown barrier function kind {kind!r}")
+    return _ROWS[kind](ctx, k, penalty).G(b)
 
 
 @dataclass(frozen=True)
@@ -155,48 +192,6 @@ def optimize_barrier(G, b_max: float, n_grid: int = 1000, tol: float = 1e-8) -> 
         G_at_b_star=g_star,
         is_boundary=(b_star == 0.0),
     )
-
-
-def value_slg_classic(ctx: ScaleContext, x, b: float, k: float):
-    """Dividends minus k times injections for the doubly reflected process."""
-    _check_barrier_interval(x, b)
-    if ctx.q <= 0:
-        raise QZero("SLG value needs q > 0")
-    q = ctx.q
-    lx = ctx.Zbar(x) + ctx.model.drift / q
-    return k * lx + ctx.Z0(x) * (1.0 - k * ctx.Z0(b)) / (q * ctx.W(b))
-
-
-def value_parisian(pctx: ParisianContext, x, b: float, part: str, theta: float = 0.0):
-    """One component of the Parisian barrier objective.
-
-    VF_* parts reflect the surplus at 0 via Poissonian injections and pay
-    dividends at b; VS_* parts are the SLG decomposition pieces.
-    """
-    _check_barrier_interval(x, b)
-    if pctx.q <= 0:
-        raise QZero("Parisian barrier values need q > 0")
-    if part == "VF_div":
-        return pctx.Wqr(x) / pctx.dWqr(b)
-    if part == "VS_div_theta":
-        return parisian_Z_mix(pctx, theta)(x) / parisian_Z_mix(pctx, theta, 1)(b)
-    z = parisian_Z_mix(pctx, 0.0)
-    if part == "VF_bail":
-        return z(x) * pctx.S(b) / z(b) - pctx.S(x)
-    if part == "VS_div":
-        return z(x) / parisian_Z_mix(pctx, 0.0, 1)(b)
-    if part == "VS_bail":
-        return z(x) * pctx.dS(b) / parisian_Z_mix(pctx, 0.0, 1)(b) - pctx.S(x)
-    raise DomainError(f"unknown Parisian value part {part!r}")
-
-
-def slg_parisian_value(pctx: ParisianContext, x, b: float, k: float):
-    """SLG value with Parisian reflection: k S(x) + Z_{q,r}(x)(1 - k S'(b))/Z_{q,r}'(b)."""
-    _check_barrier_interval(x, b)
-    if pctx.q <= 0:
-        raise QZero("SLG value needs q > 0")
-    dZb = parisian_Z_mix(pctx, 0.0, 1)(b)
-    return k * pctx.S(x) + parisian_Z_mix(pctx, 0.0)(x) * (1.0 - k * pctx.dS(b)) / dZb
 
 
 def _threshold(model: LevyModel, q: float, r: float) -> float:

@@ -366,6 +366,14 @@ def _merge_m2(parts) -> float:
     return m2
 
 
+def _summary(parts, n_paths: int, tail: float = 0.0) -> MCEstimate:
+    """The mean, standard error and ci95 of the chunks' moments, merged in index order."""
+    mean = sum(p[1] for p in parts) / n_paths
+    se = math.sqrt(max(_merge_m2(parts), 0.0) / n_paths / n_paths)
+    return MCEstimate(mean=mean, std_error=se, n_paths=n_paths,
+                      ci95=(mean - 1.96 * se, mean + 1.96 * se), tail_bound=tail)
+
+
 def estimate(cfg: PathConfig, fn: Functional, n_paths: int, seed: int = 0) -> MCEstimate:
     """Monte-Carlo average of a path functional with its standard error.
 
@@ -387,13 +395,7 @@ def estimate(cfg: PathConfig, fn: Functional, n_paths: int, seed: int = 0) -> MC
         rec = _simulate_chunk(cfg, size, _chunk_rng(s, i))
         return _chunk_moments(_functional_values(fn, rec, cfg.q))
 
-    parts = _map_chunks(run, _chunk_keys(seed, n_paths))
-    mean = sum(p[1] for p in parts) / n_paths
-    se = math.sqrt(max(_merge_m2(parts), 0.0) / n_paths / n_paths)
-    return MCEstimate(
-        mean=mean, std_error=se, n_paths=n_paths,
-        ci95=(mean - 1.96 * se, mean + 1.96 * se), tail_bound=tail,
-    )
+    return _summary(_map_chunks(run, _chunk_keys(seed, n_paths)), n_paths, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +521,4 @@ def _network_chunk(spec, u0, b, horizon, n, rng):
 def network_estimate(spec, u0: float, b: float, horizon: float | None = None,
                      n_paths: int = 100_000, seed: int = 0) -> MCEstimate:
     direct, _, _ = network_paths(spec, u0, b, horizon, n_paths, seed)
-    mean = float(direct.mean())
-    se = float(direct.std(ddof=0) / math.sqrt(n_paths))
-    return MCEstimate(mean=mean, std_error=se, n_paths=n_paths,
-                      ci95=(mean - 1.96 * se, mean + 1.96 * se))
+    return _summary([_chunk_moments(direct)], n_paths)

@@ -13,6 +13,7 @@ exponential-mixture form.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import ConvergenceFailure, DegenerateRoots, DomainError, ModelError
 
 _POLE_TOL = 1e-12
 _ROOT_SEP_RTOL = 1e-8
+_THETA_MAX = 1e154      # kappa squares theta
 
 
 def read_field(raw, key: str, default=None, kind=float):
@@ -168,17 +170,14 @@ def _kappa_poly(model: LevyModel, s: float) -> np.polynomial.Polynomial:
 
 def phi(model: LevyModel, s: float) -> float:
     """Right inverse of kappa: the largest nonnegative root of kappa(theta) = s."""
-    if not s >= 0:
-        raise DomainError("s must be nonnegative")
+    hi = max(1.0, 2.0 * s / max(model.c, 0.5 * model.sigma2, 1e-12))
+    if not (s >= 0 and hi < _THETA_MAX):
+        raise DomainError(f"s must be nonnegative, and finite below kappa's overflow, got {s}")
     kp0 = model.drift
     if s == 0 and kp0 >= 0:
         return 0.0
     # kappa is convex and increasing on [Phi_0, infinity); bracket then polish.
     lo = 0.0
-    f_lo = -s  # kappa(0) = 0
-    if kp0 < 0 and s == 0:
-        f_lo = 0.0
-    hi = max(1.0, 2.0 * s / max(model.c, 0.5 * model.sigma2, 1e-12))
     for _ in range(200):
         if laplace_exponent(model, hi).real > s:
             break
@@ -191,12 +190,13 @@ def phi(model: LevyModel, s: float) -> float:
             lambda t: laplace_exponent(model, t).real, bounds=(0.0, hi), method="bounded"
         )
         lo = res.x
-        f_lo = laplace_exponent(model, lo).real - s
-        if f_lo > 0:
+        if laplace_exponent(model, lo).real > s:
             raise ConvergenceFailure("bracketing failed below the convexity minimum")
-    root = optimize.brentq(
-        lambda t: laplace_exponent(model, t).real - s, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200
-    )
+    root, info = optimize.brentq(lambda t: laplace_exponent(model, t).real - s, lo, hi,
+                                 xtol=1e-14, rtol=8.9e-16, maxiter=200, full_output=True,
+                                 disp=False)
+    if not info.converged:
+        raise ConvergenceFailure(f"Phi_s did not converge for s = {s}")
     # one Newton polish step
     d = laplace_exponent_deriv(model, root).real
     if d != 0:
@@ -212,9 +212,13 @@ def root_set(model: LevyModel, s: float) -> list[complex]:
     neighbouring poles, two on (-mu_min, inf), where kappa is convex and
     kappa(0) = 0 <= s, and, if sigma2 > 0, one below -mu_max.
     """
-    if not s >= 0:
-        raise DomainError("s must be nonnegative")
+    if not 0 <= s < math.inf:
+        raise DomainError(f"s must be finite and nonnegative, got {s}")
     poly = _kappa_poly(model, s)
+    # a non-finite coefficient, or roots (by Cauchy's bound) too large to square
+    bound = 1.0 + np.max(np.abs(poly.coef[:-1])) / abs(poly.coef[-1])
+    if not bound < _THETA_MAX:
+        raise DomainError(f"kappa(theta) = {s} overflows once its poles are cleared")
     roots = poly.roots()
     polished = []
     for r in roots:

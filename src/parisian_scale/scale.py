@@ -136,8 +136,8 @@ def build_scale(model: LevyModel, q: float) -> ScaleContext:
 
 
 def build_parisian(model: LevyModel, q: float, r: float) -> ParisianContext:
-    if not r > 0:
-        raise DomainError("Parisian observation rate r must be positive")
+    if not 0 < r < INF:
+        raise DomainError(f"Parisian observation rate r must be finite and positive, got {r}")
     base = build_scale(model, q)
     return ParisianContext(model=model, q=float(q), r=float(r), base=base, phi_qr=phi(model, q + r))
 

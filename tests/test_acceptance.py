@@ -121,15 +121,15 @@ def test_criterion_5_parisian_reduces_to_classical(m1, m1_q23):
         close(laws.parisian_dividends_penalty(pctx, x, b, theta, vartheta),
               laws.dividends_penalty_classic(ctx, x, b, theta, vartheta))
         # 5. barrier dividends until ruin
-        close(ctl.value_parisian(pctx, x, b, "VF_div"), ctl.vf_dividends_classic(ctx, x, b))
+        close(ctl.parisian_dividends(pctx, INF).value(x, b), ctl.Barrier(ctx.W, ctx.dW).value(x, b))
         # 6. bailouts until up-crossing
         z0 = build_gerber_shiu(ctx, Exponential(0.0))
         zx, zb = z0(x), z0(b)
-        close(ctl.value_parisian(pctx, x, b, "VF_bail"), zx * ell(b) / zb - ell(x))
+        close(ctl.parisian_bailouts(pctx, x, b, INF), zx * ell(b) / zb - ell(x))
         # 7. doubly reflected dividends
-        close(ctl.value_parisian(pctx, x, b, "VS_div"), zx / (q * ctx.W(b)))
+        close(ctl.parisian_dividends(pctx, 0.0).value(x, b), zx / (q * ctx.W(b)))
         # 8. doubly reflected bailouts
-        close(ctl.value_parisian(pctx, x, b, "VS_bail"),
+        close(ctl.parisian_bailouts(pctx, x, b, 0.0),
               zx * zb / (q * ctx.W(b)) - ell(x))
 
 
@@ -186,13 +186,13 @@ class TestCriterion6MCOracleEquivalence:
     def test_vf_dividends(self, m1, m1_par):
         self.check(self.cfg(m1, lower="parisian_absorb", r=self.R, upper_mode="reflect"),
                    mc.Functional("dividends"),
-                   ctl.value_parisian(m1_par, self.X, self.B, "VF_div"), seed=69)
+                   ctl.parisian_dividends(m1_par, INF).value(self.X, self.B), seed=69)
 
     def test_vs_slg_value(self, m1, m1_par):
         k = 2.0
         self.check(self.cfg(m1, lower="parisian_reflect", r=self.R, upper_mode="reflect"),
                    mc.Functional("slg", k=k),
-                   ctl.slg_parisian_value(m1_par, self.X, self.B, k), seed=70)
+                   ctl.slg_parisian(m1_par, k).value(self.X, self.B), seed=70)
 
     def test_time_in_red(self, m1, m1_q0):
         cfg = mc.PathConfig(model=m1, x0=self.X, q=0.0, upper_barrier=60.0,

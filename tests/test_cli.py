@@ -138,13 +138,16 @@ SCALAR_CALLS = {
         lambda c, p, x, f: laws.parisian_resolvent_integral(p, x, 0.0, B),
     "parisian_dividends_penalty":
         lambda c, p, x, f: laws.parisian_dividends_penalty(p, x, B, f.theta, f.vartheta),
-    "vf_dividends_classic": lambda c, p, x, f: control.vf_dividends_classic(c, x, B),
+    "vf_dividends_classic": lambda c, p, x, f: control.Barrier(c.W, c.dW).value(x, B),
     "value_definetti":
-        lambda c, p, x, f: control.value_definetti(c, x, B, scale.Linear(f.k, f.K)),
-    "value_slg_classic": lambda c, p, x, f: control.value_slg_classic(c, x, B, f.k),
-    "slg_parisian": lambda c, p, x, f: control.slg_parisian_value(p, x, B, f.k),
-    **{part: (lambda part: lambda c, p, x, f: control.value_parisian(p, x, B, part, f.theta))(part)
-       for part in ("VF_div", "VF_bail", "VS_div", "VS_div_theta", "VS_bail")},
+        lambda c, p, x, f: control.definetti(c, scale.Linear(f.k, f.K)).value(x, B),
+    "value_slg_classic": lambda c, p, x, f: control.slg_classic(c, f.k).value(x, B),
+    "slg_parisian": lambda c, p, x, f: control.slg_parisian(p, f.k).value(x, B),
+    "VF_div": lambda c, p, x, f: control.parisian_dividends(p, math.inf).value(x, B),
+    "VF_bail": lambda c, p, x, f: control.parisian_bailouts(p, x, B, math.inf),
+    "VS_div": lambda c, p, x, f: control.parisian_dividends(p, 0.0).value(x, B),
+    "VS_div_theta": lambda c, p, x, f: control.parisian_dividends(p, f.theta).value(x, B),
+    "VS_bail": lambda c, p, x, f: control.parisian_bailouts(p, x, B, 0.0),
 }
 LAWS = ("two_sided", "severity_absorbed", "severity_reflected", "severity_infinite",
         "bailouts_to_level", "dividends_penalty", "time_in_red", "parisian_up_exit",
@@ -179,6 +182,13 @@ class TestGridCommands:
         assert len(rows) == 13
         for x, value in rows:
             assert value == SCALAR_CALLS[name](ctx, pctx, x, flags), x
+
+    def test_dividends_past_barrier_pay_the_excess(self, capsys, model_path):
+        code, out = run(capsys, ["value", "vf_dividends_classic", "--model", model_path,
+                                 "--q", "0.5", "--b", "1", "--x-grid", "0:2:5"])
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+        assert rows[2][0] == 1.0 and rows[-1] == [2.0, 1.0 + rows[2][1]]
 
     def test_grid_ends_exactly_at_b(self, capsys, model_path):
         # a + (b - a)(n - 1)/(n - 1) overshoots this b by one ulp
@@ -239,6 +249,43 @@ class TestExitCodes:
     def test_infinite_classical_theta_is_one(self, capsys, model_path, argv):
         assert main([*argv, "--model", model_path, "--q", "0.5", "--theta", "inf",
                      "--x-grid", "0:1:3"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["law", "two_sided", "--q", "inf", "--b", "1.0", "--x-grid", "0:1:3"],
+        ["law", "two_sided", "--q", "nan", "--b", "1.0", "--x-grid", "0:1:3"],
+        ["scale", "--q", "1e308", "--x-grid", "0:1:3"],
+        ["scale", "--q", "1e305", "--x-grid", "0:1:3"],
+        ["simulate", "two_sided", "--q", "inf", "--x", "0.5", "--b", "1.0", "--paths", "10"],
+        ["law", "parisian_severity", "--q", "0.5", "--r", "inf", "--b", "1.0",
+         "--x-grid", "0:1:3"],
+        ["value", "VF_div", "--q", "0.5", "--r", "nan", "--b", "1.0", "--x-grid", "0:1:3"],
+        ["value", "VF_div", "--q", "0.5", "--r", "1e200", "--b", "1.0", "--x-grid", "0:1:3"],
+        ["efficiency", "--q", "0.5", "--r", "inf", "--k", "1.0"],
+        ["law", "severity_absorbed", "--q", "0.5", "--theta", "1e200", "--b", "1.0",
+         "--x-grid", "0:1:3"],
+    ], ids=lambda argv: "-".join(argv[:4]))
+    def test_non_finite_or_overflowing_argument_is_one(self, capsys, model_path, argv):
+        assert main([*argv, "--model", model_path]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_huge_r_with_sigma_is_one(self, capsys, tmp_path):
+        """Phi_{q+r} of a Brownian model at r = 1e150 is past brentq's 200 steps."""
+        p = tmp_path / "bm.json"
+        p.write_text(json.dumps({"c": 0.0, "sigma2": 2.0}))
+        assert main(["law", "parisian_severity", "--model", str(p), "--q", "0.5", "--r", "1e150",
+                     "--b", "1.0", "--x-grid", "0:1:3"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_slg_classic_zero_barrier_with_sigma_is_one(self, capsys, m3_path):
+        """W_q(0) = 0 when sigma > 0, so the barrier b = 0 has no value."""
+        assert main(["value", "value_slg_classic", "--model", m3_path, "--q", "0.5",
+                     "--b", "0", "--x-grid", "0:0:1"]) == 1
+
+    @pytest.mark.parametrize("x", ["2.0", "-0.5"])
+    @pytest.mark.parametrize("name", ["vf_dividends", "slg_value", "two_sided"])
+    def test_simulate_start_outside_barrier_is_one(self, capsys, model_path, name, x):
+        assert main(["simulate", name, "--model", model_path, "--q", "0.5", "--r", "0.5",
+                     "--x", x, "--b", "1.5", "--paths", "100"]) == 1
 
     def test_nan_cost_is_one(self, capsys, model_path):
         assert main(["efficiency", "--model", model_path, "--q", "0.5", "--r", "0.5",

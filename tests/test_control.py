@@ -146,6 +146,36 @@ class TestOptimizer:
             assert (slope > 0) == (sol.b_star > 0)
 
 
+def sigma_models(n=300):
+    """Seeded models with a Brownian part, each with q and the cost k = 1 + 2.5 q / lambda."""
+    rng = np.random.default_rng(1)
+    for _ in range(n):
+        c, sigma2, lam = rng.uniform(0.5, 3.0), rng.uniform(0.05, 1.0), rng.uniform(0.2, 2.0)
+        m = int(rng.integers(1, 4))
+        rates, w = rng.uniform(0.5, 8.0, m), rng.uniform(0.2, 1.0, m)
+        q = float(rng.uniform(0.1, 1.5))
+        yield (LevyModel(c=c, sigma2=sigma2, lam=lam, phases=tuple(zip(w / w.sum(), rates))),
+               q, 1.0 + 2.5 * q / lam)
+
+
+class TestSlgClassicAtZero:
+    """W_q(0) = 0 when sigma > 0, though the mixture leaves a residue of either sign there."""
+
+    def test_G_at_zero_is_its_limit(self):
+        for model, q, k in sigma_models():
+            assert make_slg_G(build_scale(model, q), k)(0.0) == -math.inf
+
+    def test_solves_are_interior(self):
+        for model, q, k in sigma_models(40):
+            assert ctl.optimize_barrier(make_slg_G(build_scale(model, q), k), 8.0).b_star > 0
+
+    def test_value_at_zero_barrier_is_refused(self):
+        row = ctl.slg_classic(build_scale(M3, 0.5), 1.2)
+        assert row.G(0.0) == -math.inf
+        with pytest.raises(DomainError):
+            row.value(0.0, 0.0)
+
+
 class TestMixturesBuiltOnce:
     """A solve builds each mixture once: the count does not grow with the grid."""
 
@@ -180,31 +210,43 @@ class TestMixturesBuiltOnce:
         assert len(build_calls) == 1
 
 
+# the seven dividend objectives as Barrier rows on (m1 at q = 0.1, m1_par_sym)
+DIVIDEND_ROWS = {
+    "vf_dividends_classic": lambda c, p: ctl.Barrier(c.W, c.dW),
+    "value_definetti": lambda c, p: ctl.definetti(c, Constant(0.2)),
+    "value_slg_classic": lambda c, p: ctl.slg_classic(c, 2.0),
+    "VF_div": lambda c, p: ctl.parisian_dividends(p, math.inf),
+    "VS_div": lambda c, p: ctl.parisian_dividends(p, 0.0),
+    "VS_div_theta": lambda c, p: ctl.parisian_dividends(p, 1.3),
+    "slg_parisian": lambda c, p: ctl.slg_parisian(p, 2.0),
+}
+
+
 class TestValues:
     def test_definetti_zero_penalty_is_dividends(self, m1):
         ctx = build_scale(m1, 0.1)
         for x, b in ((0.0, 1.5), (0.7, 1.5), (1.5, 1.5)):
-            assert ctl.value_definetti(ctx, x, b, Constant(0.0)) == pytest.approx(
-                ctl.vf_dividends_classic(ctx, x, b), rel=1e-12)
+            assert ctl.definetti(ctx, Constant(0.0)).value(x, b) == pytest.approx(
+                ctl.Barrier(ctx.W, ctx.dW).value(x, b), rel=1e-12)
 
-    def test_definetti_lump_above_barrier(self, m1):
-        ctx = build_scale(m1, 0.1)
-        vb = ctl.value_definetti(ctx, 1.5, 1.5, Constant(0.0))
-        assert ctl.value_definetti(ctx, 2.3, 1.5, Constant(0.0)) == pytest.approx(vb + 0.8)
+    @pytest.mark.parametrize("name", DIVIDEND_ROWS)
+    def test_lump_above_barrier(self, m1, m1_par_sym, name):
+        row = DIVIDEND_ROWS[name](build_scale(m1, 0.1), m1_par_sym)
+        assert row.value(2.3, 1.5) == pytest.approx(row.value(1.5, 1.5) + 0.8)
 
-    def test_definetti_array_across_barrier(self, m1):
-        ctx = build_scale(m1, 0.1)
+    @pytest.mark.parametrize("name", DIVIDEND_ROWS)
+    def test_array_across_barrier(self, m1, m1_par_sym, name):
+        row = DIVIDEND_ROWS[name](build_scale(m1, 0.1), m1_par_sym)
         xs = np.linspace(0.0, 3.0, 13)
-        got = ctl.value_definetti(ctx, xs, 1.5, Constant(0.2))
-        assert got.tolist() == [ctl.value_definetti(ctx, float(x), 1.5, Constant(0.2)) for x in xs]
+        assert row.value(xs, 1.5).tolist() == [row.value(float(x), 1.5) for x in xs]
 
     def test_slg_value_peaks_at_optimizer(self, m1_q23):
         k = 2.5
         sol = ctl.optimize_barrier(make_slg_G(m1_q23, k), 8.0)
         for x in (0.0, 0.2, 0.4):
-            best = ctl.value_slg_classic(m1_q23, x, max(sol.b_star, x), k)
+            best = ctl.slg_classic(m1_q23, k).value(x, max(sol.b_star, x))
             for b in np.linspace(max(x, 0.05), 4.0, 60):
-                assert ctl.value_slg_classic(m1_q23, x, float(b), k) <= best + 1e-9
+                assert ctl.slg_classic(m1_q23, k).value(x, float(b)) <= best + 1e-9
 
     def test_hjb_variational_inequality(self, m1):
         """The de Finetti value solves max(GV - qV, 1 - V') = 0."""
@@ -241,9 +283,9 @@ class TestValues:
     def test_parisian_slg_assembles_from_parts(self, m1_par_sym):
         k, b = 2.0, 1.4
         for x in (0.0, 0.6, 1.4):
-            parts = (ctl.value_parisian(m1_par_sym, x, b, "VS_div")
-                     - k * ctl.value_parisian(m1_par_sym, x, b, "VS_bail"))
-            assert ctl.slg_parisian_value(m1_par_sym, x, b, k) == pytest.approx(
+            parts = (ctl.parisian_dividends(m1_par_sym, 0.0).value(x, b)
+                     - k * ctl.parisian_bailouts(m1_par_sym, x, b, 0.0))
+            assert ctl.slg_parisian(m1_par_sym, k).value(x, b) == pytest.approx(
                 parts, rel=1e-12)
 
 

@@ -179,7 +179,7 @@ class TestAnalyticCrossChecks:
         cfg = m1_cfg(m1, x0=0.6, q=0.5, upper_barrier=1.5, upper_mode="reflect",
                      lower="classical_absorb")
         est = mc.estimate(cfg, mc.Functional("dividends"), n_paths=self.N, seed=13)
-        assert self.z_ok(est, ctl.vf_dividends_classic(ctx, 0.6, 1.5))
+        assert self.z_ok(est, ctl.Barrier(ctx.W, ctx.dW).value(0.6, 1.5))
 
     def test_bailouts_to_level(self, m1, m1_q23):
         cfg = m1_cfg(m1, x0=0.6, q=2.0 / 3.0, upper_barrier=1.5, lower="classical_reflect")
@@ -211,7 +211,7 @@ class TestAnalyticCrossChecks:
         cfg = m1_cfg(m1, x0=0.6, q=2.0 / 3.0, upper_barrier=1.5, upper_mode="reflect",
                      lower="parisian_absorb", r=1.0 / 3.0)
         est = mc.estimate(cfg, mc.Functional("dividends"), n_paths=self.N, seed=18)
-        assert self.z_ok(est, ctl.value_parisian(m1_par, 0.6, 1.5, "VF_div"))
+        assert self.z_ok(est, ctl.parisian_dividends(m1_par, INF).value(0.6, 1.5))
 
     def test_parisian_bailout_value(self, m1, m1_par):
         from parisian_scale import control as ctl
@@ -219,7 +219,7 @@ class TestAnalyticCrossChecks:
         cfg = m1_cfg(m1, x0=0.6, q=2.0 / 3.0, upper_barrier=1.5,
                      lower="parisian_reflect", r=1.0 / 3.0)
         est = mc.estimate(cfg, mc.Functional("bailouts"), n_paths=self.N, seed=19)
-        assert self.z_ok(est, ctl.value_parisian(m1_par, 0.6, 1.5, "VF_bail"))
+        assert self.z_ok(est, ctl.parisian_bailouts(m1_par, 0.6, 1.5, INF))
 
     def test_tail_bound_reported(self, m1):
         cfg = m1_cfg(m1, x0=0.6, q=0.5, upper_barrier=1.5, upper_mode="reflect",

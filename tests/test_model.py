@@ -6,6 +6,7 @@ import pytest
 
 from parisian_scale import (
     DegenerateRoots,
+    DomainError,
     LevyModel,
     ModelError,
     PoleAtTheta,
@@ -99,8 +100,23 @@ class TestPhi:
         for s in (0.1, 1.0, 7.5):
             assert laplace_exponent(m1, phi(m1, s)) == pytest.approx(s, rel=1e-12)
 
+    @pytest.mark.parametrize("s", [-1.0, math.inf, math.nan])
+    def test_phi_refuses_s_outside_its_domain(self, m1, s):
+        with pytest.raises(DomainError):
+            phi(m1, s)
+
 
 class TestRootSet:
+    @pytest.mark.parametrize("s", [-1.0, math.inf, math.nan])
+    def test_refuses_s_outside_its_domain(self, m1, s):
+        with pytest.raises(DomainError):
+            root_set(m1, s)
+
+    def test_refuses_an_overflowing_polynomial(self, m1):
+        # -s times the cleared pole (theta + 2) overflows to -inf
+        with pytest.raises(DomainError, match="overflows"):
+            root_set(m1, 1e308)
+
     def test_m1_q23_roots(self, m1):
         roots = sorted(r.real for r in root_set(m1, 2.0 / 3.0))
         assert roots == pytest.approx([-4.0 / 3.0, 1.0], abs=1e-10)

@@ -133,6 +133,11 @@ class TestZFamily:
 
 
 class TestParisianFamily:
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+    def test_refuses_r_outside_its_domain(self, m1, r):
+        with pytest.raises(DomainError):
+            build_parisian(m1, 0.5, r)
+
     def test_blend_at_theta_zero(self, m1_par):
         # Z_{q,r}(x) = (r Z_q(x) + q W_{q,r}(x) kappa-free blend) / (q + r) at theta=0
         q, r = 2 / 3, 1 / 3
