@@ -8,7 +8,6 @@ efficiency index, and an exact event-driven Monte-Carlo oracle.
 """
 
 from .errors import (
-    ConvergenceFailure,
     DegenerateRoots,
     DomainError,
     HorizonRequired,

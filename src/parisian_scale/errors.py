@@ -13,10 +13,6 @@ class PoleAtTheta(ParisianScaleError):
     """Laplace exponent evaluated at (or too close to) a pole."""
 
 
-class ConvergenceFailure(ParisianScaleError):
-    """Root finding failed to converge."""
-
-
 class DegenerateRoots(ParisianScaleError):
     """Two roots of kappa(theta)=q coincide; exponential-mixture form breaks down."""
 

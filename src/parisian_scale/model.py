@@ -7,7 +7,9 @@ density ``sum_i p_i mu_i exp(-mu_i y)``.  The Laplace exponent is
     kappa(theta) = sigma^2/2 theta^2 + c theta - lam theta sum_i p_i/(mu_i+theta)
 
 which is rational, so the scale-function family has an exact finite
-exponential-mixture form.
+exponential-mixture form.  ``root_set`` finds the roots of kappa = s from
+the polynomial numerator; ``phi`` finds the largest, Phi_s, by Newton's
+method started at a closed-form upper bound.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
-from .errors import ConvergenceFailure, DegenerateRoots, DomainError, ModelError, PoleAtTheta
+from .errors import DegenerateRoots, DomainError, ModelError, PoleAtTheta
 
 _POLE_TOL = 1e-12
 _ROOT_SEP_RTOL = 1e-8
@@ -169,39 +170,32 @@ def _kappa_poly(model: LevyModel, s: float) -> np.polynomial.Polynomial:
 
 
 def phi(model: LevyModel, s: float) -> float:
-    """Right inverse of kappa: the largest nonnegative root of kappa(theta) = s."""
-    hi = max(1.0, 2.0 * s / max(model.c, 0.5 * model.sigma2, 1e-12))
-    if not (s >= 0 and hi < _THETA_MAX):
-        raise DomainError(f"s must be nonnegative, and finite below kappa's overflow, got {s}")
-    kp0 = model.drift
-    if s == 0 and kp0 >= 0:
+    """Right inverse of kappa: the largest nonnegative root of kappa(theta) = s.
+
+    Newton's method from u, the positive root of sigma2/2 u^2 + c u = s + lam.
+    For theta >= 0 the claims take less than lam from kappa, so kappa(u) >= s
+    and u >= Phi_s; kappa is convex and increasing on [Phi_s, u], so the
+    iterates come down to Phi_s without crossing it.  They stop where rounding
+    stops the descent, and one more Newton step follows.
+    """
+    if not 0 <= s < math.inf:
+        raise DomainError(f"s must be finite and nonnegative, got {s}")
+    if s == 0 and model.drift >= 0:
         return 0.0
-    # kappa is convex and increasing on [Phi_0, infinity); bracket then polish.
-    lo = 0.0
-    for _ in range(200):
-        if laplace_exponent(model, hi).real > s:
+    a, c, t = 0.5 * model.sigma2, model.c, s + model.lam
+    u = 2.0 * t / (c + math.sqrt(c * c + 4.0 * a * t)) if c >= 0 else \
+        (math.sqrt(c * c + 4.0 * a * t) - c) / (2.0 * a)
+    if not (u < _THETA_MAX and math.isfinite(laplace_exponent(model, u))):
+        raise DomainError(f"kappa(theta) = {s} has its root past kappa's overflow")
+    theta = u
+    while True:
+        d = laplace_exponent_deriv(model, theta)
+        # d rounds to 0 only next to a double root (zero drift, s -> 0), which theta then is
+        step = (laplace_exponent(model, theta) - s) / d if d > 0 else 0.0
+        if not theta - step < theta:
             break
-        hi *= 2.0
-    else:
-        raise ConvergenceFailure("could not bracket Phi_s")
-    if kp0 < 0:
-        # start past the interior minimum so the bracket holds a single root
-        res = optimize.minimize_scalar(
-            lambda t: laplace_exponent(model, t).real, bounds=(0.0, hi), method="bounded"
-        )
-        lo = res.x
-        if laplace_exponent(model, lo).real > s:
-            raise ConvergenceFailure("bracketing failed below the convexity minimum")
-    root, info = optimize.brentq(lambda t: laplace_exponent(model, t).real - s, lo, hi,
-                                 xtol=1e-14, rtol=8.9e-16, maxiter=200, full_output=True,
-                                 disp=False)
-    if not info.converged:
-        raise ConvergenceFailure(f"Phi_s did not converge for s = {s}")
-    # one Newton polish step
-    d = laplace_exponent_deriv(model, root).real
-    if d != 0:
-        root -= (laplace_exponent(model, root).real - s) / d
-    return max(root, 0.0)
+        theta -= step
+    return max(theta - step, 0.0)
 
 
 def root_set(model: LevyModel, s: float) -> list[complex]:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from parisian_scale import LevyModel, build_parisian, build_scale
@@ -57,3 +62,14 @@ def build_calls(monkeypatch):
     monkeypatch.setattr(ExpMix, "build",
                         classmethod(lambda cls, terms: calls.append(1) or build(cls, terms)))
     return calls
+
+
+@pytest.fixture()
+def python_child():
+    """Run python with the given arguments on this tree, with a timeout, so that a loop
+    that never ends fails instead of hanging the suite."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return lambda args: subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                                       timeout=60, env=env)

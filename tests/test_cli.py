@@ -268,13 +268,18 @@ class TestExitCodes:
         assert main([*argv, "--model", model_path]) == 1
         assert capsys.readouterr().err.count("\n") == 1
 
-    def test_huge_r_with_sigma_is_one(self, capsys, tmp_path):
-        """Phi_{q+r} of a Brownian model at r = 1e150 is past brentq's 200 steps."""
+    def test_huge_r_with_sigma_is_zero(self, capsys, tmp_path):
+        """Phi_{q+r} of a Brownian model at r = 1e150 is 1e75, and the law is its r -> inf
+        limit, the classical severity."""
         p = tmp_path / "bm.json"
         p.write_text(json.dumps({"c": 0.0, "sigma2": 2.0}))
-        assert main(["law", "parisian_severity", "--model", str(p), "--q", "0.5", "--r", "1e150",
-                     "--b", "1.0", "--x-grid", "0:1:3"]) == 1
-        assert capsys.readouterr().err.count("\n") == 1
+        argv = ["--model", str(p), "--q", "0.5", "--b", "1.0", "--x-grid", "0:1:3"]
+        code, out = run(capsys, ["law", "parisian_severity", "--r", "1e150", *argv])
+        assert code == 0
+        _, limit = run(capsys, ["law", "severity_absorbed", *argv])
+        got, want = ([float(line.split(",")[1]) for line in text.splitlines()[1:]]
+                     for text in (out, limit))
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15
 
     def test_slg_classic_zero_barrier_with_sigma_is_one(self, capsys, m3_path):
         """W_q(0) = 0 when sigma > 0, so the barrier b = 0 has no value."""
@@ -461,6 +466,13 @@ def test_build_scale_once_with_r(capsys, model_path, monkeypatch):
                            "--r", "0.75", "--theta", "1.0", "--b", "1.5",
                            "--x-grid", "0:1.5:4"])
     assert code == 0 and calls == [0.5]
+
+
+def test_import_loads_no_scipy(python_child):
+    """The package runs on numpy alone; scipy is a test dependency."""
+    done = python_child(["-c", "import sys, parisian_scale.cli; "
+                         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"])
+    assert done.stdout.strip() == "[]", done.stderr
 
 
 @pytest.mark.parametrize("path", ["model_path", "m3_path"])

@@ -100,10 +100,40 @@ class TestPhi:
         for s in (0.1, 1.0, 7.5):
             assert laplace_exponent(m1, phi(m1, s)) == pytest.approx(s, rel=1e-12)
 
-    @pytest.mark.parametrize("s", [-1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("s", [-1.0, math.inf, math.nan, 1e308])
     def test_phi_refuses_s_outside_its_domain(self, m1, s):
         with pytest.raises(DomainError):
             phi(m1, s)
+
+    @pytest.mark.parametrize("s", [1e70, 1e150, 1e300])
+    def test_m2_phi_is_sqrt_far_out(self, m2, s):
+        assert phi(m2, s) == math.sqrt(s)
+
+    def test_phi_zero_with_negative_drift_is_exact(self):
+        # kappa(theta) = theta/2 - theta/(1 + theta) vanishes at theta = 1
+        assert phi(LevyModel(c=0.5, lam=1.0, phases=((1.0, 1.0),)), 0.0) == 1.0
+
+    def test_extreme_sweep_is_backward_stable(self):
+        """Phases, rates, sigma2, negative c and s over many decades: Phi_s solves kappa = s
+        to within 4 eps times the size of kappa's terms."""
+        rng = np.random.default_rng(10)
+        eps = np.finfo(float).eps
+        for _ in range(3000):
+            n = int(rng.integers(0, 6))
+            sigma2 = 0.0 if rng.random() < 0.4 else float(10.0 ** rng.uniform(-4, 2))
+            try:
+                model = LevyModel(c=float(rng.uniform(-10.0 if sigma2 else 0.01, 10.0)),
+                                  sigma2=sigma2, lam=float(10.0 ** rng.uniform(-2, 2)) if n else 0.0,
+                                  phases=tuple(zip(rng.dirichlet(np.ones(n)).tolist(),
+                                                   (10.0 ** rng.uniform(-2, 3, n)).tolist())))
+            except ModelError:
+                continue
+            s = 0.0 if rng.random() < 0.2 else float(10.0 ** rng.uniform(-10, 150))
+            root = phi(model, s)
+            assert math.isfinite(root) and root >= 0
+            claims = model.lam * root * sum(p / (mu + root) for p, mu in model.phases)
+            size = 0.5 * model.sigma2 * root**2 + abs(model.c) * root + claims
+            assert abs(laplace_exponent(model, root) - s) <= 4 * eps * size, (model, s)
 
 
 class TestRootSet:
