@@ -348,14 +348,14 @@ MIXTURE_PINS = {
         '0x0.0p+0', '0x1.6561f6988fa91p-1', '0x1.fbf619ced0282p+1',
         '0x1.2268e9a44891ep+3', '0x1.2e91da38dd604p+8'),
     ('m3', 'W'): (
-        '0x1.0000000000000p-56', '0x1.269c4419dc958p-1', '0x1.069ac1bd53e30p+0',
-        '0x1.5e9651d1d54b6p+0', '0x1.20eeea9fb2b96p+2'),
+        '0x1.0000000000000p-56', '0x1.269c4419dc958p-1', '0x1.069ac1bd53e2fp+0',
+        '0x1.5e9651d1d54b4p+0', '0x1.20eeea9fb2b96p+2'),
     ('m3', 'dW'): (
-        '0x1.fffffffffffffp+1', '0x1.be9e80f57742ep-2', '0x1.89ef24dd5e912p-2',
-        '0x1.ecfb011f9f2f2p-2', '0x1.862e6e256ade0p+0'),
+        '0x1.fffffffffffffp+1', '0x1.be9e80f57742ep-2', '0x1.89ef24dd5e910p-2',
+        '0x1.ecfb011f9f2eep-2', '0x1.862e6e256addfp+0'),
     ('m3', 'ddW'): (
-        '-0x1.0000000000000p+5', '-0x1.7182daac6b645p-1', '0x1.816168cda42e5p-4',
-        '0x1.2c0a994ab0160p-3', '0x1.06bebfffb6ce6p-1'),
+        '-0x1.0000000000000p+5', '-0x1.7182daac6b645p-1', '0x1.816168cda42e2p-4',
+        '0x1.2c0a994ab015ep-3', '0x1.06bebfffb6ce6p-1'),
     ('m3', 'Wbar'): (
         '0x0.0p+0', '0x1.6cc0ad46cf160p-3', '0x1.2dfb07dc5f4e8p+0',
         '0x1.10f7bac95d40ep+1', '0x1.6c6a08fada931p+3'),
@@ -366,14 +366,14 @@ MIXTURE_PINS = {
         '-0x1.c000000000000p-54', '0x1.dd00d366f3af2p-2', '0x1.0e430f69d14e4p+1',
         '0x1.c84846e4a5e6ep+1', '0x1.1539ef1b1f150p+4'),
     ('m3', 'Z1'): (
-        '-0x1.0000000000000p-54', '0x1.ef75d449004aap-3', '0x1.41c847256b89cp-1',
-        '0x1.c47de554dfef4p-1', '0x1.8153ddfa29e1ap+1'),
+        '-0x1.2000000000000p-51', '0x1.ef75d44900498p-3', '0x1.41c847256b896p-1',
+        '0x1.c47de554dfeebp-1', '0x1.8153ddfa29e18p+1'),
     ('m3', 'Wqr'): (
         '0x1.0000000000000p+0', '0x1.57c6e8161a3fbp+0', '0x1.14e0eb5ad3588p+1',
-        '0x1.6dc3b95bc892fp+1', '0x1.2b753dff49257p+3'),
+        '0x1.6dc3b95bc892ep+1', '0x1.2b753dff49257p+3'),
     ('m3', 'dWqr'): (
-        '0x1.4d6451622fb36p+0', '0x1.32305d8eaba7ap-1', '0x1.87e9412472abfp-1',
-        '0x1.f7026c18b4c15p-1', '0x1.9437c01229c2fp+1'),
+        '0x1.4d6451622fb37p+0', '0x1.32305d8eaba7ap-1', '0x1.87e9412472abep-1',
+        '0x1.f7026c18b4c12p-1', '0x1.9437c01229c2ep+1'),
     ('m3', 'Wbar_qr'): (
         '-0x1.0000000000000p-55', '0x1.12d799ebe6344p-1', '0x1.5a32f56e420bfp+1',
         '0x1.2ce34ff74ed69p+2', '0x1.7e81bda753ac0p+4'),
@@ -384,74 +384,74 @@ MIXTURE_PINS = {
         '0x1.999999999999bp-1', '0x1.be13448714b57p-1', '0x1.45979cbe8c85ep+0',
         '0x1.a72c956de433fp+0', '0x1.56bb3a624875bp+2'),
     ('m3', 'ddS'): (
-        '0x1.8000000000000p-56', '0x1.d7606cf62dbc2p-3', '0x1.a42acf955304dp-2',
-        '0x1.18784174aaa2bp-1', '0x1.ce4b10ff845bep+0'),
+        '0x1.8000000000000p-56', '0x1.d7606cf62dbc2p-3', '0x1.a42acf955304cp-2',
+        '0x1.18784174aaa2ap-1', '0x1.ce4b10ff845bep+0'),
     ('m3', 'z_mix(0.0)'): (
-        '0x1.fffffffffffffp-1', '0x1.16cc0ad46cf16p+0', '0x1.96fd83ee2fa74p+0',
-        '0x1.087bdd64aea07p+1', '0x1.ac6a08fada931p+2'),
+        '0x1.0000000000000p+0', '0x1.16cc0ad46cf17p+0', '0x1.96fd83ee2fa76p+0',
+        '0x1.087bdd64aea07p+1', '0x1.ac6a08fada933p+2'),
     ('m3', 'dz_dtheta_mix(0.0)'): (
-        '-0x1.c000000000000p-52', '0x1.ef75d4490049bp-3', '0x1.41c847256b896p-1',
-        '0x1.c47de554dfeebp-1', '0x1.8153ddfa29e14p+1'),
+        '0x1.0000000000000p-54', '0x1.ef75d449004afp-3', '0x1.41c847256b89cp-1',
+        '0x1.c47de554dfef3p-1', '0x1.8153ddfa29e1cp+1'),
     ('m3', 'gs_exp(0.0)'): (
-        '0x1.fffffffffffffp-1', '0x1.16cc0ad46cf16p+0', '0x1.96fd83ee2fa74p+0',
-        '0x1.087bdd64aea07p+1', '0x1.ac6a08fada931p+2'),
+        '0x1.0000000000000p+0', '0x1.16cc0ad46cf17p+0', '0x1.96fd83ee2fa76p+0',
+        '0x1.087bdd64aea07p+1', '0x1.ac6a08fada933p+2'),
     ('m3', 'gs_exp_d(0.0)'): (
-        '0x1.0000000000000p-57', '0x1.269c4419dc958p-2', '0x1.069ac1bd53e30p-1',
-        '0x1.5e9651d1d54b6p-1', '0x1.20eeea9fb2b96p+1'),
+        '0x1.0000000000000p-57', '0x1.269c4419dc958p-2', '0x1.069ac1bd53e2fp-1',
+        '0x1.5e9651d1d54b4p-1', '0x1.20eeea9fb2b96p+1'),
     ('m3', 'z_mix(1.3)'): (
         '0x1.0000000000000p+0', '0x1.57acd3df5bf03p+0', '0x1.14c63d423e3acp+1',
-        '0x1.6d9f6d81746dcp+1', '0x1.2b56f7f1e84aep+3'),
+        '0x1.6d9f6d81746dbp+1', '0x1.2b56f7f1e84aep+3'),
     ('m3', 'dz_dtheta_mix(1.3)'): (
-        '-0x1.6000000000000p-53', '0x1.608a38524d2fdp-3', '0x1.68b34d9d736f8p-2',
-        '0x1.eab6b59c203c9p-2', '0x1.994b045efd455p+0'),
+        '0x1.c000000000000p-54', '0x1.608a38524d307p-3', '0x1.68b34d9d736ffp-2',
+        '0x1.eab6b59c203d2p-2', '0x1.994b045efd45dp+0'),
     ('m3', 'gs_exp(1.3)'): (
         '0x1.0000000000000p+0', '0x1.57acd3df5bf03p+0', '0x1.14c63d423e3acp+1',
-        '0x1.6d9f6d81746dcp+1', '0x1.2b56f7f1e84aep+3'),
+        '0x1.6d9f6d81746dbp+1', '0x1.2b56f7f1e84aep+3'),
     ('m3', 'gs_exp_d(1.3)'): (
-        '0x1.4ccccccccccccp+0', '0x1.31fa764fd4420p-1', '0x1.87bd434d1e7aap-1',
-        '0x1.f6cd5a5df4791p-1', '0x1.940ed5f98094cp+1'),
+        '0x1.4ccccccccccccp+0', '0x1.31fa764fd4420p-1', '0x1.87bd434d1e7a8p-1',
+        '0x1.f6cd5a5df478fp-1', '0x1.940ed5f98094bp+1'),
     ('m3', 'pZ0(0.0)'): (
-        '0x1.0000000000000p+0', '0x1.23cb03e18f9a9p+0', '0x1.b457fae2e10fbp+0',
-        '0x1.1cbd6fc94d6a8p+1', '0x1.ce83b9953284ap+2'),
+        '0x1.0000000000000p+0', '0x1.23cb03e18f9abp+0', '0x1.b457fae2e10fcp+0',
+        '0x1.1cbd6fc94d6a8p+1', '0x1.ce83b9953284cp+2'),
     ('m3', 'pZ1(0.0)'): (
-        '0x1.0ab6a781bfc2bp-2', '0x1.6629f580f5212p-2', '0x1.2077419ec0719p-1',
-        '0x1.7d125713352fbp-1', '0x1.37fd7bb69754ep+1'),
+        '0x1.0ab6a781bfc2cp-2', '0x1.6629f580f5213p-2', '0x1.2077419ec0718p-1',
+        '0x1.7d125713352fap-1', '0x1.37fd7bb69754ep+1'),
     ('m3', 'pZ2(0.0)'): (
-        '0x1.5b581c074bbe1p-2', '0x1.3f00b7f17e8c8p-3', '0x1.984ffdf3faaa0p-3',
-        '0x1.0607b4960573bp-2', '0x1.a52255b2a97b0p-1'),
+        '0x1.5b581c074bbdap-2', '0x1.3f00b7f17e8c6p-3', '0x1.984ffdf3faa9dp-3',
+        '0x1.0607b49605739p-2', '0x1.a52255b2a97aep-1'),
     ('m3', 'pZ0(1.3)'): (
-        '0x1.ffffffffffbf8p-1', '0x1.33438c6f90dd3p+0', '0x1.df0c38e2ea1c7p+0',
-        '0x1.3af236a13d888p+1', '0x1.01126789a410ap+3'),
+        '0x1.ffffffffffd40p-1', '0x1.33438c6f90e20p+0', '0x1.df0c38e2ea1e0p+0',
+        '0x1.3af236a13d88ep+1', '0x1.01126789a410ap+3'),
     ('m3', 'pZ1(1.3)'): (
-        '0x1.e501e5b3a2fcfp-2', '0x1.cd701ef3599c2p-2', '0x1.4a5190dc5c9a6p-1',
-        '0x1.acb50f888739dp-1', '0x1.5aeefb6b5852fp+1'),
+        '0x1.e501e5b3a27bdp-2', '0x1.cd701ef359880p-2', '0x1.4a5190dc5c97ap-1',
+        '0x1.acb50f8887385p-1', '0x1.5aeefb6b5852ep+1'),
     ('m3', 'pZ2(1.3)'): (
-        '-0x1.d77f42a9d55c2p-2', '0x1.774ca04a00bc6p-4', '0x1.a637d4e984d2bp-3',
-        '0x1.1b4e1e4e04bbdp-2', '0x1.d3efd26838705p-1'),
+        '-0x1.d77f42a9d1e15p-2', '0x1.774ca04a015b5p-4', '0x1.a637d4e984db3p-3',
+        '0x1.1b4e1e4e04bdcp-2', '0x1.d3efd26838703p-1'),
     ('m3', 'pZ0(phi_qr)'): (
-        '0x1.ffffffffffffep-1', '0x1.3347857f74b95p+0', '0x1.df16301ae9597p+0',
-        '0x1.3af92c57c7d35p+1', '0x1.01184e3fe70a4p+3'),
+        '0x1.0000000000000p+0', '0x1.3347857f74b96p+0', '0x1.df16301ae9598p+0',
+        '0x1.3af92c57c7d35p+1', '0x1.01184e3fe70a5p+3'),
     ('m3', 'pZ1(phi_qr)'): (
-        '0x1.e5443a55de0cdp-2', '0x1.cd877272cdbe4p-2', '0x1.4a5ad3b6ca89ap-1',
-        '0x1.acbfc6b5b5fb2p-1', '0x1.5af6f7511c4d0p+1'),
+        '0x1.e5443a55de0d4p-2', '0x1.cd877272cdbe5p-2', '0x1.4a5ad3b6ca89ap-1',
+        '0x1.acbfc6b5b5fb0p-1', '0x1.5af6f7511c4d0p+1'),
     ('m3', 'pZ2(phi_qr)'): (
-        '-0x1.d8c8ba8a19f2fp-2', '0x1.76ff765050873p-4', '0x1.a63bcd7d6b72bp-3',
-        '0x1.1b533d7b814b3p-2', '0x1.d3fa8739a8f28p-1'),
+        '-0x1.d8c8ba8a19f5ap-2', '0x1.76ff765050867p-4', '0x1.a63bcd7d6b728p-3',
+        '0x1.1b533d7b814b2p-2', '0x1.d3fa8739a8f27p-1'),
     ('m3', 'pZ0(inf)'): (
         '0x1.0000000000000p+0', '0x1.57c6e8161a3fbp+0', '0x1.14e0eb5ad3588p+1',
-        '0x1.6dc3b95bc892fp+1', '0x1.2b753dff49257p+3'),
+        '0x1.6dc3b95bc892ep+1', '0x1.2b753dff49257p+3'),
     ('m3', 'pZ1(inf)'): (
-        '0x1.4d6451622fb36p+0', '0x1.32305d8eaba7ap-1', '0x1.87e9412472abfp-1',
-        '0x1.f7026c18b4c15p-1', '0x1.9437c01229c2fp+1'),
+        '0x1.4d6451622fb37p+0', '0x1.32305d8eaba7ap-1', '0x1.87e9412472abep-1',
+        '0x1.f7026c18b4c12p-1', '0x1.9437c01229c2ep+1'),
     ('m3', 'pZ2(inf)'): (
-        '-0x1.9374773db8548p+2', '-0x1.7eecd83cc89b1p-4', '0x1.d1d3624e6b0d2p-3',
-        '0x1.443084aedce42p-2', '0x1.1078f9f3d1f73p+0'),
+        '-0x1.9374773db854ap+2', '-0x1.7eecd83cc89bap-4', '0x1.d1d3624e6b0cep-3',
+        '0x1.443084aedce40p-2', '0x1.1078f9f3d1f72p+0'),
     ('m3', 'gs_lin'): (
-        '-0x1.999999999999bp-2', '-0x1.10aa070721683p-2', '-0x1.9160def7d1c8ep-3',
-        '-0x1.a9b839fd1dcbfp-3', '-0x1.24021599795f2p-1'),
+        '-0x1.99999999999a2p-2', '-0x1.10aa07072168ap-2', '-0x1.9160def7d1ca2p-3',
+        '-0x1.a9b839fd1dcd7p-3', '-0x1.2402159979601p-1'),
     ('m3', 'gs_lin_d'): (
-        '0x1.6666666666666p-1', '0x1.208be34019cbfp-3', '0x1.47c36ebc85208p-8',
-        '-0x1.0b6ab3ab08f5ep-5', '-0x1.850e3f9c0addep-3'),
+        '0x1.6666666666666p-1', '0x1.208be34019cbbp-3', '0x1.47c36ebc85178p-8',
+        '-0x1.0b6ab3ab08f72p-5', '-0x1.850e3f9c0adeap-3'),
     ('m3', 'gs_const'): (
         '0x1.8000000000000p+0', '0x1.a232103ea36a1p+0', '0x1.313e22f2a3bd7p+1',
         '0x1.8cb9cc1705f0bp+1', '0x1.414f86bc23ee5p+3'),
@@ -459,17 +459,17 @@ MIXTURE_PINS = {
         '0x1.0000000000000p-55', '0x1.b9ea6626cae07p-2', '0x1.89e8229bfdd47p-1',
         '0x1.06f0bd5d5ff88p+0', '0x1.b1665fef8c160p+1'),
     ('neg_q0', 'W'): (
-        '0x1.0000000000002p+1', '0x1.117ce84a993b6p+2', '0x1.3e552770df8a5p+4',
-        '0x1.75d6fd931e0bap+5', '0x1.92edc5690c085p+10'),
+        '0x1.0000000000000p+1', '0x1.117ce84a993b5p+2', '0x1.3e552770df8a7p+4',
+        '0x1.75d6fd931e0bbp+5', '0x1.92edc5690c08fp+10'),
     ('neg_q0', 'dW'): (
-        '0x1.0000000000000p+2', '0x1.917ce84a993b4p+2', '0x1.5e552770df8a4p+4',
-        '0x1.85d6fd931e0b8p+5', '0x1.936dc5690c083p+10'),
+        '0x1.0000000000000p+2', '0x1.917ce84a993b5p+2', '0x1.5e552770df8a7p+4',
+        '0x1.85d6fd931e0bbp+5', '0x1.936dc5690c08fp+10'),
     ('neg_q0', 'ddW'): (
-        '0x1.ffffffffffffep+1', '0x1.917ce84a993b2p+2', '0x1.5e552770df8a3p+4',
-        '0x1.85d6fd931e0b6p+5', '0x1.936dc5690c081p+10'),
+        '0x1.0000000000000p+2', '0x1.917ce84a993b5p+2', '0x1.5e552770df8a7p+4',
+        '0x1.85d6fd931e0bbp+5', '0x1.936dc5690c08fp+10'),
     ('neg_q0', 'Wbar'): (
-        '0x0.0p+0', '0x1.5f8d3ac3fe86ep+0', '0x1.cfdd8214f247fp+3',
-        '0x1.3dd6fd931e0bbp+5', '0x1.8f6dc5690c086p+10'),
+        '0x0.0p+0', '0x1.5f8d3ac3fe86ep+0', '0x1.cfdd8214f2481p+3',
+        '0x1.3dd6fd931e0bbp+5', '0x1.8f6dc5690c08fp+10'),
     ('neg_q0', 'Z0'): (
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
         '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
@@ -477,23 +477,23 @@ MIXTURE_PINS = {
         '0x0.0p+0', '0x1.ccccccccccccdp-2', '0x1.b333333333333p+0',
         '0x1.4000000000000p+1', '0x1.8000000000000p+2'),
     ('neg_q0', 'Z1'): (
-        '0x0.0p+0', '0x1.22f9d0953276ap+0', '0x1.1e552770df8a6p+3',
-        '0x1.65d6fd931e0bbp+4', '0x1.926dc5690c086p+9'),
+        '0x0.0p+0', '0x1.22f9d0953276ap+0', '0x1.1e552770df8a7p+3',
+        '0x1.65d6fd931e0bbp+4', '0x1.926dc5690c08fp+9'),
     ('neg_q0', 'Wqr'): (
-        '0x1.0000000000000p+0', '0x1.e32fe3d02846cp+0', '0x1.ff1f9f918164ep+2',
-        '0x1.276493ad63f44p+4', '0x1.3ab4f7df11fc2p+9'),
+        '0x1.0000000000000p+0', '0x1.e32fe3d02846ep+0', '0x1.ff1f9f9181654p+2',
+        '0x1.276493ad63f46p+4', '0x1.3ab4f7df11fccp+9'),
     ('neg_q0', 'dWqr'): (
-        '0x1.8fc1ecd5fda0cp+0', '0x1.3978e85312f3cp+1', '0x1.11880d6380668p+3',
-        '0x1.3060b27ac3ce4p+4', '0x1.3afcd8d57cfaep+9'),
+        '0x1.8fc1ecd5fda0ep+0', '0x1.3978e85312f3ep+1', '0x1.11880d638066cp+3',
+        '0x1.3060b27ac3ce7p+4', '0x1.3afcd8d57cfb9p+9'),
     ('neg_q0', 'Wbar_qr'): (
-        '0x0.0p+0', '0x1.44fe0c12ec49cp-1', '0x1.8206ce1cf59a6p+2',
-        '0x1.00ee46abf4534p+4', '0x1.3885b21890036p+9'),
+        '0x0.0p+0', '0x1.44fe0c12ec49cp-1', '0x1.8206ce1cf59a8p+2',
+        '0x1.00ee46abf4534p+4', '0x1.3885b2189003ep+9'),
     ('neg_q0', 'z_mix(0.0)'): (
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
         '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
     ('neg_q0', 'dz_dtheta_mix(0.0)'): (
-        '0x1.0000000000000p-50', '0x1.22f9d0953276ep+0', '0x1.1e552770df8a7p+3',
-        '0x1.65d6fd931e0bbp+4', '0x1.926dc5690c086p+9'),
+        '0x0.0p+0', '0x1.22f9d0953276ap+0', '0x1.1e552770df8a7p+3',
+        '0x1.65d6fd931e0bbp+4', '0x1.926dc5690c08fp+9'),
     ('neg_q0', 'gs_exp(0.0)'): (
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
         '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
@@ -501,17 +501,17 @@ MIXTURE_PINS = {
         '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
         '0x0.0p+0', '0x0.0p+0'),
     ('neg_q0', 'z_mix(1.3)'): (
-        '0x1.ffffffffffff4p-1', '0x1.a476f054542c2p+0', '0x1.83ae2c95db4dep+2',
-        '0x1.b483ba79c8eb0p+3', '0x1.c7eb64b98808ap+8'),
+        '0x1.ffffffffffffap-1', '0x1.a476f054542c8p+0', '0x1.83ae2c95db4e5p+2',
+        '0x1.b483ba79c8eb8p+3', '0x1.c7eb64b98809cp+8'),
     ('neg_q0', 'dz_dtheta_mix(1.3)'): (
-        '0x1.6000000000000p-48', '0x1.b80a00e1a111cp-3', '0x1.b104682af054ep+0',
-        '0x1.0e940bb759088p+2', '0x1.304b4284a9c7bp+7'),
+        '0x1.5000000000000p-49', '0x1.b80a00e1a1090p-3', '0x1.b104682af0514p+0',
+        '0x1.0e940bb759067p+2', '0x1.304b4284a9c60p+7'),
     ('neg_q0', 'gs_exp(1.3)'): (
-        '0x1.ffffffffffff4p-1', '0x1.a476f054542c2p+0', '0x1.83ae2c95db4dep+2',
-        '0x1.b483ba79c8eb0p+3', '0x1.c7eb64b98808ap+8'),
+        '0x1.ffffffffffffap-1', '0x1.a476f054542c8p+0', '0x1.83ae2c95db4e5p+2',
+        '0x1.b483ba79c8eb8p+3', '0x1.c7eb64b98809cp+8'),
     ('neg_q0', 'gs_exp_d(1.3)'): (
-        '0x1.21642c8590b1ap+0', '0x1.c5db1cd9e4de1p+0', '0x1.8c0737b73f7a4p+2',
-        '0x1.b8b0400a7b013p+3', '0x1.c80cc8e60d994p+8'),
+        '0x1.21642c8590b1ep+0', '0x1.c5db1cd9e4de9p+0', '0x1.8c0737b73f7adp+2',
+        '0x1.b8b0400a7b01cp+3', '0x1.c80cc8e60d9a7p+8'),
     ('neg_q0', 'pZ0(0.0)'): (
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
         '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
@@ -522,38 +522,38 @@ MIXTURE_PINS = {
         '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
         '0x0.0p+0', '0x0.0p+0'),
     ('neg_q0', 'pZ0(1.3)'): (
-        '0x1.ffffffffffff2p-1', '0x1.9ea77a4e54971p+0', '0x1.783eb9583c698p+2',
-        '0x1.a639314d3a1d1p+3', '0x1.b7d8fb6b454b3p+8'),
+        '0x1.ffffffffffff8p-1', '0x1.9ea77a4e54977p+0', '0x1.783eb9583c69fp+2',
+        '0x1.a639314d3a1d9p+3', '0x1.b7d8fb6b454c4p+8'),
     ('neg_q0', 'pZ1(1.3)'): (
-        '0x1.172ad7d16bd8ep+0', '0x1.b5d2521fc0705p+0', '0x1.7e096f4c975fcp+2',
-        '0x1.a91e8c4767983p+3', '0x1.b7f0264316b6fp+8'),
+        '0x1.172ad7d16bd92p+0', '0x1.b5d2521fc070dp+0', '0x1.7e096f4c97604p+2',
+        '0x1.a91e8c476798cp+3', '0x1.b7f0264316b82p+8'),
     ('neg_q0', 'pZ2(1.3)'): (
-        '0x1.172ad7d16bd8dp+0', '0x1.b5d2521fc0704p+0', '0x1.7e096f4c975fap+2',
-        '0x1.a91e8c4767981p+3', '0x1.b7f0264316b6dp+8'),
+        '0x1.172ad7d16bd92p+0', '0x1.b5d2521fc070dp+0', '0x1.7e096f4c97604p+2',
+        '0x1.a91e8c476798cp+3', '0x1.b7f0264316b82p+8'),
     ('neg_q0', 'pZ0(phi_qr)'): (
-        '0x1.ffffffffffffep-1', '0x1.c43eb67b4f922p+0', '0x1.c23a12404b8b1p+2',
-        '0x1.01572ce4bb4a7p+4', '0x1.0fe9bacc38d41p+9'),
+        '0x1.0000000000000p+0', '0x1.c43eb67b4f926p+0', '0x1.c23a12404b8b6p+2',
+        '0x1.01572ce4bb4aap+4', '0x1.0fe9bacc38d4ap+9'),
     ('neg_q0', 'pZ1(phi_qr)'): (
-        '0x1.594fd9fdc2c9ap+0', '0x1.0ec7483c892dep+1', '0x1.d88e08bfbc3d6p+2',
-        '0x1.06ec2a8497770p+4', '0x1.101662b937b57p+9'),
+        '0x1.594fd9fdc2c9cp+0', '0x1.0ec7483c892e1p+1', '0x1.d88e08bfbc3ddp+2',
+        '0x1.06ec2a8497774p+4', '0x1.101662b937b60p+9'),
     ('neg_q0', 'pZ2(phi_qr)'): (
-        '0x1.594fd9fdc2c99p+0', '0x1.0ec7483c892dep+1', '0x1.d88e08bfbc3d5p+2',
-        '0x1.06ec2a8497770p+4', '0x1.101662b937b56p+9'),
+        '0x1.594fd9fdc2c9cp+0', '0x1.0ec7483c892e1p+1', '0x1.d88e08bfbc3ddp+2',
+        '0x1.06ec2a8497774p+4', '0x1.101662b937b60p+9'),
     ('neg_q0', 'pZ0(inf)'): (
-        '0x1.0000000000000p+0', '0x1.e32fe3d02846cp+0', '0x1.ff1f9f918164ep+2',
-        '0x1.276493ad63f44p+4', '0x1.3ab4f7df11fc2p+9'),
+        '0x1.0000000000000p+0', '0x1.e32fe3d02846ep+0', '0x1.ff1f9f9181654p+2',
+        '0x1.276493ad63f46p+4', '0x1.3ab4f7df11fccp+9'),
     ('neg_q0', 'pZ1(inf)'): (
-        '0x1.8fc1ecd5fda0cp+0', '0x1.3978e85312f3cp+1', '0x1.11880d6380668p+3',
-        '0x1.3060b27ac3ce4p+4', '0x1.3afcd8d57cfaep+9'),
+        '0x1.8fc1ecd5fda0ep+0', '0x1.3978e85312f3ep+1', '0x1.11880d638066cp+3',
+        '0x1.3060b27ac3ce7p+4', '0x1.3afcd8d57cfb9p+9'),
     ('neg_q0', 'pZ2(inf)'): (
-        '0x1.8fc1ecd5fda0ap+0', '0x1.3978e85312f3ap+1', '0x1.11880d6380667p+3',
-        '0x1.3060b27ac3ce2p+4', '0x1.3afcd8d57cfacp+9'),
+        '0x1.8fc1ecd5fda0ep+0', '0x1.3978e85312f3ep+1', '0x1.11880d638066cp+3',
+        '0x1.3060b27ac3ce7p+4', '0x1.3afcd8d57cfb9p+9'),
     ('neg_q0', 'gs_lin'): (
-        '-0x1.999999999999cp-2', '0x1.9521e1a1c07f0p-2', '0x1.774404046c282p+2',
-        '0x1.e82cfc9ac3a9ep+3', '0x1.19800a2feed2bp+9'),
+        '-0x1.9999999999998p-2', '0x1.9521e1a1c07f8p-2', '0x1.774404046c283p+2',
+        '0x1.e82cfc9ac3a9ep+3', '0x1.19800a2feed31p+9'),
     ('neg_q0', 'gs_lin_d'): (
-        '0x1.6666666666668p+0', '0x1.190aa29a9e766p+1', '0x1.ea7737379f5b5p+2',
-        '0x1.10e34b1a2ea1cp+4', '0x1.1a66709655390p+9'),
+        '0x1.6666666666666p+0', '0x1.190aa29a9e765p+1', '0x1.ea7737379f5b6p+2',
+        '0x1.10e34b1a2ea1cp+4', '0x1.1a66709655397p+9'),
     ('neg_q0', 'gs_const'): (
         '0x1.8000000000000p+0', '0x1.8000000000000p+0', '0x1.8000000000000p+0',
         '0x1.8000000000000p+0', '0x1.8000000000000p+0'),
@@ -627,69 +627,69 @@ LAW_PINS = {
         '0x1.36e65b2e4dd50p-2', '0x1.8e24ac9d5f5f8p-3',
         '0x1.ec43978eb3c80p-5', '0x1.22d1dc5352100p-5'),
     ('m3', 'two_sided'): (
-        '0x1.75dd3c9ebf67ep-57', '0x1.ae4049e3c9677p-2',
+        '0x1.75dd3c9ebf680p-57', '0x1.ae4049e3c9679p-2',
         '0x1.7f826e1138ef2p-1', '0x1.0000000000000p+0'),
     ('m3', 'severity_absorbed'): (
-        '0x1.0000000000000p+0', '0x1.237031b06ed40p-3',
-        '0x1.742b61c664f80p-6', '0x0.0p+0'),
+        '0x1.0000000000000p+0', '0x1.237031b06ed38p-3',
+        '0x1.742b61c665000p-6', '0x0.0p+0'),
     ('m3', 'severity_reflected'): (
-        '0x1.0000000000000p+0', '0x1.598fae058fc00p-3',
-        '0x1.1e03db8099300p-4', '0x1.01a042d1cbaa0p-4'),
+        '0x1.0000000000000p+0', '0x1.598fae058fbe0p-3',
+        '0x1.1e03db80992a0p-4', '0x1.01a042d1cba00p-4'),
     ('m3', 'severity_infinite'): (
-        '0x1.0000000000000p+0', '0x1.33f3a94865508p-3',
-        '0x1.2fd7518ed6100p-5', '0x1.3a6b2828c0080p-6'),
+        '0x1.0000000000000p+0', '0x1.33f3a94865510p-3',
+        '0x1.2fd7518ed6180p-5', '0x1.3a6b2828c0200p-6'),
     ('m3', 'bailouts_to_level'): (
-        '0x1.667d5dd5f570bp-2', '0x1.e143fda6d3e5ep-2',
-        '0x1.8394c3e9e2ec2p-1', '0x1.0000000000000p+0'),
+        '0x1.667d5dd5f570cp-2', '0x1.e143fda6d3e60p-2',
+        '0x1.8394c3e9e2ec3p-1', '0x1.0000000000000p+0'),
     ('m3', 'dividends_penalty'): (
-        '0x1.0000000000000p+0', '0x1.3cc138a5ccf38p-3',
-        '0x1.6e9d385b78680p-5', '0x1.e207096582a00p-6'),
+        '0x1.0000000000000p+0', '0x1.3cc138a5ccf28p-3',
+        '0x1.6e9d385b78640p-5', '0x1.e207096582900p-6'),
     ('m3', 'time_in_red'): (
         '0x1.5e813e299a678p-1', '0x1.a6f7abb5d812fp-1',
         '0x1.dd3148d1918f9p-1', '0x1.ec16d733f440ap-1'),
     ('m3', 'parisian_up_exit'): (
-        '0x1.a02c3891fe56ap-2', '0x1.f382d7b770133p-2',
-        '0x1.85634e33310f5p-1', '0x1.0000000000000p+0'),
+        '0x1.a02c3891fe66dp-2', '0x1.f382d7b7701a7p-2',
+        '0x1.85634e3331102p-1', '0x1.0000000000000p+0'),
     ('m3', 'parisian_severity'): (
-        '0x1.1c8b3fa3927dcp-3', '0x1.68032ae76b840p-5',
-        '0x1.1d35183be3a80p-7', '0x0.0p+0'),
+        '0x1.1c8b3fa392cd4p-3', '0x1.68032ae76c100p-5',
+        '0x1.1d35183be4200p-7', '0x0.0p+0'),
     ('m3', 'parisian_resolvent_integral'): (
         '0x1.a52f6b34611bap+0', '0x1.ac2dfc317bef4p+0',
         '0x1.b558db6fe91d0p-1', '0x0.0p+0'),
     ('m3', 'parisian_dividends_penalty'): (
-        '0x1.24da76bb65a64p-3', '0x1.94a5895f93400p-5',
-        '0x1.1e65d1b6de640p-6', '0x1.7be97d0516400p-7'),
+        '0x1.24da76bb65f9cp-3', '0x1.94a5895f93e20p-5',
+        '0x1.1e65d1b6dee00p-6', '0x1.7be97d0517000p-7'),
     ('neg_q0', 'two_sided'): (
-        '0x1.5e9c2d67c768dp-5', '0x1.768f9e355e130p-4',
-        '0x1.b3faa0465e8f5p-2', '0x1.0000000000000p+0'),
+        '0x1.5e9c2d67c7689p-5', '0x1.768f9e355e12ep-4',
+        '0x1.b3faa0465e8f7p-2', '0x1.0000000000000p+0'),
     ('neg_q0', 'severity_absorbed'): (
-        '0x1.aa29995bc04bcp-2', '0x1.948115c28c084p-2',
-        '0x1.ff52960597860p-3', '0x0.0p+0'),
+        '0x1.aa29995bc04b8p-2', '0x1.948115c28c08cp-2',
+        '0x1.ff52960597840p-3', '0x0.0p+0'),
     ('neg_q0', 'severity_reflected'): (
-        '0x1.bd37a6f4de9c8p-2', '0x1.bd37a6f4de9b0p-2',
-        '0x1.bd37a6f4de9c0p-2', '0x1.bd37a6f4de9a0p-2'),
+        '0x1.bd37a6f4de9c4p-2', '0x1.bd37a6f4de9bcp-2',
+        '0x1.bd37a6f4de9c0p-2', '0x1.bd37a6f4de9c0p-2'),
     ('neg_q0', 'severity_infinite'): (
-        '0x1.bd37a6f4de9c8p-2', '0x1.bd37a6f4de9acp-2',
-        '0x1.bd37a6f4de9c0p-2', '0x1.bd37a6f4de9a0p-2'),
+        '0x1.bd37a6f4de9c4p-2', '0x1.bd37a6f4de9b8p-2',
+        '0x1.bd37a6f4de9c0p-2', '0x1.bd37a6f4de9c0p-2'),
     ('neg_q0', 'bailouts_to_level'): (
-        '0x1.2c44fc7683522p-4', '0x1.ed2cafe2641f9p-4',
+        '0x1.2c44fc768351cp-4', '0x1.ed2cafe2641f7p-4',
         '0x1.c6b894d661d81p-2', '0x1.0000000000000p+0'),
     ('neg_q0', 'dividends_penalty'): (
-        '0x1.b7ef4425595dcp-2', '0x1.b1ee1c80441d8p-2',
-        '0x1.88aa423d50940p-2', '0x1.41c92b8c47540p-2'),
+        '0x1.b7ef4425595d6p-2', '0x1.b1ee1c80441e4p-2',
+        '0x1.88aa423d50930p-2', '0x1.41c92b8c47540p-2'),
     ('neg_q0', 'time_in_red'): 'NonpositiveDrift',
     ('neg_q0', 'parisian_up_exit'): (
-        '0x1.366eccc447292p-4', '0x1.f6d245bcc90b4p-4',
-        '0x1.c83ecc56f1609p-2', '0x1.0000000000000p+0'),
+        '0x1.366eccc447290p-4', '0x1.f6d245bcc90b2p-4',
+        '0x1.c83ecc56f1608p-2', '0x1.0000000000000p+0'),
     ('neg_q0', 'parisian_severity'): (
-        '0x1.242aa3ef404d8p-2', '0x1.15517518907d4p-2',
-        '0x1.5e8cdcdf18740p-3', '0x0.0p+0'),
+        '0x1.242aa3ef404dap-2', '0x1.15517518907d8p-2',
+        '0x1.5e8cdcdf18720p-3', '0x0.0p+0'),
     ('neg_q0', 'parisian_resolvent_integral'): (
         '0x1.bd558e574211bp-1', '0x1.01c6d73ee8172p+0',
         '0x1.d45cb75f00cc0p-1', '0x0.0p+0'),
     ('neg_q0', 'parisian_dividends_penalty'): (
-        '0x1.303823b896190p-2', '0x1.2c112e65a87fcp-2',
-        '0x1.0f882b51eb300p-2', '0x1.bd094f5ad6f40p-3'),
+        '0x1.303823b896194p-2', '0x1.2c112e65a8800p-2',
+        '0x1.0f882b51eb2f0p-2', '0x1.bd094f5ad6f80p-3'),
 }
 
 OBJECTIVE_PINS = {
@@ -748,38 +748,38 @@ OBJECTIVE_PINS = {
         '-0x1.7ef4ad9b90b39p-1', '-0x1.9f6eb5fa7f62ep-2',
         '0x1.12bcd08802ae0p-2', '0x1.bab28c22d0dc0p-1'),
     ('m3', 'vf_dividends_classic'): (
-        '0x1.09e06c1ed7547p-55', '0x1.31fa07a7c6d12p+0',
-        '0x1.10bc68df6e409p+1', '0x1.6c1cf24b746bbp+1'),
+        '0x1.09e06c1ed754ap-55', '0x1.31fa07a7c6d14p+0',
+        '0x1.10bc68df6e40ap+1', '0x1.6c1cf24b746bcp+1'),
     ('m3', 'value_definetti'): (
         '0x1.3333333333333p-1', '0x1.118f589ae6234p+0',
-        '0x1.03be24a4217ebp+1', '0x1.602f5f76b12cbp+1'),
+        '0x1.03be24a4217ebp+1', '0x1.602f5f76b12cap+1'),
     ('m3', 'value_slg_classic'): (
-        '0x1.35a28e1013004p-1', '0x1.11e3b25d158c8p+0',
-        '0x1.03d286ab0b460p+1', '0x1.6041d4c1d781ep+1'),
+        '0x1.35a28e1012ffcp-1', '0x1.11e3b25d158c0p+0',
+        '0x1.03d286ab0b458p+1', '0x1.6041d4c1d7818p+1'),
     ('m3', 'VF_div'): (
-        '0x1.04935b84d1f79p+0', '0x1.5debe5d3c85f1p+0',
-        '0x1.19d3cf2afe874p+1', '0x1.744d5266ff371p+1'),
+        '0x1.04935b84d1f7ap+0', '0x1.5debe5d3c85f3p+0',
+        '0x1.19d3cf2afe875p+1', '0x1.744d5266ff372p+1'),
     ('m3', 'VF_bail'): (
         '0x1.65dc733542ac0p-3', '0x1.b94dbb86e3960p-4',
         '0x1.a4c69577f9b00p-6', '0x0.0p+0'),
     ('m3', 'VS_div'): (
-        '0x1.57f4d17fd7230p+0', '0x1.880c0e7d5f7e7p+0',
-        '0x1.2521950b6afa6p+1', '0x1.7e921e5a1c1f5p+1'),
+        '0x1.57f4d17fd7231p+0', '0x1.880c0e7d5f7ebp+0',
+        '0x1.2521950b6afa8p+1', '0x1.7e921e5a1c1f6p+1'),
     ('m3', 'VS_div_theta'): (
-        '0x1.31bcdddaed888p+0', '0x1.6ef62a34228f7p+0',
-        '0x1.1e0f7df3aced0p+1', '0x1.7822ede6a88e2p+1'),
+        '0x1.31bcdddaed95dp+0', '0x1.6ef62a3422967p+0',
+        '0x1.1e0f7df3aceefp+1', '0x1.7822ede6a88fep+1'),
     ('m3', 'VS_bail'): (
-        '0x1.ad238b36dd390p-3', '0x1.2de53481f07f0p-3',
-        '0x1.5c2ccd2af7b20p-4', '0x1.3d1e74f981b40p-4'),
+        '0x1.ad238b36dd3b0p-3', '0x1.2de53481f0830p-3',
+        '0x1.5c2ccd2af7b80p-4', '0x1.3d1e74f981b80p-4'),
     ('m3', 'slg_parisian'): (
-        '0x1.f98754a1f6a74p-1', '0x1.47e4f354f5fd2p+0',
-        '0x1.12a266f1ef6b6p+1', '0x1.6db94cf00e084p+1'),
+        '0x1.f98754a1f6a6cp-1', '0x1.47e4f354f5fc8p+0',
+        '0x1.12a266f1ef6b2p+1', '0x1.6db94cf00e080p+1'),
     ('neg_q0', 'vf_dividends_classic'): (
-        '0x1.50385c094f42ap-5', '0x1.673026878efb0p-4',
-        '0x1.a215d8d6f3d05p-2', '0x1.eafc7a3f6b0c0p-1'),
+        '0x1.50385c094f425p-5', '0x1.673026878efabp-4',
+        '0x1.a215d8d6f3d04p-2', '0x1.eafc7a3f6b0bep-1'),
     ('neg_q0', 'value_definetti'): (
-        '-0x1.0f17d6b94f1fep+0', '-0x1.0326973120aa4p+0',
-        '-0x1.622846c7b94a0p-1', '-0x1.20dae3cf20b00p-3'),
+        '-0x1.0f17d6b94f1f8p+0', '-0x1.0326973120a9ep+0',
+        '-0x1.622846c7b94c0p-1', '-0x1.20dae3cf20900p-3'),
     ('neg_q0', 'value_slg_classic'): 'QZero',
     ('neg_q0', 'VF_div'): 'QZero',
     ('neg_q0', 'VF_bail'): 'QZero',
@@ -808,16 +808,16 @@ BARRIER_PINS = {
         '-0x1.9d2611e32e7bbp-2', '-0x1.7ef4ad9b90b39p-1',
         ),
     ('m3', 'deFinetti_classic'): (
-        '0x1.14a87b1f002d9p-1', '0x1.bb4dd6fcff6d9p-8',
+        '0x1.14a87b1f002dep-1', '0x1.bb4dd6fcff9fap-8',
         ),
     ('m3', 'SLG_classic'): (
-        '-0x1.78212f91b72ddp+1', '-0x1.d5b327d24a3e7p+1',
+        '-0x1.78212f91b72ddp+1', '-0x1.d5b327d24a3e9p+1',
         ),
     ('m3', 'SLG_parisian'): (
-        '-0x1.66bfbd92f27dap+0', '-0x1.374e00b627ee8p+1',
+        '-0x1.66bfbd92f27dfp+0', '-0x1.374e00b627eeap+1',
         ),
     ('neg_q0', 'deFinetti_classic'): (
-        '-0x1.6590674174db2p-1', '-0x1.a8b17052e8b93p-1',
+        '-0x1.6590674174db1p-1', '-0x1.a8b17052e8b92p-1',
         ),
     ('neg_q0', 'SLG_classic'): 'QZero',
     ('neg_q0', 'SLG_parisian'): 'QZero',
