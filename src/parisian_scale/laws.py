@@ -27,6 +27,7 @@ from .scale import (
     ParisianContext,
     PenaltySpec,
     ScaleContext,
+    _check_theta,
     build_gerber_shiu,
     parisian_Z_mix,
     piecewise,
@@ -84,6 +85,7 @@ def severity_infinite(ctx: ScaleContext, x, theta: float):
     _check_interval(x, 0.0, None)
     if ctx.q <= 0 and ctx.phi_q <= 0:
         raise QZero("the q -> 0 limit is not provided")
+    _check_theta(theta)
     k = laplace_exponent(ctx.model, theta).real
     if abs(theta - ctx.phi_q) < 1e-9:
         slope = laplace_exponent_deriv(ctx.model, ctx.phi_q).real
@@ -196,6 +198,7 @@ def parisian_dividends_penalty_factorized(
     """Equivalent x = b form via the Omega factorization (consistency check)."""
     if not 0 <= b < INF:
         raise DomainError(f"b must be finite and nonnegative, got {b}")
+    _check_theta(theta)
     q, r = pctx.q, pctx.r
     k = laplace_exponent(pctx.model, theta).real
     om = omega(pctx, b)

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import DomainError, QZero, UnsupportedPenalty
 from .expmix import ExpMix
 from .model import (
+    _THETA_MAX,
     LevyModel,
     laplace_exponent,
     laplace_exponent_deriv,
@@ -64,8 +65,8 @@ def piecewise(x, inside, f, g):
 
 
 def _check_theta(theta):
-    if not 0 <= theta < INF:
-        raise DomainError(f"theta must be finite and nonnegative, got {theta}")
+    if not 0 <= theta < _THETA_MAX:
+        raise DomainError(f"theta must be nonnegative and below {_THETA_MAX:g}, got {theta}")
 
 
 @dataclass(frozen=True)

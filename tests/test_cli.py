@@ -281,6 +281,14 @@ class TestExitCodes:
                      for text in (out, limit))
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15
 
+    @pytest.mark.parametrize("kind,name", THETA_ROWS + [("scale", None)])
+    def test_theta_past_overflow_is_one(self, capsys, model_path, kind, name):
+        argv = [kind, name, "--b", "1.0"] if name else [kind]
+        assert main([*argv, "--model", model_path, "--q", "0.5", "--r", "0.5",
+                     "--theta", "1e200", "--x-grid", "0:1:3"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "theta" in err
+
     def test_slg_classic_zero_barrier_with_sigma_is_one(self, capsys, m3_path):
         """W_q(0) = 0 when sigma > 0, so the barrier b = 0 has no value."""
         assert main(["value", "value_slg_classic", "--model", m3_path, "--q", "0.5",

@@ -163,6 +163,12 @@ class TestClosedForms:
                 got = laws.gs_exit(ctx, xs, b, Exponential(theta), vartheta)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    def test_theta_past_kappas_overflow_is_refused(self, m1_q23, m1_par):
+        with pytest.raises(DomainError, match="theta"):
+            laws.severity_infinite(m1_q23, 0.5, 1e200)
+        with pytest.raises(DomainError, match="theta"):
+            laws.parisian_dividends_penalty_factorized(m1_par, 1.5, 1e200, 0.5)
+
     @pytest.mark.parametrize("vartheta", [-1.0, math.nan])
     def test_vartheta_must_be_nonnegative(self, m1_q23, m1_par, vartheta):
         with pytest.raises(DomainError):

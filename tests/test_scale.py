@@ -227,7 +227,7 @@ class TestGerberShiu:
             assert gs(0.0) == w0, penalty
             assert gs(np.array([0.0, 1.0]))[0] == w0, penalty
 
-    @pytest.mark.parametrize("theta", [-0.5, math.nan])
+    @pytest.mark.parametrize("theta", [-0.5, math.nan, 1e200])
     def test_theta_must_be_nonnegative(self, m1_par, theta):
         for make in (lambda: z_mix(m1_par.base, theta),
                      lambda: dz_dtheta_mix(m1_par.base, theta),
