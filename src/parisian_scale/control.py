@@ -270,6 +270,8 @@ class NetworkSpec:
     q: float
 
     def __post_init__(self):
+        if not 0 <= self.q < math.inf:
+            raise DomainError(f"the discount rate q must be finite and nonnegative, got {self.q}")
         for s in self.subsidiaries:
             if not 0.0 < s.retention < 1.0:
                 raise RetentionOutOfRange(f"retention {s.retention} outside (0, 1)")

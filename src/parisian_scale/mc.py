@@ -421,6 +421,8 @@ def network_paths(spec, u0: float, b: float, horizon: float | None,
             raise DomainError("each subsidiary needs a claim size mixture")
     if n_paths < 1:
         raise DomainError(f"need at least one path, got n_paths={n_paths}")
+    if not 0 <= u0 <= b < math.inf:
+        raise DomainError(f"need 0 <= u0 <= b < inf, got u0={u0}, b={b}")
     if horizon is None:
         horizon = default_horizon(spec.q, u0, b)
 

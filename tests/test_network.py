@@ -1,11 +1,13 @@
 """Claims-line network policy: path identity, cone invariance, and limits."""
 
+import json
+
 import numpy as np
 import pytest
 
 from parisian_scale import control as ctl
 from parisian_scale import mc
-from parisian_scale.errors import DomainError, NotCheap
+from parisian_scale.errors import DomainError, HorizonRequired, NotCheap
 
 
 def make_spec(premiums, alphas, c0, q=0.5, lam=1.0):
@@ -49,6 +51,43 @@ class TestPathIdentity:
         spec = make_spec((3.0, 2.0), (1.0 / 3.0, 0.5), c0=10.0)
         with pytest.raises(NotCheap):
             mc.network_paths(spec, u0=1.0, b=2.0, horizon=10.0, n_paths=10, seed=0)
+
+
+class TestDomain:
+    @pytest.mark.parametrize("q,u0,b", [
+        (0.5, "math.nan", 2.0), (0.5, 1.0, "math.inf"), (0.5, 1.0, "math.nan"),
+        ("math.nan", 1.0, 2.0), ("math.inf", 1.0, 2.0),
+        (0.5, -0.5, 2.0), (0.5, 0.0, -1.0), (0.5, 3.0, 2.0),
+    ])
+    def test_refuses_what_it_cannot_simulate(self, python_child, q, u0, b):
+        script = (
+            "import math\n"
+            "from parisian_scale import control as ctl, mc\n"
+            "from parisian_scale.errors import DomainError\n"
+            "try:\n"
+            "    spec = ctl.NetworkSpec(subsidiaries=(ctl.Subsidiary(\n"
+            "        premium=2.0, lam=1.0, phases=((1.0, 2.0),), retention=0.5),),\n"
+            f"        c0=1.0, q={q})\n"
+            f"    mc.network_estimate(spec, {u0}, {b}, n_paths=100)\n"
+            "except DomainError:\n"
+            "    print('refused')\n"
+        )
+        done = python_child(["-c", script])
+        assert done.stdout.strip() == "refused", done.stderr
+
+    def test_cli_nan_u0_is_one(self, python_child, tmp_path):
+        p = tmp_path / "net.json"
+        p.write_text(json.dumps({"c0": 1.0, "q": 0.5, "subsidiaries": [
+            {"c": 2.0, "lambda": 1.0, "alpha": 0.5, "phases": [{"weight": 1.0, "rate": 2.0}]}]}))
+        done = python_child(["-m", "parisian_scale.cli", "network", "--spec", str(p),
+                          "--u0", "nan", "--b", "2", "--paths", "100"])
+        assert done.returncode == 1 and done.stderr.count("\n") == 1, done.stderr
+
+    def test_zero_q_needs_a_horizon(self):
+        spec = make_spec((2.0,), (0.5,), c0=1.0, q=0.0)
+        with pytest.raises(HorizonRequired):
+            mc.network_estimate(spec, 1.0, 2.0, n_paths=100)
+        assert np.isfinite(mc.network_estimate(spec, 1.0, 2.0, horizon=5.0, n_paths=100).mean)
 
 
 class TestValues:
