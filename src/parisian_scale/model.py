@@ -194,7 +194,7 @@ def phi(model: LevyModel, s: float) -> float:
         step = (laplace_exponent(model, theta) - s) / d if d > 0 else 0.0
         if not theta - step < theta:
             break
-        theta -= step
+        theta = max(theta - step, 0.0)      # rounding can carry a step past Phi_s >= 0
     return max(theta - step, 0.0)
 
 

@@ -113,6 +113,11 @@ class TestPhi:
         # kappa(theta) = theta/2 - theta/(1 + theta) vanishes at theta = 1
         assert phi(LevyModel(c=0.5, lam=1.0, phases=((1.0, 1.0),)), 0.0) == 1.0
 
+    def test_phi_of_tiny_s_stays_positive_near_zero_drift(self):
+        # kappa's rounding near theta = 0, with drift 1e-9 against c = 0.5, dwarfs s
+        model = LevyModel(c=0.5 + 1e-9, lam=1.0, phases=((1.0, 2.0),))
+        assert phi(model, 1e-290) == pytest.approx(1e-290 / model.drift, rel=1e-12)
+
     def test_extreme_sweep_is_backward_stable(self):
         """Phases, rates, sigma2, negative c and s over many decades: Phi_s solves kappa = s
         to within 4 eps times the size of kappa's terms."""
@@ -121,9 +126,10 @@ class TestPhi:
         for _ in range(3000):
             n = int(rng.integers(0, 6))
             sigma2 = 0.0 if rng.random() < 0.4 else float(10.0 ** rng.uniform(-4, 2))
+            lam = float(10.0 ** rng.uniform(-2, 2)) if n else 0.0
             try:
                 model = LevyModel(c=float(rng.uniform(-10.0 if sigma2 else 0.01, 10.0)),
-                                  sigma2=sigma2, lam=float(10.0 ** rng.uniform(-2, 2)) if n else 0.0,
+                                  sigma2=sigma2, lam=lam,
                                   phases=tuple(zip(rng.dirichlet(np.ones(n)).tolist(),
                                                    (10.0 ** rng.uniform(-2, 3, n)).tolist())))
             except ModelError:

@@ -80,7 +80,7 @@ class TestDomain:
         p.write_text(json.dumps({"c0": 1.0, "q": 0.5, "subsidiaries": [
             {"c": 2.0, "lambda": 1.0, "alpha": 0.5, "phases": [{"weight": 1.0, "rate": 2.0}]}]}))
         done = python_child(["-m", "parisian_scale.cli", "network", "--spec", str(p),
-                          "--u0", "nan", "--b", "2", "--paths", "100"])
+                             "--u0", "nan", "--b", "2", "--paths", "100"])
         assert done.returncode == 1 and done.stderr.count("\n") == 1, done.stderr
 
     def test_zero_q_needs_a_horizon(self):
