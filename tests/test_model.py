@@ -113,10 +113,14 @@ class TestPhi:
         # kappa(theta) = theta/2 - theta/(1 + theta) vanishes at theta = 1
         assert phi(LevyModel(c=0.5, lam=1.0, phases=((1.0, 1.0),)), 0.0) == 1.0
 
-    def test_phi_of_tiny_s_stays_positive_near_zero_drift(self):
+    def test_phi_of_tiny_s_near_zero_drift(self):
         # kappa's rounding near theta = 0, with drift 1e-9 against c = 0.5, dwarfs s
         model = LevyModel(c=0.5 + 1e-9, lam=1.0, phases=((1.0, 2.0),))
-        assert phi(model, 1e-290) == pytest.approx(1e-290 / model.drift, rel=1e-12)
+        assert phi(model, 1e-290) == pytest.approx(1e-290 / model.drift, rel=1e-12, abs=0)
+        # at zero drift kappa' rounds to 0 short of the double root at theta = 0
+        balanced = LevyModel(c=0.5, lam=1.0, phases=((1.0, 2.0),))
+        root = phi(balanced, 1e-300)
+        assert 0 < root < 1e-15 and abs(laplace_exponent(balanced, root)) < 1e-30
 
     def test_extreme_sweep_is_backward_stable(self):
         """Phases, rates, sigma2, negative c and s over many decades: Phi_s solves kappa = s
