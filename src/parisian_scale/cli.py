@@ -24,8 +24,6 @@ from .errors import DomainError, ParisianScaleError
 from .model import LevyModel, load_json, read_field
 from . import control, laws, mc, scale
 
-_FMT = "{:.17g}"
-
 
 class Check(NamedTuple):
     lower: str                  # the PathConfig modes; upper None: the law has no barrier
@@ -135,9 +133,8 @@ def _write(text: str, out):
 
 
 def _write_columns(header, columns, out):
-    lines = [",".join(header)]
-    for row in np.column_stack(columns).tolist():
-        lines.append(",".join(_FMT.format(v) for v in row))
+    fmt = ",".join(["%.17g"] * len(columns))   # the characters "{:.17g}".format prints
+    lines = [",".join(header)] + [fmt % tuple(row) for row in np.column_stack(columns).tolist()]
     _write("\n".join(lines) + "\n", out)
 
 
@@ -187,9 +184,9 @@ def cmd_grid(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
-    _, pctx = _build(args)
-    if pctx is None:
+    if args.r is None:
         return _usage_error("efficiency needs --r")
+    _, pctx = _build(args)
     threshold = control.efficiency_index(pctx)
     efficient = args.k <= threshold
     patience = 0.0 if efficient else control.solve_patience(pctx, args.k)
@@ -305,10 +302,13 @@ def build_parser():
     return ap
 
 
+# built once per process: a call of main only parses
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -222,7 +222,8 @@ def solve_patience(pctx: ParisianContext, k: float, tol: float = 1e-8) -> float:
     """Smallest extra killing rate q' making cost k efficient at discount q+q'.
 
     The threshold k(q, r) is increasing in q, so bisection applies once an
-    efficient upper bound is bracketed by doubling.
+    efficient upper bound is bracketed by doubling.  NoSolution when k = inf, or
+    when the threshold at the bracket reads inf (its denominator cancelled to 0).
     """
     model, q, r = pctx.model, pctx.q, pctx.r
     if not q > 0:
@@ -231,14 +232,18 @@ def solve_patience(pctx: ParisianContext, k: float, tol: float = 1e-8) -> float:
         raise DomainError("patience needs a cost k, got NaN")
     if k <= _threshold(model, q, r):
         return 0.0
+    if k == math.inf:
+        raise NoSolution("no finite extra killing makes k=inf efficient")
     hi = q
     cap = q * 2.0**60
-    while _threshold(model, q + hi, r) < k:
+    while (k_hi := _threshold(model, q + hi, r)) < k:
         hi *= 2.0
         if hi > cap:
             raise NoSolution(
                 f"no extra killing below {cap} makes k={k} efficient; threshold not increasing?"
             )
+    if not math.isfinite(k_hi):
+        raise NoSolution(f"the threshold reads inf at q={q + hi}, so k={k} has no patience")
     lo = 0.0
     while True:
         mid = 0.5 * (lo + hi)

@@ -152,21 +152,22 @@ def laplace_exponent_deriv(model: LevyModel, theta: complex, order: int = 1) -> 
     raise ValueError(f"unsupported derivative order {order}")
 
 
-def _kappa_poly(model: LevyModel, s: float) -> np.polynomial.Polynomial:
-    """Numerator polynomial of kappa(theta) - s after clearing the phase poles."""
-    P = np.polynomial.Polynomial
-    quad = P([-s, model.c, 0.5 * model.sigma2])
-    prod_all = P([1.0])
+def _kappa_poly(model: LevyModel, s: float) -> np.ndarray:
+    """Ascending coefficients of (kappa(theta) - s) prod_i (mu_i + theta), trailing zeros
+    trimmed, in numpy.polynomial's order of operations, so with its bits."""
+    quad = np.trim_zeros(np.array([-s, model.c, 0.5 * model.sigma2]), "b")
+    prod_all = np.ones(1)
     for _, mu in model.phases:
-        prod_all *= P([mu, 1.0])
-    poly = quad * prod_all
+        prod_all = np.convolve(prod_all, [mu, 1.0])
+    poly = np.convolve(quad, prod_all)
     for i, (p, _) in enumerate(model.phases):
-        prod_others = P([1.0])
+        prod_others = np.ones(1)
         for j, (_, mu_j) in enumerate(model.phases):
             if j != i:
-                prod_others *= P([mu_j, 1.0])
-        poly -= P([0.0, model.lam * p]) * prod_others
-    return poly
+                prod_others = np.convolve(prod_others, [mu_j, 1.0])
+        term = np.convolve([0.0, model.lam * p], prod_others)
+        poly[:term.size] -= term
+    return np.trim_zeros(poly, "b")
 
 
 def phi(model: LevyModel, s: float) -> float:
@@ -210,10 +211,10 @@ def root_set(model: LevyModel, s: float) -> list[complex]:
         raise DomainError(f"s must be finite and nonnegative, got {s}")
     poly = _kappa_poly(model, s)
     # a non-finite coefficient, or roots (by Cauchy's bound) too large to square
-    bound = 1.0 + np.max(np.abs(poly.coef[:-1])) / abs(poly.coef[-1])
+    bound = 1.0 + np.max(np.abs(poly[:-1])) / abs(poly[-1])
     if not bound < _THETA_MAX:
         raise DomainError(f"kappa(theta) = {s} overflows once its poles are cleared")
-    roots = poly.roots()
+    roots = np.polynomial.polynomial.polyroots(poly) + 0.0    # no -0.0, as Polynomial.roots
     polished = []
     for r in roots:
         for _ in range(3):

@@ -1,12 +1,14 @@
 """End-to-end command-line checks: formats, round-trips, and exit codes."""
 
+import argparse
 import json
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from parisian_scale import LevyModel, build_parisian, build_scale, control, laws, scale
+from parisian_scale import LevyModel, build_parisian, build_scale, cli, control, laws, scale
 from parisian_scale.cli import main
 
 
@@ -381,6 +383,64 @@ class TestEfficiencyCommand:
                                  "--k", "5.0"])
         obj = json.loads(out)
         assert code == 0 and obj["efficient"] is False and obj["patience"] > 0
+
+    def test_bad_model_without_r_is_two(self, capsys, tmp_path):
+        """--r is checked before the model is read, as in `law` and `value`."""
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**M1, "c": -1.0}))
+        assert main(["efficiency", "--model", str(p), "--q", "0.5", "--k", "3.0"]) == 2
+        assert "needs --r" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["inf", "1e33", "1e40"])
+    def test_cost_without_patience_is_one(self, capsys, model_path, k):
+        assert main(["efficiency", "--model", model_path, "--q", "0.5", "--r", "1.0",
+                     "--k", k]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestRequestPath:
+    """main parses with one parser per process; no call leaves state for the next."""
+
+    LAW = ["law", "severity_absorbed", "--q", "0.5", "--b", "1.0", "--x-grid", "0:1:5"]
+
+    def test_theta_does_not_carry_over(self, capsys, model_path):
+        argv = self.LAW + ["--model", model_path]
+        _, theta0 = run(capsys, argv)
+        _, theta1 = run(capsys, argv + ["--theta", "1.0"])
+        assert theta1 != theta0
+        assert run(capsys, argv) == (0, theta0)
+
+    def test_usage_error_leaves_no_trace(self, capsys, model_path, tmp_path):
+        alone, after = tmp_path / "alone.csv", tmp_path / "after.csv"
+        argv = self.LAW + ["--model", model_path, "--out"]
+        assert main(argv + [str(alone)]) == 0
+        # --q is missing, after --theta and --out were read
+        assert main(["law", "severity_absorbed", "--model", model_path, "--theta", "1.0",
+                     "--out", str(tmp_path / "no.csv"), "--x-grid", "0:1:5"]) == 2
+        assert main(argv + [str(after)]) == 0
+        assert after.read_bytes() == alone.read_bytes()
+
+    def test_main_builds_no_parser(self, capsys, model_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+        for _ in range(3):
+            assert main(self.LAW + ["--model", model_path]) == 0
+        assert built == []
+        cli.build_parser()      # the counter counts
+        assert built
+
+    def test_csv_text_is_the_17_digit_format(self, tmp_path):
+        values = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300,
+                  math.inf, -math.inf, math.nan, 1.0 / 3.0, 0.1, 2.5, -7.0]
+        columns = [np.array(values), np.array(values[::-1]), -np.array(values)]
+        dest = tmp_path / "table.csv"
+        cli._write_columns(["a", "b", "c"], columns, str(dest))
+        rows = zip(*(col.tolist() for col in columns))
+        want = "a,b,c\n" + "".join(",".join("{:.17g}".format(v) for v in row) + "\n"
+                                    for row in rows)
+        assert dest.read_text() == want
 
 
 class TestSimulateCommand:

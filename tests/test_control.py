@@ -1,10 +1,6 @@
 """Barrier optimization, efficiency thresholds, and network algebra."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,21 +16,20 @@ def make_slg_G(ctx, k):
     return lambda b: ctl.barrier_function("SLG_classic", ctx, b, k=k)
 
 
-def run_child(body):
+@pytest.fixture()
+def run_child(python_child):
     """Run ``body`` in a child process and return its output, so that a call which
     never returns fails on the timeout instead of stalling the suite."""
-    script = ("from parisian_scale import LevyModel, build_parisian, build_scale, control\n"
-              "from parisian_scale.errors import DomainError\n"
-              "M1 = LevyModel(c=1.0, sigma2=0.0, lam=1.0, phases=((1.0, 2.0),))\n"
-              "try:\n" + "".join(f"    {line}\n" for line in body.splitlines())
-              + "except DomainError:\n    print('refused')\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=60, env=env)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.strip()
+    def run(body):
+        script = ("from parisian_scale import LevyModel, build_parisian, build_scale, control\n"
+                  "from parisian_scale.errors import DomainError\n"
+                  "M1 = LevyModel(c=1.0, sigma2=0.0, lam=1.0, phases=((1.0, 2.0),))\n"
+                  "try:\n" + "".join(f"    {line}\n" for line in body.splitlines())
+                  + "except DomainError:\n    print('refused')\n")
+        done = python_child(["-c", script])
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+    return run
 
 
 M3 = LevyModel(c=2.0, sigma2=0.5, lam=1.5, phases=((0.3, 1.0), (0.5, 3.0), (0.2, 7.0)))
@@ -99,7 +94,7 @@ class TestOptimizer:
     @pytest.mark.parametrize("tol, expected", [
         ("0.0", "refused"), ("-1.0", "refused"), ("float('nan')", "refused"),
         ("1e-300", "0x1.0db35")])
-    def test_tolerance_never_hangs(self, tol, expected):
+    def test_tolerance_never_hangs(self, tol, expected, run_child):
         """A tol below what the bracket can resolve ends where it stops shrinking."""
         out = run_child(
             "ctx = build_scale(M1, 0.1)\n"
@@ -305,12 +300,25 @@ class TestEfficiency:
         k = ctl.efficiency_index(build_parisian(m1, 1e-9, 1.0 / 3.0))
         assert k == pytest.approx(1.0, abs=1e-6)
 
-    def test_patience_needs_positive_q(self):
+    def test_patience_needs_positive_q(self, run_child):
         body = "print(control.solve_patience(build_parisian(M1, 0.0, 1.0), 50.0))"
         assert run_child(body) == "refused"
 
     def test_patience_zero_when_already_efficient(self, m1_par_sym):
         assert ctl.solve_patience(m1_par_sym, 3.0) == 0.0
+
+    @pytest.mark.parametrize("k", [math.inf, 1e33, 1e40])
+    def test_patience_past_the_threshold_digits_is_refused(self, m1, k):
+        """The bracket doubles q' until phi_{q+q'+r} - (q+q'+r)/c cancels to 0 and the
+        threshold reads inf; a bisection on that bracket ends at q' = 4.5e15 or 9.0e15."""
+        with pytest.raises(NoSolution):
+            ctl.solve_patience(build_parisian(m1, 0.5, 1.0), k)
+
+    def test_infinite_cost_efficient_at_an_infinite_threshold(self):
+        # without claims phi_{q+r} = (q+r)/c: the denominator is 0, and no cost is too high
+        pctx = build_parisian(LevyModel(c=1.0), 0.5, 1.0)
+        assert ctl.efficiency_index(pctx) == math.inf
+        assert ctl.solve_patience(pctx, math.inf) == 0.0
 
     def test_patience_restores_threshold(self, m1_par_sym):
         k = 5.0

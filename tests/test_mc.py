@@ -2,9 +2,6 @@
 
 import math
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +48,7 @@ NEVER_STOPS = {
 
 class TestStopping:
     @pytest.mark.parametrize("name", sorted(NEVER_STOPS))
-    def test_never_stopping_config_is_refused(self, name):
+    def test_never_stopping_config_is_refused(self, name, python_child):
         """Run in a child process, so that a loop that never ends fails on its timeout."""
         cfg, fn = NEVER_STOPS[name]
         script = (
@@ -64,11 +61,7 @@ class TestStopping:
             "except HorizonRequired:\n"
             "    print('refused')\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=60, env=env)
+        done = python_child(["-c", script])
         assert done.stdout.strip() == "refused", done.stderr
 
     @pytest.mark.parametrize("c,barrier,upper,lower,stops", [

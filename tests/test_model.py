@@ -15,6 +15,7 @@ from parisian_scale import (
     phi,
     root_set,
 )
+from parisian_scale import model as model_module
 
 
 class TestModelValidation:
@@ -202,3 +203,61 @@ class TestRootSet:
         assert balanced.drift == pytest.approx(0.0)
         with pytest.raises(DegenerateRoots):
             root_set(balanced, 0.0)
+
+
+def reference_kappa_poly(model, s):
+    """kappa(theta) - s with its poles cleared, as numpy.polynomial objects build it."""
+    P = np.polynomial.Polynomial
+    prod_all = P([1.0])
+    for _, mu in model.phases:
+        prod_all *= P([mu, 1.0])
+    poly = P([-s, model.c, 0.5 * model.sigma2]) * prod_all
+    for i, (p, _) in enumerate(model.phases):
+        others = P([1.0])
+        for j, (_, mu) in enumerate(model.phases):
+            if j != i:
+                others *= P([mu, 1.0])
+        poly -= P([0.0, model.lam * p]) * others
+    return poly
+
+
+def seeded_cases(n=320, seed=23):
+    """(model, s) with 0-7 phases; by thirds sigma2 = 0, c = 0 with sigma2 > 0, and
+    both positive, and s = 0 in every fourth."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(n):
+        k = int(rng.integers(0, 8))
+        phases = tuple(zip(rng.dirichlet(np.ones(k)).tolist(),
+                           rng.uniform(0.1, 10.0, k).tolist())) if k else ()
+        model = LevyModel(c=0.0 if i % 3 == 1 else float(rng.uniform(0.1, 3.0)),
+                          sigma2=0.0 if i % 3 == 0 else float(rng.uniform(0.05, 2.0)),
+                          lam=float(rng.uniform(0.1, 3.0)) if k else 0.0, phases=phases)
+        cases.append((model, 0.0 if i % 4 == 0 else float(rng.uniform(0.0, 5.0))))
+    return cases
+
+
+def root_bits(model, s):
+    try:
+        return [(complex(r).real.hex(), complex(r).imag.hex()) for r in root_set(model, s)]
+    except DegenerateRoots as exc:
+        return str(exc)
+
+
+class TestKappaPoly:
+    """The coefficient arrays give the bits the numpy.polynomial objects gave."""
+
+    def test_coefficients_bit_identical(self):
+        for model, s in seeded_cases():
+            got, want = model_module._kappa_poly(model, s), reference_kappa_poly(model, s).coef
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (model, s)
+
+    def test_roots_bit_identical(self, monkeypatch):
+        cases = seeded_cases()
+        got = [root_bits(model, s) for model, s in cases]
+        monkeypatch.setattr(model_module, "_kappa_poly",
+                            lambda model, s: reference_kappa_poly(model, s).coef)
+        monkeypatch.setattr(np.polynomial.polynomial, "polyroots",
+                            lambda coef: np.polynomial.Polynomial(coef).roots())
+        assert got == [root_bits(model, s) for model, s in cases]
+        assert sum(isinstance(bits, list) for bits in got) > 300
