@@ -1,8 +1,8 @@
 """Exact exponential-polynomial mixtures.
 
 An :class:`ExpMix` represents ``f(x) = sum_j w_j x^{k_j} e^{rho_j x}`` with
-complex weights/rates (in conjugate pairs, so the value is real on the real
-axis) and small integer powers.  The class is closed under differentiation,
+real weights and rates and small integer powers (every root of kappa = q is
+real, see ``model.root_set``).  The class is closed under differentiation,
 definite antidifferentiation from 0, scaling and sums, which is everything the
 scale-function calculus needs; no gridding anywhere.
 
@@ -21,12 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParisianScaleError
-
 # rates closer than this are treated as confluent (the x * e^{rho x} limit);
 # model roots are kept at least 1e-8 apart upstream, so this never conflates
 # genuinely distinct terms
-_IMAG_TOL = 1e-9
 _MERGE_TOL = 1e-10
 
 
@@ -34,7 +31,7 @@ _MERGE_TOL = 1e-10
 class ExpMix:
     """Finite mixture ``sum w * x^k * exp(rho * x)``.
 
-    ``w`` and ``rho`` are complex arrays and ``k`` an integer array with
+    ``w`` and ``rho`` are float64 arrays and ``k`` an integer array with
     ``k >= 0``, one entry per term.  A constant offset is a ``(w, 0, 0)`` term.
     """
 
@@ -49,7 +46,7 @@ class ExpMix:
     @classmethod
     def build(cls, terms) -> "ExpMix":
         """Normalize ``(w, rho, k)`` triples: merge equal (rho, k), drop zero weights."""
-        f = cls(np.zeros(0, dtype=complex), np.zeros(0, dtype=complex), np.zeros(0, int)).row(terms)
+        f = cls(np.zeros(0), np.zeros(0), np.zeros(0, int)).row(terms)
         keep = f.w != 0
         return cls(f.w[keep], f.rho[keep], f.k[keep])
 
@@ -57,16 +54,16 @@ class ExpMix:
         """The sum of ``(w, rho, k)`` terms, in input order, as a row on this basis: a term
         joins the first of its power with a rate within the tolerance, or is appended."""
         rho, k = self.rho.tolist(), self.k.tolist()
-        w = [0j] * len(rho)
+        w = [0.0] * len(rho)
         for wt, r, j in terms:
             i = next((i for i, (r0, j0) in enumerate(zip(rho, k))
                       if j0 == j and abs(r0 - r) <= _MERGE_TOL * (1.0 + abs(r))), len(rho))
             if i == len(rho):
-                rho, k, w = rho + [complex(r)], k + [int(j)], w + [0j]
+                rho, k, w = rho + [float(r)], k + [int(j)], w + [0.0]
             w[i] += wt
         if len(rho) == self.rho.size:
-            return ExpMix(np.array(w, dtype=complex), self.rho, self.k)
-        return ExpMix(np.array(w, dtype=complex), np.array(rho, dtype=complex), np.array(k))
+            return ExpMix(np.array(w, dtype=float), self.rho, self.k)
+        return ExpMix(np.array(w, dtype=float), np.array(rho, dtype=float), np.array(k))
 
     def terms(self):
         """The (w, rho, k) terms with a nonzero weight, in basis order."""
@@ -78,7 +75,7 @@ class ExpMix:
         return self.w[live], self.rho[live], self.k[live]
 
     def __call__(self, x):
-        """Evaluate at real x (scalar or array); imaginary parts must cancel."""
+        """Evaluate at real x (scalar or array)."""
         x = np.asarray(x, dtype=float)
         xs = x.reshape(1, -1)
         w, rho, k = self._live
@@ -87,12 +84,10 @@ class ExpMix:
         coef = w[:, None]
         if k.any():
             coef = coef * xs ** k[:, None]
-        # sequential sum over the terms, so a point's value does not depend on
-        # the grid it is evaluated in
-        val = np.cumsum(coef * np.exp(rho[:, None] * xs), axis=0)[-1]
-        if np.any(np.abs(val.imag) > _IMAG_TOL * (1.0 + np.abs(val))):
-            raise ParisianScaleError("conjugate pairing violated: imaginary residue")
-        return float(val.real[0]) if x.ndim == 0 else val.real.reshape(x.shape)
+        # sequential sum over the terms, so a point's value does not depend on the grid
+        # it is evaluated in (np.cumsum's ufunc, without its wrapper's cost per call)
+        val = np.add.accumulate(coef * np.exp(rho[:, None] * xs), axis=0)[-1]
+        return float(val[0]) if x.ndim == 0 else val.reshape(x.shape)
 
     def derivative(self) -> "ExpMix":
         """d/dx, exact: w x^k e^{rho x} -> w rho x^k e^{rho x} + w k x^{k-1} e^{rho x}."""
@@ -116,7 +111,7 @@ class ExpMix:
             out.append((-coeff, 0.0, 0))   # the value at 0 (only the k = 0 term has one)
         return self.row(out)
 
-    def scaled(self, factor: complex) -> "ExpMix":
+    def scaled(self, factor: float) -> "ExpMix":
         return ExpMix(self.w * factor, self.rho, self.k)
 
     def __add__(self, other) -> "ExpMix":

@@ -46,7 +46,7 @@ def _check_interval(x, a: float, b: float | None):
 def z_deriv(ctx: ScaleContext, x, theta: float):
     """Z'_q(x, theta) = theta Z_q(x, theta) + (q - kappa(theta)) W_q(x)."""
     z = build_gerber_shiu(ctx, Exponential(theta))
-    k = laplace_exponent(ctx.model, theta).real
+    k = laplace_exponent(ctx.model, theta)
     return theta * z(x) + (ctx.q - k) * ctx.W(x)
 
 
@@ -86,9 +86,9 @@ def severity_infinite(ctx: ScaleContext, x, theta: float):
     if ctx.q <= 0 and ctx.phi_q <= 0:
         raise QZero("the q -> 0 limit is not provided")
     _check_theta(theta)
-    k = laplace_exponent(ctx.model, theta).real
+    k = laplace_exponent(ctx.model, theta)
     if abs(theta - ctx.phi_q) < 1e-9:
-        slope = laplace_exponent_deriv(ctx.model, ctx.phi_q).real
+        slope = laplace_exponent_deriv(ctx.model, ctx.phi_q)
     else:
         slope = (k - ctx.q) / (theta - ctx.phi_q)
     return build_gerber_shiu(ctx, Exponential(theta))(x) - ctx.W(x) * slope
@@ -200,7 +200,7 @@ def parisian_dividends_penalty_factorized(
         raise DomainError(f"b must be finite and nonnegative, got {b}")
     _check_theta(theta)
     q, r = pctx.q, pctx.r
-    k = laplace_exponent(pctx.model, theta).real
+    k = laplace_exponent(pctx.model, theta)
     om = omega(pctx, b)
     z = build_gerber_shiu(pctx.base, Exponential(theta))
     inner = z(b) - z_deriv(pctx.base, b, theta) / om

@@ -126,19 +126,16 @@ class LevyModel:
         }
 
 
-def laplace_exponent(model: LevyModel, theta: complex) -> complex:
-    """Evaluate kappa(theta); exact real on the real axis, kappa(0) = 0."""
+def laplace_exponent(model: LevyModel, theta: float) -> float:
+    """Evaluate kappa(theta); kappa(0) = 0."""
     for _, mu in model.phases:
         if abs(theta + mu) < _POLE_TOL:
             raise PoleAtTheta(f"theta = {theta} is a pole (rate {mu})")
     jump = sum(p / (mu + theta) for p, mu in model.phases)
-    val = 0.5 * model.sigma2 * theta**2 + model.c * theta - model.lam * theta * jump
-    if isinstance(theta, complex) and theta.imag == 0:
-        return val.real
-    return val
+    return 0.5 * model.sigma2 * theta**2 + model.c * theta - model.lam * theta * jump
 
 
-def laplace_exponent_deriv(model: LevyModel, theta: complex, order: int = 1) -> complex:
+def laplace_exponent_deriv(model: LevyModel, theta: float, order: int = 1) -> float:
     """kappa'(theta) or kappa''(theta)."""
     if order == 1:
         jump = sum(p * mu / (mu + theta) ** 2 for p, mu in model.phases)
@@ -199,13 +196,15 @@ def phi(model: LevyModel, s: float) -> float:
     return max(theta - step, 0.0)
 
 
-def root_set(model: LevyModel, s: float) -> list[complex]:
+def root_set(model: LevyModel, s: float) -> list[float]:
     """All roots of kappa(theta) = s, Newton-polished, Phi_s first.
 
     Every root is real: with its n poles -mu_i cleared, kappa - s has degree
     n + 1 (n + 2 if sigma2 > 0) and as many real roots, one between each two
     neighbouring poles, two on (-mu_min, inf), where kappa is convex and
-    kappa(0) = 0 <= s, and, if sigma2 > 0, one below -mu_max.
+    kappa(0) = 0 <= s, and, if sigma2 > 0, one below -mu_max.  So the real
+    parts of the polynomial's roots are kept, and roots that do not alternate
+    with the poles that way are DegenerateRoots, as are two that coincide.
     """
     if not 0 <= s < math.inf:
         raise DomainError(f"s must be finite and nonnegative, got {s}")
@@ -214,9 +213,9 @@ def root_set(model: LevyModel, s: float) -> list[complex]:
     bound = 1.0 + np.max(np.abs(poly[:-1])) / abs(poly[-1])
     if not bound < _THETA_MAX:
         raise DomainError(f"kappa(theta) = {s} overflows once its poles are cleared")
-    roots = np.polynomial.polynomial.polyroots(poly) + 0.0    # no -0.0, as Polynomial.roots
+    roots = np.polynomial.polynomial.polyroots(poly).real + 0.0   # no -0.0, as Polynomial.roots
     polished = []
-    for r in roots:
+    for r in roots.tolist():
         for _ in range(3):
             f = laplace_exponent(model, r) - s
             d = laplace_exponent_deriv(model, r)
@@ -226,7 +225,7 @@ def root_set(model: LevyModel, s: float) -> list[complex]:
             r = r - step
             if abs(step) < 1e-15 * (1.0 + abs(r)):
                 break
-        polished.append(complex(r))
+        polished.append(r)
     scale = max(max(abs(r) for r in polished), 1.0)
     for i in range(len(polished)):
         for j in range(i + 1, len(polished)):
@@ -234,17 +233,11 @@ def root_set(model: LevyModel, s: float) -> list[complex]:
                 raise DegenerateRoots(
                     f"roots {polished[i]} and {polished[j]} coincide; perturb the model"
                 )
+    poles = sorted(-mu for _, mu in model.phases)
+    first = 1 if model.sigma2 > 0 else 0     # the roots below each pole: first, first + 1, ...
+    if np.searchsorted(sorted(polished), poles).tolist() != list(range(first, first + len(poles))):
+        raise DegenerateRoots(f"roots {sorted(polished)} do not alternate with the poles {poles}")
+    # the root nearest the polished phi value becomes that value
     phi_s = phi(model, s)
-    # snap the nonnegative real root onto the polished phi value
-    idx = min(
-        range(len(polished)),
-        key=lambda k: abs(polished[k] - phi_s),
-    )
-    ordered = [complex(phi_s)]
-    for k, r in enumerate(polished):
-        if k == idx:
-            continue
-        if abs(r.imag) < 1e-9 * scale:
-            r = complex(r.real, 0.0)
-        ordered.append(r)
-    return ordered
+    idx = min(range(len(polished)), key=lambda k: abs(polished[k] - phi_s))
+    return [phi_s] + polished[:idx] + polished[idx + 1:]

@@ -5,7 +5,8 @@ scale function,
 
     W_q(x) = sum_j e^{theta_j x} / kappa'(theta_j),
 
-the theta_j being the roots of kappa(theta) = q.  The second scale function
+the theta_j being the roots of kappa(theta) = q, all real (see
+``model.root_set``), so every mixture here has float weights and rates.  The second scale function
 and its relatives are exact Dickson-Hipp transforms of W_q; the Parisian pair
 blends two second-scale evaluations at Phi_{q+r}.
 
@@ -79,7 +80,7 @@ class ScaleContext:
 
     model: LevyModel
     q: float
-    roots: tuple[complex, ...]
+    roots: tuple[float, ...]
     phi_q: float
     W: ExpMix
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -134,7 +135,7 @@ def build_scale(model: LevyModel, q: float) -> ScaleContext:
     # the basis: the roots, then 1, x and x^2 (a zero root is the 1 in place, and x^2
     # holds Zbar then), closed under the derivatives and antiderivatives taken here
     W = W.row(W.terms() + [(0.0, 0.0, j) for j in range(3)])
-    return ScaleContext(model=model, q=float(q), roots=roots, phi_q=float(roots[0].real), W=W)
+    return ScaleContext(model=model, q=float(q), roots=roots, phi_q=roots[0], W=W)
 
 
 def build_parisian(model: LevyModel, q: float, r: float) -> ParisianContext:
@@ -159,10 +160,10 @@ def z_mix(ctx: ScaleContext, theta: float) -> ExpMix:
     _check_theta(theta)
 
     def make():
-        kq = laplace_exponent(ctx.model, theta).real - ctx.q
+        kq = laplace_exponent(ctx.model, theta) - ctx.q
         terms = []
         for w, rho, _ in ctx.W.terms():
-            d = complex(theta) - rho
+            d = theta - rho
             if abs(d) <= _NEAR_ROOT_RTOL * (1.0 + abs(theta) + abs(rho)):
                 kp = laplace_exponent_deriv(ctx.model, rho)
                 kpp = laplace_exponent_deriv(ctx.model, rho, order=2)
@@ -183,11 +184,11 @@ def dz_dtheta_mix(ctx: ScaleContext, theta: float) -> ExpMix:
     _check_theta(theta)
 
     def make():
-        kq = laplace_exponent(ctx.model, theta).real - ctx.q
-        kp_t = laplace_exponent_deriv(ctx.model, theta).real
+        kq = laplace_exponent(ctx.model, theta) - ctx.q
+        kp_t = laplace_exponent_deriv(ctx.model, theta)
         terms = []
         for w, rho, _ in ctx.W.terms():
-            d = complex(theta) - rho
+            d = theta - rho
             if abs(d) <= _NEAR_ROOT_RTOL * (1.0 + abs(theta) + abs(rho)):
                 kpp = laplace_exponent_deriv(ctx.model, rho, order=2)
                 kppp = laplace_exponent_deriv(ctx.model, rho, order=3)
@@ -209,10 +210,10 @@ def parisian_Z_mix(pctx: ParisianContext, theta: float, deriv_x: int = 0) -> Exp
 
     def make():
         q, r = pctx.q, pctx.r
-        k = laplace_exponent(pctx.model, theta).real
+        k = laplace_exponent(pctx.model, theta)
         denom = q + r - k
         if abs(denom) < _PARISIAN_SING_RTOL * (q + r):
-            kp_star = laplace_exponent_deriv(pctx.model, pctx.phi_qr).real
+            kp_star = laplace_exponent_deriv(pctx.model, pctx.phi_qr)
             return pctx.Wqr - dz_dtheta_mix(pctx.base, pctx.phi_qr).scaled(r / kp_star)
         return z_mix(pctx.base, theta).scaled(r / denom) + pctx.Wqr.scaled((q - k) / denom)
     return _memo(pctx, (theta, 0), make)

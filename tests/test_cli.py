@@ -313,11 +313,13 @@ class TestExitCodes:
         assert main(["law", "time_in_red", "--model", model_path, "--q", "0", "--r", "0",
                      "--x-grid", "0:1:2"]) == 1
 
-    def test_imaginary_residue_is_one(self, capsys, model_path, monkeypatch):
-        # a complex root without its conjugate leaves an imaginary part in W
-        monkeypatch.setattr(scale, "root_set", lambda model, q: [complex(1.0), -1.0 + 1.0j])
+    def test_roots_off_the_poles_are_one(self, capsys, model_path, monkeypatch):
+        # a root left below m1's pole -2, where kappa = 0.5 has none
+        monkeypatch.setattr(np.polynomial.polynomial, "polyroots",
+                            lambda poly: np.array([-2.0 - 1e-6, 0.75]))
         assert main(["scale", "--model", model_path, "--q", "0.5", "--x-grid", "0:1:2"]) == 1
-        assert "imaginary residue" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "do not alternate with the poles" in err
 
     def test_simulate_zero_paths_is_two(self, capsys, model_path):
         assert main(["simulate", "two_sided", "--model", model_path, "--q", "0.5",

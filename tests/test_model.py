@@ -190,9 +190,22 @@ class TestRootSet:
             except DegenerateRoots:
                 continue
             solved += 1
-            assert all(r.imag == 0.0 for r in roots)
+            assert all(type(r) is float for r in roots)
             assert len(roots) == n + 1 + (model.sigma2 > 0)
+            poles = [-mu for _, mu in model.phases]
+            order = [kind for _, kind in sorted([(r, "root") for r in roots]
+                                                + [(p, "pole") for p in poles])]
+            # sigma2 > 0 puts a root below every pole; two roots lie above them all
+            assert order == ["root"] * (model.sigma2 > 0) + ["pole", "root"] * n + ["root"]
         assert solved > 280
+
+    def test_roots_that_do_not_alternate_with_the_poles_are_refused(self, m1, monkeypatch):
+        # each Newton step doubles a root's distance from the pole -2, so -2 - 1e-6 stays
+        # below it, where kappa = 0.5 has no root
+        monkeypatch.setattr(np.polynomial.polynomial, "polyroots",
+                            lambda poly: np.array([-2.0 - 1e-6, 0.75]))
+        with pytest.raises(DegenerateRoots, match="do not alternate with the poles"):
+            root_set(m1, 0.5)
 
     def test_count_matches_degree(self, m2):
         assert len(root_set(m2, 1.0)) == 2

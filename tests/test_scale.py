@@ -253,6 +253,26 @@ class TestOneBasis:
         for name, mix in mixtures(pctx.base, pctx).items():
             assert mix.rho is basis.rho and mix.k is basis.k, name
 
+    @pytest.mark.parametrize("label", sorted(MODELS))
+    def test_mixtures_are_float64(self, label):
+        pctx = build_parisian(*MODELS[label])
+        names = {"W", "dW", "ddW", "Wbar", "Z0", "Zbar", "Z1", "Wqr", "dWqr", "z_mix(1.3)",
+                 "dz_dtheta_mix(1.3)", "pZ0(1.3)", "pZ1(0.0)", "pZ2(phi_qr)"}
+        mixes = mixtures(pctx.base, pctx)
+        assert names | ({"S", "dS", "ddS"} if pctx.q > 0 else set()) <= set(mixes)
+        for name, mix in mixes.items():
+            assert mix.w.dtype == mix.rho.dtype == np.float64, name
+
+    @pytest.mark.parametrize("label", sorted(MODELS))
+    def test_grid_equals_scalar_calls(self, label):
+        """A value does not depend on the grid it is evaluated in, to the bit."""
+        pctx = build_parisian(*MODELS[label])
+        grid = np.linspace(0.0, 6.0, 1001)
+        for name, mix in mixtures(pctx.base, pctx).items():
+            scalars = [mix(x) for x in grid.tolist()]
+            assert all(type(v) is float for v in scalars), name
+            assert mix(grid).tobytes() == np.array(scalars).tobytes(), name
+
     def test_zero_weight_skips_an_overflowing_term(self):
         # q = 0 with negative drift: Phi_0 = 1, and Z = 1, Zbar = x hold no e^{x} weight
         ctx = build_scale(LevyModel(c=0.5, lam=1.0, phases=((1.0, 1.0),)), 0.0)
