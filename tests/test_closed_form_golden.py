@@ -237,13 +237,13 @@ MIXTURE_PINS = {
         '0x1.ffffffffffffep-1', '0x1.dc0e9e456e1c5p+0', '0x1.c0883ffe2aad4p+2',
         '0x1.f4e57d839fd34p+3', '0x1.0358d731cc297p+9'),
     ('m2', 'W'): (
-        '0x0.0p+0', '0x1.dc829e20bf8c1p-2', '0x1.52a411348ac57p+1',
+        '0x0.0p+0', '0x1.dc829e20bf8bfp-2', '0x1.52a411348ac57p+1',
         '0x1.83368cdb0b6d3p+2', '0x1.936d22f67c805p+7'),
     ('m2', 'dW'): (
-        '0x1.0000000000000p+0', '0x1.1a5c40c269585p+0', '0x1.6a063dad344f7p+1',
+        '0x1.0000000000000p+0', '0x1.1a5c40c269584p+0', '0x1.6a063dad344f7p+1',
         '0x1.88776e4b30aa3p+2', '0x1.936e67db9b919p+7'),
     ('m2', 'ddW'): (
-        '0x0.0p+0', '0x1.dc829e20bf8c1p-2', '0x1.52a411348ac57p+1',
+        '0x0.0p+0', '0x1.dc829e20bf8bfp-2', '0x1.52a411348ac57p+1',
         '0x1.83368cdb0b6d3p+2', '0x1.936d22f67c805p+7'),
     ('m2', 'Wbar'): (
         '0x0.0p+0', '0x1.a5c40c269584cp-4', '0x1.d40c7b5a689eep+0',
@@ -258,10 +258,10 @@ MIXTURE_PINS = {
         '0x0.0p+0', '0x1.dc829e20bf8c1p-2', '0x1.52a411348ac57p+1',
         '0x1.83368cdb0b6d3p+2', '0x1.936d22f67c805p+7'),
     ('m2', 'Wqr'): (
-        '0x1.0000000000000p+0', '0x1.044ec7e9648f3p+1', '0x1.03d3980592769p+3',
+        '0x1.0000000000000p+0', '0x1.044ec7e9648f2p+1', '0x1.03d3980592769p+3',
         '0x1.23b9220051e12p+4', '0x1.2e922b7225249p+9'),
     ('m2', 'dWqr'): (
-        '0x1.0000000000000p+1', '0x1.55ec94868149dp+1', '0x1.09ac2323bcd91p+3',
+        '0x1.0000000000000p+1', '0x1.55ec94868149cp+1', '0x1.09ac2323bcd91p+3',
         '0x1.25095a5c5b306p+4', '0x1.2e927cab6ce8dp+9'),
     ('m2', 'Wbar_qr'): (
         '0x0.0p+0', '0x1.57b2521a05274p-1', '0x1.9358464779b22p+2',
@@ -273,67 +273,67 @@ MIXTURE_PINS = {
         '0x1.8000000000000p-1', '0x1.a78a61239e048p-1', '0x1.0f84ae41e73b9p+1',
         '0x1.265992b8647fap+2', '0x1.2e92cde4b4ad2p+7'),
     ('m2', 'ddS'): (
-        '0x0.0p+0', '0x1.6561f6988fa91p-2', '0x1.fbf619ced0282p+0',
+        '0x0.0p+0', '0x1.6561f6988fa8fp-2', '0x1.fbf619ced0282p+0',
         '0x1.2268e9a44891ep+2', '0x1.2e91da38dd604p+7'),
     ('m2', 'z_mix(0.0)'): (
-        '0x1.0000000000000p+0', '0x1.1a5c40c269585p+0', '0x1.6a063dad344f7p+1',
+        '0x1.0000000000000p+0', '0x1.1a5c40c269584p+0', '0x1.6a063dad344f7p+1',
         '0x1.88776e4b30aa3p+2', '0x1.936e67db9b919p+7'),
     ('m2', 'dz_dtheta_mix(0.0)'): (
-        '0x0.0p+0', '0x1.dc829e20bf8c1p-2', '0x1.52a411348ac57p+1',
+        '0x0.0p+0', '0x1.dc829e20bf8bfp-2', '0x1.52a411348ac57p+1',
         '0x1.83368cdb0b6d3p+2', '0x1.936d22f67c805p+7'),
     ('m2', 'gs_exp(0.0)'): (
-        '0x1.0000000000000p+0', '0x1.1a5c40c269585p+0', '0x1.6a063dad344f7p+1',
+        '0x1.0000000000000p+0', '0x1.1a5c40c269584p+0', '0x1.6a063dad344f7p+1',
         '0x1.88776e4b30aa3p+2', '0x1.936e67db9b919p+7'),
     ('m2', 'gs_exp_d(0.0)'): (
-        '0x0.0p+0', '0x1.dc829e20bf8c1p-2', '0x1.52a411348ac57p+1',
+        '0x0.0p+0', '0x1.dc829e20bf8bfp-2', '0x1.52a411348ac57p+1',
         '0x1.83368cdb0b6d3p+2', '0x1.936d22f67c805p+7'),
     ('m2', 'z_mix(1.3)'): (
-        '0x1.0000000000000p+0', '0x1.b539e759dacc4p+0', '0x1.9120f6d25ac1cp+2',
+        '0x1.0000000000000p+0', '0x1.b539e759dacc3p+0', '0x1.9120f6d25ac1cp+2',
         '0x1.bfebf91a5fc28p+3', '0x1.cff157746b82bp+8'),
     ('m2', 'dz_dtheta_mix(1.3)'): (
-        '-0x1.8000000000000p-52', '0x1.dc829e20bf8b7p-2', '0x1.52a411348ac53p+1',
+        '-0x1.8000000000000p-52', '0x1.dc829e20bf8b5p-2', '0x1.52a411348ac53p+1',
         '0x1.83368cdb0b6cep+2', '0x1.936d22f67c800p+7'),
     ('m2', 'gs_exp(1.3)'): (
-        '0x1.0000000000000p+0', '0x1.b539e759dacc4p+0', '0x1.9120f6d25ac1cp+2',
+        '0x1.0000000000000p+0', '0x1.b539e759dacc3p+0', '0x1.9120f6d25ac1cp+2',
         '0x1.bfebf91a5fc28p+3', '0x1.cff157746b82bp+8'),
     ('m2', 'gs_exp_d(1.3)'): (
-        '0x1.4cccccccccccep+0', '0x1.e6322eeb526f8p+0', '0x1.94a2e3e474300p+2',
+        '0x1.4cccccccccccep+0', '0x1.e6322eeb526f7p+0', '0x1.94a2e3e474300p+2',
         '0x1.c0b5b484cbbeep+3', '0x1.cff18830635edp+8'),
     ('m2', 'pZ0(0.0)'): (
-        '0x1.0000000000000p+0', '0x1.55ec94868149dp+0', '0x1.09ac2323bcd91p+2',
+        '0x1.0000000000000p+0', '0x1.55ec94868149cp+0', '0x1.09ac2323bcd91p+2',
         '0x1.25095a5c5b306p+3', '0x1.2e927cab6ce8dp+8'),
     ('m2', 'pZ1(0.0)'): (
-        '0x1.0000000000000p-1', '0x1.044ec7e9648f3p+0', '0x1.03d3980592769p+2',
+        '0x1.0000000000000p-1', '0x1.044ec7e9648f2p+0', '0x1.03d3980592769p+2',
         '0x1.23b9220051e12p+3', '0x1.2e922b7225249p+8'),
     ('m2', 'pZ2(0.0)'): (
-        '0x1.0000000000000p+0', '0x1.55ec94868149dp+0', '0x1.09ac2323bcd91p+2',
+        '0x1.0000000000000p+0', '0x1.55ec94868149cp+0', '0x1.09ac2323bcd91p+2',
         '0x1.25095a5c5b306p+3', '0x1.2e927cab6ce8dp+8'),
     ('m2', 'pZ0(1.3)'): (
-        '0x1.0000000000001p+0', '0x1.9c51549ccc218p+0', '0x1.6db9b3dbfd1f2p+2',
+        '0x1.0000000000001p+0', '0x1.9c51549ccc217p+0', '0x1.6db9b3dbfd1f2p+2',
         '0x1.9770be28b5d69p+3', '0x1.a5c42fba11b1cp+8'),
     ('m2', 'pZ1(1.3)'): (
-        '0x1.1745d1745d175p+0', '0x1.ab2833ff2e720p+0', '0x1.6ec9cd274aa56p+2',
+        '0x1.1745d1745d175p+0', '0x1.ab2833ff2e71fp+0', '0x1.6ec9cd274aa56p+2',
         '0x1.97addfadcecdbp+3', '0x1.a5c43e7eaa612p+8'),
     ('m2', 'pZ2(1.3)'): (
-        '0x1.0000000000001p+0', '0x1.9c51549ccc218p+0', '0x1.6db9b3dbfd1f2p+2',
+        '0x1.0000000000001p+0', '0x1.9c51549ccc217p+0', '0x1.6db9b3dbfd1f2p+2',
         '0x1.9770be28b5d69p+3', '0x1.a5c42fba11b1cp+8'),
     ('m2', 'pZ0(phi_qr)'): (
-        '0x1.0000000000000p+0', '0x1.af45122ca5341p+0', '0x1.88a9a99770e32p+2',
+        '0x1.0000000000000p+0', '0x1.af45122ca533fp+0', '0x1.88a9a99770e32p+2',
         '0x1.b63dcf2e7f795p+3', '0x1.c5db69c7db990p+8'),
     ('m2', 'pZ1(phi_qr)'): (
-        '0x1.4000000000000p+0', '0x1.d813f87b33917p+0', '0x1.8b95ef2686146p+2',
+        '0x1.4000000000000p+0', '0x1.d813f87b33915p+0', '0x1.8b95ef2686146p+2',
         '0x1.b6e5eb5c8420fp+3', '0x1.c5db92647f7b2p+8'),
     ('m2', 'pZ2(phi_qr)'): (
-        '0x1.0000000000000p+0', '0x1.af45122ca5341p+0', '0x1.88a9a99770e32p+2',
+        '0x1.0000000000000p+0', '0x1.af45122ca533fp+0', '0x1.88a9a99770e32p+2',
         '0x1.b63dcf2e7f795p+3', '0x1.c5db69c7db990p+8'),
     ('m2', 'pZ0(inf)'): (
-        '0x1.0000000000000p+0', '0x1.044ec7e9648f3p+1', '0x1.03d3980592769p+3',
+        '0x1.0000000000000p+0', '0x1.044ec7e9648f2p+1', '0x1.03d3980592769p+3',
         '0x1.23b9220051e12p+4', '0x1.2e922b7225249p+9'),
     ('m2', 'pZ1(inf)'): (
-        '0x1.0000000000000p+1', '0x1.55ec94868149dp+1', '0x1.09ac2323bcd91p+3',
+        '0x1.0000000000000p+1', '0x1.55ec94868149cp+1', '0x1.09ac2323bcd91p+3',
         '0x1.25095a5c5b306p+4', '0x1.2e927cab6ce8dp+9'),
     ('m2', 'pZ2(inf)'): (
-        '0x1.0000000000000p+0', '0x1.044ec7e9648f3p+1', '0x1.03d3980592769p+3',
+        '0x1.0000000000000p+0', '0x1.044ec7e9648f2p+1', '0x1.03d3980592769p+3',
         '0x1.23b9220051e12p+4', '0x1.2e922b7225249p+9'),
     ('m2', 'gs_lin'): (
         '-0x1.999999999999bp-2', '-0x1.d8e0b08089e08p-4', '0x1.70f49a4aca766p-1',
@@ -459,13 +459,13 @@ MIXTURE_PINS = {
         '0x1.0000000000000p-55', '0x1.b9ea6626cae07p-2', '0x1.89e8229bfdd47p-1',
         '0x1.06f0bd5d5ff88p+0', '0x1.b1665fef8c160p+1'),
     ('neg_q0', 'W'): (
-        '0x1.0000000000000p+1', '0x1.117ce84a993b5p+2', '0x1.3e552770df8a7p+4',
+        '0x1.0000000000000p+1', '0x1.117ce84a993b4p+2', '0x1.3e552770df8a7p+4',
         '0x1.75d6fd931e0bbp+5', '0x1.92edc5690c08fp+10'),
     ('neg_q0', 'dW'): (
-        '0x1.0000000000000p+2', '0x1.917ce84a993b5p+2', '0x1.5e552770df8a7p+4',
+        '0x1.0000000000000p+2', '0x1.917ce84a993b4p+2', '0x1.5e552770df8a7p+4',
         '0x1.85d6fd931e0bbp+5', '0x1.936dc5690c08fp+10'),
     ('neg_q0', 'ddW'): (
-        '0x1.0000000000000p+2', '0x1.917ce84a993b5p+2', '0x1.5e552770df8a7p+4',
+        '0x1.0000000000000p+2', '0x1.917ce84a993b4p+2', '0x1.5e552770df8a7p+4',
         '0x1.85d6fd931e0bbp+5', '0x1.936dc5690c08fp+10'),
     ('neg_q0', 'Wbar'): (
         '0x0.0p+0', '0x1.5f8d3ac3fe86ep+0', '0x1.cfdd8214f2481p+3',
@@ -480,10 +480,10 @@ MIXTURE_PINS = {
         '0x0.0p+0', '0x1.22f9d0953276ap+0', '0x1.1e552770df8a7p+3',
         '0x1.65d6fd931e0bbp+4', '0x1.926dc5690c08fp+9'),
     ('neg_q0', 'Wqr'): (
-        '0x1.0000000000000p+0', '0x1.e32fe3d02846ep+0', '0x1.ff1f9f9181654p+2',
+        '0x1.0000000000000p+0', '0x1.e32fe3d02846cp+0', '0x1.ff1f9f9181654p+2',
         '0x1.276493ad63f46p+4', '0x1.3ab4f7df11fccp+9'),
     ('neg_q0', 'dWqr'): (
-        '0x1.8fc1ecd5fda0ep+0', '0x1.3978e85312f3ep+1', '0x1.11880d638066cp+3',
+        '0x1.8fc1ecd5fda0ep+0', '0x1.3978e85312f3dp+1', '0x1.11880d638066cp+3',
         '0x1.3060b27ac3ce7p+4', '0x1.3afcd8d57cfb9p+9'),
     ('neg_q0', 'Wbar_qr'): (
         '0x0.0p+0', '0x1.44fe0c12ec49cp-1', '0x1.8206ce1cf59a8p+2',
@@ -492,7 +492,7 @@ MIXTURE_PINS = {
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
         '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
     ('neg_q0', 'dz_dtheta_mix(0.0)'): (
-        '0x0.0p+0', '0x1.22f9d0953276ap+0', '0x1.1e552770df8a7p+3',
+        '0x0.0p+0', '0x1.22f9d09532768p+0', '0x1.1e552770df8a7p+3',
         '0x1.65d6fd931e0bbp+4', '0x1.926dc5690c08fp+9'),
     ('neg_q0', 'gs_exp(0.0)'): (
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
@@ -501,16 +501,16 @@ MIXTURE_PINS = {
         '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
         '0x0.0p+0', '0x0.0p+0'),
     ('neg_q0', 'z_mix(1.3)'): (
-        '0x1.ffffffffffffap-1', '0x1.a476f054542c8p+0', '0x1.83ae2c95db4e5p+2',
+        '0x1.ffffffffffffap-1', '0x1.a476f054542c7p+0', '0x1.83ae2c95db4e5p+2',
         '0x1.b483ba79c8eb8p+3', '0x1.c7eb64b98809cp+8'),
     ('neg_q0', 'dz_dtheta_mix(1.3)'): (
-        '0x1.5000000000000p-49', '0x1.b80a00e1a1090p-3', '0x1.b104682af0514p+0',
+        '0x1.5000000000000p-49', '0x1.b80a00e1a108cp-3', '0x1.b104682af0514p+0',
         '0x1.0e940bb759067p+2', '0x1.304b4284a9c60p+7'),
     ('neg_q0', 'gs_exp(1.3)'): (
-        '0x1.ffffffffffffap-1', '0x1.a476f054542c8p+0', '0x1.83ae2c95db4e5p+2',
+        '0x1.ffffffffffffap-1', '0x1.a476f054542c7p+0', '0x1.83ae2c95db4e5p+2',
         '0x1.b483ba79c8eb8p+3', '0x1.c7eb64b98809cp+8'),
     ('neg_q0', 'gs_exp_d(1.3)'): (
-        '0x1.21642c8590b1ep+0', '0x1.c5db1cd9e4de9p+0', '0x1.8c0737b73f7adp+2',
+        '0x1.21642c8590b1ep+0', '0x1.c5db1cd9e4de8p+0', '0x1.8c0737b73f7adp+2',
         '0x1.b8b0400a7b01cp+3', '0x1.c80cc8e60d9a7p+8'),
     ('neg_q0', 'pZ0(0.0)'): (
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
@@ -522,31 +522,31 @@ MIXTURE_PINS = {
         '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
         '0x0.0p+0', '0x0.0p+0'),
     ('neg_q0', 'pZ0(1.3)'): (
-        '0x1.ffffffffffff8p-1', '0x1.9ea77a4e54977p+0', '0x1.783eb9583c69fp+2',
+        '0x1.ffffffffffff8p-1', '0x1.9ea77a4e54976p+0', '0x1.783eb9583c69fp+2',
         '0x1.a639314d3a1d9p+3', '0x1.b7d8fb6b454c4p+8'),
     ('neg_q0', 'pZ1(1.3)'): (
-        '0x1.172ad7d16bd92p+0', '0x1.b5d2521fc070dp+0', '0x1.7e096f4c97604p+2',
+        '0x1.172ad7d16bd92p+0', '0x1.b5d2521fc070cp+0', '0x1.7e096f4c97604p+2',
         '0x1.a91e8c476798cp+3', '0x1.b7f0264316b82p+8'),
     ('neg_q0', 'pZ2(1.3)'): (
-        '0x1.172ad7d16bd92p+0', '0x1.b5d2521fc070dp+0', '0x1.7e096f4c97604p+2',
+        '0x1.172ad7d16bd92p+0', '0x1.b5d2521fc070cp+0', '0x1.7e096f4c97604p+2',
         '0x1.a91e8c476798cp+3', '0x1.b7f0264316b82p+8'),
     ('neg_q0', 'pZ0(phi_qr)'): (
-        '0x1.0000000000000p+0', '0x1.c43eb67b4f926p+0', '0x1.c23a12404b8b6p+2',
+        '0x1.0000000000000p+0', '0x1.c43eb67b4f924p+0', '0x1.c23a12404b8b6p+2',
         '0x1.01572ce4bb4aap+4', '0x1.0fe9bacc38d4ap+9'),
     ('neg_q0', 'pZ1(phi_qr)'): (
-        '0x1.594fd9fdc2c9cp+0', '0x1.0ec7483c892e1p+1', '0x1.d88e08bfbc3ddp+2',
+        '0x1.594fd9fdc2c9cp+0', '0x1.0ec7483c892e0p+1', '0x1.d88e08bfbc3ddp+2',
         '0x1.06ec2a8497774p+4', '0x1.101662b937b60p+9'),
     ('neg_q0', 'pZ2(phi_qr)'): (
-        '0x1.594fd9fdc2c9cp+0', '0x1.0ec7483c892e1p+1', '0x1.d88e08bfbc3ddp+2',
+        '0x1.594fd9fdc2c9cp+0', '0x1.0ec7483c892e0p+1', '0x1.d88e08bfbc3ddp+2',
         '0x1.06ec2a8497774p+4', '0x1.101662b937b60p+9'),
     ('neg_q0', 'pZ0(inf)'): (
-        '0x1.0000000000000p+0', '0x1.e32fe3d02846ep+0', '0x1.ff1f9f9181654p+2',
+        '0x1.0000000000000p+0', '0x1.e32fe3d02846cp+0', '0x1.ff1f9f9181654p+2',
         '0x1.276493ad63f46p+4', '0x1.3ab4f7df11fccp+9'),
     ('neg_q0', 'pZ1(inf)'): (
-        '0x1.8fc1ecd5fda0ep+0', '0x1.3978e85312f3ep+1', '0x1.11880d638066cp+3',
+        '0x1.8fc1ecd5fda0ep+0', '0x1.3978e85312f3dp+1', '0x1.11880d638066cp+3',
         '0x1.3060b27ac3ce7p+4', '0x1.3afcd8d57cfb9p+9'),
     ('neg_q0', 'pZ2(inf)'): (
-        '0x1.8fc1ecd5fda0ep+0', '0x1.3978e85312f3ep+1', '0x1.11880d638066cp+3',
+        '0x1.8fc1ecd5fda0ep+0', '0x1.3978e85312f3dp+1', '0x1.11880d638066cp+3',
         '0x1.3060b27ac3ce7p+4', '0x1.3afcd8d57cfb9p+9'),
     ('neg_q0', 'gs_lin'): (
         '-0x1.9999999999998p-2', '0x1.9521e1a1c07f8p-2', '0x1.774404046c283p+2',
@@ -596,19 +596,19 @@ LAW_PINS = {
         '0x1.e924e95eef840p-6', '0x1.0d6b6e5996640p-6',
         '0x1.be92441272800p-9', '0x1.d06b5db8bc000p-10'),
     ('m2', 'two_sided'): (
-        '0x0.0p+0', '0x1.3b099558461d7p-4',
+        '0x0.0p+0', '0x1.3b099558461d5p-4',
         '0x1.bfc6439d9bee7p-2', '0x1.0000000000000p+0'),
     ('m2', 'severity_absorbed'): (
-        '0x1.0000000000000p+0', '0x1.433bae95b40ecp-1',
+        '0x1.0000000000000p+0', '0x1.433bae95b40eep-1',
         '0x1.2c9fede772a20p-3', '0x0.0p+0'),
     ('m2', 'severity_reflected'): (
-        '0x1.0000000000000p+0', '0x1.49a7a2a566756p-1',
+        '0x1.0000000000000p+0', '0x1.49a7a2a566758p-1',
         '0x1.bea9b9e0d7b20p-3', '0x1.4df84a4076200p-3'),
     ('m2', 'severity_infinite'): (
-        '0x1.0000000000000p+0', '0x1.4677327472ea8p-1',
+        '0x1.0000000000000p+0', '0x1.4677327472eaap-1',
         '0x1.7622c78a98a20p-3', '0x1.50385c094f400p-4'),
     ('m2', 'bailouts_to_level'): (
-        '0x1.249f5de7bdbafp-4', '0x1.f3c63b3b02b65p-4',
+        '0x1.249f5de7bdbafp-4', '0x1.f3c63b3b02b64p-4',
         '0x1.ca83502553decp-2', '0x1.0000000000000p+0'),
     ('m2', 'dividends_penalty'): (
         '0x1.0000000000000p+0', '0x1.47d671498d0fep-1',
@@ -618,7 +618,7 @@ LAW_PINS = {
         '0x1.41b23582ef6d9p-4', '0x1.031080ea9536dp-3',
         '0x1.cb94721867f0bp-2', '0x1.0000000000000p+0'),
     ('m2', 'parisian_severity'): (
-        '0x1.34e7f11581be0p-2', '0x1.8608a94cfcc88p-3',
+        '0x1.34e7f11581be0p-2', '0x1.8608a94cfcc80p-3',
         '0x1.6ac0c9a5f2300p-5', '0x0.0p+0'),
     ('m2', 'parisian_resolvent_integral'): (
         '0x1.ca24692e016f0p-1', '0x1.2600cea1bfc29p+0',
@@ -660,26 +660,26 @@ LAW_PINS = {
         '0x1.24da76bb65f9cp-3', '0x1.94a5895f93e20p-5',
         '0x1.1e65d1b6dee00p-6', '0x1.7be97d0517000p-7'),
     ('neg_q0', 'two_sided'): (
-        '0x1.5e9c2d67c7689p-5', '0x1.768f9e355e12ep-4',
+        '0x1.5e9c2d67c7689p-5', '0x1.768f9e355e12cp-4',
         '0x1.b3faa0465e8f7p-2', '0x1.0000000000000p+0'),
     ('neg_q0', 'severity_absorbed'): (
-        '0x1.aa29995bc04b8p-2', '0x1.948115c28c08cp-2',
+        '0x1.aa29995bc04b8p-2', '0x1.948115c28c090p-2',
         '0x1.ff52960597840p-3', '0x0.0p+0'),
     ('neg_q0', 'severity_reflected'): (
-        '0x1.bd37a6f4de9c4p-2', '0x1.bd37a6f4de9bcp-2',
+        '0x1.bd37a6f4de9c4p-2', '0x1.bd37a6f4de9b8p-2',
         '0x1.bd37a6f4de9c0p-2', '0x1.bd37a6f4de9c0p-2'),
     ('neg_q0', 'severity_infinite'): (
         '0x1.bd37a6f4de9c4p-2', '0x1.bd37a6f4de9b8p-2',
         '0x1.bd37a6f4de9c0p-2', '0x1.bd37a6f4de9c0p-2'),
     ('neg_q0', 'bailouts_to_level'): (
-        '0x1.2c44fc768351cp-4', '0x1.ed2cafe2641f7p-4',
+        '0x1.2c44fc768351cp-4', '0x1.ed2cafe2641f6p-4',
         '0x1.c6b894d661d81p-2', '0x1.0000000000000p+0'),
     ('neg_q0', 'dividends_penalty'): (
         '0x1.b7ef4425595d6p-2', '0x1.b1ee1c80441e4p-2',
         '0x1.88aa423d50930p-2', '0x1.41c92b8c47540p-2'),
     ('neg_q0', 'time_in_red'): 'NonpositiveDrift',
     ('neg_q0', 'parisian_up_exit'): (
-        '0x1.366eccc447290p-4', '0x1.f6d245bcc90b2p-4',
+        '0x1.366eccc447290p-4', '0x1.f6d245bcc90b0p-4',
         '0x1.c83ecc56f1608p-2', '0x1.0000000000000p+0'),
     ('neg_q0', 'parisian_severity'): (
         '0x1.242aa3ef404dap-2', '0x1.15517518907d8p-2',
@@ -721,25 +721,25 @@ OBJECTIVE_PINS = {
         '0x1.66a88fbc32020p-7', '0x1.6e39cafefed90p-4',
         '0x1.c30a4e2bd3750p-2', '0x1.fcfadc6bbe1b0p-1'),
     ('m2', 'vf_dividends_classic'): (
-        '0x0.0p+0', '0x1.36d20837c3937p-4',
+        '0x0.0p+0', '0x1.36d20837c3936p-4',
         '0x1.b9c7db8ab5adfp-2', '0x1.f9258260a71c3p-1'),
     ('m2', 'value_definetti'): (
-        '0x1.3333333333333p-1', '0x1.d94a786e0571ap-2',
+        '0x1.3333333333333p-1', '0x1.d94a786e05718p-2',
         '0x1.1fe3c9a714ca8p-1', '0x1.159ef9f529368p+0'),
     ('m2', 'value_slg_classic'): (
-        '-0x1.8ecab83ce841cp+0', '-0x1.daad695b6ea0cp-1',
+        '-0x1.8ecab83ce841cp+0', '-0x1.daad695b6ea08p-1',
         '0x1.77844971dc000p-4', '0x1.771563f378d70p-1'),
     ('m2', 'VF_div'): (
-        '0x1.bf49f7b76954cp-5', '0x1.c6d0c56a0a714p-4',
+        '0x1.bf49f7b76954cp-5', '0x1.c6d0c56a0a712p-4',
         '0x1.c5f98933632aap-2', '0x1.fdb48c71e23c9p-1'),
     ('m2', 'VF_bail'): (
         '0x1.fb6918e3c4791p-2', '0x1.4055f2d522ae5p-2',
         '0x1.29ee137e35620p-4', '0x0.0p+0'),
     ('m2', 'VS_div'): (
-        '0x1.c14d7b7410bc2p-4', '0x1.2c0db6c62310bp-3',
+        '0x1.c14d7b7410bc2p-4', '0x1.2c0db6c62310ap-3',
         '0x1.d24752866838ap-2', '0x1.01270c4e41c34p+0'),
     ('m2', 'VS_div_theta'): (
-        '0x1.4181f89c4ce64p-4', '0x1.02e9a83f632dap-3',
+        '0x1.4181f89c4ce64p-4', '0x1.02e9a83f632d9p-3',
         '0x1.cb4f8845ab814p-2', '0x1.ffb339eed9d4dp-1'),
     ('m2', 'VS_bail'): (
         '0x1.024e189c83869p-1', '0x1.4c9f82af826c5p-2',
@@ -775,10 +775,10 @@ OBJECTIVE_PINS = {
         '0x1.f98754a1f6a6cp-1', '0x1.47e4f354f5fc8p+0',
         '0x1.12a266f1ef6b2p+1', '0x1.6db94cf00e080p+1'),
     ('neg_q0', 'vf_dividends_classic'): (
-        '0x1.50385c094f425p-5', '0x1.673026878efabp-4',
+        '0x1.50385c094f425p-5', '0x1.673026878efaap-4',
         '0x1.a215d8d6f3d04p-2', '0x1.eafc7a3f6b0bep-1'),
     ('neg_q0', 'value_definetti'): (
-        '-0x1.0f17d6b94f1f8p+0', '-0x1.0326973120a9ep+0',
+        '-0x1.0f17d6b94f1f8p+0', '-0x1.0326973120aa0p+0',
         '-0x1.622846c7b94c0p-1', '-0x1.20dae3cf20900p-3'),
     ('neg_q0', 'value_slg_classic'): 'QZero',
     ('neg_q0', 'VF_div'): 'QZero',
