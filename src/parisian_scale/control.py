@@ -31,6 +31,7 @@ from .scale import (
     ParisianContext,
     PenaltySpec,
     ScaleContext,
+    _memo,
     build_gerber_shiu,
     parisian_Z_mix,
     piecewise,
@@ -126,10 +127,11 @@ def barrier_function(
     penalty: PenaltySpec | None = None,
 ) -> float:
     """G(b) of the row of kind "deFinetti_classic" (pass `penalty`), "SLG_classic" or
-    "SLG_parisian" (pass the cost `k`; ctx a ParisianContext); its last global max is b*."""
+    "SLG_parisian" (pass the cost `k`; ctx a ParisianContext); its last global max is b*.
+    The row is built once per (kind, k, penalty) and kept in the context."""
     if kind not in _ROWS:
         raise DomainError(f"unknown barrier function kind {kind!r}")
-    return _ROWS[kind](ctx, k, penalty).G(b)
+    return _memo(ctx, ("barrier", kind, k, penalty), lambda: _ROWS[kind](ctx, k, penalty)).G(b)
 
 
 @dataclass(frozen=True)
@@ -195,12 +197,18 @@ def optimize_barrier(G, b_max: float, n_grid: int = 1000, tol: float = 1e-8) -> 
 
 
 def _threshold(model: LevyModel, q: float, r: float) -> float:
-    w0 = 0.0 if model.sigma2 > 0 else 1.0 / model.c
+    """(1 + q/r) (phi - r W(0)) / (phi - (q + r) W(0)) at phi = Phi_{q+r}, W(0) = 1/c or 0."""
     phi_qr = phi(model, q + r)
-    den = phi_qr - (r + q) * w0
+    if model.sigma2 > 0:
+        num = den = phi_qr
+    else:
+        # kappa(phi) = q + r makes phi - (q + r)/c = (lam phi / c) sum p_i / (mu_i + phi)
+        # exactly; this form does not cancel when q + r is large
+        den = model.lam * phi_qr / model.c * sum(p / (mu + phi_qr) for p, mu in model.phases)
+        num = q / model.c + den
     if den <= 0.0:
         return math.inf
-    return (1.0 + q / r) * (phi_qr - r * w0) / den
+    return (1.0 + q / r) * num / den
 
 
 def efficiency_index(pctx: ParisianContext) -> float:
@@ -222,8 +230,8 @@ def solve_patience(pctx: ParisianContext, k: float, tol: float = 1e-8) -> float:
     """Smallest extra killing rate q' making cost k efficient at discount q+q'.
 
     The threshold k(q, r) is increasing in q, so bisection applies once an
-    efficient upper bound is bracketed by doubling.  NoSolution when k = inf, or
-    when the threshold at the bracket reads inf (its denominator cancelled to 0).
+    efficient upper bound is bracketed by doubling.  NoSolution when k = inf, when
+    no bracket below 2^60 q holds, or when the threshold at the bracket reads inf.
     """
     model, q, r = pctx.model, pctx.q, pctx.r
     if not q > 0:

@@ -3,9 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
-from parisian_scale import LevyModel, build_parisian, build_scale
+from parisian_scale import LevyModel, build_parisian, build_scale, phi
 from parisian_scale.expmix import ExpMix
 
 
@@ -73,3 +74,20 @@ def python_child():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     return lambda args: subprocess.run([sys.executable, *args], capture_output=True, text=True,
                                        timeout=60, env=env)
+
+
+@pytest.fixture(scope="session")
+def mp_threshold():
+    """The efficiency threshold k(q, r) at 60 digits, from mpmath's root of kappa = q + r
+    next to the library's Phi_{q+r}."""
+    def threshold(model, q, r):
+        with mp.workdps(60):
+            q, r = mp.mpf(q), mp.mpf(r)
+
+            def kappa(t):
+                jump = mp.fsum(mp.mpf(p) / (mu + t) for p, mu in model.phases)
+                return model.sigma2 / mp.mpf(2) * t * t + model.c * t - model.lam * t * jump
+            ph = mp.findroot(lambda t: kappa(t) - q - r, mp.mpf(phi(model, float(q + r))))
+            w0 = 0 if model.sigma2 > 0 else 1 / mp.mpf(model.c)
+            return float((1 + q / r) * (ph - r * w0) / (ph - (q + r) * w0))
+    return threshold

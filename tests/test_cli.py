@@ -393,11 +393,19 @@ class TestEfficiencyCommand:
         assert main(["efficiency", "--model", str(p), "--q", "0.5", "--k", "3.0"]) == 2
         assert "needs --r" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("k", ["inf", "1e33", "1e40"])
+    @pytest.mark.parametrize("k", ["inf", "1e40"])
     def test_cost_without_patience_is_one(self, capsys, model_path, k):
         assert main(["efficiency", "--model", model_path, "--q", "0.5", "--r", "1.0",
                      "--k", k]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_patience_for_a_cost_of_1e33(self, capsys, model_path, mp_threshold):
+        code, out = run(capsys, ["efficiency", "--model", model_path, "--q", "0.5", "--r", "1.0",
+                                 "--k", "1e33"])
+        obj = json.loads(out)
+        assert code == 0 and obj["efficient"] is False
+        model = LevyModel.from_dict(M1)
+        assert mp_threshold(model, 0.5 + obj["patience"], 1.0) == pytest.approx(1e33, rel=1e-7)
 
 
 class TestRequestPath:

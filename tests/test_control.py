@@ -284,6 +284,19 @@ class TestValues:
                 parts, rel=1e-12)
 
 
+class TestBarrierRow:
+    def test_built_once_per_context(self, m1, monkeypatch):
+        made = []
+        row = ctl.slg_classic
+        monkeypatch.setattr(ctl, "slg_classic", lambda ctx, k: made.append(k) or row(ctx, k))
+        ctx = build_scale(m1, 0.5)
+        got = [ctl.barrier_function("SLG_classic", ctx, b, k=1.5) for b in (0.5, 1.0, 0.5)]
+        assert made == [1.5]
+        assert got == [row(build_scale(m1, 0.5), 1.5).G(b) for b in (0.5, 1.0, 0.5)]
+        ctl.barrier_function("SLG_classic", ctx, 0.5, k=2.0)
+        assert made == [1.5, 2.0]
+
+
 class TestEfficiency:
     def test_symmetric_fixture_threshold(self, m1_par_sym):
         assert ctl.efficiency_index(m1_par_sym) == pytest.approx(4.0, rel=1e-12)
@@ -307,12 +320,34 @@ class TestEfficiency:
     def test_patience_zero_when_already_efficient(self, m1_par_sym):
         assert ctl.solve_patience(m1_par_sym, 3.0) == 0.0
 
-    @pytest.mark.parametrize("k", [math.inf, 1e33, 1e40])
+    @pytest.mark.parametrize("k", [math.inf, 1e40])
     def test_patience_past_the_threshold_digits_is_refused(self, m1, k):
-        """The bracket doubles q' until phi_{q+q'+r} - (q+q'+r)/c cancels to 0 and the
-        threshold reads inf; a bisection on that bracket ends at q' = 4.5e15 or 9.0e15."""
+        """k = 1e40 needs q' near 1e20, past the bracket's cap of 2^60 q."""
         with pytest.raises(NoSolution):
             ctl.solve_patience(build_parisian(m1, 0.5, 1.0), k)
+
+    def test_patience_for_a_cost_past_the_old_cancellation(self, m1, mp_threshold):
+        """At q' = 3.2e16, phi - (q+q'+r)/c once cancelled to 0 and k = 1e33 was refused."""
+        extra = ctl.solve_patience(build_parisian(m1, 0.5, 1.0), 1e33)
+        assert extra == pytest.approx(3.162e16, rel=1e-3)
+        assert mp_threshold(m1, 0.5 + extra, 1.0) == pytest.approx(1e33, rel=1e-7)
+
+    def test_threshold_at_a_huge_r(self, m1, mp_threshold):
+        k = ctl.efficiency_index(build_parisian(m1, 0.5, 1e16))
+        assert k == pytest.approx(1.5, rel=1e-15, abs=0)
+        assert k == pytest.approx(mp_threshold(m1, 0.5, 1e16), rel=1e-15, abs=0)
+
+    def test_threshold_without_sigma_matches_mpmath(self, mp_threshold):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            model = LevyModel(c=float(rng.uniform(0.5, 3.0)), lam=float(rng.uniform(0.1, 2.0)),
+                              phases=tuple(zip(rng.dirichlet(np.ones(n)).tolist(),
+                                               rng.uniform(0.2, 10.0, n).tolist())))
+            q, r = float(rng.uniform(0.05, 2.0)), float(10 ** rng.uniform(-2, 3))
+            got = ctl.efficiency_index(build_parisian(model, q, r))
+            # the parent's form, phi - r/c over phi - (q + r)/c, was off by up to 2.3e-13 here
+            assert got == pytest.approx(mp_threshold(model, q, r), rel=2e-15, abs=0), (model, q, r)
 
     def test_infinite_cost_efficient_at_an_infinite_threshold(self):
         # without claims phi_{q+r} = (q+r)/c: the denominator is 0, and no cost is too high
