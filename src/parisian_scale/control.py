@@ -197,13 +197,12 @@ def optimize_barrier(G, b_max: float, n_grid: int = 1000, tol: float = 1e-8) -> 
 
 
 def _threshold(model: LevyModel, q: float, r: float) -> float:
-    """(1 + q/r) (phi - r W(0)) / (phi - (q + r) W(0)) at phi = Phi_{q+r}, W(0) = 1/c or 0."""
     phi_qr = phi(model, q + r)
     if model.sigma2 > 0:
         num = den = phi_qr
     else:
-        # kappa(phi) = q + r makes phi - (q + r)/c = (lam phi / c) sum p_i / (mu_i + phi)
-        # exactly; this form does not cancel when q + r is large
+        # phi - r/c over phi - (q + r)/c, where kappa(phi) = q + r makes the denominator
+        # (lam phi / c) sum p_i / (mu_i + phi) exactly: that form does not cancel
         den = model.lam * phi_qr / model.c * sum(p / (mu + phi_qr) for p, mu in model.phases)
         num = q / model.c + den
     if den <= 0.0:

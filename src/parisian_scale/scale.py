@@ -5,10 +5,10 @@ scale function,
 
     W_q(x) = sum_j e^{theta_j x} / kappa'(theta_j),
 
-the theta_j being the roots of kappa(theta) = q, all real (see
-``model.root_set``), so every mixture here has float weights and rates.  The second scale function
-and its relatives are exact Dickson-Hipp transforms of W_q; the Parisian pair
-blends two second-scale evaluations at Phi_{q+r}.
+the theta_j being the roots of kappa(theta) = q, all of them real (see
+``model.root_set``), so every mixture here has float weights and rates.  The
+second scale function and its relatives are exact Dickson-Hipp transforms of
+W_q; the Parisian pair blends two second-scale evaluations at Phi_{q+r}.
 
 For a rational kappa all of them are mixtures over the roots of kappa = q
 and the powers 1, x and x^2 (x^2 carries weight only when a root is 0, which

@@ -327,7 +327,7 @@ class TestEfficiency:
             ctl.solve_patience(build_parisian(m1, 0.5, 1.0), k)
 
     def test_patience_for_a_cost_past_the_old_cancellation(self, m1, mp_threshold):
-        """At q' = 3.2e16, phi - (q+q'+r)/c once cancelled to 0 and k = 1e33 was refused."""
+        """At q' = 3.2e16 the difference phi - (q+q'+r)/c cancels to 0 in floats."""
         extra = ctl.solve_patience(build_parisian(m1, 0.5, 1.0), 1e33)
         assert extra == pytest.approx(3.162e16, rel=1e-3)
         assert mp_threshold(m1, 0.5 + extra, 1.0) == pytest.approx(1e33, rel=1e-7)
@@ -346,7 +346,7 @@ class TestEfficiency:
                                                rng.uniform(0.2, 10.0, n).tolist())))
             q, r = float(rng.uniform(0.05, 2.0)), float(10 ** rng.uniform(-2, 3))
             got = ctl.efficiency_index(build_parisian(model, q, r))
-            # the parent's form, phi - r/c over phi - (q + r)/c, was off by up to 2.3e-13 here
+            # phi - r/c over phi - (q + r)/c, differences in floats, is off by up to 2.3e-13 here
             assert got == pytest.approx(mp_threshold(model, q, r), rel=2e-15, abs=0), (model, q, r)
 
     def test_infinite_cost_efficient_at_an_infinite_threshold(self):

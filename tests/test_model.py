@@ -195,7 +195,7 @@ class TestRootSet:
             poles = [-mu for _, mu in model.phases]
             order = [kind for _, kind in sorted([(r, "root") for r in roots]
                                                 + [(p, "pole") for p in poles])]
-            # sigma2 > 0 puts a root below every pole; two roots lie above them all
+            # sigma2 > 0 puts one root below all the poles; two roots lie above them all
             assert order == ["root"] * (model.sigma2 > 0) + ["pole", "root"] * n + ["root"]
         assert solved > 280
 
