@@ -1,15 +1,13 @@
-"""Exact exponential-polynomial mixtures.
+"""Exact exponential-polynomial mixtures on one fixed basis.
 
 An :class:`ExpMix` represents ``f(x) = sum_j w_j x^{k_j} e^{rho_j x}`` with
 real weights and rates and small integer powers (every root of kappa = q is
-real, see ``model.root_set``).  The class is closed under differentiation,
-definite antidifferentiation from 0, scaling and sums, which is everything the
-scale-function calculus needs; no gridding anywhere.
-
-The terms (rho, k) are a basis and the weights w a row on it, three read-only
-arrays.  ``derivative``, ``antiderivative``, ``scaled``, ``+`` and ``-`` give
-rows on the same ``rho`` and ``k`` arrays, appending a term only where the
-basis lacks one, so a scale context lays out one basis for all its mixtures.
+real, see ``model.root_set``).  ``ExpMix.build`` lays out the basis (rho, k)
+once: the given rates at power 0, in the given order, then 1, x and x^2 at
+rate 0, where a rate within 1e-10 of 0 serves as the 1.  The weights w are a
+row on it, and every mixture made from it is another row on the same ``rho``
+and ``k`` arrays: ``derivative``, ``antiderivative``, ``scaled``, ``+`` and
+``-`` are array maps on w, exact up to rounding, and no term is ever appended.
 ``__call__``, the one evaluator, takes a whole array of x (a scalar x comes
 back as a float) and skips zero weights: 0 * e^{rho x} never overflows to NaN.
 """
@@ -21,23 +19,23 @@ from functools import cached_property
 
 import numpy as np
 
-# rates closer than this are treated as confluent (the x * e^{rho x} limit);
-# model roots are kept at least 1e-8 apart upstream, so this never conflates
-# genuinely distinct terms
-_MERGE_TOL = 1e-10
+# a rate this close to 0 is the 1 of the basis (at q = 1e-13 a root of kappa = q is 2e-13);
+# model roots are kept at least 1e-8 apart upstream, so at most one rate is
+_ZERO_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class ExpMix:
-    """Finite mixture ``sum w * x^k * exp(rho * x)``.
+    """Finite mixture ``sum w * x^k * exp(rho * x)`` on a basis laid out by ``build``.
 
-    ``w`` and ``rho`` are float64 arrays and ``k`` an integer array with
-    ``k >= 0``, one entry per term.  A constant offset is a ``(w, 0, 0)`` term.
+    ``w`` and ``rho`` are float64 arrays and ``k`` an integer array, one entry
+    per term; x and x^2 are the last two terms and ``one`` indexes the 1.
     """
 
     w: np.ndarray
     rho: np.ndarray
     k: np.ndarray
+    one: int
 
     def __post_init__(self):
         for a in (self.w, self.rho, self.k):
@@ -45,29 +43,18 @@ class ExpMix:
 
     @classmethod
     def build(cls, terms) -> "ExpMix":
-        """Normalize ``(w, rho, k)`` triples: merge equal (rho, k), drop zero weights."""
-        f = cls(np.zeros(0), np.zeros(0), np.zeros(0, int)).row(terms)
-        keep = f.w != 0
-        return cls(f.w[keep], f.rho[keep], f.k[keep])
+        """sum w e^{rho x} over the (w, rho) pairs, on the basis their rates lay out."""
+        w, rho = (np.array(col, dtype=float) for col in zip(*terms))
+        near = np.flatnonzero(np.abs(rho) <= _ZERO_TOL)
+        powers = np.arange(1 if near.size else 0, 3)
+        pad = np.zeros(powers.size)
+        return cls(np.append(w, pad), np.append(rho, pad),
+                   np.append(np.zeros(rho.size, int), powers),
+                   int(near[0]) if near.size else rho.size)
 
-    def row(self, terms) -> "ExpMix":
-        """The sum of ``(w, rho, k)`` terms, in input order, as a row on this basis: a term
-        joins the first of its power with a rate within the tolerance, or is appended."""
-        rho, k = self.rho.tolist(), self.k.tolist()
-        w = [0.0] * len(rho)
-        for wt, r, j in terms:
-            i = next((i for i, (r0, j0) in enumerate(zip(rho, k))
-                      if j0 == j and abs(r0 - r) <= _MERGE_TOL * (1.0 + abs(r))), len(rho))
-            if i == len(rho):
-                rho, k, w = rho + [float(r)], k + [int(j)], w + [0.0]
-            w[i] += wt
-        if len(rho) == self.rho.size:
-            return ExpMix(np.array(w, dtype=float), self.rho, self.k)
-        return ExpMix(np.array(w, dtype=float), np.array(rho, dtype=float), np.array(k))
-
-    def terms(self):
-        """The (w, rho, k) terms with a nonzero weight, in basis order."""
-        return [t for t in zip(self.w.tolist(), self.rho.tolist(), self.k.tolist()) if t[0]]
+    def with_weights(self, w) -> "ExpMix":
+        """The mixture with weights w on this basis."""
+        return ExpMix(np.asarray(w, dtype=float), self.rho, self.k, self.one)
 
     @cached_property
     def _live(self):
@@ -90,34 +77,40 @@ class ExpMix:
         return float(val[0]) if x.ndim == 0 else val.reshape(x.shape)
 
     def derivative(self) -> "ExpMix":
-        """d/dx, exact: w x^k e^{rho x} -> w rho x^k e^{rho x} + w k x^{k-1} e^{rho x}."""
-        out = [(w * rho, rho, k) for w, rho, k in self.terms()]
-        out += [(w * k, rho, k - 1) for w, rho, k in self.terms() if k]
-        return self.row(out)
+        """d/dx, exact: e^{rho x} -> rho e^{rho x}, x -> 1 and x^2 -> 2x."""
+        w = self.w * self.rho
+        w[self.one] += self.w[-2]
+        w[-2] += 2.0 * self.w[-1]
+        return self.with_weights(w)
 
     def antiderivative(self) -> "ExpMix":
-        """F with F' = self and F(0) = 0, exact: x^k integrates to x^{k+1}/(k+1), and
-        x^k e^{rho x} by parts, to x^k e^{rho x}/rho - (k/rho) int x^{k-1} e^{rho x}."""
-        out = []
-        for w, rho, k in self.terms():
-            if abs(rho) <= _MERGE_TOL:
-                out.append((w / (k + 1), 0.0, k + 1))
-                continue
-            coeff = w / rho
-            out.append((coeff, rho, k))
-            for j in range(k, 0, -1):
-                coeff = -coeff * j / rho
-                out.append((coeff, rho, j - 1))
-            out.append((-coeff, 0.0, 0))   # the value at 0 (only the k = 0 term has one)
-        return self.row(out)
+        """F with F' = self and F(0) = 0, exact: e^{rho x} -> (e^{rho x} - 1)/rho, 1 -> x and
+        x -> x^2/2.  x^2 has no antiderivative on the basis."""
+        if self.w[-1]:
+            raise ValueError("x^3 is not on the basis")
+        exp = self.k == 0               # the e^{rho x} terms: all at power 0 but the 1
+        exp[self.one] = False
+        c = self.w[exp] / self.rho[exp]
+        w = np.zeros(self.w.size)
+        w[exp] = c
+        # minus the sequential sum of the c, from 0.0 up
+        w[self.one] = np.add.accumulate(np.append(0.0, -c))[-1]
+        w[-2] = self.w[self.one]
+        w[-1] = self.w[-2] / 2.0
+        return self.with_weights(w)
 
     def scaled(self, factor: float) -> "ExpMix":
-        return ExpMix(self.w * factor, self.rho, self.k)
+        return self.with_weights(self.w * factor)
 
     def __add__(self, other) -> "ExpMix":
-        """Pointwise sum, as a row on this basis; a number adds a constant."""
-        more = other.terms() if isinstance(other, ExpMix) else [(other, 0.0, 0)]
-        return self.row(self.terms() + more)
+        """Pointwise sum of two rows on this basis; a number adds a constant."""
+        if not isinstance(other, ExpMix):
+            w = self.w.copy()
+            w[self.one] += other
+            return self.with_weights(w)
+        if other.rho is not self.rho:
+            raise ValueError("the mixtures are rows on different bases")
+        return self.with_weights(self.w + other.w)
 
     def __sub__(self, other: "ExpMix") -> "ExpMix":
         return self + other.scaled(-1.0)

@@ -36,11 +36,11 @@ from .scale import (
 
 
 def _check_interval(x, a: float, b: float | None):
-    """a <= x <= b with finite a < b; b None, for a law with no barrier, checks a <= x."""
+    """a <= x <= b with finite a < b; b None, for a law with no barrier, checks a <= x < inf."""
     x = np.asarray(x)
     top = INF if b is None else b
-    if not (-INF < a < top and b != INF) or not np.all((a <= x) & (x <= top)):
-        raise DomainError(f"need a <= x <= b with finite a < b, got x={x}, a={a}, b={b}")
+    if not (-INF < a < top and b != INF) or not np.all((a <= x) & (x <= top) & (x < INF)):
+        raise DomainError(f"need finite a <= x <= b with a < b, got x={x}, a={a}, b={b}")
 
 
 def z_deriv(ctx: ScaleContext, x, theta: float):

@@ -81,10 +81,22 @@ class PathConfig:
             raise SigmaUnsupported("the event-driven oracle only handles sigma = 0")
         if self.lower not in _LOWER_MODES:
             raise DomainError(f"unknown lower mechanism {self.lower!r}")
-        if self.lower.startswith("parisian") and self.r <= 0:
-            raise DomainError("parisian lower mechanism needs an observation rate r > 0")
+        if self.lower.startswith("parisian") and not 0 < self.r < math.inf:
+            raise DomainError(f"parisian lower mechanism needs an observation rate "
+                              f"0 < r < inf, got {self.r}")
         if self.upper_mode not in ("absorb", "reflect"):
             raise DomainError(f"unknown upper mode {self.upper_mode!r}")
+        # a non-finite start, barrier or q, or a NaN horizon, never stops a path or
+        # stops it at a wrong time
+        if not math.isfinite(self.x0):
+            raise DomainError(f"the start x0 must be finite, got {self.x0}")
+        if self.upper_barrier is not None and not self.x0 <= self.upper_barrier < math.inf:
+            raise DomainError(f"need x0 <= upper_barrier < inf, got x0={self.x0}, "
+                              f"upper_barrier={self.upper_barrier}")
+        if not 0 <= self.q < math.inf:
+            raise DomainError(f"q must be finite and nonnegative, got {self.q}")
+        if self.horizon is not None and not self.horizon >= 0:
+            raise DomainError(f"the horizon must be nonnegative, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -425,6 +437,8 @@ def network_paths(spec, u0: float, b: float, horizon: float | None,
         raise DomainError(f"need 0 <= u0 <= b < inf, got u0={u0}, b={b}")
     if horizon is None:
         horizon = default_horizon(spec.q, u0, b)
+    elif not horizon >= 0:
+        raise DomainError(f"the horizon must be nonnegative, got {horizon}")
 
     def run(key):
         s, i, size = key

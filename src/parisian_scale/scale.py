@@ -12,9 +12,10 @@ W_q; the Parisian pair blends two second-scale evaluations at Phi_{q+r}.
 
 For a rational kappa all of them are mixtures over the roots of kappa = q
 and the powers 1, x and x^2 (x^2 carries weight only when a root is 0, which
-then serves as the 1).  ``build_scale`` lays out that basis once, with W_q;
-every other mixture of a context is a row on it, computed when first read
-and kept (per theta or penalty in the context's memo).  Only this module
+then serves as the 1).  ``ExpMix.build`` lays out that basis once, when
+``build_scale`` makes W_q; every other mixture of a context is a row of
+weights on it, never with a term appended, computed when first read and kept
+(per theta or penalty in the context's memo).  Only this module
 makes mixtures; the laws and the control layer read them from the context
 (``ctx.W``, ``pctx.dS``, ``z_mix``, ``parisian_Z_mix``) and call them on a
 float or an array of x >= 0.  Z_q(., theta) together with its exterior value
@@ -131,10 +132,7 @@ class ParisianContext:
 def build_scale(model: LevyModel, q: float) -> ScaleContext:
     """Assemble the partial-fraction form of W_q on the context's basis."""
     roots = tuple(root_set(model, q))
-    W = ExpMix.build([(1.0 / laplace_exponent_deriv(model, rho), rho, 0) for rho in roots])
-    # the basis: the roots, then 1, x and x^2 (a zero root is the 1 in place, and x^2
-    # holds Zbar then), closed under the derivatives and antiderivatives taken here
-    W = W.row(W.terms() + [(0.0, 0.0, j) for j in range(3)])
+    W = ExpMix.build([(1.0 / laplace_exponent_deriv(model, rho), rho) for rho in roots])
     return ScaleContext(model=model, q=float(q), roots=roots, phi_q=roots[0], W=W)
 
 
@@ -161,16 +159,16 @@ def z_mix(ctx: ScaleContext, theta: float) -> ExpMix:
 
     def make():
         kq = laplace_exponent(ctx.model, theta) - ctx.q
-        terms = []
-        for w, rho, _ in ctx.W.terms():
+        w = np.zeros(ctx.W.w.size)      # a row on W's basis, whose roots lead it
+        for j, (wj, rho) in enumerate(zip(ctx.W.w.tolist(), ctx.roots)):
             d = theta - rho
             if abs(d) <= _NEAR_ROOT_RTOL * (1.0 + abs(theta) + abs(rho)):
                 kp = laplace_exponent_deriv(ctx.model, rho)
                 kpp = laplace_exponent_deriv(ctx.model, rho, order=2)
-                terms.append((w * (kp + 0.5 * d * kpp), rho, 0))
+                w[j] = wj * (kp + 0.5 * d * kpp)
             else:
-                terms.append((w * kq / d, rho, 0))
-        return ctx.W.row(terms)
+                w[j] = wj * kq / d
+        return ctx.W.with_weights(w)
     return _memo(ctx, ("Z", theta), make)
 
 
@@ -186,16 +184,16 @@ def dz_dtheta_mix(ctx: ScaleContext, theta: float) -> ExpMix:
     def make():
         kq = laplace_exponent(ctx.model, theta) - ctx.q
         kp_t = laplace_exponent_deriv(ctx.model, theta)
-        terms = []
-        for w, rho, _ in ctx.W.terms():
+        w = np.zeros(ctx.W.w.size)
+        for j, (wj, rho) in enumerate(zip(ctx.W.w.tolist(), ctx.roots)):
             d = theta - rho
             if abs(d) <= _NEAR_ROOT_RTOL * (1.0 + abs(theta) + abs(rho)):
                 kpp = laplace_exponent_deriv(ctx.model, rho, order=2)
                 kppp = laplace_exponent_deriv(ctx.model, rho, order=3)
-                terms.append((w * (0.5 * kpp + d * kppp / 3.0), rho, 0))
+                w[j] = wj * (0.5 * kpp + d * kppp / 3.0)
             else:
-                terms.append((w * (kp_t * d - kq) / d**2, rho, 0))
-        return ctx.W.row(terms)
+                w[j] = wj * (kp_t * d - kq) / d**2
+        return ctx.W.with_weights(w)
     return _memo(ctx, ("dZ", theta), make)
 
 

@@ -169,6 +169,13 @@ class TestClosedForms:
         with pytest.raises(DomainError, match="theta"):
             laws.parisian_dividends_penalty_factorized(m1_par, 1.5, 1e200, 0.5)
 
+    @pytest.mark.parametrize("x", [math.inf, np.array([0.5, math.inf])])
+    def test_laws_with_no_barrier_refuse_infinite_start(self, m1_q0, m1_q23, x):
+        with pytest.raises(DomainError):
+            laws.time_in_red(m1_q0, x, 2.0 / 3.0)
+        with pytest.raises(DomainError):
+            laws.severity_infinite(m1_q23, x, 1.3)
+
     @pytest.mark.parametrize("vartheta", [-1.0, math.nan])
     def test_vartheta_must_be_nonnegative(self, m1_q23, m1_par, vartheta):
         with pytest.raises(DomainError):

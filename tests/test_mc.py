@@ -28,6 +28,19 @@ class TestConstruction:
         with pytest.raises(HorizonRequired):
             mc.default_horizon(0.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("kw", [
+        {"x0": 3.0, "upper_barrier": 2.0},           # stopped "at b" at time -1
+        {"x0": math.nan, "upper_barrier": 2.0},
+        {"x0": -math.inf},
+        {"q": math.nan}, {"q": -0.5}, {"q": math.inf},
+        {"horizon": -1.0},
+        {"lower": "parisian_absorb", "r": math.nan},  # every path the same, se 0
+    ])
+    def test_refuses_what_it_cannot_simulate(self, m1, kw):
+        kw = {"x0": 0.5, "q": 0.5, "upper_barrier": 2.0, "lower": "classical_absorb", **kw}
+        with pytest.raises(DomainError):
+            m1_cfg(m1, **kw)
+
     def test_needs_a_path(self, m1):
         cfg = m1_cfg(m1, x0=0.5, q=0.5, upper_barrier=1.5, lower="classical_absorb")
         with pytest.raises(DomainError):
@@ -43,6 +56,19 @@ NEVER_STOPS = {
     "reflect-at-0-and-b": ("PathConfig(M1, x0=0.5, q=0.5, upper_barrier=1.5, "
                            "upper_mode='reflect', lower='classical_reflect')",
                            "Functional('severity')"),
+}
+
+
+# calls that loop for ever on an input no path can be simulated on, unless refused
+NEVER_ENDS = {
+    "infinite-barrier": "estimate(PathConfig(M1, x0=0.5, q=0.5, upper_barrier=math.inf, "
+                        "lower='classical_absorb'), Functional('up_exit'), 100)",
+    "nan-horizon": "estimate(PathConfig(M1, x0=0.5, q=0.5, upper_barrier=2.0, "
+                   "lower='classical_absorb', horizon=math.nan), Functional('up_exit'), 100)",
+    "infinite-observation-rate": "estimate(PathConfig(M1, x0=0.5, q=0.5, upper_barrier=2.0, "
+                                 "lower='parisian_absorb', r=math.inf), "
+                                 "Functional('up_exit'), 100)",
+    "network-nan-horizon": "network_paths(SPEC, 1.0, 2.0, math.nan, 100)",
 }
 
 
@@ -63,6 +89,31 @@ class TestStopping:
         )
         done = python_child(["-c", script])
         assert done.stdout.strip() == "refused", done.stderr
+
+    @pytest.mark.parametrize("name", sorted(NEVER_ENDS))
+    def test_input_that_never_ends_is_refused(self, name, python_child):
+        script = (
+            "import math\n"
+            "from parisian_scale import LevyModel, control as ctl\n"
+            "from parisian_scale.errors import DomainError\n"
+            "from parisian_scale.mc import Functional, PathConfig, estimate, network_paths\n"
+            "M1 = LevyModel(c=1.0, sigma2=0.0, lam=1.0, phases=((1.0, 2.0),))\n"
+            "SPEC = ctl.NetworkSpec(subsidiaries=(ctl.Subsidiary(\n"
+            "    premium=2.0, lam=1.0, phases=((1.0, 2.0),), retention=0.5),), c0=1.0, q=0.5)\n"
+            "try:\n"
+            f"    {NEVER_ENDS[name]}\n"
+            "except DomainError:\n"
+            "    print('refused')\n"
+        )
+        done = python_child(["-c", script])
+        assert done.stdout.strip() == "refused", done.stderr
+
+    def test_cli_infinite_start_is_one(self, python_child, tmp_path):
+        p = tmp_path / "m1.json"
+        p.write_text('{"c": 1.0, "lambda": 1.0, "phases": [{"weight": 1.0, "rate": 2.0}]}')
+        done = python_child(["-m", "parisian_scale.cli", "simulate", "time_in_red", "--model",
+                             str(p), "--q", "0", "--r", "1", "--x", "inf", "--paths", "100"])
+        assert done.returncode == 1 and done.stderr.count("\n") == 1, done.stderr
 
     @pytest.mark.parametrize("c,barrier,upper,lower,stops", [
         (1.0, 1.5, "absorb", "none", True),              # drift 1/2 carries it to b

@@ -1,6 +1,9 @@
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -20,6 +23,15 @@ from parisian_scale.errors import DomainError, QZero, UnsupportedPenalty
 from parisian_scale.scale import dz_dtheta_mix, parisian_Z_mix, z_mix
 
 GRID = [0.0, 0.1, 0.5, 1.0, 1.7, 2.5, 4.0]
+
+
+def _reference():
+    """perfbench/reference.py, the mpmath reference that never calls the library."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestClosedForms:
@@ -248,10 +260,26 @@ class TestOneBasis:
         if label in MODELS:
             model, q, r = MODELS[label]
         pctx = build_parisian(model, q, r)
-        basis = pctx.base.W
-        assert basis.rho.size <= len(pctx.base.roots) + 3
+        basis, n = pctx.base.W, len(pctx.base.roots)
+        # the roots in root_set order, then 1, x and x^2, a zero root being the 1
+        assert basis.rho[:n].tolist() == list(pctx.base.roots)
+        powers = [1, 2] if basis.one < n else [0, 1, 2]
+        assert basis.k.tolist() == [0] * n + powers
         for name, mix in mixtures(pctx.base, pctx).items():
-            assert mix.rho is basis.rho and mix.k is basis.k, name
+            assert mix.rho is basis.rho and mix.k is basis.k and mix.one == basis.one, name
+
+    def test_near_zero_root_serves_as_the_one(self, m1):
+        """At q = 1e-13 on m1 the root 2e-13 is the 1 of the basis.  Were it a term of its
+        own, Wbar and Zbar would carry its 1/rho weight and cancel it away."""
+        ctx = build_scale(m1, 1e-13)
+        assert 0 < ctx.roots[ctx.W.one] < 1e-12 and ctx.W.k.tolist() == [0, 0, 1, 2]
+        ref = _reference()
+        with mp.workdps(ref.BASE_DPS):
+            want = ref.Scale(ref.Model(1.0, 0.0, 1.0, [(1.0, 2.0)]), mp.mpf(1e-13))
+            for name in ("Wbar", "Zbar", "Z0"):
+                for x in (0.5, 3.0, 20.0):
+                    value = getattr(want, name)(mp.mpf(x))
+                    assert abs(getattr(ctx, name)(x) - value) <= 1e-11 * abs(value), (name, x)
 
     @pytest.mark.parametrize("label", sorted(MODELS))
     def test_mixtures_are_float64(self, label):
