@@ -149,13 +149,28 @@ def _disc_weight(q, t1, t2):
     return t2 - t1
 
 
+def _pick(rng, n, p):
+    """n indices drawn with probabilities p, from one uniform u each.
+
+    The index counts the normalized cumulative weights at or below u, all
+    but the last (which is 1): the very indices `rng.choice(len(p), n, p=p)`
+    draws from the same stream, without its searchsorted.
+    """
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    idx = np.zeros(n, dtype=np.intp)
+    for edge in cdf[:-1]:
+        idx += u >= edge
+    return idx
+
+
 def _sample_claims(rng, n, phases):
     if len(phases) == 1:
-        return rng.exponential(1.0, size=n) / phases[0][1]
-    weights = np.array([w for w, _ in phases])
+        return rng.standard_exponential(n) / phases[0][1]
     rates = np.array([mu for _, mu in phases])
-    idx = rng.choice(len(phases), size=n, p=weights)
-    return rng.exponential(1.0, size=n) / rates[idx]
+    idx = _pick(rng, n, np.array([w for w, _ in phases]))
+    return rng.standard_exponential(n) / rates[idx]
 
 
 def _stops(cfg: PathConfig) -> bool:
@@ -207,7 +222,7 @@ def _simulate_chunk(cfg: PathConfig, n: int, rng) -> dict:
         na = state.shape[1]
         t, x = state[_T], state[_X]
         if total_rate > 0:
-            dt = rng.exponential(1.0 / total_rate, size=na)
+            dt = rng.standard_exponential(na) * (1.0 / total_rate)
             is_claim = rng.random(na) < lam / total_rate if obs_rate > 0 else None
             claim_sizes = _sample_claims(rng, na, m.phases) if lam > 0 else None
         else:
@@ -460,6 +475,7 @@ def _network_chunk(spec, u0, b, horizon, n, rng):
     ratios = alphas / (1.0 - alphas)          # alpha_i / (1 - alpha_i)
     cs = np.array([s.premium for s in subs])
     lam_tot = float(lams.sum())
+    p_sub = lams / lam_tot
     sum_c = float(cs.sum())
 
     # live-path rows: level, time, the three outputs, and the path index
@@ -470,9 +486,8 @@ def _network_chunk(spec, u0, b, horizon, n, rng):
     out = np.zeros((3, n))
     while state.shape[1]:
         na = state.shape[1]
-        dt = rng.exponential(1.0 / lam_tot, size=na)
-        which = rng.choice(len(subs), size=na, p=lams / lam_tot) if len(subs) > 1 \
-            else np.zeros(na, dtype=int)
+        dt = rng.standard_exponential(na) * (1.0 / lam_tot)
+        which = _pick(rng, na, p_sub) if len(subs) > 1 else np.zeros(na, dtype=int)
         sizes = np.zeros(na)
         for i, s in enumerate(subs):
             sel = which == i

@@ -304,6 +304,28 @@ class TestTailBound:
         assert mc.estimate(cfg, mc.Functional("slg", k=2.0), n_paths=500).tail_bound == 0.0
 
 
+def _same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+class TestDraws:
+    def test_pick_is_choice(self):
+        """The inverse-CDF pick draws what rng.choice draws and leaves the same stream."""
+        sweep = np.random.default_rng(0)
+        for trial in range(3000):
+            k = 2 + trial % 6
+            p = sweep.random(k) * (sweep.random(k) > 0.3)       # some weights zero
+            p[trial % k] += 0.0 if p.any() else 1.0
+            p /= p.sum()
+            n = int(sweep.integers(1, 64))
+            ours, theirs = (np.random.Generator(np.random.Philox(key=[trial, 0]))
+                            for _ in range(2))
+            assert np.array_equal(mc._pick(ours, n, p), theirs.choice(k, size=n, p=p))
+            assert _same_state(ours.bit_generator.state, theirs.bit_generator.state)
+
+
 class TestReduction:
     def test_chunk_merge_matches_two_pass_variance(self):
         """Values 1e8 + 1e-2 noise: sum v^2/n - mean^2 cancels every digit."""
