@@ -215,7 +215,8 @@ def cmd_simulate(args) -> int:
     est = mc.estimate(cfg, fn, args.paths, seed=args.seed)
     zscore = (est.mean - analytic) / est.std_error if est.std_error > 0 else 0.0
     _write_json({"mean": est.mean, "se": est.std_error, "ci95": list(est.ci95),
-                 "tail_bound": est.tail_bound, "analytic": analytic, "z_score": zscore},
+                 "tail_bound": est.tail_bound, "horizon": est.horizon, "analytic": analytic,
+                 "z_score": zscore},
                 args.out)
     return 0
 

@@ -23,12 +23,18 @@ Chan, Golub & LeVeque, which keeps its digits when the spread is small
 against the mean.
 
 Horizon: dividends, bailouts and slg under reflection at the upper
-barrier accrue for ever; without an explicit horizon `estimate` cuts them
-at `default_horizon` T and reports in `tail_bound` what the cut can miss:
-c e^{-qT}/q for dividends, lam E[C] e^{-qT}/q for bailouts (plus
-lam E[C] e^{-qT}/r under Parisian reflection), and the dividend tail plus
-k times the bailout tail for slg.  Every other functional stops with the
-path and has no tail.
+barrier accrue for ever, so without an explicit horizon `estimate` cuts
+them at a T sized to the run's own standard error and reports in
+`tail_bound` what the cut can miss, C e^{-qT}: C = c/q for dividends,
+lam E[C]/q for bailouts (plus lam E[C]/r under Parisian reflection), and
+the dividend C plus k times the bailout C for slg.  A pilot of
+min(n_paths, 4096) paths, on a Philox key no chunk takes, runs to the cap
+T0 = `default_horizon` and gives the spread sd of the functional; T is
+the root of C e^{-qT} = 0.01 sd / sqrt(n_paths), so the bias the cut can
+add is a hundredth of the standard error (Glasserman, Monte Carlo Methods
+in Financial Engineering, 2004, ch. 6), or T0 if that root is not in
+(0, T0) or C or sd is 0.  `MCEstimate.horizon` is the T the paths were cut
+at.  Every other functional stops with the path and has no tail.
 
 Stopping: without a finite horizon, a path must stop for sure, so a
 configuration runs only if the upper barrier absorbs and either a lower
@@ -53,6 +59,12 @@ from .model import LevyModel
 
 _CHUNK = 1 << 16
 
+# the sized horizon: the pilot's paths, its Philox chunk index (one no run
+# reaches), and the share of the standard error the cut may miss
+_PILOT_PATHS = 4096
+_PILOT_CHUNK = 1 << 63
+_TAIL_SHARE = 0.01
+
 # stop causes
 ALIVE, UP, DOWN, HORIZON = 0, 1, 2, 3
 
@@ -63,6 +75,7 @@ _T, _X, _DIV, _BAIL, _BAIL_RAW, _RED, _IDX = range(7)
 
 _LOWER_MODES = ("none", "classical_absorb", "classical_reflect",
                 "parisian_absorb", "parisian_reflect")
+_FUNCTIONALS = ("up_exit", "severity", "dividends", "bailouts", "slg", "time_in_red", "joint")
 
 
 @dataclass(frozen=True)
@@ -117,6 +130,10 @@ class Functional:
     k: float = 0.0
     red_rate: float = 0.0
 
+    def __post_init__(self):
+        if self.name not in _FUNCTIONALS:
+            raise DomainError(f"unknown functional {self.name!r}")
+
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -125,13 +142,14 @@ class MCEstimate:
     n_paths: int
     ci95: tuple
     tail_bound: float = 0.0
+    horizon: float | None = None        # the T the paths were cut at
 
 
 def default_horizon(q: float, x0: float, b: float) -> float:
-    """Truncation horizon with tail error at most c e^{-qT}/q for dividends."""
+    """The horizon cap T0 = (40 + log(1 + max(x0 + b, 0)))/q: the tail is below e^{-40} C."""
     if q <= 0:
         raise HorizonRequired("infinite-horizon functional with q = 0 needs an explicit horizon")
-    return (40.0 + math.log1p(x0 + b)) / q
+    return (40.0 + math.log1p(max(x0 + b, 0.0))) / q
 
 
 def _workers() -> int:
@@ -308,13 +326,11 @@ def _functional_values(fn: Functional, rec: dict, q: float) -> np.ndarray:
         return rec["div"] - fn.k * rec["bail"]
     if fn.name == "time_in_red":
         return np.exp(-fn.red_rate * rec["red"])
-    if fn.name == "joint":
-        return np.where(
-            cause == DOWN,
-            np.exp(-q * stop_t + fn.theta * under - fn.vartheta * rec["div"]),
-            0.0,
-        )
-    raise DomainError(f"unknown functional {fn.name!r}")
+    return np.where(                    # joint
+        cause == DOWN,
+        np.exp(-q * stop_t + fn.theta * under - fn.vartheta * rec["div"]),
+        0.0,
+    )
 
 
 def _chunk_keys(seed: int, n_paths: int):
@@ -393,28 +409,51 @@ def _merge_m2(parts) -> float:
     return m2
 
 
-def _summary(parts, n_paths: int, tail: float = 0.0) -> MCEstimate:
+def _summary(parts, n_paths: int, tail: float = 0.0, horizon: float | None = None) -> MCEstimate:
     """The mean, standard error and ci95 of the chunks' moments, merged in index order."""
     mean = sum(p[1] for p in parts) / n_paths
     se = math.sqrt(max(_merge_m2(parts), 0.0) / n_paths / n_paths)
     return MCEstimate(mean=mean, std_error=se, n_paths=n_paths,
-                      ci95=(mean - 1.96 * se, mean + 1.96 * se), tail_bound=tail)
+                      ci95=(mean - 1.96 * se, mean + 1.96 * se), tail_bound=tail,
+                      horizon=horizon)
+
+
+def _sized_horizon(cfg: PathConfig, fn: Functional, n_paths: int, seed: int) -> float:
+    """The cut T = min(T0, root of C e^{-qT} = 0.01 sd_pilot / sqrt(n_paths)).
+
+    C is the tail bound at T = 0 and sd_pilot the spread of fn over a
+    pilot run to the cap T0, on a chunk key no run of the estimate takes,
+    so T does not depend on the worker count.  T0 stays when C or the
+    spread is 0 or the root is not positive.
+    """
+    b = cfg.upper_barrier if cfg.upper_barrier is not None else 0.0
+    cap = default_horizon(cfg.q, cfg.x0, b)
+    C = _tail_bound(cfg, fn, 0.0)
+    if C == 0.0:
+        return cap
+    rec = _simulate_chunk(replace(cfg, horizon=cap), min(n_paths, _PILOT_PATHS),
+                          _chunk_rng(seed, _PILOT_CHUNK))
+    target = _TAIL_SHARE * float(_functional_values(fn, rec, cfg.q).std()) / math.sqrt(n_paths)
+    if target == 0.0:
+        return cap
+    root = math.log(C / target) / cfg.q
+    return min(cap, root) if root > 0 else cap
 
 
 def estimate(cfg: PathConfig, fn: Functional, n_paths: int, seed: int = 0) -> MCEstimate:
     """Monte-Carlo average of a path functional with its standard error.
 
     Dividend and bailout functionals under reflection at the upper barrier
-    accrue for ever; without an explicit horizon they are cut at
-    default_horizon and tail_bound reports what the cut can miss.
+    accrue for ever; without an explicit horizon they are cut at the
+    sized horizon (see the module docstring), tail_bound reports what the
+    cut can miss and horizon where it was made.
     """
     if n_paths < 1:
         raise DomainError(f"need at least one path, got n_paths={n_paths}")
     needs_horizon = fn.name in ("dividends", "bailouts", "slg") and cfg.upper_mode != "absorb"
     tail = 0.0
     if cfg.horizon is None and needs_horizon:
-        b = cfg.upper_barrier if cfg.upper_barrier is not None else 0.0
-        cfg = replace(cfg, horizon=default_horizon(cfg.q, cfg.x0, b))
+        cfg = replace(cfg, horizon=_sized_horizon(cfg, fn, n_paths, seed))
         tail = _tail_bound(cfg, fn, cfg.horizon)
 
     def run(key):
@@ -422,7 +461,7 @@ def estimate(cfg: PathConfig, fn: Functional, n_paths: int, seed: int = 0) -> MC
         rec = _simulate_chunk(cfg, size, _chunk_rng(s, i))
         return _chunk_moments(_functional_values(fn, rec, cfg.q))
 
-    return _summary(_map_chunks(run, _chunk_keys(seed, n_paths)), n_paths, tail)
+    return _summary(_map_chunks(run, _chunk_keys(seed, n_paths)), n_paths, tail, cfg.horizon)
 
 
 # ---------------------------------------------------------------------------

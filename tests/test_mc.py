@@ -41,6 +41,10 @@ class TestConstruction:
         with pytest.raises(DomainError):
             m1_cfg(m1, **kw)
 
+    def test_unknown_functional_refused_when_built(self):
+        with pytest.raises(DomainError):
+            mc.Functional("dividendz")
+
     def test_needs_a_path(self, m1):
         cfg = m1_cfg(m1, x0=0.5, q=0.5, upper_barrier=1.5, lower="classical_absorb")
         with pytest.raises(DomainError):
@@ -269,7 +273,7 @@ class TestAnalyticCrossChecks:
         cfg = m1_cfg(m1, x0=0.6, q=0.5, upper_barrier=1.5, upper_mode="reflect",
                      lower="classical_absorb")
         est = mc.estimate(cfg, mc.Functional("dividends"), n_paths=2_000, seed=20)
-        assert 0.0 < est.tail_bound < 1e-10
+        assert 0.0 < est.tail_bound < 0.1 * est.std_error
 
 
 class TestTailBound:
@@ -289,7 +293,8 @@ class TestTailBound:
         cfg = m1_cfg(m1, x0=x0, q=q, upper_barrier=b, upper_mode="reflect", lower=lower,
                      r=r if lower.startswith("parisian") else 0.0)
         est = mc.estimate(cfg, mc.Functional(name, k=k), n_paths=500, seed=20)
-        disc = math.exp(-q * mc.default_horizon(q, x0, b))
+        assert 0.0 < est.horizon <= mc.default_horizon(q, x0, b)
+        disc = math.exp(-q * est.horizon)
         dividends = m1.c * disc / q
         per_claim = m1.lam * m1.mean_claim * disc
         injections = {"classical_reflect": per_claim / q,
@@ -302,6 +307,24 @@ class TestTailBound:
         cfg = m1_cfg(m1, x0=0.6, q=0.5, upper_barrier=1.5, upper_mode="reflect",
                      lower="classical_reflect", horizon=5.0)
         assert mc.estimate(cfg, mc.Functional("slg", k=2.0), n_paths=500).tail_bound == 0.0
+
+    def test_sized_horizon_bit_identical_across_thread_counts(self, m1, monkeypatch):
+        cfg = m1_cfg(m1, x0=0.6, q=2.0 / 3.0, upper_barrier=1.5, upper_mode="reflect",
+                     lower="parisian_reflect", r=1.0 / 3.0)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PARISIAN_SCALE_THREADS", threads)
+            est = mc.estimate(cfg, mc.Functional("slg", k=2.0), n_paths=(1 << 17) + 1000, seed=3)
+            runs.append((est.mean, est.std_error, est.tail_bound, est.horizon))
+        assert runs[0] == runs[1]
+        assert runs[0][3] < mc.default_horizon(2.0 / 3.0, 0.6, 1.5)
+
+    def test_cap_below_minus_one(self, m1):
+        """A start with x0 + b <= -1 takes the cap 40/q, not log1p's domain error."""
+        assert mc.default_horizon(0.5, -2.0, 0.0) == 80.0
+        cfg = m1_cfg(m1, x0=-2.0, q=0.5, upper_mode="reflect", lower="classical_reflect")
+        est = mc.estimate(cfg, mc.Functional("bailouts"), n_paths=100)
+        assert math.isfinite(est.mean) and 0.0 < est.horizon <= 80.0
 
 
 def _same_state(a, b):
