@@ -503,14 +503,14 @@ SIMULATE_PINS = {
                                    "0x1.abd011c40bc00p-6", "0x0.0p+0"),
     ("parisian_severity", "none"): ("0x1.71afa7d502b12p-5", "0x1.de078961ab77fp-9",
                                     "0x1.8ce93894942e0p-5", "0x0.0p+0"),
-    ("vf_dividends", "all"): ("0x1.4908fc576659ap-1", "0x1.f3f19b8d841cfp-8",
-                              "0x1.3b4acf2fa7ef2p-1", "0x1.947b48001f03dp-59"),
-    ("vf_dividends", "none"): ("0x1.4908fc576659ap-1", "0x1.f3f19b8d841cfp-8",
-                               "0x1.3b4acf2fa7ef2p-1", "0x1.947b48001f03dp-59"),
-    ("slg_value", "all"): ("0x1.269b85af925a2p-1", "0x1.8358d1632f69dp-7",
-                           "0x1.10e45894d65e8p-1", "0x1.0da785556a029p-57"),
-    ("slg_value", "none"): ("0x1.58fe78af2bba2p-1", "0x1.ce6940d74ffaap-8",
-                            "0x1.4a9730f00d0a4p-1", "0x1.947b48001f03dp-59"),
+    ("vf_dividends", "all"): ("0x1.490ad5c236fcap-1", "0x1.f3d4a30548103p-8",
+                              "0x1.3b4acf2fa7ef2p-1", "0x1.421708d43f4d6p-14"),
+    ("vf_dividends", "none"): ("0x1.490ad5c236fcap-1", "0x1.f3d4a30548103p-8",
+                               "0x1.3b4acf2fa7ef2p-1", "0x1.421708d43f4d6p-14"),
+    ("slg_value", "all"): ("0x1.26c4c73da2e91p-1", "0x1.8321ee6b9f82ep-7",
+                           "0x1.10e45894d65e8p-1", "0x1.010ac76915e1ep-13"),
+    ("slg_value", "none"): ("0x1.592b4fe6d8025p-1", "0x1.cdb86f9c0922fp-8",
+                            "0x1.4a9730f00d0a4p-1", "0x1.25183fb60048ap-14"),
     ("time_in_red", "all"): ("0x1.b7374d8475935p-1", "0x1.a29787880a40ep-8",
                              "0x1.b636853b09e39p-1", "0x0.0p+0"),
     ("time_in_red", "none"): ("0x1.b7374d8475935p-1", "0x1.a29787880a40ep-8",
