@@ -4,7 +4,7 @@ An :class:`ExpMix` represents ``f(x) = sum_j w_j x^{k_j} e^{rho_j x}`` with
 real weights and rates and small integer powers (every root of kappa = q is
 real, see ``model.root_set``).  ``ExpMix.build`` lays out the basis (rho, k)
 once: the given rates at power 0, in the given order, then 1, x and x^2 at
-rate 0, where a rate within 1e-10 of 0 serves as the 1.  The weights w are a
+rate 0, where a given rate of exactly 0 serves as the 1.  The weights w are a
 row on it, and every mixture made from it is another row on the same ``rho``
 and ``k`` arrays: ``derivative``, ``antiderivative``, ``scaled``, ``+`` and
 ``-`` are array maps on w, exact up to rounding, and no term is ever appended.
@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-# a rate this close to 0 is the 1 of the basis (at q = 1e-13 a root of kappa = q is 2e-13);
-# model roots are kept at least 1e-8 apart upstream, so at most one rate is
+# a rate this close to 0 integrates as a constant (at q = 1e-13 a root of kappa = q is 2e-13),
+# where its 1/rho antiderivative weight would cancel against the 1's
 _ZERO_TOL = 1e-10
 
 
@@ -45,12 +45,12 @@ class ExpMix:
     def build(cls, terms) -> "ExpMix":
         """sum w e^{rho x} over the (w, rho) pairs, on the basis their rates lay out."""
         w, rho = (np.array(col, dtype=float) for col in zip(*terms))
-        near = np.flatnonzero(np.abs(rho) <= _ZERO_TOL)
-        powers = np.arange(1 if near.size else 0, 3)
+        zero = np.flatnonzero(rho == 0)
+        powers = np.arange(1 if zero.size else 0, 3)
         pad = np.zeros(powers.size)
         return cls(np.append(w, pad), np.append(rho, pad),
                    np.append(np.zeros(rho.size, int), powers),
-                   int(near[0]) if near.size else rho.size)
+                   int(zero[0]) if zero.size else rho.size)
 
     def with_weights(self, w) -> "ExpMix":
         """The mixture with weights w on this basis."""
@@ -85,17 +85,18 @@ class ExpMix:
 
     def antiderivative(self) -> "ExpMix":
         """F with F' = self and F(0) = 0, exact: e^{rho x} -> (e^{rho x} - 1)/rho, 1 -> x and
-        x -> x^2/2.  x^2 has no antiderivative on the basis."""
+        x -> x^2/2; e^{rho x} with |rho| <= 1e-10 integrates as 1, to x.  x^2 has no
+        antiderivative on the basis."""
         if self.w[-1]:
             raise ValueError("x^3 is not on the basis")
-        exp = self.k == 0               # the e^{rho x} terms: all at power 0 but the 1
-        exp[self.one] = False
+        flat = (self.k == 0) & (np.abs(self.rho) <= _ZERO_TOL)     # the 1 and rates near 0
+        exp = (self.k == 0) & ~flat
         c = self.w[exp] / self.rho[exp]
         w = np.zeros(self.w.size)
         w[exp] = c
-        # minus the sequential sum of the c, from 0.0 up
+        # sequential sums from 0.0 up: minus the c onto the 1, the flat weights onto x
         w[self.one] = np.add.accumulate(np.append(0.0, -c))[-1]
-        w[-2] = self.w[self.one]
+        w[-2] = np.add.accumulate(np.append(0.0, self.w[flat]))[-1]
         w[-1] = self.w[-2] / 2.0
         return self.with_weights(w)
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from parisian_scale.expmix import ExpMix
@@ -28,11 +28,20 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("zero", [0.0, 2e-13, -1e-10])
     def test_near_zero_rate_serves_as_the_one(self, zero):
+        """A rate of exactly 0 is the 1 of the basis; a rate within 1e-10 of 0 is a term next
+        to an exact 1, and serves as the 1 where it is integrated, to x."""
         f = ExpMix.build([(1.0, -1.0), (2.0, zero)])
-        assert f.rho.tolist() == [-1.0, zero, 0.0, 0.0]
-        assert f.k.tolist() == [0, 0, 1, 2] and f.one == 1
-        assert (f + 0.5).w.tolist() == [1.0, 2.5, 0.0, 0.0]
-        assert f.antiderivative().w[2:].tolist() == [2.0, 0.0]
+        if zero:
+            assert f.rho.tolist() == [-1.0, zero, 0.0, 0.0, 0.0]
+            assert f.k.tolist() == [0, 0, 0, 1, 2] and f.one == 2
+        else:
+            assert f.rho.tolist() == [-1.0, 0.0, 0.0, 0.0]
+            assert f.k.tolist() == [0, 0, 1, 2] and f.one == 1
+        assert (f + 0.5).w[f.one] == f.w[f.one] + 0.5
+        F = f.antiderivative()
+        assert F.w[f.one] == 1.0 and F.w[-2:].tolist() == [2.0, 0.0]
+        # the constant of integration sits on an exact 1, so d/dx leaves no rho residue
+        assert F.derivative()(0.0) == f.w.sum() == 3.0
 
     def test_rate_past_the_tolerance_is_a_term(self):
         f = ExpMix.build([(1.0, 2e-10)])
@@ -119,8 +128,10 @@ def term_loop(f, antiderivative):
                 out[one if k == 1 else n - 2] += w * k
         return out
     for i, w, rho, k in live:
-        if i == one or k:
-            out[n - 2 if i == one else n - 1] += w / (k + 1)
+        if k:
+            out[n - 1] += w / (k + 1)
+        elif abs(rho) <= 1e-10:         # the 1, or a rate near 0 integrated as 1
+            out[n - 2] += w
         else:
             out[i] += w / rho
             out[one] += -(w / rho)
@@ -145,6 +156,8 @@ class TestProperties:
             assert abs(f(x) - value) <= 4 * np.finfo(float).eps * size
 
     @given(rows(x2=False))
+    # a near-zero rate next to a term whose constant of integration is -20
+    @example(ExpMix.build([(0.0, -5e-11), (1.0, 0.05)]))
     @settings(max_examples=60, deadline=None)
     def test_derivative_inverts_antiderivative(self, f):
         g = f.antiderivative().derivative()

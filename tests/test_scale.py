@@ -269,10 +269,11 @@ class TestOneBasis:
             assert mix.rho is basis.rho and mix.k is basis.k and mix.one == basis.one, name
 
     def test_near_zero_root_serves_as_the_one(self, m1):
-        """At q = 1e-13 on m1 the root 2e-13 is the 1 of the basis.  Were it a term of its
-        own, Wbar and Zbar would carry its 1/rho weight and cancel it away."""
+        """At q = 1e-13 on m1 the root 2e-13 is a term next to an exact 1, and integrates as
+        the 1 does.  With a 1/rho weight, Wbar and Zbar would cancel it away."""
         ctx = build_scale(m1, 1e-13)
-        assert 0 < ctx.roots[ctx.W.one] < 1e-12 and ctx.W.k.tolist() == [0, 0, 1, 2]
+        assert 0 < ctx.roots[0] < 1e-12 and ctx.W.k.tolist() == [0, 0, 0, 1, 2]
+        assert ctx.W.one == 2 and ctx.W.rho[2] == 0.0
         ref = _reference()
         with mp.workdps(ref.BASE_DPS):
             want = ref.Scale(ref.Model(1.0, 0.0, 1.0, [(1.0, 2.0)]), mp.mpf(1e-13))
