@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, NonpositiveDrift, QZero
-from .model import laplace_exponent, laplace_exponent_deriv, phi as _phi
+from .model import laplace_exponent, phi as _phi
 from .scale import (
     INF,
     Exponential,
@@ -28,6 +28,7 @@ from .scale import (
     PenaltySpec,
     ScaleContext,
     _check_theta,
+    _root_slopes,
     build_gerber_shiu,
     parisian_Z_mix,
     piecewise,
@@ -41,13 +42,6 @@ def _check_interval(x, a: float, b: float | None):
     top = INF if b is None else b
     if not (-INF < a < top and b != INF) or not np.all((a <= x) & (x <= top) & (x < INF)):
         raise DomainError(f"need finite a <= x <= b with a < b, got x={x}, a={a}, b={b}")
-
-
-def z_deriv(ctx: ScaleContext, x, theta: float):
-    """Z'_q(x, theta) = theta Z_q(x, theta) + (q - kappa(theta)) W_q(x)."""
-    z = build_gerber_shiu(ctx, Exponential(theta))
-    k = laplace_exponent(ctx.model, theta)
-    return theta * z(x) + (ctx.q - k) * ctx.W(x)
 
 
 def two_sided_exit(ctx: ScaleContext, x, a: float, b: float):
@@ -86,11 +80,7 @@ def severity_infinite(ctx: ScaleContext, x, theta: float):
     if ctx.q <= 0 and ctx.phi_q <= 0:
         raise QZero("the q -> 0 limit is not provided")
     _check_theta(theta)
-    k = laplace_exponent(ctx.model, theta)
-    if abs(theta - ctx.phi_q) < 1e-9:
-        slope = laplace_exponent_deriv(ctx.model, ctx.phi_q)
-    else:
-        slope = (k - ctx.q) / (theta - ctx.phi_q)
+    slope = _root_slopes(ctx, theta)[0]     # (kappa(theta) - q)/(theta - Phi_q)
     return build_gerber_shiu(ctx, Exponential(theta))(x) - ctx.W(x) * slope
 
 
@@ -107,8 +97,7 @@ def dividends_penalty_classic(
     ctx: ScaleContext, x, b: float, theta: float, vartheta: float
 ):
     """Joint dividends-and-severity transform, reflected at b (absorbed for vartheta = INF)."""
-    z = build_gerber_shiu(ctx, Exponential(theta))
-    return exit_law(z, ctx.W, x, b, vartheta, lambda y: z_deriv(ctx, y, theta), ctx.dW)
+    return gs_exit(ctx, x, b, Exponential(theta), vartheta)
 
 
 def gs_exit(
@@ -203,7 +192,7 @@ def parisian_dividends_penalty_factorized(
     k = laplace_exponent(pctx.model, theta)
     om = omega(pctx, b)
     z = build_gerber_shiu(pctx.base, Exponential(theta))
-    inner = z(b) - z_deriv(pctx.base, b, theta) / om
+    inner = z(b) - z.dmix(b) / om
     return om / (om + vartheta) * inner * r / (r + q - k)
 
 

@@ -135,18 +135,20 @@ def laplace_exponent(model: LevyModel, theta: float) -> float:
     return 0.5 * model.sigma2 * theta**2 + model.c * theta - model.lam * theta * jump
 
 
-def laplace_exponent_deriv(model: LevyModel, theta: float, order: int = 1) -> float:
-    """kappa'(theta) or kappa''(theta)."""
-    if order == 1:
-        jump = sum(p * mu / (mu + theta) ** 2 for p, mu in model.phases)
-        return model.sigma2 * theta + model.c - model.lam * jump
-    if order == 2:
-        jump = sum(-2.0 * p * mu / (mu + theta) ** 3 for p, mu in model.phases)
-        return model.sigma2 - model.lam * jump
-    if order == 3:
-        jump = sum(6.0 * p * mu / (mu + theta) ** 4 for p, mu in model.phases)
-        return -model.lam * jump
-    raise ValueError(f"unsupported derivative order {order}")
+def laplace_exponent_deriv(model: LevyModel, theta: float) -> float:
+    """kappa'(theta)."""
+    jump = sum(p * mu / (mu + theta) ** 2 for p, mu in model.phases)
+    return model.sigma2 * theta + model.c - model.lam * jump
+
+
+def kappa_slope(model: LevyModel, a: float, b: float) -> float:
+    """kappa[a, b] = (kappa(a) - kappa(b))/(a - b), which is kappa'(a) at a = b.
+
+    The divided difference of theta/(mu + theta) is mu/((mu + a)(mu + b)), so no
+    difference of kappa values is formed.
+    """
+    jump = sum(p * mu / ((mu + a) * (mu + b)) for p, mu in model.phases)
+    return 0.5 * model.sigma2 * (a + b) + model.c - model.lam * jump
 
 
 def _kappa_poly(model: LevyModel, s: float) -> np.ndarray:

@@ -8,11 +8,13 @@ scale function,
 the theta_j being the roots of kappa(theta) = q, all of them real (see
 ``model.root_set``), so every mixture here has float weights and rates.  The
 second scale function and its relatives are exact Dickson-Hipp transforms of
-W_q; the Parisian pair blends two second-scale evaluations at Phi_{q+r}.
+W_q; Z_q(., theta) and the Parisian Z_{q,r}(., theta) weight W_q's terms by the
+root slopes (kappa(theta) - q)/(theta - theta_j), read off the factored
+kappa, so no quotient of theirs has a singularity to remove.
 
 For a rational kappa all of them are mixtures over the roots of kappa = q
-and the powers 1, x and x^2 (x^2 carries weight only when a root is 0, which
-then serves as the 1).  ``ExpMix.build`` lays out that basis once, when
+and the powers 1, x and x^2 (x^2 carries weight only when a root is 0 or
+within 1e-10 of it).  ``ExpMix.build`` lays out that basis once, when
 ``build_scale`` makes W_q; every other mixture of a context is a row of
 weights on it, never with a term appended, computed when first read and kept
 (per theta or penalty in the context's memo).  Only this module
@@ -35,17 +37,13 @@ from .expmix import ExpMix
 from .model import (
     _THETA_MAX,
     LevyModel,
-    laplace_exponent,
+    kappa_slope,
     laplace_exponent_deriv,
     phi,
     root_set,
 )
 
 INF = math.inf
-
-# spec'd switch to the removable-singularity limit of Z_{q,r} at Phi_{q+r}
-_PARISIAN_SING_RTOL = 1e-8
-_NEAR_ROOT_RTOL = 1e-7
 
 
 def _memo(ctx, key, make):
@@ -143,62 +141,60 @@ def build_parisian(model: LevyModel, q: float, r: float) -> ParisianContext:
     return ParisianContext(model=model, q=float(q), r=float(r), base=base, phi_qr=phi(model, q + r))
 
 
+def _root_slopes(ctx: ScaleContext, theta: float) -> list[float]:
+    """kappa[theta, rho_j] = (kappa(theta) - q)/(theta - rho_j) for each root rho_j of kappa = q.
+
+    With its poles cleared, kappa(theta) - q = a prod_k (theta - rho_k) / prod_i (mu_i + theta)
+    over all the roots, a = sigma2/2 (or c when sigma2 = 0), so the j-th slope is that product
+    with the j-th factor left out: no difference of kappa values, and at theta = rho_j the
+    slope is kappa'(rho_j).  Each theta - rho_k is divided by a pole's mu_i + theta, which
+    keeps every partial product near 1 for large theta.
+    """
+    m = ctx.model
+    gaps = [theta - rho for rho in ctx.roots]
+    poles = [mu + theta for _, mu in m.phases]
+    slopes = []
+    for j in range(len(gaps)):
+        s = 0.5 * m.sigma2 if m.sigma2 > 0 else m.c
+        others = gaps[:j] + gaps[j + 1:]
+        for gap, pole in zip(others, poles):
+            s *= gap / pole
+        for gap in others[len(poles):]:     # sigma2 > 0: one root more than poles
+            s *= gap
+        slopes.append(s)
+    return slopes
+
+
 def z_mix(ctx: ScaleContext, theta: float) -> ExpMix:
     """Z_q(., theta) on x >= 0 as an exponential mixture.
 
     Since int_0^inf e^{-theta y} W_q(y) dy = 1 / (kappa(theta) - q) as
     rational functions, the e^{theta x} coefficient vanishes identically
-    and Z_q(x, theta) = sum_j w_j (kappa(theta)-q) / (theta - rho_j)
-    e^{rho_j x}.  The pure-mixture form stays stable for large theta,
-    where any rounding residue on e^{theta x} would be catastrophic.
-    Each coefficient has a removable singularity at theta = rho_j
-    (there kappa - q vanishes too); near a root it is replaced by its
-    Taylor limit w_j (kappa'(rho_j) + d kappa''(rho_j) / 2).
+    and Z_q(x, theta) = sum_j w_j kappa[theta, rho_j] e^{rho_j x}, with the
+    root slopes kappa[theta, rho_j] = (kappa(theta) - q)/(theta - rho_j) of
+    ``_root_slopes``, which have no singularity at theta = rho_j.  The
+    pure-mixture form stays stable for large theta, where any rounding
+    residue on e^{theta x} would be catastrophic.
     """
     _check_theta(theta)
 
     def make():
-        kq = laplace_exponent(ctx.model, theta) - ctx.q
+        n = len(ctx.roots)
         w = np.zeros(ctx.W.w.size)      # a row on W's basis, whose roots lead it
-        for j, (wj, rho) in enumerate(zip(ctx.W.w.tolist(), ctx.roots)):
-            d = theta - rho
-            if abs(d) <= _NEAR_ROOT_RTOL * (1.0 + abs(theta) + abs(rho)):
-                kp = laplace_exponent_deriv(ctx.model, rho)
-                kpp = laplace_exponent_deriv(ctx.model, rho, order=2)
-                w[j] = wj * (kp + 0.5 * d * kpp)
-            else:
-                w[j] = wj * kq / d
+        w[:n] = ctx.W.w[:n] * _root_slopes(ctx, theta)
         return ctx.W.with_weights(w)
     return _memo(ctx, ("Z", theta), make)
 
 
-def dz_dtheta_mix(ctx: ScaleContext, theta: float) -> ExpMix:
-    """d/dtheta of Z_q(., theta), exact, as a mixture over the rho_j.
-
-    Differentiates the coefficients of z_mix in theta; the rates are
-    fixed, so no x e^{theta x} term ever arises.  Near theta = rho_j
-    the coefficient derivative tends to w_j kappa''(rho_j) / 2.
-    """
-    _check_theta(theta)
-
-    def make():
-        kq = laplace_exponent(ctx.model, theta) - ctx.q
-        kp_t = laplace_exponent_deriv(ctx.model, theta)
-        w = np.zeros(ctx.W.w.size)
-        for j, (wj, rho) in enumerate(zip(ctx.W.w.tolist(), ctx.roots)):
-            d = theta - rho
-            if abs(d) <= _NEAR_ROOT_RTOL * (1.0 + abs(theta) + abs(rho)):
-                kpp = laplace_exponent_deriv(ctx.model, rho, order=2)
-                kppp = laplace_exponent_deriv(ctx.model, rho, order=3)
-                w[j] = wj * (0.5 * kpp + d * kppp / 3.0)
-            else:
-                w[j] = wj * (kp_t * d - kq) / d**2
-        return ctx.W.with_weights(w)
-    return _memo(ctx, ("dZ", theta), make)
-
-
 def parisian_Z_mix(pctx: ParisianContext, theta: float, deriv_x: int = 0) -> ExpMix:
-    """Z_{q,r}(., theta) or its x-derivatives as a mixture; theta = INF gives W_{q,r}."""
+    """Z_{q,r}(., theta) or its x-derivatives as a mixture; theta = INF gives W_{q,r}.
+
+    Z_{q,r} = (r Z_q(., theta) + (q - kappa(theta)) W_{q,r}) / (q + r - kappa(theta)) has
+    the weights r w_j kappa[theta, rho_j] / ((Phi_{q+r} - rho_j) kappa[theta, Phi_{q+r}]),
+    since q + r - kappa(theta) = (Phi_{q+r} - theta) kappa[theta, Phi_{q+r}]; that slope is
+    positive for every theta >= 0 (kappa is convex and kappa(0) = 0 < q + r), so theta =
+    Phi_{q+r} needs no limit.
+    """
     if theta == INF and deriv_x < 2:
         return getattr(pctx, ("Wqr", "dWqr")[deriv_x])
     if deriv_x:
@@ -207,13 +203,9 @@ def parisian_Z_mix(pctx: ParisianContext, theta: float, deriv_x: int = 0) -> Exp
     _check_theta(theta)
 
     def make():
-        q, r = pctx.q, pctx.r
-        k = laplace_exponent(pctx.model, theta)
-        denom = q + r - k
-        if abs(denom) < _PARISIAN_SING_RTOL * (q + r):
-            kp_star = laplace_exponent_deriv(pctx.model, pctx.phi_qr)
-            return pctx.Wqr - dz_dtheta_mix(pctx.base, pctx.phi_qr).scaled(r / kp_star)
-        return z_mix(pctx.base, theta).scaled(r / denom) + pctx.Wqr.scaled((q - k) / denom)
+        z = z_mix(pctx.base, theta)     # Phi_{q+r} lies above every root, 0 included
+        scale = pctx.r / kappa_slope(pctx.model, theta, pctx.phi_qr)
+        return z.with_weights(scale * z.w / (pctx.phi_qr - z.rho))
     return _memo(pctx, (theta, 0), make)
 
 

@@ -64,8 +64,8 @@ def test_criterion_3_harmonicity(m1, m1_q23):
     lam, c, q = m1.lam, m1.c, ctx.q
 
     def gen(x, theta):
-        deriv = laws.z_deriv(ctx, x, theta)
         z_theta = build_gerber_shiu(ctx, Exponential(theta))
+        deriv = z_theta.dmix(x)
         jump, _ = quad(
             lambda z: (z_theta(x - z) - z_theta(x)) * 2.0 * math.exp(-2.0 * z),
             0.0, 80.0, points=[x], limit=300)

@@ -100,6 +100,18 @@ class TestLawCommand:
         assert run(capsys, ["law", "dividends_penalty", "--vartheta", "inf", *common]) == \
             (0, absorbed)
 
+    def test_parisian_severity_next_to_phi_qr(self, capsys, tmp_path):
+        # Brownian motion, sigma2 = 2 and q = r = 0.5: Phi_{q+r} = 1, and at theta 4.9e-9
+        # above it the value matches mpmath's 0.054398409966622530 (perfbench/reference.py)
+        path = tmp_path / "bm.json"
+        path.write_text(json.dumps({"c": 0.0, "sigma2": 2.0}))
+        code, out = run(capsys, ["law", "parisian_severity", "--model", str(path), "--q", "0.5",
+                                 "--r", "0.5", "--b", "1", "--theta", "1.0000000049",
+                                 "--x-grid", "0.5:0.5:1"])
+        assert code == 0
+        got = float(out.splitlines()[1].split(",")[1])
+        assert got == pytest.approx(0.054398409966622530, rel=1e-13, abs=0.0)
+
     def test_unknown_law_lists_names(self, capsys, model_path):
         code = main(["law", "nope", "--model", model_path, "--q", "0.5",
                      "--x-grid", "0:1:2"])

@@ -2,7 +2,7 @@
 and the 3 barrier functions.
 
 The pins are ``float.hex`` strings.  Mixtures whose terms are the roots of
-kappa = q alone (W, W', W'', Z_q(., theta), d/dtheta Z_q, W_{q,r}, W'_{q,r},
+kappa = q alone (W, W', W'', Z_q(., theta), W_{q,r}, W'_{q,r},
 the Z_{q,r}(., theta) family, S'' and the exponential Gerber-Shiu function)
 must match bit for bit.  Mixtures that also carry the rate-0 terms 1, x
 and x^2 may sum their terms in another order, so they must stay within
@@ -39,7 +39,7 @@ MODELS = {
 
 EXACT = ({"W", "dW", "ddW", "Wqr", "dWqr", "ddS"}
          | {f"{name}({theta})" for theta in ("0.0", "1.3")
-            for name in ("z_mix", "dz_dtheta_mix", "gs_exp", "gs_exp_d")}
+            for name in ("z_mix", "gs_exp", "gs_exp_d")}
          | {f"pZ{d}({theta})" for theta in ("0.0", "1.3", "phi_qr", "inf") for d in (0, 1, 2)})
 
 
@@ -52,7 +52,6 @@ def mixtures(ctx, pctx):
     thetas = {str(t): t for t in THETAS}
     for key, theta in thetas.items():
         out[f"z_mix({key})"] = scale.z_mix(ctx, theta)
-        out[f"dz_dtheta_mix({key})"] = scale.dz_dtheta_mix(ctx, theta)
         gs = scale.build_gerber_shiu(ctx, scale.Exponential(theta))
         out[f"gs_exp({key})"], out[f"gs_exp_d({key})"] = gs.mix, gs.dmix
     for key, theta in {**thetas, "phi_qr": pctx.phi_qr, "inf": math.inf}.items():
@@ -167,9 +166,6 @@ MIXTURE_PINS = {
     ('m1', 'z_mix(0.0)'): (
         '0x1.0000000000000p+0', '0x1.6c340d4d2ecaap+0', '0x1.2d3b9b2a39f8cp+2',
         '0x1.4e4fbd9add279p+3', '0x1.59cbd0ebc5e35p+8'),
-    ('m1', 'dz_dtheta_mix(0.0)'): (
-        '0x0.0p+0', '0x1.bf6a43e0fd474p-3', '0x1.269949a7e1691p+0',
-        '0x1.4d2b7fd185577p+1', '0x1.59cbbaefa4df7p+6'),
     ('m1', 'gs_exp(0.0)'): (
         '0x1.0000000000000p+0', '0x1.6c340d4d2ecaap+0', '0x1.2d3b9b2a39f8cp+2',
         '0x1.4e4fbd9add279p+3', '0x1.59cbd0ebc5e35p+8'),
@@ -179,9 +175,6 @@ MIXTURE_PINS = {
     ('m1', 'z_mix(1.3)'): (
         '0x1.ffffffffffffap-1', '0x1.984455ed09ac8p+0', '0x1.674286c389477p+2',
         '0x1.8fef94d786eedp+3', '0x1.9de84ef4300f0p+8'),
-    ('m1', 'dz_dtheta_mix(1.3)'): (
-        '0x1.0c00000000000p-49', '0x1.48adf9eaa1324p-4', '0x1.b0d5eeafa9ba6p-2',
-        '0x1.e9817f6170fa6p-1', '0x1.fc0e69de189b5p+4'),
     ('m1', 'gs_exp(1.3)'): (
         '0x1.ffffffffffffap-1', '0x1.984455ed09ac8p+0', '0x1.674286c389477p+2',
         '0x1.8fef94d786eedp+3', '0x1.9de84ef4300f0p+8'),
@@ -278,9 +271,6 @@ MIXTURE_PINS = {
     ('m2', 'z_mix(0.0)'): (
         '0x1.0000000000000p+0', '0x1.1a5c40c269584p+0', '0x1.6a063dad344f7p+1',
         '0x1.88776e4b30aa3p+2', '0x1.936e67db9b919p+7'),
-    ('m2', 'dz_dtheta_mix(0.0)'): (
-        '0x0.0p+0', '0x1.dc829e20bf8bfp-2', '0x1.52a411348ac57p+1',
-        '0x1.83368cdb0b6d3p+2', '0x1.936d22f67c805p+7'),
     ('m2', 'gs_exp(0.0)'): (
         '0x1.0000000000000p+0', '0x1.1a5c40c269584p+0', '0x1.6a063dad344f7p+1',
         '0x1.88776e4b30aa3p+2', '0x1.936e67db9b919p+7'),
@@ -290,9 +280,6 @@ MIXTURE_PINS = {
     ('m2', 'z_mix(1.3)'): (
         '0x1.0000000000000p+0', '0x1.b539e759dacc3p+0', '0x1.9120f6d25ac1cp+2',
         '0x1.bfebf91a5fc28p+3', '0x1.cff157746b82bp+8'),
-    ('m2', 'dz_dtheta_mix(1.3)'): (
-        '-0x1.8000000000000p-52', '0x1.dc829e20bf8b5p-2', '0x1.52a411348ac53p+1',
-        '0x1.83368cdb0b6cep+2', '0x1.936d22f67c800p+7'),
     ('m2', 'gs_exp(1.3)'): (
         '0x1.0000000000000p+0', '0x1.b539e759dacc3p+0', '0x1.9120f6d25ac1cp+2',
         '0x1.bfebf91a5fc28p+3', '0x1.cff157746b82bp+8'),
@@ -389,9 +376,6 @@ MIXTURE_PINS = {
     ('m3', 'z_mix(0.0)'): (
         '0x1.0000000000000p+0', '0x1.16cc0ad46cf17p+0', '0x1.96fd83ee2fa76p+0',
         '0x1.087bdd64aea07p+1', '0x1.ac6a08fada933p+2'),
-    ('m3', 'dz_dtheta_mix(0.0)'): (
-        '0x1.0000000000000p-54', '0x1.ef75d449004afp-3', '0x1.41c847256b89cp-1',
-        '0x1.c47de554dfef3p-1', '0x1.8153ddfa29e1cp+1'),
     ('m3', 'gs_exp(0.0)'): (
         '0x1.0000000000000p+0', '0x1.16cc0ad46cf17p+0', '0x1.96fd83ee2fa76p+0',
         '0x1.087bdd64aea07p+1', '0x1.ac6a08fada933p+2'),
@@ -401,9 +385,6 @@ MIXTURE_PINS = {
     ('m3', 'z_mix(1.3)'): (
         '0x1.0000000000000p+0', '0x1.57acd3df5bf03p+0', '0x1.14c63d423e3acp+1',
         '0x1.6d9f6d81746dbp+1', '0x1.2b56f7f1e84aep+3'),
-    ('m3', 'dz_dtheta_mix(1.3)'): (
-        '0x1.c000000000000p-54', '0x1.608a38524d307p-3', '0x1.68b34d9d736ffp-2',
-        '0x1.eab6b59c203d2p-2', '0x1.994b045efd45dp+0'),
     ('m3', 'gs_exp(1.3)'): (
         '0x1.0000000000000p+0', '0x1.57acd3df5bf03p+0', '0x1.14c63d423e3acp+1',
         '0x1.6d9f6d81746dbp+1', '0x1.2b56f7f1e84aep+3'),
@@ -491,9 +472,6 @@ MIXTURE_PINS = {
     ('neg_q0', 'z_mix(0.0)'): (
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
         '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
-    ('neg_q0', 'dz_dtheta_mix(0.0)'): (
-        '0x0.0p+0', '0x1.22f9d09532768p+0', '0x1.1e552770df8a7p+3',
-        '0x1.65d6fd931e0bbp+4', '0x1.926dc5690c08fp+9'),
     ('neg_q0', 'gs_exp(0.0)'): (
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
         '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
@@ -503,9 +481,6 @@ MIXTURE_PINS = {
     ('neg_q0', 'z_mix(1.3)'): (
         '0x1.ffffffffffffap-1', '0x1.a476f054542c7p+0', '0x1.83ae2c95db4e5p+2',
         '0x1.b483ba79c8eb8p+3', '0x1.c7eb64b98809cp+8'),
-    ('neg_q0', 'dz_dtheta_mix(1.3)'): (
-        '0x1.5000000000000p-49', '0x1.b80a00e1a108cp-3', '0x1.b104682af0514p+0',
-        '0x1.0e940bb759067p+2', '0x1.304b4284a9c60p+7'),
     ('neg_q0', 'gs_exp(1.3)'): (
         '0x1.ffffffffffffap-1', '0x1.a476f054542c7p+0', '0x1.83ae2c95db4e5p+2',
         '0x1.b483ba79c8eb8p+3', '0x1.c7eb64b98809cp+8'),

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -18,6 +19,7 @@ from parisian_scale import (
 from parisian_scale.errors import DomainError, NonpositiveDrift
 from parisian_scale.scale import parisian_Z_mix
 from test_closed_form_golden import MODELS
+from test_scale import _reference
 
 
 class TestFundamentalIdentity:
@@ -38,11 +40,25 @@ class TestFundamentalIdentity:
         assert laws.bailouts_to_level(m1_q23, b, b, 0.8) == pytest.approx(1.0)
 
 
+def test_severity_infinite_next_to_phi_q(m1):
+    """(kappa(theta) - q)/(theta - Phi_q) cancels next to Phi_q; its root slope does not."""
+    ctx = build_scale(m1, 2.0 / 3.0)
+    ref = _reference()
+    with mp.workdps(50):
+        sc = ref.Scale(ref.Model.from_dict(m1.to_dict()), ctx.q)
+        for d in (-1e-8, -1e-10, 1e-10, 1e-8):
+            theta = ctx.phi_q + d
+            for x in (0.5, 2.0):
+                want = ref.law("severity_infinite", sc, None, x, 0.0, theta, 0.0)
+                got = laws.severity_infinite(ctx, x, theta)
+                assert abs(got - want) <= 1e-12 * abs(want), (d, x)
+
+
 class TestArrayInput:
     """A law on an array of x equals its scalar calls, bit for bit."""
 
     @pytest.mark.parametrize("law", [
-        lambda c, p, x: laws.z_deriv(c, x, 1.3),
+        lambda c, p, x: build_gerber_shiu(c, Exponential(1.3)).dmix(x),
         lambda c, p, x: laws.gs_exit(c, x, 1.8, Exponential(1.3)),
         lambda c, p, x: laws.gs_exit(c, x, 1.8, Exponential(1.3), 0.0),
         lambda c, p, x: laws.fundamental_identity_residual(c, x, 1.8, 0.7),

@@ -20,7 +20,7 @@ from parisian_scale import (
     laplace_exponent,
 )
 from parisian_scale.errors import DomainError, QZero, UnsupportedPenalty
-from parisian_scale.scale import dz_dtheta_mix, parisian_Z_mix, z_mix
+from parisian_scale.scale import parisian_Z_mix, z_mix
 
 GRID = [0.0, 0.1, 0.5, 1.0, 1.7, 2.5, 4.0]
 
@@ -136,12 +136,49 @@ class TestZFamily:
             expected = m1_q23.Zbar(x) - p * m1_q23.Wbar(x)
             assert m1_q23.Z1(x) == pytest.approx(expected, rel=1e-12)
 
-    def test_theta_derivative_matches_fd(self, m1_q23):
-        h = 1e-6
-        for theta in (0.4, 1.6):
-            for x in (0.5, 2.0):
-                fd = (z_mix(m1_q23, theta + h)(x) - z_mix(m1_q23, theta - h)(x)) / (2 * h)
-                assert dz_dtheta_mix(m1_q23, theta)(x) == pytest.approx(fd, rel=1e-7)
+
+def _golden_reference(label):
+    """perfbench/reference.py's Parisian context for a golden model, at the current precision."""
+    model, q, r = MODELS[label]
+    ref = _reference()
+    return ref.Parisian(ref.Model.from_dict(model.to_dict()), q, r)
+
+
+class TestRemovableSingularities:
+    """The weights of Z_q(., theta) and Z_{q,r}(., theta) are quotients with removable
+    singularities at each root rho of kappa = q and at Phi_{q+r}; from the root slopes they
+    stay within 1e-13 of perfbench/reference.py next to and at those points."""
+
+    XS = (0.45, 1.7, 2.5, 6.0)
+
+    def check(self, mix, want):
+        for x in self.XS:
+            value = want(mp.mpf(x))
+            assert abs(mix(x) - value) <= 1e-13 * abs(value), x
+
+    @pytest.mark.parametrize("label", sorted(MODELS))
+    def test_next_to_each_nonnegative_root(self, label):
+        pctx = build_parisian(*MODELS[label])
+        with mp.workdps(60):
+            want = _golden_reference(label)
+            for rho in [rho for rho in pctx.base.roots if rho >= 0]:
+                for k in range(3, 10):
+                    theta = rho + 10.0**-k
+                    self.check(z_mix(pctx.base, theta), lambda x: want.base.Z(x, mp.mpf(theta)))
+                    self.check(parisian_Z_mix(pctx, theta), lambda x: want.Z(x, mp.mpf(theta)))
+
+    @pytest.mark.parametrize("label", sorted(MODELS))
+    def test_at_and_next_to_phi_qr(self, label):
+        pctx = build_parisian(*MODELS[label])
+        star = pctx.phi_qr
+        with mp.workdps(60):
+            want = _golden_reference(label)
+            # the reference refuses theta = Phi_{q+r} itself; 1e-20 away it reads the same
+            cases = [(star, mp.mpf(star) * (1 + mp.mpf(10) ** -20))]
+            cases += [(star * (1 + sign * 10.0**-k),) * 2 for k in range(3, 10) for sign in (-1, 1)]
+            for theta, at in cases:
+                self.check(z_mix(pctx.base, theta), lambda x: want.base.Z(x, mp.mpf(theta)))
+                self.check(parisian_Z_mix(pctx, theta), lambda x: want.Z(x, mp.mpf(at)))
 
 
 class TestParisianFamily:
@@ -242,7 +279,6 @@ class TestGerberShiu:
     @pytest.mark.parametrize("theta", [-0.5, math.nan, 1e200])
     def test_theta_must_be_nonnegative(self, m1_par, theta):
         for make in (lambda: z_mix(m1_par.base, theta),
-                     lambda: dz_dtheta_mix(m1_par.base, theta),
                      lambda: parisian_Z_mix(m1_par, theta),
                      lambda: parisian_Z_mix(m1_par, theta, 1),
                      lambda: build_gerber_shiu(m1_par.base, Exponential(theta))):
@@ -286,7 +322,7 @@ class TestOneBasis:
     def test_mixtures_are_float64(self, label):
         pctx = build_parisian(*MODELS[label])
         names = {"W", "dW", "ddW", "Wbar", "Z0", "Zbar", "Z1", "Wqr", "dWqr", "z_mix(1.3)",
-                 "dz_dtheta_mix(1.3)", "pZ0(1.3)", "pZ1(0.0)", "pZ2(phi_qr)"}
+                 "pZ0(1.3)", "pZ1(0.0)", "pZ2(phi_qr)"}
         mixes = mixtures(pctx.base, pctx)
         assert names | ({"S", "dS", "ddS"} if pctx.q > 0 else set()) <= set(mixes)
         for name, mix in mixes.items():
