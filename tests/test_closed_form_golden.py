@@ -146,11 +146,11 @@ MIXTURE_PINS = {
         '0x1.0000000000000p-54', '0x1.bf6a43e0fd478p-3', '0x1.269949a7e1693p+0',
         '0x1.4d2b7fd185579p+1', '0x1.59cbbaefa4df8p+6'),
     ('m1', 'Wqr'): (
-        '0x1.ffffffffffffdp-1', '0x1.9a88e0aedb6aep+0', '0x1.6a3f09ae7341fp+2',
-        '0x1.935030432c37cp+3', '0x1.a169ae50e64f4p+8'),
+        '0x1.ffffffffffffep-1', '0x1.9a88e0aedb6b0p+0', '0x1.6a3f09ae73421p+2',
+        '0x1.935030432c37dp+3', '0x1.a169ae50e64f6p+8'),
     ('m1', 'dWqr'): (
-        '0x1.14b491129e675p+0', '0x1.a5e5e3edb184ep+0', '0x1.6ac865f05d82dp+2',
-        '0x1.9367d337f4e5dp+3', '0x1.a169b0181aa02p+8'),
+        '0x1.14b491129e676p+0', '0x1.a5e5e3edb184fp+0', '0x1.6ac865f05d82ep+2',
+        '0x1.9367d337f4e5fp+3', '0x1.a169b0181aa03p+8'),
     ('m1', 'Wbar_qr'): (
         '-0x1.a000000000000p-55', '0x1.270e6ca00a620p-1', '0x1.26c433ac653f7p+2',
         '0x1.7170fce103e0cp+3', '0x1.a05a28397f954p+8'),
@@ -164,59 +164,59 @@ MIXTURE_PINS = {
         '0x1.c71c71c71c719p-3', '0x1.a729703db735ap-2', '0x1.8eb1fffe5ed2ep+0',
         '0x1.bd3dc4e6c6f49p+1', '0x1.cd0fb774f92d3p+6'),
     ('m1', 'z_mix(0.0)'): (
-        '0x1.0000000000000p+0', '0x1.6c340d4d2ecaap+0', '0x1.2d3b9b2a39f8cp+2',
-        '0x1.4e4fbd9add279p+3', '0x1.59cbd0ebc5e35p+8'),
+        '0x1.fffffffffffffp-1', '0x1.6c340d4d2eca9p+0', '0x1.2d3b9b2a39f8cp+2',
+        '0x1.4e4fbd9add278p+3', '0x1.59cbd0ebc5e34p+8'),
     ('m1', 'gs_exp(0.0)'): (
-        '0x1.0000000000000p+0', '0x1.6c340d4d2ecaap+0', '0x1.2d3b9b2a39f8cp+2',
-        '0x1.4e4fbd9add279p+3', '0x1.59cbd0ebc5e35p+8'),
+        '0x1.fffffffffffffp-1', '0x1.6c340d4d2eca9p+0', '0x1.2d3b9b2a39f8cp+2',
+        '0x1.4e4fbd9add278p+3', '0x1.59cbd0ebc5e34p+8'),
     ('m1', 'gs_exp_d(0.0)'): (
-        '0x1.5555555555554p-1', '0x1.3d5f142e49683p+0', '0x1.2b057ffec71e3p+2',
-        '0x1.4dee53ad15377p+3', '0x1.59cbc997bae1ep+8'),
+        '0x1.5555555555553p-1', '0x1.3d5f142e49682p+0', '0x1.2b057ffec71e2p+2',
+        '0x1.4dee53ad15376p+3', '0x1.59cbc997bae1ep+8'),
     ('m1', 'z_mix(1.3)'): (
-        '0x1.ffffffffffffap-1', '0x1.984455ed09ac8p+0', '0x1.674286c389477p+2',
-        '0x1.8fef94d786eedp+3', '0x1.9de84ef4300f0p+8'),
+        '0x1.0000000000000p+0', '0x1.984455ed09acdp+0', '0x1.674286c38947bp+2',
+        '0x1.8fef94d786ef1p+3', '0x1.9de84ef4300f5p+8'),
     ('m1', 'gs_exp(1.3)'): (
-        '0x1.ffffffffffffap-1', '0x1.984455ed09ac8p+0', '0x1.674286c389477p+2',
-        '0x1.8fef94d786eedp+3', '0x1.9de84ef4300f0p+8'),
+        '0x1.0000000000000p+0', '0x1.984455ed09acdp+0', '0x1.674286c38947bp+2',
+        '0x1.8fef94d786ef1p+3', '0x1.9de84ef4300f5p+8'),
     ('m1', 'gs_exp_d(1.3)'): (
-        '0x1.0f83e0f83e0f4p+0', '0x1.a0c8262133613p+0', '0x1.67a9746e5857dp+2',
-        '0x1.90014b02c28ecp+3', '0x1.9de8504949550p+8'),
+        '0x1.0f83e0f83e0f7p+0', '0x1.a0c8262133618p+0', '0x1.67a9746e58581p+2',
+        '0x1.90014b02c28f1p+3', '0x1.9de8504949554p+8'),
     ('m1', 'pZ0(0.0)'): (
-        '0x1.ffffffffffffdp-1', '0x1.8b1744e3a1e01p+0', '0x1.55e88f8260298p+2',
-        '0x1.7c500a0b11dd0p+3', '0x1.898a6484862b4p+8'),
+        '0x1.ffffffffffffap-1', '0x1.8b1744e3a1dffp+0', '0x1.55e88f8260296p+2',
+        '0x1.7c500a0b11dcdp+3', '0x1.898a6484862b2p+8'),
     ('m1', 'pZ1(0.0)'): (
-        '0x1.e2b7dddfefa62p-1', '0x1.830e49588ed0bp+0', '0x1.55876e9fd60bfp+2',
-        '0x1.7c3f535effabcp+3', '0x1.898a6342a560bp+8'),
+        '0x1.e2b7dddfefa5fp-1', '0x1.830e49588ed08p+0', '0x1.55876e9fd60bdp+2',
+        '0x1.7c3f535effabap+3', '0x1.898a6342a5609p+8'),
     ('m1', 'pZ2(0.0)'): (
-        '0x1.04e15b05580ecp+0', '0x1.8dc4ee11fd8fdp+0', '0x1.5608efcde388bp+2',
-        '0x1.7c559c446d42ap+3', '0x1.898a64efd1195p+8'),
+        '0x1.04e15b05580ebp+0', '0x1.8dc4ee11fd8fap+0', '0x1.5608efcde3889p+2',
+        '0x1.7c559c446d428p+3', '0x1.898a64efd1192p+8'),
     ('m1', 'pZ0(1.3)'): (
-        '0x1.fffffffffffeep-1', '0x1.927ce3cd90117p+0', '0x1.5fa64164a05d5p+2',
-        '0x1.87543a5197667p+3', '0x1.94f974b5575a9p+8'),
+        '0x1.ffffffffffffcp-1', '0x1.927ce3cd90122p+0', '0x1.5fa64164a05dfp+2',
+        '0x1.87543a5197672p+3', '0x1.94f974b5575b4p+8'),
     ('m1', 'pZ1(1.3)'): (
-        '0x1.0249de20614fdp+0', '0x1.93be6bbd3c3fep+0', '0x1.5fb570127cb87p+2',
-        '0x1.8756d7205b0b6p+3', '0x1.94f974e7a7955p+8'),
+        '0x1.0249de2061504p+0', '0x1.93be6bbd3c409p+0', '0x1.5fb570127cb90p+2',
+        '0x1.8756d7205b0c1p+3', '0x1.94f974e7a7960p+8'),
     ('m1', 'pZ2(1.3)'): (
-        '0x1.fe796bea69c90p-1', '0x1.9211b67dac01cp+0', '0x1.5fa131d556e96p+2',
-        '0x1.87535b6200d9ep+3', '0x1.94f974a491f17p+8'),
+        '0x1.fe796bea69c9ep-1', '0x1.9211b67dac026p+0', '0x1.5fa131d556ea0p+2',
+        '0x1.87535b6200da9p+3', '0x1.94f974a491f22p+8'),
     ('m1', 'pZ0(phi_qr)'): (
-        '0x1.ffffffffffff9p-1', '0x1.92d012c93ea55p+0', '0x1.6013cc9869b5ap+2',
-        '0x1.87d01d271f0a2p+3', '0x1.957a096ab63d2p+8'),
+        '0x1.ffffffffffffbp-1', '0x1.92d012c93ea57p+0', '0x1.6013cc9869b5bp+2',
+        '0x1.87d01d271f0a4p+3', '0x1.957a096ab63d3p+8'),
     ('m1', 'pZ1(phi_qr)'): (
-        '0x1.030840014b1d1p+0', '0x1.947a16a3202a9p+0', '0x1.6027ea4819c74p+2',
-        '0x1.87d3934b7a489p+3', '0x1.957a09ad60003p+8'),
+        '0x1.030840014b1d2p+0', '0x1.947a16a3202aap+0', '0x1.6027ea4819c75p+2',
+        '0x1.87d3934b7a48ap+3', '0x1.957a09ad60005p+8'),
     ('m1', 'pZ2(phi_qr)'): (
-        '0x1.fdfa7fff23412p-1', '0x1.924211809e236p+0', '0x1.600d1808845a3p+2',
-        '0x1.87cef5c5ab4a7p+3', '0x1.957a09547da67p+8'),
+        '0x1.fdfa7fff23414p-1', '0x1.924211809e238p+0', '0x1.600d1808845a5p+2',
+        '0x1.87cef5c5ab4a9p+3', '0x1.957a09547da69p+8'),
     ('m1', 'pZ0(inf)'): (
-        '0x1.ffffffffffffdp-1', '0x1.9a88e0aedb6aep+0', '0x1.6a3f09ae7341fp+2',
-        '0x1.935030432c37cp+3', '0x1.a169ae50e64f4p+8'),
+        '0x1.ffffffffffffep-1', '0x1.9a88e0aedb6b0p+0', '0x1.6a3f09ae73421p+2',
+        '0x1.935030432c37dp+3', '0x1.a169ae50e64f6p+8'),
     ('m1', 'pZ1(inf)'): (
-        '0x1.14b491129e675p+0', '0x1.a5e5e3edb184ep+0', '0x1.6ac865f05d82dp+2',
-        '0x1.9367d337f4e5dp+3', '0x1.a169b0181aa02p+8'),
+        '0x1.14b491129e676p+0', '0x1.a5e5e3edb184fp+0', '0x1.6ac865f05d82ep+2',
+        '0x1.9367d337f4e5fp+3', '0x1.a169b0181aa03p+8'),
     ('m1', 'pZ2(inf)'): (
-        '0x1.f23249f396654p-1', '0x1.96bf34ef3eb75p+0', '0x1.6a114043252c2p+2',
-        '0x1.93484f46e952dp+3', '0x1.a169adb92a341p+8'),
+        '0x1.f23249f396655p-1', '0x1.96bf34ef3eb77p+0', '0x1.6a114043252c4p+2',
+        '0x1.93484f46e952ep+3', '0x1.a169adb92a343p+8'),
     ('m1', 'gs_lin'): (
         '-0x1.999999999999ap-2', '-0x1.aa214a53256b6p-2', '-0x1.13c0de4e0bc49p+0',
         '-0x1.2dadef7eb7b56p+1', '-0x1.37377e9e4935dp+6'),
@@ -278,14 +278,14 @@ MIXTURE_PINS = {
         '0x0.0p+0', '0x1.dc829e20bf8bfp-2', '0x1.52a411348ac57p+1',
         '0x1.83368cdb0b6d3p+2', '0x1.936d22f67c805p+7'),
     ('m2', 'z_mix(1.3)'): (
-        '0x1.0000000000000p+0', '0x1.b539e759dacc3p+0', '0x1.9120f6d25ac1cp+2',
-        '0x1.bfebf91a5fc28p+3', '0x1.cff157746b82bp+8'),
+        '0x1.fffffffffffffp-1', '0x1.b539e759dacc1p+0', '0x1.9120f6d25ac1ap+2',
+        '0x1.bfebf91a5fc27p+3', '0x1.cff157746b829p+8'),
     ('m2', 'gs_exp(1.3)'): (
-        '0x1.0000000000000p+0', '0x1.b539e759dacc3p+0', '0x1.9120f6d25ac1cp+2',
-        '0x1.bfebf91a5fc28p+3', '0x1.cff157746b82bp+8'),
+        '0x1.fffffffffffffp-1', '0x1.b539e759dacc1p+0', '0x1.9120f6d25ac1ap+2',
+        '0x1.bfebf91a5fc27p+3', '0x1.cff157746b829p+8'),
     ('m2', 'gs_exp_d(1.3)'): (
-        '0x1.4cccccccccccep+0', '0x1.e6322eeb526f7p+0', '0x1.94a2e3e474300p+2',
-        '0x1.c0b5b484cbbeep+3', '0x1.cff18830635edp+8'),
+        '0x1.4ccccccccccccp+0', '0x1.e6322eeb526f5p+0', '0x1.94a2e3e4742fep+2',
+        '0x1.c0b5b484cbbedp+3', '0x1.cff18830635ebp+8'),
     ('m2', 'pZ0(0.0)'): (
         '0x1.0000000000000p+0', '0x1.55ec94868149cp+0', '0x1.09ac2323bcd91p+2',
         '0x1.25095a5c5b306p+3', '0x1.2e927cab6ce8dp+8'),
@@ -296,14 +296,14 @@ MIXTURE_PINS = {
         '0x1.0000000000000p+0', '0x1.55ec94868149cp+0', '0x1.09ac2323bcd91p+2',
         '0x1.25095a5c5b306p+3', '0x1.2e927cab6ce8dp+8'),
     ('m2', 'pZ0(1.3)'): (
-        '0x1.0000000000001p+0', '0x1.9c51549ccc217p+0', '0x1.6db9b3dbfd1f2p+2',
-        '0x1.9770be28b5d69p+3', '0x1.a5c42fba11b1cp+8'),
+        '0x1.0000000000000p+0', '0x1.9c51549ccc215p+0', '0x1.6db9b3dbfd1f1p+2',
+        '0x1.9770be28b5d67p+3', '0x1.a5c42fba11b1ap+8'),
     ('m2', 'pZ1(1.3)'): (
-        '0x1.1745d1745d175p+0', '0x1.ab2833ff2e71fp+0', '0x1.6ec9cd274aa56p+2',
-        '0x1.97addfadcecdbp+3', '0x1.a5c43e7eaa612p+8'),
+        '0x1.1745d1745d174p+0', '0x1.ab2833ff2e71dp+0', '0x1.6ec9cd274aa55p+2',
+        '0x1.97addfadcecd9p+3', '0x1.a5c43e7eaa610p+8'),
     ('m2', 'pZ2(1.3)'): (
-        '0x1.0000000000001p+0', '0x1.9c51549ccc217p+0', '0x1.6db9b3dbfd1f2p+2',
-        '0x1.9770be28b5d69p+3', '0x1.a5c42fba11b1cp+8'),
+        '0x1.0000000000000p+0', '0x1.9c51549ccc215p+0', '0x1.6db9b3dbfd1f1p+2',
+        '0x1.9770be28b5d67p+3', '0x1.a5c42fba11b1ap+8'),
     ('m2', 'pZ0(phi_qr)'): (
         '0x1.0000000000000p+0', '0x1.af45122ca533fp+0', '0x1.88a9a99770e32p+2',
         '0x1.b63dcf2e7f795p+3', '0x1.c5db69c7db990p+8'),
@@ -356,11 +356,11 @@ MIXTURE_PINS = {
         '-0x1.2000000000000p-51', '0x1.ef75d44900498p-3', '0x1.41c847256b896p-1',
         '0x1.c47de554dfeebp-1', '0x1.8153ddfa29e18p+1'),
     ('m3', 'Wqr'): (
-        '0x1.0000000000000p+0', '0x1.57c6e8161a3fbp+0', '0x1.14e0eb5ad3588p+1',
-        '0x1.6dc3b95bc892ep+1', '0x1.2b753dff49257p+3'),
+        '0x1.ffffffffffffep-1', '0x1.57c6e8161a3fap+0', '0x1.14e0eb5ad3587p+1',
+        '0x1.6dc3b95bc892dp+1', '0x1.2b753dff49256p+3'),
     ('m3', 'dWqr'): (
-        '0x1.4d6451622fb37p+0', '0x1.32305d8eaba7ap-1', '0x1.87e9412472abep-1',
-        '0x1.f7026c18b4c12p-1', '0x1.9437c01229c2ep+1'),
+        '0x1.4d6451622fb35p+0', '0x1.32305d8eaba79p-1', '0x1.87e9412472abcp-1',
+        '0x1.f7026c18b4c0fp-1', '0x1.9437c01229c2cp+1'),
     ('m3', 'Wbar_qr'): (
         '-0x1.0000000000000p-55', '0x1.12d799ebe6344p-1', '0x1.5a32f56e420bfp+1',
         '0x1.2ce34ff74ed69p+2', '0x1.7e81bda753ac0p+4'),
@@ -374,59 +374,59 @@ MIXTURE_PINS = {
         '0x1.8000000000000p-56', '0x1.d7606cf62dbc2p-3', '0x1.a42acf955304cp-2',
         '0x1.18784174aaa2ap-1', '0x1.ce4b10ff845bep+0'),
     ('m3', 'z_mix(0.0)'): (
-        '0x1.0000000000000p+0', '0x1.16cc0ad46cf17p+0', '0x1.96fd83ee2fa76p+0',
-        '0x1.087bdd64aea07p+1', '0x1.ac6a08fada933p+2'),
+        '0x1.0000000000000p+0', '0x1.16cc0ad46cf17p+0', '0x1.96fd83ee2fa74p+0',
+        '0x1.087bdd64aea07p+1', '0x1.ac6a08fada932p+2'),
     ('m3', 'gs_exp(0.0)'): (
-        '0x1.0000000000000p+0', '0x1.16cc0ad46cf17p+0', '0x1.96fd83ee2fa76p+0',
-        '0x1.087bdd64aea07p+1', '0x1.ac6a08fada933p+2'),
+        '0x1.0000000000000p+0', '0x1.16cc0ad46cf17p+0', '0x1.96fd83ee2fa74p+0',
+        '0x1.087bdd64aea07p+1', '0x1.ac6a08fada932p+2'),
     ('m3', 'gs_exp_d(0.0)'): (
-        '0x1.0000000000000p-57', '0x1.269c4419dc958p-2', '0x1.069ac1bd53e2fp-1',
+        '0x1.4000000000000p-55', '0x1.269c4419dc958p-2', '0x1.069ac1bd53e2fp-1',
         '0x1.5e9651d1d54b4p-1', '0x1.20eeea9fb2b96p+1'),
     ('m3', 'z_mix(1.3)'): (
-        '0x1.0000000000000p+0', '0x1.57acd3df5bf03p+0', '0x1.14c63d423e3acp+1',
-        '0x1.6d9f6d81746dbp+1', '0x1.2b56f7f1e84aep+3'),
+        '0x1.0000000000001p+0', '0x1.57acd3df5bf04p+0', '0x1.14c63d423e3adp+1',
+        '0x1.6d9f6d81746dcp+1', '0x1.2b56f7f1e84afp+3'),
     ('m3', 'gs_exp(1.3)'): (
-        '0x1.0000000000000p+0', '0x1.57acd3df5bf03p+0', '0x1.14c63d423e3acp+1',
-        '0x1.6d9f6d81746dbp+1', '0x1.2b56f7f1e84aep+3'),
+        '0x1.0000000000001p+0', '0x1.57acd3df5bf04p+0', '0x1.14c63d423e3adp+1',
+        '0x1.6d9f6d81746dcp+1', '0x1.2b56f7f1e84afp+3'),
     ('m3', 'gs_exp_d(1.3)'): (
-        '0x1.4ccccccccccccp+0', '0x1.31fa764fd4420p-1', '0x1.87bd434d1e7a8p-1',
-        '0x1.f6cd5a5df478fp-1', '0x1.940ed5f98094bp+1'),
+        '0x1.4ccccccccccccp+0', '0x1.31fa764fd4420p-1', '0x1.87bd434d1e7a9p-1',
+        '0x1.f6cd5a5df4790p-1', '0x1.940ed5f98094cp+1'),
     ('m3', 'pZ0(0.0)'): (
-        '0x1.0000000000000p+0', '0x1.23cb03e18f9abp+0', '0x1.b457fae2e10fcp+0',
-        '0x1.1cbd6fc94d6a8p+1', '0x1.ce83b9953284cp+2'),
+        '0x1.ffffffffffffdp-1', '0x1.23cb03e18f9a8p+0', '0x1.b457fae2e10f8p+0',
+        '0x1.1cbd6fc94d6a6p+1', '0x1.ce83b99532848p+2'),
     ('m3', 'pZ1(0.0)'): (
-        '0x1.0ab6a781bfc2cp-2', '0x1.6629f580f5213p-2', '0x1.2077419ec0718p-1',
-        '0x1.7d125713352fap-1', '0x1.37fd7bb69754ep+1'),
+        '0x1.0ab6a781bfc2ap-2', '0x1.6629f580f5210p-2', '0x1.2077419ec0716p-1',
+        '0x1.7d125713352f7p-1', '0x1.37fd7bb69754bp+1'),
     ('m3', 'pZ2(0.0)'): (
-        '0x1.5b581c074bbdap-2', '0x1.3f00b7f17e8c6p-3', '0x1.984ffdf3faa9dp-3',
-        '0x1.0607b49605739p-2', '0x1.a52255b2a97aep-1'),
+        '0x1.5b581c074bbdap-2', '0x1.3f00b7f17e8c2p-3', '0x1.984ffdf3faa9ap-3',
+        '0x1.0607b49605737p-2', '0x1.a52255b2a97aap-1'),
     ('m3', 'pZ0(1.3)'): (
-        '0x1.ffffffffffd40p-1', '0x1.33438c6f90e20p+0', '0x1.df0c38e2ea1e0p+0',
-        '0x1.3af236a13d88ep+1', '0x1.01126789a410ap+3'),
+        '0x1.0000000000001p+0', '0x1.33438c6f90ff6p+0', '0x1.df0c38e2ea4dcp+0',
+        '0x1.3af236a13da88p+1', '0x1.01126789a42a9p+3'),
     ('m3', 'pZ1(1.3)'): (
-        '0x1.e501e5b3a27bdp-2', '0x1.cd701ef359880p-2', '0x1.4a5190dc5c97ap-1',
-        '0x1.acb50f8887385p-1', '0x1.5aeefb6b5852ep+1'),
+        '0x1.e501e5b3a2e48p-2', '0x1.cd701ef359bdep-2', '0x1.4a5190dc5cb9ap-1',
+        '0x1.acb50f888763ep-1', '0x1.5aeefb6b5875dp+1'),
     ('m3', 'pZ2(1.3)'): (
-        '-0x1.d77f42a9d1e15p-2', '0x1.774ca04a015b5p-4', '0x1.a637d4e984db3p-3',
-        '0x1.1b4e1e4e04bdcp-2', '0x1.d3efd26838703p-1'),
+        '-0x1.d77f42a9d3a62p-2', '0x1.774ca04a013e2p-4', '0x1.a637d4e98502fp-3',
+        '0x1.1b4e1e4e04d9bp-2', '0x1.d3efd268389f5p-1'),
     ('m3', 'pZ0(phi_qr)'): (
-        '0x1.0000000000000p+0', '0x1.3347857f74b96p+0', '0x1.df16301ae9598p+0',
-        '0x1.3af92c57c7d35p+1', '0x1.01184e3fe70a5p+3'),
+        '0x1.ffffffffffffap-1', '0x1.3347857f74b93p+0', '0x1.df16301ae9593p+0',
+        '0x1.3af92c57c7d31p+1', '0x1.01184e3fe70a2p+3'),
     ('m3', 'pZ1(phi_qr)'): (
-        '0x1.e5443a55de0d4p-2', '0x1.cd877272cdbe5p-2', '0x1.4a5ad3b6ca89ap-1',
-        '0x1.acbfc6b5b5fb0p-1', '0x1.5af6f7511c4d0p+1'),
+        '0x1.e5443a55de0cap-2', '0x1.cd877272cdbdfp-2', '0x1.4a5ad3b6ca896p-1',
+        '0x1.acbfc6b5b5facp-1', '0x1.5af6f7511c4ccp+1'),
     ('m3', 'pZ2(phi_qr)'): (
-        '-0x1.d8c8ba8a19f5ap-2', '0x1.76ff765050867p-4', '0x1.a63bcd7d6b728p-3',
-        '0x1.1b533d7b814b2p-2', '0x1.d3fa8739a8f27p-1'),
+        '-0x1.d8c8ba8a19f3bp-2', '0x1.76ff765050868p-4', '0x1.a63bcd7d6b724p-3',
+        '0x1.1b533d7b814aep-2', '0x1.d3fa8739a8f21p-1'),
     ('m3', 'pZ0(inf)'): (
-        '0x1.0000000000000p+0', '0x1.57c6e8161a3fbp+0', '0x1.14e0eb5ad3588p+1',
-        '0x1.6dc3b95bc892ep+1', '0x1.2b753dff49257p+3'),
+        '0x1.ffffffffffffep-1', '0x1.57c6e8161a3fap+0', '0x1.14e0eb5ad3587p+1',
+        '0x1.6dc3b95bc892dp+1', '0x1.2b753dff49256p+3'),
     ('m3', 'pZ1(inf)'): (
-        '0x1.4d6451622fb37p+0', '0x1.32305d8eaba7ap-1', '0x1.87e9412472abep-1',
-        '0x1.f7026c18b4c12p-1', '0x1.9437c01229c2ep+1'),
+        '0x1.4d6451622fb35p+0', '0x1.32305d8eaba79p-1', '0x1.87e9412472abcp-1',
+        '0x1.f7026c18b4c0fp-1', '0x1.9437c01229c2cp+1'),
     ('m3', 'pZ2(inf)'): (
-        '-0x1.9374773db854ap+2', '-0x1.7eecd83cc89bap-4', '0x1.d1d3624e6b0cep-3',
-        '0x1.443084aedce40p-2', '0x1.1078f9f3d1f72p+0'),
+        '-0x1.9374773db8549p+2', '-0x1.7eecd83cc89b8p-4', '0x1.d1d3624e6b0cbp-3',
+        '0x1.443084aedce3dp-2', '0x1.1078f9f3d1f70p+0'),
     ('m3', 'gs_lin'): (
         '-0x1.99999999999a2p-2', '-0x1.10aa07072168ap-2', '-0x1.9160def7d1ca2p-3',
         '-0x1.a9b839fd1dcd7p-3', '-0x1.2402159979601p-1'),
@@ -461,11 +461,11 @@ MIXTURE_PINS = {
         '0x0.0p+0', '0x1.22f9d0953276ap+0', '0x1.1e552770df8a7p+3',
         '0x1.65d6fd931e0bbp+4', '0x1.926dc5690c08fp+9'),
     ('neg_q0', 'Wqr'): (
-        '0x1.0000000000000p+0', '0x1.e32fe3d02846cp+0', '0x1.ff1f9f9181654p+2',
-        '0x1.276493ad63f46p+4', '0x1.3ab4f7df11fccp+9'),
+        '0x1.fffffffffffffp-1', '0x1.e32fe3d02846ap+0', '0x1.ff1f9f9181653p+2',
+        '0x1.276493ad63f46p+4', '0x1.3ab4f7df11fcbp+9'),
     ('neg_q0', 'dWqr'): (
-        '0x1.8fc1ecd5fda0ep+0', '0x1.3978e85312f3dp+1', '0x1.11880d638066cp+3',
-        '0x1.3060b27ac3ce7p+4', '0x1.3afcd8d57cfb9p+9'),
+        '0x1.8fc1ecd5fda0dp+0', '0x1.3978e85312f3cp+1', '0x1.11880d638066bp+3',
+        '0x1.3060b27ac3ce7p+4', '0x1.3afcd8d57cfb8p+9'),
     ('neg_q0', 'Wbar_qr'): (
         '0x0.0p+0', '0x1.44fe0c12ec49cp-1', '0x1.8206ce1cf59a8p+2',
         '0x1.00ee46abf4534p+4', '0x1.3885b2189003ep+9'),
@@ -479,14 +479,14 @@ MIXTURE_PINS = {
         '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
         '0x0.0p+0', '0x0.0p+0'),
     ('neg_q0', 'z_mix(1.3)'): (
-        '0x1.ffffffffffffap-1', '0x1.a476f054542c7p+0', '0x1.83ae2c95db4e5p+2',
-        '0x1.b483ba79c8eb8p+3', '0x1.c7eb64b98809cp+8'),
+        '0x1.0000000000000p+0', '0x1.a476f054542ccp+0', '0x1.83ae2c95db4eap+2',
+        '0x1.b483ba79c8ebep+3', '0x1.c7eb64b9880a3p+8'),
     ('neg_q0', 'gs_exp(1.3)'): (
-        '0x1.ffffffffffffap-1', '0x1.a476f054542c7p+0', '0x1.83ae2c95db4e5p+2',
-        '0x1.b483ba79c8eb8p+3', '0x1.c7eb64b98809cp+8'),
+        '0x1.0000000000000p+0', '0x1.a476f054542ccp+0', '0x1.83ae2c95db4eap+2',
+        '0x1.b483ba79c8ebep+3', '0x1.c7eb64b9880a3p+8'),
     ('neg_q0', 'gs_exp_d(1.3)'): (
-        '0x1.21642c8590b1ep+0', '0x1.c5db1cd9e4de8p+0', '0x1.8c0737b73f7adp+2',
-        '0x1.b8b0400a7b01cp+3', '0x1.c80cc8e60d9a7p+8'),
+        '0x1.21642c8590b22p+0', '0x1.c5db1cd9e4deep+0', '0x1.8c0737b73f7b2p+2',
+        '0x1.b8b0400a7b022p+3', '0x1.c80cc8e60d9aep+8'),
     ('neg_q0', 'pZ0(0.0)'): (
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
         '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
@@ -497,14 +497,14 @@ MIXTURE_PINS = {
         '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
         '0x0.0p+0', '0x0.0p+0'),
     ('neg_q0', 'pZ0(1.3)'): (
-        '0x1.ffffffffffff8p-1', '0x1.9ea77a4e54976p+0', '0x1.783eb9583c69fp+2',
-        '0x1.a639314d3a1d9p+3', '0x1.b7d8fb6b454c4p+8'),
+        '0x1.0000000000001p+0', '0x1.9ea77a4e5497ep+0', '0x1.783eb9583c6a5p+2',
+        '0x1.a639314d3a1e0p+3', '0x1.b7d8fb6b454ccp+8'),
     ('neg_q0', 'pZ1(1.3)'): (
-        '0x1.172ad7d16bd92p+0', '0x1.b5d2521fc070cp+0', '0x1.7e096f4c97604p+2',
-        '0x1.a91e8c476798cp+3', '0x1.b7f0264316b82p+8'),
+        '0x1.172ad7d16bd97p+0', '0x1.b5d2521fc0714p+0', '0x1.7e096f4c9760bp+2',
+        '0x1.a91e8c4767993p+3', '0x1.b7f0264316b8ap+8'),
     ('neg_q0', 'pZ2(1.3)'): (
-        '0x1.172ad7d16bd92p+0', '0x1.b5d2521fc070cp+0', '0x1.7e096f4c97604p+2',
-        '0x1.a91e8c476798cp+3', '0x1.b7f0264316b82p+8'),
+        '0x1.172ad7d16bd97p+0', '0x1.b5d2521fc0714p+0', '0x1.7e096f4c9760bp+2',
+        '0x1.a91e8c4767993p+3', '0x1.b7f0264316b8ap+8'),
     ('neg_q0', 'pZ0(phi_qr)'): (
         '0x1.0000000000000p+0', '0x1.c43eb67b4f924p+0', '0x1.c23a12404b8b6p+2',
         '0x1.01572ce4bb4aap+4', '0x1.0fe9bacc38d4ap+9'),
@@ -515,14 +515,14 @@ MIXTURE_PINS = {
         '0x1.594fd9fdc2c9cp+0', '0x1.0ec7483c892e0p+1', '0x1.d88e08bfbc3ddp+2',
         '0x1.06ec2a8497774p+4', '0x1.101662b937b60p+9'),
     ('neg_q0', 'pZ0(inf)'): (
-        '0x1.0000000000000p+0', '0x1.e32fe3d02846cp+0', '0x1.ff1f9f9181654p+2',
-        '0x1.276493ad63f46p+4', '0x1.3ab4f7df11fccp+9'),
+        '0x1.fffffffffffffp-1', '0x1.e32fe3d02846ap+0', '0x1.ff1f9f9181653p+2',
+        '0x1.276493ad63f46p+4', '0x1.3ab4f7df11fcbp+9'),
     ('neg_q0', 'pZ1(inf)'): (
-        '0x1.8fc1ecd5fda0ep+0', '0x1.3978e85312f3dp+1', '0x1.11880d638066cp+3',
-        '0x1.3060b27ac3ce7p+4', '0x1.3afcd8d57cfb9p+9'),
+        '0x1.8fc1ecd5fda0dp+0', '0x1.3978e85312f3cp+1', '0x1.11880d638066bp+3',
+        '0x1.3060b27ac3ce7p+4', '0x1.3afcd8d57cfb8p+9'),
     ('neg_q0', 'pZ2(inf)'): (
-        '0x1.8fc1ecd5fda0ep+0', '0x1.3978e85312f3dp+1', '0x1.11880d638066cp+3',
-        '0x1.3060b27ac3ce7p+4', '0x1.3afcd8d57cfb9p+9'),
+        '0x1.8fc1ecd5fda0dp+0', '0x1.3978e85312f3cp+1', '0x1.11880d638066bp+3',
+        '0x1.3060b27ac3ce7p+4', '0x1.3afcd8d57cfb8p+9'),
     ('neg_q0', 'gs_lin'): (
         '-0x1.9999999999998p-2', '0x1.9521e1a1c07f8p-2', '0x1.774404046c283p+2',
         '0x1.e82cfc9ac3a9ep+3', '0x1.19800a2feed31p+9'),
@@ -541,129 +541,129 @@ LAW_PINS = {
         '0x1.05acc2a4db80ap-4', '0x1.e69c2b24c566ap-4',
         '0x1.ca7999d138a4fp-2', '0x1.0000000000000p+0'),
     ('m1', 'severity_absorbed'): (
-        '0x1.9ccb60cc9db94p-3', '0x1.c29eef1c2e250p-4',
+        '0x1.9ccb60cc9db80p-3', '0x1.c29eef1c2e260p-4',
         '0x1.223a598b1ec00p-6', '0x0.0p+0'),
     ('m1', 'severity_reflected'): (
-        '0x1.9efe21d44f724p-3', '0x1.cacbed35bf6a0p-4',
+        '0x1.9efe21d44f714p-3', '0x1.cacbed35bf6b0p-4',
         '0x1.9d7a03a109500p-6', '0x1.13465f6726000p-6'),
     ('m1', 'severity_infinite'): (
-        '0x1.9dbcc48676f48p-3', '0x1.c620b588b0550p-4',
-        '0x1.5718395ce1900p-6', '0x1.d84f2b8b55800p-8'),
+        '0x1.9dbcc48676f38p-3', '0x1.c620b588b0560p-4',
+        '0x1.5718395ce1a00p-6', '0x1.d84f2b8b55800p-8'),
     ('m1', 'bailouts_to_level'): (
-        '0x1.47bb884260407p-4', '0x1.05552e7d5a22fp-3',
+        '0x1.47bb884260404p-4', '0x1.05552e7d5a230p-3',
         '0x1.cbed26f4b3019p-2', '0x1.0000000000000p+0'),
     ('m1', 'dividends_penalty'): (
-        '0x1.9e5d8503c2220p-3', '0x1.c87693b672680p-4',
-        '0x1.7a4d069384a00p-6', '0x1.896b9da171800p-7'),
+        '0x1.9e5d8503c2210p-3', '0x1.c87693b672680p-4',
+        '0x1.7a4d069384a00p-6', '0x1.896b9da171400p-7'),
     ('m1', 'time_in_red'): (
         '0x1.a54ff53a5f1d5p-1', '0x1.c62ccc49d8566p-1',
         '0x1.ef6ecfc63cebfp-1', '0x1.f88e4fabfb17ap-1'),
     ('m1', 'parisian_up_exit'): (
-        '0x1.4ef0cf57824f0p-4', '0x1.074cc6242a19ap-3',
+        '0x1.4ef0cf57824efp-4', '0x1.074cc6242a199p-3',
         '0x1.cc15b1fe3af0ap-2', '0x1.0000000000000p+0'),
     ('m1', 'parisian_severity'): (
-        '0x1.e6d7569878940p-6', '0x1.09b9f60c4f5c0p-6',
-        '0x1.5649ecd094000p-9', '0x0.0p+0'),
+        '0x1.e6d7569878940p-6', '0x1.09b9f60c4f540p-6',
+        '0x1.5649ecd093800p-9', '0x0.0p+0'),
     ('m1', 'parisian_resolvent_integral'): (
         '0x1.d5000b0199d60p-1', '0x1.c90e68a6c07c6p-1',
         '0x1.287493db20050p-1', '0x0.0p+0'),
     ('m1', 'parisian_dividends_penalty'): (
-        '0x1.e924e95eef840p-6', '0x1.0d6b6e5996640p-6',
-        '0x1.be92441272800p-9', '0x1.d06b5db8bc000p-10'),
+        '0x1.e924e95eef840p-6', '0x1.0d6b6e5996600p-6',
+        '0x1.be92441272000p-9', '0x1.d06b5db8be000p-10'),
     ('m2', 'two_sided'): (
         '0x0.0p+0', '0x1.3b099558461d5p-4',
         '0x1.bfc6439d9bee7p-2', '0x1.0000000000000p+0'),
     ('m2', 'severity_absorbed'): (
-        '0x1.0000000000000p+0', '0x1.433bae95b40eep-1',
-        '0x1.2c9fede772a20p-3', '0x0.0p+0'),
+        '0x1.0000000000000p+0', '0x1.433bae95b40ecp-1',
+        '0x1.2c9fede772a00p-3', '0x0.0p+0'),
     ('m2', 'severity_reflected'): (
-        '0x1.0000000000000p+0', '0x1.49a7a2a566758p-1',
-        '0x1.bea9b9e0d7b20p-3', '0x1.4df84a4076200p-3'),
+        '0x1.0000000000000p+0', '0x1.49a7a2a566754p-1',
+        '0x1.bea9b9e0d7ae0p-3', '0x1.4df84a4076240p-3'),
     ('m2', 'severity_infinite'): (
-        '0x1.0000000000000p+0', '0x1.4677327472eaap-1',
-        '0x1.7622c78a98a20p-3', '0x1.50385c094f400p-4'),
+        '0x1.0000000000000p+0', '0x1.4677327472ea8p-1',
+        '0x1.7622c78a98a00p-3', '0x1.50385c094f400p-4'),
     ('m2', 'bailouts_to_level'): (
-        '0x1.249f5de7bdbafp-4', '0x1.f3c63b3b02b64p-4',
-        '0x1.ca83502553decp-2', '0x1.0000000000000p+0'),
+        '0x1.249f5de7bdbb0p-4', '0x1.f3c63b3b02b63p-4',
+        '0x1.ca83502553debp-2', '0x1.0000000000000p+0'),
     ('m2', 'dividends_penalty'): (
-        '0x1.0000000000000p+0', '0x1.47d671498d0fep-1',
-        '0x1.9556977195880p-3', '0x1.deee76c4fd080p-4'),
+        '0x1.0000000000000p+0', '0x1.47d671498d0fcp-1',
+        '0x1.9556977195860p-3', '0x1.deee76c4fd080p-4'),
     ('m2', 'time_in_red'): 'DegenerateRoots',
     ('m2', 'parisian_up_exit'): (
-        '0x1.41b23582ef6d9p-4', '0x1.031080ea9536dp-3',
-        '0x1.cb94721867f0bp-2', '0x1.0000000000000p+0'),
+        '0x1.41b23582ef6dap-4', '0x1.031080ea9536dp-3',
+        '0x1.cb94721867f0cp-2', '0x1.0000000000000p+0'),
     ('m2', 'parisian_severity'): (
         '0x1.34e7f11581be0p-2', '0x1.8608a94cfcc80p-3',
-        '0x1.6ac0c9a5f2300p-5', '0x0.0p+0'),
+        '0x1.6ac0c9a5f2380p-5', '0x0.0p+0'),
     ('m2', 'parisian_resolvent_integral'): (
         '0x1.ca24692e016f0p-1', '0x1.2600cea1bfc29p+0',
         '0x1.ed29e1a2cf958p-1', '0x0.0p+0'),
     ('m2', 'parisian_dividends_penalty'): (
-        '0x1.36e65b2e4dd50p-2', '0x1.8e24ac9d5f5f8p-3',
+        '0x1.36e65b2e4dd4ep-2', '0x1.8e24ac9d5f5f8p-3',
         '0x1.ec43978eb3c80p-5', '0x1.22d1dc5352100p-5'),
     ('m3', 'two_sided'): (
         '0x1.75dd3c9ebf680p-57', '0x1.ae4049e3c9679p-2',
         '0x1.7f826e1138ef2p-1', '0x1.0000000000000p+0'),
     ('m3', 'severity_absorbed'): (
-        '0x1.0000000000000p+0', '0x1.237031b06ed38p-3',
+        '0x1.0000000000000p+0', '0x1.237031b06ed40p-3',
         '0x1.742b61c665000p-6', '0x0.0p+0'),
     ('m3', 'severity_reflected'): (
-        '0x1.0000000000000p+0', '0x1.598fae058fbe0p-3',
-        '0x1.1e03db80992a0p-4', '0x1.01a042d1cba00p-4'),
+        '0x1.0000000000000p+0', '0x1.598fae058fbd0p-3',
+        '0x1.1e03db8099260p-4', '0x1.01a042d1cb9c0p-4'),
     ('m3', 'severity_infinite'): (
         '0x1.0000000000000p+0', '0x1.33f3a94865510p-3',
-        '0x1.2fd7518ed6180p-5', '0x1.3a6b2828c0200p-6'),
+        '0x1.2fd7518ed6180p-5', '0x1.3a6b2828c0180p-6'),
     ('m3', 'bailouts_to_level'): (
-        '0x1.667d5dd5f570cp-2', '0x1.e143fda6d3e60p-2',
-        '0x1.8394c3e9e2ec3p-1', '0x1.0000000000000p+0'),
+        '0x1.667d5dd5f570bp-2', '0x1.e143fda6d3e60p-2',
+        '0x1.8394c3e9e2ec4p-1', '0x1.0000000000000p+0'),
     ('m3', 'dividends_penalty'): (
-        '0x1.0000000000000p+0', '0x1.3cc138a5ccf28p-3',
-        '0x1.6e9d385b78640p-5', '0x1.e207096582900p-6'),
+        '0x1.0000000000000p+0', '0x1.3cc138a5ccf18p-3',
+        '0x1.6e9d385b78600p-5', '0x1.e207096582800p-6'),
     ('m3', 'time_in_red'): (
-        '0x1.5e813e299a678p-1', '0x1.a6f7abb5d812fp-1',
-        '0x1.dd3148d1918f9p-1', '0x1.ec16d733f440ap-1'),
+        '0x1.5e813e299a678p-1', '0x1.a6f7abb5d812dp-1',
+        '0x1.dd3148d1918f7p-1', '0x1.ec16d733f4409p-1'),
     ('m3', 'parisian_up_exit'): (
-        '0x1.a02c3891fe66dp-2', '0x1.f382d7b7701a7p-2',
-        '0x1.85634e3331102p-1', '0x1.0000000000000p+0'),
+        '0x1.a02c3891fe60ep-2', '0x1.f382d7b770180p-2',
+        '0x1.85634e33310fep-1', '0x1.0000000000000p+0'),
     ('m3', 'parisian_severity'): (
-        '0x1.1c8b3fa392cd4p-3', '0x1.68032ae76c100p-5',
-        '0x1.1d35183be4200p-7', '0x0.0p+0'),
+        '0x1.1c8b3fa392cd0p-3', '0x1.68032ae76c060p-5',
+        '0x1.1d35183be4100p-7', '0x0.0p+0'),
     ('m3', 'parisian_resolvent_integral'): (
         '0x1.a52f6b34611bap+0', '0x1.ac2dfc317bef4p+0',
         '0x1.b558db6fe91d0p-1', '0x0.0p+0'),
     ('m3', 'parisian_dividends_penalty'): (
-        '0x1.24da76bb65f9cp-3', '0x1.94a5895f93e20p-5',
-        '0x1.1e65d1b6dee00p-6', '0x1.7be97d0517000p-7'),
+        '0x1.24da76bb65f90p-3', '0x1.94a5895f93d60p-5',
+        '0x1.1e65d1b6ded40p-6', '0x1.7be97d0516e00p-7'),
     ('neg_q0', 'two_sided'): (
         '0x1.5e9c2d67c7689p-5', '0x1.768f9e355e12cp-4',
         '0x1.b3faa0465e8f7p-2', '0x1.0000000000000p+0'),
     ('neg_q0', 'severity_absorbed'): (
-        '0x1.aa29995bc04b8p-2', '0x1.948115c28c090p-2',
-        '0x1.ff52960597840p-3', '0x0.0p+0'),
+        '0x1.aa29995bc04b0p-2', '0x1.948115c28c090p-2',
+        '0x1.ff52960597820p-3', '0x0.0p+0'),
     ('neg_q0', 'severity_reflected'): (
-        '0x1.bd37a6f4de9c4p-2', '0x1.bd37a6f4de9b8p-2',
-        '0x1.bd37a6f4de9c0p-2', '0x1.bd37a6f4de9c0p-2'),
+        '0x1.bd37a6f4de9bcp-2', '0x1.bd37a6f4de9bcp-2',
+        '0x1.bd37a6f4de9b0p-2', '0x1.bd37a6f4de9c0p-2'),
     ('neg_q0', 'severity_infinite'): (
-        '0x1.bd37a6f4de9c4p-2', '0x1.bd37a6f4de9b8p-2',
+        '0x1.bd37a6f4de9bcp-2', '0x1.bd37a6f4de9bcp-2',
         '0x1.bd37a6f4de9c0p-2', '0x1.bd37a6f4de9c0p-2'),
     ('neg_q0', 'bailouts_to_level'): (
-        '0x1.2c44fc768351cp-4', '0x1.ed2cafe2641f6p-4',
-        '0x1.c6b894d661d81p-2', '0x1.0000000000000p+0'),
+        '0x1.2c44fc7683518p-4', '0x1.ed2cafe2641f5p-4',
+        '0x1.c6b894d661d80p-2', '0x1.0000000000000p+0'),
     ('neg_q0', 'dividends_penalty'): (
-        '0x1.b7ef4425595d6p-2', '0x1.b1ee1c80441e4p-2',
-        '0x1.88aa423d50930p-2', '0x1.41c92b8c47540p-2'),
+        '0x1.b7ef4425595ccp-2', '0x1.b1ee1c80441e4p-2',
+        '0x1.88aa423d50930p-2', '0x1.41c92b8c47500p-2'),
     ('neg_q0', 'time_in_red'): 'NonpositiveDrift',
     ('neg_q0', 'parisian_up_exit'): (
-        '0x1.366eccc447290p-4', '0x1.f6d245bcc90b0p-4',
+        '0x1.366eccc447291p-4', '0x1.f6d245bcc90b2p-4',
         '0x1.c83ecc56f1608p-2', '0x1.0000000000000p+0'),
     ('neg_q0', 'parisian_severity'): (
-        '0x1.242aa3ef404dap-2', '0x1.15517518907d8p-2',
+        '0x1.242aa3ef404e4p-2', '0x1.15517518907e8p-2',
         '0x1.5e8cdcdf18720p-3', '0x0.0p+0'),
     ('neg_q0', 'parisian_resolvent_integral'): (
         '0x1.bd558e574211bp-1', '0x1.01c6d73ee8172p+0',
         '0x1.d45cb75f00cc0p-1', '0x0.0p+0'),
     ('neg_q0', 'parisian_dividends_penalty'): (
-        '0x1.303823b896194p-2', '0x1.2c112e65a8800p-2',
+        '0x1.303823b89619ep-2', '0x1.2c112e65a8810p-2',
         '0x1.0f882b51eb2f0p-2', '0x1.bd094f5ad6f80p-3'),
 }
 
@@ -678,20 +678,20 @@ OBJECTIVE_PINS = {
         '-0x1.530e3cf78eb08p-2', '-0x1.983ea2cc57560p-4',
         '0x1.976ad092e6fa0p-2', '0x1.ee7571bd782a0p-1'),
     ('m1', 'VF_div'): (
-        '0x1.44e9e902d175ep-4', '0x1.04862c4e73286p-3',
-        '0x1.cbc2c557f658ap-2', '0x1.ffe200295da5ap-1'),
+        '0x1.44e9e902d175dp-4', '0x1.04862c4e73286p-3',
+        '0x1.cbc2c557f658ap-2', '0x1.ffe200295da59p-1'),
     ('m1', 'VF_bail'): (
         '0x1.5e5397008b184p-5', '0x1.7e6dbd461e1c0p-6',
         '0x1.ec9da7a165e00p-9', '0x0.0p+0'),
     ('m1', 'VS_div'): (
         '0x1.58b3b18780936p-4', '0x1.09fe4be9a182ap-3',
-        '0x1.cc607f8e4df72p-2', '0x1.000b409944f45p+0'),
+        '0x1.cc607f8e4df72p-2', '0x1.000b409944f44p+0'),
     ('m1', 'VS_div_theta'): (
         '0x1.4eee92ebab35fp-4', '0x1.074b0427dd693p-3',
-        '0x1.cc129fb29edf6p-2', '0x1.fffc94faf4af5p-1'),
+        '0x1.cc129fb29edf7p-2', '0x1.fffc94faf4af5p-1'),
     ('m1', 'VS_bail'): (
         '0x1.60c9aca962bc4p-5', '0x1.860696a827ef0p-6',
-        '0x1.5f7fbba89ab00p-8', '0x1.d406930e79000p-9'),
+        '0x1.5f7fbba89aa00p-8', '0x1.d406930e79000p-9'),
     ('m1', 'slg_parisian'): (
         '0x1.66a88fbc32020p-7', '0x1.6e39cafefed90p-4',
         '0x1.c30a4e2bd3750p-2', '0x1.fcfadc6bbe1b0p-1'),
@@ -714,8 +714,8 @@ OBJECTIVE_PINS = {
         '0x1.c14d7b7410bc2p-4', '0x1.2c0db6c62310ap-3',
         '0x1.d24752866838ap-2', '0x1.01270c4e41c34p+0'),
     ('m2', 'VS_div_theta'): (
-        '0x1.4181f89c4ce64p-4', '0x1.02e9a83f632d9p-3',
-        '0x1.cb4f8845ab814p-2', '0x1.ffb339eed9d4dp-1'),
+        '0x1.4181f89c4ce65p-4', '0x1.02e9a83f632d9p-3',
+        '0x1.cb4f8845ab815p-2', '0x1.ffb339eed9d4dp-1'),
     ('m2', 'VS_bail'): (
         '0x1.024e189c83869p-1', '0x1.4c9f82af826c5p-2',
         '0x1.c2af4ffc3a360p-4', '0x1.50fa1c970c8c0p-4'),
@@ -732,23 +732,23 @@ OBJECTIVE_PINS = {
         '0x1.35a28e1012ffcp-1', '0x1.11e3b25d158c0p+0',
         '0x1.03d286ab0b458p+1', '0x1.6041d4c1d7818p+1'),
     ('m3', 'VF_div'): (
-        '0x1.04935b84d1f7ap+0', '0x1.5debe5d3c85f3p+0',
-        '0x1.19d3cf2afe875p+1', '0x1.744d5266ff372p+1'),
+        '0x1.04935b84d1f7bp+0', '0x1.5debe5d3c85f4p+0',
+        '0x1.19d3cf2afe876p+1', '0x1.744d5266ff374p+1'),
     ('m3', 'VF_bail'): (
         '0x1.65dc733542ac0p-3', '0x1.b94dbb86e3960p-4',
         '0x1.a4c69577f9b00p-6', '0x0.0p+0'),
     ('m3', 'VS_div'): (
-        '0x1.57f4d17fd7231p+0', '0x1.880c0e7d5f7ebp+0',
-        '0x1.2521950b6afa8p+1', '0x1.7e921e5a1c1f6p+1'),
+        '0x1.57f4d17fd7232p+0', '0x1.880c0e7d5f7eap+0',
+        '0x1.2521950b6afa7p+1', '0x1.7e921e5a1c1f7p+1'),
     ('m3', 'VS_div_theta'): (
-        '0x1.31bcdddaed95dp+0', '0x1.6ef62a3422967p+0',
-        '0x1.1e0f7df3aceefp+1', '0x1.7822ede6a88fep+1'),
+        '0x1.31bcdddaed912p+0', '0x1.6ef62a3422944p+0',
+        '0x1.1e0f7df3acee6p+1', '0x1.7822ede6a88f7p+1'),
     ('m3', 'VS_bail'): (
-        '0x1.ad238b36dd3b0p-3', '0x1.2de53481f0830p-3',
-        '0x1.5c2ccd2af7b80p-4', '0x1.3d1e74f981b80p-4'),
+        '0x1.ad238b36dd3c0p-3', '0x1.2de53481f0820p-3',
+        '0x1.5c2ccd2af7b40p-4', '0x1.3d1e74f981b80p-4'),
     ('m3', 'slg_parisian'): (
-        '0x1.f98754a1f6a6cp-1', '0x1.47e4f354f5fc8p+0',
-        '0x1.12a266f1ef6b2p+1', '0x1.6db94cf00e080p+1'),
+        '0x1.f98754a1f6a68p-1', '0x1.47e4f354f5fc8p+0',
+        '0x1.12a266f1ef6b4p+1', '0x1.6db94cf00e080p+1'),
     ('neg_q0', 'vf_dividends_classic'): (
         '0x1.50385c094f425p-5', '0x1.673026878efaap-4',
         '0x1.a215d8d6f3d04p-2', '0x1.eafc7a3f6b0bep-1'),
@@ -771,7 +771,7 @@ BARRIER_PINS = {
         '-0x1.29340bcdc4fe1p+0', '-0x1.9b29f5a44a128p+0',
         ),
     ('m1', 'SLG_parisian'): (
-        '0x1.95ae3044cae34p-4', '-0x1.a7fdeeb551a34p-2',
+        '0x1.95ae3044cae36p-4', '-0x1.a7fdeeb551a36p-2',
         ),
     ('m2', 'deFinetti_classic'): (
         '-0x1.1727d2d97c123p+0', '-0x1.107fb550de7b9p+1',
@@ -789,7 +789,7 @@ BARRIER_PINS = {
         '-0x1.78212f91b72ddp+1', '-0x1.d5b327d24a3e9p+1',
         ),
     ('m3', 'SLG_parisian'): (
-        '-0x1.66bfbd92f27dfp+0', '-0x1.374e00b627eeap+1',
+        '-0x1.66bfbd92f27e2p+0', '-0x1.374e00b627eedp+1',
         ),
     ('neg_q0', 'deFinetti_classic'): (
         '-0x1.6590674174db1p-1', '-0x1.a8b17052e8b92p-1',
