@@ -86,10 +86,10 @@ class TestCalculus:
             simple_mix(-0.5).antiderivative()
 
 
-# rates are either within 1e-10 of zero (the 1) or bounded away from it and from each
-# other: the antiderivative of e^{rho x} carries a 1/rho coefficient, which no mixture
-# representation can evaluate stably as rho -> 0, and the library only ever lays out
-# root-separated rates
+# rates are either within 1e-10 of zero (integrated as the 1) or bounded away from it and
+# from each other: the antiderivative of e^{rho x} carries a 1/rho coefficient, which no
+# mixture representation can evaluate stably as rho -> 0, and the library only ever lays
+# out root-separated rates
 nonzero_rates = (st.floats(min_value=0.05, max_value=3.0, allow_nan=False)
                  | st.floats(min_value=-3.0, max_value=-0.05, allow_nan=False))
 weights = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
