@@ -59,9 +59,6 @@ from .control import (
     barrier_function,
     definetti,
     efficiency_index,
-    is_efficient,
-    network_check,
-    network_claims_line,
     optimize_barrier,
     parisian_bailouts,
     parisian_dividends,

@@ -1,9 +1,9 @@
-"""Command-line front end.
+"""Command-line front end: it parses arguments and prints results.
 
-Subcommands: scale, law, value, efficiency, simulate, network.  Each law
-and objective is one row of a table: whether it needs --r, its column
-over a grid, and, where the Monte-Carlo oracle checks it, the path modes
-and functional that `simulate` runs against its closed form.  Tabular
+Subcommands: scale, law, value, efficiency, simulate, network.  `law`,
+`value` and `simulate` look their name up in the library's table of laws
+and objectives (the `table` module), call the row, or its Monte-Carlo
+cross-check, with the parsed flags, and print the result.  Tabular
 output is CSV with 17 significant digits so values round-trip through
 text exactly; each column is evaluated over the whole grid in one call.
 Scalar outputs are JSON.  Exit codes: 0 success, 1 numerical, domain or
@@ -14,91 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ParisianScaleError
 from .model import LevyModel, load_json, read_field
-from . import control, laws, mc, scale
-
-
-class Check(NamedTuple):
-    lower: str                  # the PathConfig modes; upper None: the law has no barrier
-    upper: str | None
-    functional: Callable        # args -> the mc.Functional to average
-    name: str | None = None     # the `simulate` name, where it is not the row's
-    theta: float | None = None  # the closed form's theta, whatever --theta says
-
-
-class Row(NamedTuple):
-    needs_r: bool
-    column: Callable            # (ctx, pctx, x, args) -> the values on the grid x
-    check: Check | None = None  # the `simulate` cross-check, if the oracle has one
-
-
-def _theta(args, absent=0.0):
-    return absent if args.theta is None else args.theta
-
-
-# absent flags read as 0, except --theta of parisian_up_exit (see there)
-_LAWS = {
-    "two_sided": Row(False, lambda c, p, x, a: laws.two_sided_exit(c, x, 0.0, a.b),
-                     Check("classical_absorb", "absorb", lambda a: mc.Functional("up_exit"))),
-    "severity_absorbed": Row(
-        False, lambda c, p, x, a: laws.severity_absorbed(c, x, a.b, _theta(a)),
-        Check("classical_absorb", "absorb",
-              lambda a: mc.Functional("severity", theta=_theta(a)), name="severity")),
-    "severity_reflected": Row(
-        False, lambda c, p, x, a: laws.severity_reflected(c, x, a.b, _theta(a))),
-    "severity_infinite": Row(False, lambda c, p, x, a: laws.severity_infinite(c, x, _theta(a))),
-    "bailouts_to_level": Row(
-        False, lambda c, p, x, a: laws.bailouts_to_level(c, x, a.b, _theta(a)),
-        Check("classical_reflect", "absorb",
-              lambda a: mc.Functional("up_exit", theta=_theta(a)))),
-    "dividends_penalty": Row(
-        False, lambda c, p, x, a: laws.dividends_penalty_classic(c, x, a.b, _theta(a), a.vartheta)),
-    "time_in_red": Row(True, lambda c, p, x, a: laws.time_in_red(c, x, a.r),
-                       Check("none", None, lambda a: mc.Functional("time_in_red", red_rate=a.r))),
-    # theta = infinity, the up-crossing before Parisian ruin, unless --theta is given;
-    # `simulate` checks that one
-    "parisian_up_exit": Row(
-        True, lambda c, p, x, a: laws.parisian_up_exit(p, x, a.b, _theta(a, math.inf)),
-        Check("parisian_absorb", "absorb", lambda a: mc.Functional("up_exit"),
-              theta=math.inf)),
-    "parisian_severity": Row(
-        True, lambda c, p, x, a: laws.parisian_severity(p, x, a.b, _theta(a)),
-        Check("parisian_absorb", "absorb",
-              lambda a: mc.Functional("severity", theta=_theta(a)))),
-    "parisian_resolvent_integral": Row(
-        True, lambda c, p, x, a: laws.parisian_resolvent_integral(p, x, 0.0, a.b)),
-    "parisian_dividends_penalty": Row(
-        True, lambda c, p, x, a: laws.parisian_dividends_penalty(p, x, a.b, _theta(a), a.vartheta)),
-}
-
-_OBJECTIVES = {
-    "vf_dividends_classic": Row(False, lambda c, p, x, a: control.Barrier(c.W, c.dW).value(x, a.b)),
-    "value_definetti": Row(False, lambda c, p, x, a: control.definetti(
-        c, scale.Linear(a.k, a.K)).value(x, a.b)),
-    "value_slg_classic": Row(False, lambda c, p, x, a: control.slg_classic(c, a.k).value(x, a.b)),
-    "VF_div": Row(True, lambda c, p, x, a: control.parisian_dividends(p, math.inf).value(x, a.b),
-                  Check("parisian_absorb", "reflect", lambda a: mc.Functional("dividends"),
-                        name="vf_dividends")),
-    "VF_bail": Row(True, lambda c, p, x, a: control.parisian_bailouts(p, x, a.b, math.inf)),
-    "VS_div": Row(True, lambda c, p, x, a: control.parisian_dividends(p, 0.0).value(x, a.b)),
-    "VS_div_theta": Row(
-        True, lambda c, p, x, a: control.parisian_dividends(p, _theta(a)).value(x, a.b)),
-    "VS_bail": Row(True, lambda c, p, x, a: control.parisian_bailouts(p, x, a.b, 0.0)),
-    "slg_parisian": Row(True, lambda c, p, x, a: control.slg_parisian(p, a.k).value(x, a.b),
-                        Check("parisian_reflect", "reflect",
-                              lambda a: mc.Functional("slg", k=a.k), name="slg_value")),
-}
-
-# `simulate` names: the rows with a check
-_SIMULATE = {row.check.name or name: row
-             for name, row in {**_LAWS, **_OBJECTIVES}.items() if row.check}
+from . import control, mc, scale, table
 
 
 def _parse_grid(spec: str):
@@ -200,24 +122,7 @@ def cmd_simulate(args) -> int:
     if row.needs_r and args.r is None:
         return _usage_error(f"{args.kind} {args.name!r} needs --r")
     ctx, pctx = _build(args)
-    b, upper = args.b, row.check.upper
-    if upper is None:
-        # no barrier in the law: absorb far above, past any return to the red
-        b, upper = max(60.0, args.x + 60.0), "absorb"
-    elif not 0 <= args.x <= b:
-        raise DomainError(f"the start must lie in [0, b], got x={args.x}, b={b}")
-    cfg = mc.PathConfig(ctx.model, args.x, q=args.q, upper_barrier=b, upper_mode=upper,
-                        lower=row.check.lower, r=args.r or 0.0)
-    fn = row.check.functional(args)
-    if row.check.theta is not None:
-        args = argparse.Namespace(**{**vars(args), "theta": row.check.theta})
-    analytic = row.column(ctx, pctx, args.x, args)
-    est = mc.estimate(cfg, fn, args.paths, seed=args.seed)
-    zscore = (est.mean - analytic) / est.std_error if est.std_error > 0 else 0.0
-    _write_json({"mean": est.mean, "se": est.std_error, "ci95": list(est.ci95),
-                 "tail_bound": est.tail_bound, "horizon": est.horizon, "analytic": analytic,
-                 "z_score": zscore},
-                args.out)
+    _write_json(table.cross_check(row, ctx, pctx, args, args.x, args.paths, args.seed), args.out)
     return 0
 
 
@@ -237,10 +142,9 @@ def _network_spec(raw) -> control.NetworkSpec:
 
 def cmd_network(args) -> int:
     spec = load_json(args.spec, _network_spec)
-    check = control.network_check(spec)
     est = mc.network_estimate(spec, args.u0, args.b, n_paths=args.paths, seed=args.seed)
-    _write_json({"cheap": check["cheap"], "gamma": check["gamma"],
-                 "c_tilde": check["c_tilde"], "mc_value": est.mean, "se": est.std_error},
+    _write_json({"cheap": spec.cheap, "gamma": spec.gamma, "c_tilde": spec.c_tilde,
+                 "mc_value": est.mean, "se": est.std_error},
                 args.out)
     return 0
 
@@ -266,31 +170,31 @@ def build_parser():
     p.set_defaults(fn=cmd_scale)
 
     p = sub.add_parser("law", help="evaluate a passage law on a grid")
-    p.add_argument("name", choices=_LAWS, metavar="law")
+    p.add_argument("name", choices=table.LAWS, metavar="law")
     _add_common(p)
     p.add_argument("--x-grid", required=True)
     p.add_argument("--b", type=float, default=0.0)
-    p.set_defaults(fn=cmd_grid, kind="law", table=_LAWS)
+    p.set_defaults(fn=cmd_grid, kind="law", table=table.LAWS)
 
     p = sub.add_parser("value", help="evaluate a barrier objective on a grid")
-    p.add_argument("name", choices=_OBJECTIVES, metavar="objective")
+    p.add_argument("name", choices=table.OBJECTIVES, metavar="objective")
     _add_common(p)
     p.add_argument("--x-grid", required=True)
     p.add_argument("--b", type=float, required=True)
-    p.set_defaults(fn=cmd_grid, kind="objective", table=_OBJECTIVES)
+    p.set_defaults(fn=cmd_grid, kind="objective", table=table.OBJECTIVES)
 
     p = sub.add_parser("efficiency", help="efficiency threshold and patience")
     _add_common(p)
     p.set_defaults(fn=cmd_efficiency)
 
     p = sub.add_parser("simulate", help="Monte-Carlo cross-check of a law")
-    p.add_argument("name", choices=_SIMULATE, metavar="functional")
+    p.add_argument("name", choices=table.SIMULATE, metavar="functional")
     _add_common(p)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--paths", type=_positive_int, default=100_000)
-    p.set_defaults(fn=cmd_simulate, kind="functional", table=_SIMULATE)
+    p.set_defaults(fn=cmd_simulate, kind="functional", table=table.SIMULATE)
 
     p = sub.add_parser("network", help="claims-line network valuation")
     p.add_argument("--spec", required=True)

@@ -6,7 +6,7 @@ x - b + V(b) above b, with the barrier function G(b) = (1 - S'(b)) / W'(b).
 The makers ``definetti``, ``slg_classic``, ``parisian_dividends`` and
 ``slg_parisian`` give the rows; ``parisian_bailouts`` is the exit law of S.
 Also here: the last-global-maximum optimizer, the efficiency threshold
-k(q, r) with its patience solver, and the claims-line network helpers.
+k(q, r) with its patience solver, and the reinsurance network's spec.
 Values take x as a scalar or a numpy array; b, theta and k are scalars.
 """
 
@@ -221,10 +221,6 @@ def efficiency_index(pctx: ParisianContext) -> float:
     return _threshold(pctx.model, pctx.q, pctx.r)
 
 
-def is_efficient(pctx: ParisianContext, k: float) -> bool:
-    return k <= efficiency_index(pctx)
-
-
 def solve_patience(pctx: ParisianContext, k: float, tol: float = 1e-8) -> float:
     """Smallest extra killing rate q' making cost k efficient at discount q+q'.
 
@@ -304,13 +300,4 @@ class NetworkSpec:
             self.c0 <= s.premium * (1.0 - s.retention) / s.retention
             for s in self.subsidiaries
         )
-
-
-def network_check(spec: NetworkSpec) -> dict:
-    return {"cheap": spec.cheap, "gamma": spec.gamma, "c_tilde": spec.c_tilde}
-
-
-def network_claims_line(spec: NetworkSpec, u0: float) -> list:
-    """Subsidiary reserves on the claims line through central reserve u0."""
-    return [u0 * s.retention / (1.0 - s.retention) for s in spec.subsidiaries]
 

@@ -10,9 +10,9 @@ nonnegative arguments.
 The exit laws on [0, b] are one law, ``exit_law``: S(x) - W(x) B[S]/B[W] for a
 smooth Gerber-Shiu function S and the scale function W of the same problem.
 B[f] = f(b) when the process is absorbed at b (vartheta = INF), and
-B[f] = f'(b) + vartheta f(b) when it is reflected at b with the dividends
-discounted at rate vartheta.  The classical laws take (Z_q(., theta), W_q) and
-the Parisian ones (Z_{q,r}(., theta), W_{q,r}).
+B[f] = f'(b) + vartheta f(b) when it is reflected at b, with e^{-vartheta L} on
+the dividends L paid up to ruin, undiscounted.  The classical laws take
+(Z_q(., theta), W_q) and the Parisian ones (Z_{q,r}(., theta), W_{q,r}).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, NonpositiveDrift, QZero
-from .model import laplace_exponent, phi as _phi
+from .model import phi as _phi
 from .scale import (
     INF,
     Exponential,
@@ -54,7 +54,7 @@ def exit_law(S, W, x, b: float, vartheta: float, dS=None, dW=None):
     """S(x) - W(x) B[S]/B[W] on 0 <= x <= b: the exit law of the Gerber-Shiu function S.
 
     B[f] = f(b) for vartheta = INF (absorbed at b); otherwise B[f] = f'(b) + vartheta f(b)
-    (reflected at b, dividends discounted at rate vartheta), with dS = S' and dW = W'.
+    (reflected at b, e^{-vartheta L} on the undiscounted dividends L), dS = S', dW = W'.
     """
     _check_interval(x, 0.0, b)
     if not vartheta >= 0:
@@ -179,21 +179,6 @@ def parisian_dividends_penalty(
     """Dividends-penalty law under Parisian ruin, reflected at b (absorbed for vartheta = INF)."""
     return exit_law(parisian_Z_mix(pctx, theta), pctx.Wqr, x, b, vartheta,
                     parisian_Z_mix(pctx, theta, 1), pctx.dWqr)
-
-
-def parisian_dividends_penalty_factorized(
-    pctx: ParisianContext, b: float, theta: float, vartheta: float
-) -> float:
-    """Equivalent x = b form via the Omega factorization (consistency check)."""
-    if not 0 <= b < INF:
-        raise DomainError(f"b must be finite and nonnegative, got {b}")
-    _check_theta(theta)
-    q, r = pctx.q, pctx.r
-    k = laplace_exponent(pctx.model, theta)
-    om = omega(pctx, b)
-    z = build_gerber_shiu(pctx.base, Exponential(theta))
-    inner = z(b) - z.dmix(b) / om
-    return om / (om + vartheta) * inner * r / (r + q - k)
 
 
 def fundamental_identity_residual(ctx: ScaleContext, x, b: float, theta: float):

@@ -121,7 +121,9 @@ class Functional:
     joint additionally penalizes discounted dividends by vartheta, slg is
     dividends - k * bailouts, time_in_red applies rate red_rate to the
     total time below zero, and up_exit weights total injections by theta
-    (theta=0 for plain two-sided exit).
+    (theta=0 for plain two-sided exit).  joint is not the law of
+    ``laws.dividends_penalty_classic`` or ``laws.parisian_dividends_penalty``:
+    their vartheta weights the undiscounted dividends.
     """
 
     name: str

@@ -245,7 +245,6 @@ class GerberShiu:
     x <= 0; ``dmix`` is the exact x-derivative of the interior part.
     """
 
-    ctx: ScaleContext
     penalty: PenaltySpec
     mix: ExpMix
 
@@ -274,5 +273,5 @@ def build_gerber_shiu(ctx: ScaleContext, penalty: PenaltySpec) -> GerberShiu:
             mix = ctx.Z0.scaled(penalty.K)
         else:
             raise UnsupportedPenalty(f"penalty {penalty!r} has no closed form here")
-        return GerberShiu(ctx=ctx, penalty=penalty, mix=mix)
+        return GerberShiu(penalty=penalty, mix=mix)
     return _memo(ctx, penalty, make)

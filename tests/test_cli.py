@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from parisian_scale import LevyModel, build_parisian, build_scale, cli, control, laws, scale
+from parisian_scale import LevyModel, build_parisian, build_scale, cli, control, laws, scale, table
 from parisian_scale.cli import main
 
 
@@ -501,6 +501,10 @@ SIMULATE_PINS = {
                           "0x1.66d0aae7344e0p-4", "0x0.0p+0"),
     ("severity", "none"): ("0x1.086aa181e25dbp-3", "0x1.b476487b540c7p-8",
                            "0x1.23898adbda800p-3", "0x0.0p+0"),
+    ("severity_reflected", "all"): ("0x1.0605572f25e74p-3", "0x1.3114b507c5407p-8",
+                                    "0x1.0318bdc6637f8p-3", "0x0.0p+0"),
+    ("severity_reflected", "none"): ("0x1.a783a298f228fp-3", "0x1.baa116fa9144ep-8",
+                                     "0x1.a508346261af8p-3", "0x0.0p+0"),
     ("bailouts_to_level", "all"): ("0x1.f7cdbb4ad6f6ep-2", "0x1.20b8665981265p-8",
                                    "0x1.f52a2a0fafa78p-2", "0x0.0p+0"),
     ("bailouts_to_level", "none"): ("0x1.08698c2a36e8ap-1", "0x1.c692faaff56ebp-9",
@@ -527,19 +531,45 @@ SIMULATE_PINS = {
                              "0x1.b636853b09e39p-1", "0x0.0p+0"),
     ("time_in_red", "none"): ("0x1.b7374d8475935p-1", "0x1.a29787880a40ep-8",
                               "0x1.b636853b09e39p-1", "0x0.0p+0"),
+    ("VF_bail", "all"): ("0x1.66cb84194f22ep-5", "0x1.3d12a2f2cbd60p-8",
+                         "0x1.3414e92a639a0p-5", "0x0.0p+0"),
+    ("VF_bail", "none"): ("0x1.66cb84194f22ep-5", "0x1.3d12a2f2cbd60p-8",
+                          "0x1.3414e92a639a0p-5", "0x0.0p+0"),
+    ("VS_bail", "all"): ("0x1.9200a96824546p-5", "0x1.e7036eeefe280p-9",
+                         "0x1.cd96c2d9b55e0p-5", "0x1.4d14b612051ccp-15"),
+    ("VS_bail", "none"): ("0x1.9200a96824546p-5", "0x1.e7036eeefe280p-9",
+                          "0x1.cd96c2d9b55e0p-5", "0x1.4d14b612051ccp-15"),
 }
+
+
+def simulate(capsys, model_path, name, flags, paths, seed):
+    """The JSON of `simulate name` on m1 from x = 0.6 below b = 1.5, at q = 0.5 (q = 0 for
+    time_in_red) and r = 0.75."""
+    q = "0.0" if name == "time_in_red" else "0.5"
+    code, out = run(capsys, ["simulate", name, "--model", model_path, "--q", q, "--r", "0.75",
+                             "--x", "0.6", "--b", "1.5", "--paths", str(paths),
+                             "--seed", str(seed), *SIMULATE_FLAGS[flags]])
+    assert code == 0
+    return json.loads(out)
 
 
 @pytest.mark.parametrize("name,flags", sorted(SIMULATE_PINS), ids="-".join)
 def test_simulate_pinned(capsys, model_path, name, flags):
-    q = "0.0" if name == "time_in_red" else "0.5"
-    code, out = run(capsys, ["simulate", name, "--model", model_path, "--q", q, "--r", "0.75",
-                             "--x", "0.6", "--b", "1.5", "--paths", "2000", "--seed", "1",
-                             *SIMULATE_FLAGS[flags]])
-    assert code == 0
-    obj = json.loads(out)
+    obj = simulate(capsys, model_path, name, flags, 2000, 1)
     got = tuple(float(obj[k]).hex() for k in ("mean", "se", "analytic", "tail_bound"))
     assert got == SIMULATE_PINS[name, flags]
+
+
+def test_every_simulate_name_is_pinned():
+    assert {name for name, _ in SIMULATE_PINS} == set(table.SIMULATE)
+
+
+@pytest.mark.parametrize("name", sorted(table.SIMULATE))
+@pytest.mark.parametrize("flags", ["all", "none"])
+def test_simulate_agrees_with_closed_form(capsys, model_path, name, flags):
+    """Each row's path functional against its closed form, at the default seed."""
+    obj = simulate(capsys, model_path, name, flags, 20_000, 0)
+    assert abs(obj["z_score"]) < 4.0, obj
 
 
 def test_build_scale_once_with_r(capsys, model_path, monkeypatch):
@@ -563,6 +593,17 @@ def test_import_loads_no_scipy(python_child):
     done = python_child(["-c", "import sys, parisian_scale.cli; "
                          "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"])
     assert done.stdout.strip() == "[]", done.stderr
+
+
+def test_table_import_leaves_out_the_cli(python_child):
+    """The law table is library code: importing it neither imports `cli` nor builds a parser."""
+    done = python_child(["-c", "import argparse, sys; made = []; "
+                         "init = argparse.ArgumentParser.__init__; "
+                         "argparse.ArgumentParser.__init__ = "
+                         "lambda self, *a, **kw: made.append(1) or init(self, *a, **kw); "
+                         "import parisian_scale.table; "
+                         "print('parisian_scale.cli' in sys.modules, len(made))"])
+    assert done.stdout.strip() == "False 0", done.stderr
 
 
 @pytest.mark.parametrize("path", ["model_path", "m3_path"])

@@ -1,4 +1,4 @@
-"""Pinned values of every context mixture, the 11 CLI laws, the 9 CLI objectives
+"""Pinned values of every context mixture, the 11 laws and 9 objectives of the law table
 and the 3 barrier functions.
 
 The pins are ``float.hex`` strings.  Mixtures whose terms are the roots of
@@ -14,13 +14,13 @@ operation order (see test_objectives_match_pins).  A law, objective or
 barrier function that raises pins the error's class name.
 """
 
-import argparse
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from parisian_scale import LevyModel, build_parisian, build_scale, cli, control, scale
+from parisian_scale import LevyModel, build_parisian, build_scale, control, scale, table
 
 EPS = np.finfo(float).eps
 X = (0.0, 0.45, 1.7, 2.5, 6.0)
@@ -79,18 +79,18 @@ def hexes(values):
 
 def law_values(ctx, pctx):
     """name -> the law's values (or its error's class name) on the x <= b points."""
-    args = argparse.Namespace(b=B, theta=1.3, vartheta=0.4, r=pctx.r, k=0.0, K=0.0)
+    args = SimpleNamespace(b=B, theta=1.3, vartheta=0.4, r=pctx.r, k=0.0, K=0.0)
     return {name: hexes(lambda: row.column(
                 build_scale(ctx.model, 0.0) if name == "time_in_red" else ctx, pctx,
                 np.array(X[:4]), args))
-            for name, row in cli._LAWS.items()}
+            for name, row in table.LAWS.items()}
 
 
 def objective_values(ctx, pctx):
     """name -> the objective's values (or its error's class name) on the x <= b points."""
-    args = argparse.Namespace(b=B, theta=1.3, vartheta=0.4, r=pctx.r, k=K_COST, K=K_LUMP)
+    args = SimpleNamespace(b=B, theta=1.3, vartheta=0.4, r=pctx.r, k=K_COST, K=K_LUMP)
     return {name: hexes(lambda: row.column(ctx, pctx, np.array(X[:4]), args))
-            for name, row in cli._OBJECTIVES.items()}
+            for name, row in table.OBJECTIVES.items()}
 
 
 def barrier_values(ctx, pctx):
@@ -817,7 +817,7 @@ def test_mixtures_match_pins(label):
 def test_laws_match_pins(label):
     ctx, pctx = contexts(label)
     got = law_values(ctx, pctx)
-    assert sorted(got) == sorted(cli._LAWS)
+    assert sorted(got) == sorted(table.LAWS)
     for name, value in got.items():
         want = LAW_PINS[label, name]
         if isinstance(want, str) or name != "parisian_resolvent_integral":
@@ -836,7 +836,7 @@ def test_laws_match_pins(label):
 def test_objectives_match_pins(label):
     ctx, pctx = contexts(label)
     got = objective_values(ctx, pctx)
-    assert sorted(got) == sorted(cli._OBJECTIVES)
+    assert sorted(got) == sorted(table.OBJECTIVES)
     for name, value in got.items():
         want = OBJECTIVE_PINS[label, name]
         if isinstance(want, str) or name != "VF_bail":

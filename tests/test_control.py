@@ -300,8 +300,8 @@ class TestBarrierRow:
 class TestEfficiency:
     def test_symmetric_fixture_threshold(self, m1_par_sym):
         assert ctl.efficiency_index(m1_par_sym) == pytest.approx(4.0, rel=1e-12)
-        assert ctl.is_efficient(m1_par_sym, 3.0)
-        assert not ctl.is_efficient(m1_par_sym, 5.0)
+        assert 3.0 <= ctl.efficiency_index(m1_par_sym)
+        assert not 5.0 <= ctl.efficiency_index(m1_par_sym)
 
     def test_threshold_increasing_in_q(self, m1):
         r = 1.0 / 3.0
@@ -378,14 +378,9 @@ class TestNetwork:
 
     def test_cheap_example_constants(self):
         spec = self.make_spec((2.0, 3.0), (0.5, 0.5), c0=1.0)
-        chk = ctl.network_check(spec)
-        assert chk["cheap"]
-        assert chk["gamma"] == pytest.approx(2.0)
-        assert chk["c_tilde"] == pytest.approx(10.0)
-
-    def test_claims_line(self):
-        spec = self.make_spec((2.0, 3.0), (0.5, 0.25), c0=1.0)
-        assert ctl.network_claims_line(spec, 3.0) == pytest.approx([3.0, 1.0])
+        assert spec.cheap
+        assert spec.gamma == pytest.approx(2.0)
+        assert spec.c_tilde == pytest.approx(10.0)
 
     def test_retention_validation(self):
         with pytest.raises(RetentionOutOfRange):

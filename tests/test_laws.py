@@ -14,6 +14,7 @@ from parisian_scale import (
     build_gerber_shiu,
     build_parisian,
     build_scale,
+    laplace_exponent,
     laws,
 )
 from parisian_scale.errors import DomainError, NonpositiveDrift
@@ -179,11 +180,9 @@ class TestClosedForms:
                 got = laws.gs_exit(ctx, xs, b, Exponential(theta), vartheta)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
-    def test_theta_past_kappas_overflow_is_refused(self, m1_q23, m1_par):
+    def test_theta_past_kappas_overflow_is_refused(self, m1_q23):
         with pytest.raises(DomainError, match="theta"):
             laws.severity_infinite(m1_q23, 0.5, 1e200)
-        with pytest.raises(DomainError, match="theta"):
-            laws.parisian_dividends_penalty_factorized(m1_par, 1.5, 1e200, 0.5)
 
     @pytest.mark.parametrize("x", [math.inf, np.array([0.5, math.inf])])
     def test_laws_with_no_barrier_refuse_infinite_start(self, m1_q0, m1_q23, x):
@@ -247,15 +246,19 @@ class TestOmegaFactorization:
     def test_b_must_be_finite_and_nonnegative(self, m1_par, b):
         with pytest.raises(DomainError):
             laws.omega(m1_par, b)
-        with pytest.raises(DomainError):
-            laws.parisian_dividends_penalty_factorized(m1_par, b, 1.0, 0.5)
 
     def test_matches_direct_form_at_b(self, m1_par, m2_par):
+        """At x = b the law is Omega/(Omega + vartheta) (Z_q(b) - Z_q'(b)/Omega) r/(q + r -
+        kappa(theta)), with Z_q = Z_q(., theta) and Omega = omega(b)."""
         for pctx in (m1_par, m2_par):
             for b in (0.5, 1.3, 2.4):
                 for theta, vartheta in ((0.0, 0.0), (1.1, 0.7), (2.3, 0.0)):
                     direct = laws.parisian_dividends_penalty(pctx, b, b, theta, vartheta)
-                    fact = laws.parisian_dividends_penalty_factorized(pctx, b, theta, vartheta)
+                    om = laws.omega(pctx, b)
+                    z = build_gerber_shiu(pctx.base, Exponential(theta))
+                    kappa = laplace_exponent(pctx.model, theta)
+                    fact = (om / (om + vartheta) * (z(b) - z.dmix(b) / om)
+                            * pctx.r / (pctx.r + pctx.q - kappa))
                     assert direct == pytest.approx(fact, rel=1e-10, abs=1e-12)
 
     def test_omega_closed_form(self, m1_par):
