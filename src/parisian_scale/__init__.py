@@ -36,20 +36,15 @@ from .scale import (
     build_scale,
 )
 from .laws import (
-    bailouts_to_level,
-    dividends_penalty_classic,
     gs_exit,
     omega,
-    parisian_dividends_penalty,
     parisian_resolvent,
     parisian_resolvent_integral,
-    parisian_severity,
-    parisian_up_exit,
-    severity_absorbed,
+    severity,
     severity_infinite,
-    severity_reflected,
     time_in_red,
     two_sided_exit,
+    up_exit,
 )
 from .control import (
     Barrier,

@@ -23,15 +23,16 @@ from .model import LevyModel, load_json, read_field
 from . import control, mc, scale, table
 
 
-def _parse_grid(spec: str):
+def _grid(spec: str):
+    """An --x-grid a:b:n as (a, b, n); the command lays out np.linspace(a, b, n)."""
     try:
         a, b, n = spec.split(":")
         a, b, n = float(a), float(b), int(n)
     except ValueError:
-        raise SystemExit(_usage_error(f"bad grid spec {spec!r}, expected a:b:n"))
+        raise argparse.ArgumentTypeError(f"bad grid spec {spec!r}, expected a:b:n")
     if n < 1 or (n > 1 and b <= a):
-        raise SystemExit(_usage_error(f"grid {spec!r} must be strictly increasing"))
-    return np.linspace(a, b, n)     # the ends are exactly a and b
+        raise argparse.ArgumentTypeError(f"grid {spec!r} must be strictly increasing")
+    return a, b, n
 
 
 def _usage_error(msg: str) -> int:
@@ -80,16 +81,16 @@ def cmd_scale(args) -> int:
         header.append("Z_theta")
     if pctx is not None:
         header += ["W_qr", "Z_qr", "scriptS"]
-    x = _parse_grid(args.x_grid)
+    x = np.linspace(*args.x_grid)     # the ends are exactly a and b
     if not np.all(x >= 0):
         raise DomainError("the scale functions are tabulated on x >= 0")
     # W-bar vanishes on x <= 0, and Z_theta is e^{theta x} there
     cols = [x, ctx.W(x), ctx.dW(x), scale.piecewise(x, x > 0, ctx.Wbar, np.zeros_like),
             ctx.Z0(x), ctx.Zbar(x)]
     if args.theta is not None:
-        cols.append(scale.build_gerber_shiu(ctx, scale.Exponential(args.theta))(x))
+        cols.append(ctx.Z(args.theta)(x))
     if pctx is not None:
-        cols += [pctx.Wqr(x), scale.parisian_Z_mix(pctx, 0.0)(x), pctx.S(x)]
+        cols += [pctx.W(x), pctx.Z(0.0)(x), pctx.S(x)]
     _write_columns(header, cols, args.out)
     return 0
 
@@ -100,7 +101,7 @@ def cmd_grid(args) -> int:
     if row.needs_r and args.r is None:
         return _usage_error(f"{args.kind} {args.name!r} needs --r")
     ctx, pctx = _build(args)
-    x = _parse_grid(args.x_grid)
+    x = np.linspace(*args.x_grid)     # the ends are exactly a and b
     _write_columns(["x", "value"], [x, row.column(ctx, pctx, x, args)], args.out)
     return 0
 
@@ -166,20 +167,20 @@ def build_parser():
 
     p = sub.add_parser("scale", help="tabulate scale functions on a grid")
     _add_common(p)
-    p.add_argument("--x-grid", required=True)
+    p.add_argument("--x-grid", type=_grid, required=True)
     p.set_defaults(fn=cmd_scale)
 
     p = sub.add_parser("law", help="evaluate a passage law on a grid")
     p.add_argument("name", choices=table.LAWS, metavar="law")
     _add_common(p)
-    p.add_argument("--x-grid", required=True)
+    p.add_argument("--x-grid", type=_grid, required=True)
     p.add_argument("--b", type=float, default=0.0)
     p.set_defaults(fn=cmd_grid, kind="law", table=table.LAWS)
 
     p = sub.add_parser("value", help="evaluate a barrier objective on a grid")
     p.add_argument("name", choices=table.OBJECTIVES, metavar="objective")
     _add_common(p)
-    p.add_argument("--x-grid", required=True)
+    p.add_argument("--x-grid", type=_grid, required=True)
     p.add_argument("--b", type=float, required=True)
     p.set_defaults(fn=cmd_grid, kind="objective", table=table.OBJECTIVES)
 

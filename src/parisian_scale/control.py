@@ -33,7 +33,6 @@ from .scale import (
     ScaleContext,
     _memo,
     build_gerber_shiu,
-    parisian_Z_mix,
     piecewise,
 )
 
@@ -97,21 +96,21 @@ def parisian_dividends(pctx: ParisianContext, theta: float) -> Barrier:
     """Dividends at b under Parisian observation at 0: until ruin for theta = INF (VF_div),
     with bailouts for theta = 0 (VS_div)."""
     _need_q(pctx)
-    return Barrier(parisian_Z_mix(pctx, theta), parisian_Z_mix(pctx, theta, 1))
+    return Barrier(pctx.Z(theta), pctx.Z(theta, 1))
 
 
 def slg_parisian(pctx: ParisianContext, k: float) -> Barrier:
     """Dividends at b less k times the bailouts of Parisian reflection at 0."""
     _need_q(pctx)
-    return Barrier(parisian_Z_mix(pctx, 0.0), parisian_Z_mix(pctx, 0.0, 1),
+    return Barrier(pctx.Z(0.0), pctx.Z(0.0, 1),
                    lambda y: k * pctx.S(y), lambda y: k * pctx.dS(y))
 
 
 def parisian_bailouts(pctx: ParisianContext, x, b: float, vartheta: float):
     """Bailouts of Parisian reflection at 0 until b (vartheta = INF, VF_bail), or for ever with
     reflection at b too (vartheta = 0, VS_bail): 0.0 - the exit law of S, +0.0 at x = b."""
-    return 0.0 - exit_law(pctx.S, parisian_Z_mix(pctx, 0.0), x, b, vartheta,
-                          pctx.dS, parisian_Z_mix(pctx, 0.0, 1))
+    return 0.0 - exit_law(pctx.S, pctx.Z(0.0), x, b, vartheta,
+                          pctx.dS, pctx.Z(0.0, 1))
 
 
 _ROWS = {"deFinetti_classic": lambda ctx, k, w: definetti(ctx, Constant(0.0) if w is None else w),

@@ -11,8 +11,10 @@ The exit laws on [0, b] are one law, ``exit_law``: S(x) - W(x) B[S]/B[W] for a
 smooth Gerber-Shiu function S and the scale function W of the same problem.
 B[f] = f(b) when the process is absorbed at b (vartheta = INF), and
 B[f] = f'(b) + vartheta f(b) when it is reflected at b, with e^{-vartheta L} on
-the dividends L paid up to ruin, undiscounted.  The classical laws take
-(Z_q(., theta), W_q) and the Parisian ones (Z_{q,r}(., theta), W_{q,r}).
+the dividends L paid up to ruin, undiscounted.  ``severity`` and ``up_exit``
+read the scale pair (ctx.W, ctx.Z) of whichever context they are given: a
+``ScaleContext`` gives the classical laws, with (W_q, Z_q(., theta)), and a
+``ParisianContext`` the Parisian ones, with (W_{q,r}, Z_{q,r}(., theta)).
 """
 
 from __future__ import annotations
@@ -23,14 +25,12 @@ from .errors import DomainError, NonpositiveDrift, QZero
 from .model import phi as _phi
 from .scale import (
     INF,
-    Exponential,
     ParisianContext,
     PenaltySpec,
     ScaleContext,
     _check_theta,
     _root_slopes,
     build_gerber_shiu,
-    parisian_Z_mix,
     piecewise,
     z_mix,  # noqa: F401  re-exported; perfbench/test_perfbench.py checks laws.z_mix
 )
@@ -64,14 +64,14 @@ def exit_law(S, W, x, b: float, vartheta: float, dS=None, dW=None):
     return S(x) - W(x) * (dS(b) + vartheta * S(b)) / (dW(b) + vartheta * W(b))
 
 
-def severity_absorbed(ctx: ScaleContext, x, b: float, theta: float):
-    """Joint transform of ruin time and undershoot, absorbed at b."""
-    return gs_exit(ctx, x, b, Exponential(theta))
-
-
-def severity_reflected(ctx: ScaleContext, x, b: float, theta: float):
-    """Joint transform of ruin time and undershoot, with dividends at b."""
-    return dividends_penalty_classic(ctx, x, b, theta, 0.0)
+def severity(ctx: ScaleContext | ParisianContext, x, b: float, theta: float,
+             vartheta: float = INF):
+    """Joint transform of ruin time and undershoot, absorbed at b, or reflected there with
+    e^{-vartheta L} on the undiscounted dividends L for a finite vartheta."""
+    z = ctx.Z(theta)
+    if vartheta == INF:     # absorbed: no derivative is read, so none is built
+        return exit_law(z, ctx.W, x, b, vartheta)
+    return exit_law(z, ctx.W, x, b, vartheta, ctx.Z(theta, 1), ctx.dW)
 
 
 def severity_infinite(ctx: ScaleContext, x, theta: float):
@@ -81,23 +81,15 @@ def severity_infinite(ctx: ScaleContext, x, theta: float):
         raise QZero("the q -> 0 limit is not provided")
     _check_theta(theta)
     slope = _root_slopes(ctx, theta)[0]     # (kappa(theta) - q)/(theta - Phi_q)
-    return build_gerber_shiu(ctx, Exponential(theta))(x) - ctx.W(x) * slope
+    return ctx.Z(theta)(x) - ctx.W(x) * slope
 
 
-def bailouts_to_level(ctx: ScaleContext, x, b: float, theta: float):
-    """Transform of time and injections for the 0-reflected process to reach b."""
+def up_exit(ctx: ScaleContext | ParisianContext, x, b: float, theta: float):
+    """Transform of time and injections for the process reflected at 0 (classically, or at
+    Parisian observation times) to reach b; theta = INF is the up-crossing before ruin."""
     _check_interval(x, 0.0, b)
-    if theta == INF:
-        return ctx.W(x) / ctx.W(b)
-    z = build_gerber_shiu(ctx, Exponential(theta))
+    z = ctx.W if theta == INF else ctx.Z(theta)
     return z(x) / z(b)
-
-
-def dividends_penalty_classic(
-    ctx: ScaleContext, x, b: float, theta: float, vartheta: float
-):
-    """Joint dividends-and-severity transform, reflected at b (absorbed for vartheta = INF)."""
-    return gs_exit(ctx, x, b, Exponential(theta), vartheta)
 
 
 def gs_exit(
@@ -124,33 +116,18 @@ def time_in_red(ctx_q0: ScaleContext, x, r: float):
     if p <= 0:
         raise NonpositiveDrift("requires strictly positive drift")
     phi_r = _phi(ctx_q0.model, r)
-    return p * phi_r / r * build_gerber_shiu(ctx_q0, Exponential(phi_r))(x)
+    return p * phi_r / r * ctx_q0.Z(phi_r)(x)
 
 
 # ---------------------------------------------------------------------------
 # Parisian laws (Poisson-observed insolvency)
 # ---------------------------------------------------------------------------
-def parisian_up_exit(pctx: ParisianContext, x, b: float, theta: float):
-    """Transform of time/injections for Parisian reflection to reach b.
-
-    theta = INF is the no-insolvency up-crossing E_x[e^{-q tau_b^+}; tau_b^+ < T_0^-].
-    """
-    _check_interval(x, 0.0, b)
-    mix = parisian_Z_mix(pctx, theta)
-    return mix(x) / mix(b)
-
-
-def parisian_severity(pctx: ParisianContext, x, b: float, theta: float):
-    """Severity of Parisian ruin with absorption at b."""
-    return exit_law(parisian_Z_mix(pctx, theta), pctx.Wqr, x, b, INF)
-
-
 def parisian_resolvent(pctx: ParisianContext, x, a: float, b: float, y: float):
     """Resolvent density at y of the doubly absorbed Parisian process."""
     _check_interval(x, a, b)
     if not a < y < b:
         raise DomainError("need a < y < b")
-    w = pctx.Wqr
+    w = pctx.W
     val = w(x - a) * w(b - y) / w(b - a)
     return val - piecewise(x, y < np.asarray(x), lambda z: w(z - y), np.zeros_like)
 
@@ -158,8 +135,8 @@ def parisian_resolvent(pctx: ParisianContext, x, a: float, b: float, y: float):
 def parisian_resolvent_integral(pctx: ParisianContext, x, a: float, b: float):
     """Exact int_a^b of the resolvent density, via mixture antiderivatives."""
     _check_interval(x, a, b)
-    wbar = pctx.Wbar_qr
-    w = pctx.Wqr
+    wbar = pctx.Wbar
+    w = pctx.W
     return w(x - a) * wbar(b - a) / w(b - a) - wbar(x - a)
 
 
@@ -170,23 +147,15 @@ def omega(pctx: ParisianContext, b: float) -> float:
     """
     if not 0 <= b < INF:
         raise DomainError(f"b must be finite and nonnegative, got {b}")
-    return pctx.dWqr(b) / pctx.Wqr(b)
-
-
-def parisian_dividends_penalty(
-    pctx: ParisianContext, x, b: float, theta: float, vartheta: float
-):
-    """Dividends-penalty law under Parisian ruin, reflected at b (absorbed for vartheta = INF)."""
-    return exit_law(parisian_Z_mix(pctx, theta), pctx.Wqr, x, b, vartheta,
-                    parisian_Z_mix(pctx, theta, 1), pctx.dWqr)
+    return pctx.dW(b) / pctx.W(b)
 
 
 def fundamental_identity_residual(ctx: ScaleContext, x, b: float, theta: float):
     """Residual of Z(x)/Z(b) - W(x)/W(b) - S(x,b)/Z(b); zero by the exit-law algebra."""
-    z = build_gerber_shiu(ctx, Exponential(theta))
+    z = ctx.Z(theta)
     zb = z(b)
     return (
         z(x) / zb
         - ctx.W(x) / ctx.W(b)
-        - severity_absorbed(ctx, x, b, theta) / zb
+        - severity(ctx, x, b, theta) / zb
     )

@@ -75,7 +75,7 @@ _T, _X, _DIV, _BAIL, _BAIL_RAW, _RED, _IDX = range(7)
 
 _LOWER_MODES = ("none", "classical_absorb", "classical_reflect",
                 "parisian_absorb", "parisian_reflect")
-_FUNCTIONALS = ("up_exit", "severity", "dividends", "bailouts", "slg", "time_in_red", "joint")
+_FUNCTIONALS = ("up_exit", "severity", "dividends", "bailouts", "slg", "time_in_red")
 
 
 @dataclass(frozen=True)
@@ -117,18 +117,14 @@ class Functional:
     """What to average over paths.
 
     name in {"up_exit", "severity", "dividends", "bailouts", "slg",
-    "time_in_red", "joint"}.  severity/joint use theta on the undershoot,
-    joint additionally penalizes discounted dividends by vartheta, slg is
+    "time_in_red"}.  severity uses theta on the undershoot, slg is
     dividends - k * bailouts, time_in_red applies rate red_rate to the
     total time below zero, and up_exit weights total injections by theta
-    (theta=0 for plain two-sided exit).  joint is not the law of
-    ``laws.dividends_penalty_classic`` or ``laws.parisian_dividends_penalty``:
-    their vartheta weights the undiscounted dividends.
+    (theta=0 for plain two-sided exit).
     """
 
     name: str
     theta: float = 0.0
-    vartheta: float = 0.0
     k: float = 0.0
     red_rate: float = 0.0
 
@@ -326,13 +322,7 @@ def _functional_values(fn: Functional, rec: dict, q: float) -> np.ndarray:
         return rec["bail"]
     if fn.name == "slg":
         return rec["div"] - fn.k * rec["bail"]
-    if fn.name == "time_in_red":
-        return np.exp(-fn.red_rate * rec["red"])
-    return np.where(                    # joint
-        cause == DOWN,
-        np.exp(-q * stop_t + fn.theta * under - fn.vartheta * rec["div"]),
-        0.0,
-    )
+    return np.exp(-fn.red_rate * rec["red"])      # time_in_red
 
 
 def _chunk_keys(seed: int, n_paths: int):

@@ -19,9 +19,13 @@ within 1e-10 of it).  ``ExpMix.build`` lays out that basis once, when
 weights on it, never with a term appended, computed when first read and kept
 (per theta or penalty in the context's memo).  Only this module
 makes mixtures; the laws and the control layer read them from the context
-(``ctx.W``, ``pctx.dS``, ``z_mix``, ``parisian_Z_mix``) and call them on a
-float or an array of x >= 0.  Z_q(., theta) together with its exterior value
-e^{theta x} on x <= 0 is the Gerber-Shiu function of ``Exponential(theta)``.
+(``ctx.W``, ``pctx.dS``, ``ctx.Z(theta)``) and call them on a float or an
+array of x >= 0.  Both contexts hand out the same scale pair: ``W``, ``dW``,
+``Wbar`` and ``Z(theta, d)`` are W_q and Z_q(., theta) on a ``ScaleContext``
+and W_{q,r} and Z_{q,r}(., theta) on a ``ParisianContext``, so one law serves
+both.  The classical Z_q(., theta) is, with its exterior value e^{theta x}
+on x <= 0, the Gerber-Shiu function of ``Exponential(theta)``; only the
+Parisian Z takes theta = INF, where it is W_{q,r}.
 """
 
 from __future__ import annotations
@@ -91,13 +95,20 @@ class ScaleContext:
     Zbar = cached_property(lambda self: self.Z0.antiderivative())
     Z1 = cached_property(lambda self: self.Zbar - self.Wbar.scaled(self.model.drift))
 
+    def Z(self, theta: float, d: int = 0):
+        """Z_q(., theta), the Gerber-Shiu function of Exponential(theta), or (d = 1) the
+        derivative of its mixture; theta must be finite."""
+        gs = build_gerber_shiu(self, Exponential(theta))
+        return gs.dmix if d else gs
+
 
 @dataclass(frozen=True)
 class ParisianContext:
     """(model, q, r) with the Phi_{q+r} ingredient of the Parisian pair.
 
-    W_{q,r} = Z_q(., Phi_{q+r}) (Wqr), W'_{q,r} (dWqr), Wbar_{q,r} (Wbar_qr)
-    and the bailout ingredient S(x) = r/(q+r) (Zbar_q(x) + kappa'(0+)/q)
+    W_{q,r} = Z_q(., Phi_{q+r}) (W), W'_{q,r} (dW), Wbar_{q,r} (Wbar), Z_{q,r}(., theta)
+    with its x-derivatives (Z) and the bailout ingredient
+    S(x) = r/(q+r) (Zbar_q(x) + kappa'(0+)/q)
     with S' and S'' (S, dS, ddS; q > 0 only) are computed on first use and kept.
     """
 
@@ -108,9 +119,30 @@ class ParisianContext:
     phi_qr: float
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    Wqr = cached_property(lambda self: z_mix(self.base, self.phi_qr))
-    dWqr = cached_property(lambda self: self.Wqr.derivative())
-    Wbar_qr = cached_property(lambda self: self.Wqr.antiderivative())
+    W = cached_property(lambda self: z_mix(self.base, self.phi_qr))
+    dW = cached_property(lambda self: self.W.derivative())
+    Wbar = cached_property(lambda self: self.W.antiderivative())
+
+    def Z(self, theta: float, d: int = 0) -> ExpMix:
+        """Z_{q,r}(., theta) or its d-th x-derivative as a mixture; theta = INF gives W_{q,r}.
+
+        Z_{q,r} = (r Z_q(., theta) + (q - kappa(theta)) W_{q,r}) / (q + r - kappa(theta)) has
+        the weights r w_j kappa[theta, rho_j] / ((Phi_{q+r} - rho_j) kappa[theta, Phi_{q+r}]),
+        since q + r - kappa(theta) = (Phi_{q+r} - theta) kappa[theta, Phi_{q+r}]; that slope is
+        positive for every theta >= 0 (kappa is convex and kappa(0) = 0 < q + r), so theta =
+        Phi_{q+r} needs no limit.
+        """
+        if theta == INF and d < 2:
+            return self.dW if d else self.W
+        if d:
+            return _memo(self, (theta, d), lambda: self.Z(theta, d - 1).derivative())
+        _check_theta(theta)
+
+        def make():
+            z = z_mix(self.base, theta)     # Phi_{q+r} lies above every root, 0 included
+            scale = self.r / kappa_slope(self.model, theta, self.phi_qr)
+            return z.with_weights(scale * z.w / (self.phi_qr - z.rho))
+        return _memo(self, (theta, 0), make)
 
     def _bailout_share(self):
         """r/(q+r), the factor of S, which divides by q: q <= 0 raises QZero."""
@@ -184,29 +216,6 @@ def z_mix(ctx: ScaleContext, theta: float) -> ExpMix:
         w[:n] = ctx.W.w[:n] * _root_slopes(ctx, theta)
         return ctx.W.with_weights(w)
     return _memo(ctx, ("Z", theta), make)
-
-
-def parisian_Z_mix(pctx: ParisianContext, theta: float, deriv_x: int = 0) -> ExpMix:
-    """Z_{q,r}(., theta) or its x-derivatives as a mixture; theta = INF gives W_{q,r}.
-
-    Z_{q,r} = (r Z_q(., theta) + (q - kappa(theta)) W_{q,r}) / (q + r - kappa(theta)) has
-    the weights r w_j kappa[theta, rho_j] / ((Phi_{q+r} - rho_j) kappa[theta, Phi_{q+r}]),
-    since q + r - kappa(theta) = (Phi_{q+r} - theta) kappa[theta, Phi_{q+r}]; that slope is
-    positive for every theta >= 0 (kappa is convex and kappa(0) = 0 < q + r), so theta =
-    Phi_{q+r} needs no limit.
-    """
-    if theta == INF and deriv_x < 2:
-        return getattr(pctx, ("Wqr", "dWqr")[deriv_x])
-    if deriv_x:
-        return _memo(pctx, (theta, deriv_x),
-                     lambda: parisian_Z_mix(pctx, theta, deriv_x - 1).derivative())
-    _check_theta(theta)
-
-    def make():
-        z = z_mix(pctx.base, theta)     # Phi_{q+r} lies above every root, 0 included
-        scale = pctx.r / kappa_slope(pctx.model, theta, pctx.phi_qr)
-        return z.with_weights(scale * z.w / (pctx.phi_qr - z.rho))
-    return _memo(pctx, (theta, 0), make)
 
 
 # ---------------------------------------------------------------------------

@@ -39,36 +39,36 @@ LAWS = {
     "two_sided": Row(False, lambda c, p, x, a: laws.two_sided_exit(c, x, 0.0, a.b),
                      Check("classical_absorb", "absorb", lambda a: mc.Functional("up_exit"))),
     "severity_absorbed": Row(
-        False, lambda c, p, x, a: laws.severity_absorbed(c, x, a.b, _theta(a)),
+        False, lambda c, p, x, a: laws.severity(c, x, a.b, _theta(a)),
         Check("classical_absorb", "absorb",
               lambda a: mc.Functional("severity", theta=_theta(a)), name="severity")),
     "severity_reflected": Row(
-        False, lambda c, p, x, a: laws.severity_reflected(c, x, a.b, _theta(a)),
+        False, lambda c, p, x, a: laws.severity(c, x, a.b, _theta(a), 0.0),
         Check("classical_absorb", "reflect",
               lambda a: mc.Functional("severity", theta=_theta(a)))),
     "severity_infinite": Row(False, lambda c, p, x, a: laws.severity_infinite(c, x, _theta(a))),
     "bailouts_to_level": Row(
-        False, lambda c, p, x, a: laws.bailouts_to_level(c, x, a.b, _theta(a)),
+        False, lambda c, p, x, a: laws.up_exit(c, x, a.b, _theta(a)),
         Check("classical_reflect", "absorb",
               lambda a: mc.Functional("up_exit", theta=_theta(a)))),
     "dividends_penalty": Row(
-        False, lambda c, p, x, a: laws.dividends_penalty_classic(c, x, a.b, _theta(a), a.vartheta)),
+        False, lambda c, p, x, a: laws.severity(c, x, a.b, _theta(a), a.vartheta)),
     "time_in_red": Row(True, lambda c, p, x, a: laws.time_in_red(c, x, a.r),
                        Check("none", None, lambda a: mc.Functional("time_in_red", red_rate=a.r))),
     # theta = infinity, the up-crossing before Parisian ruin, unless theta is given;
     # `simulate` checks that one
     "parisian_up_exit": Row(
-        True, lambda c, p, x, a: laws.parisian_up_exit(p, x, a.b, _theta(a, math.inf)),
+        True, lambda c, p, x, a: laws.up_exit(p, x, a.b, _theta(a, math.inf)),
         Check("parisian_absorb", "absorb", lambda a: mc.Functional("up_exit"),
               theta=math.inf)),
     "parisian_severity": Row(
-        True, lambda c, p, x, a: laws.parisian_severity(p, x, a.b, _theta(a)),
+        True, lambda c, p, x, a: laws.severity(p, x, a.b, _theta(a)),
         Check("parisian_absorb", "absorb",
               lambda a: mc.Functional("severity", theta=_theta(a)))),
     "parisian_resolvent_integral": Row(
         True, lambda c, p, x, a: laws.parisian_resolvent_integral(p, x, 0.0, a.b)),
     "parisian_dividends_penalty": Row(
-        True, lambda c, p, x, a: laws.parisian_dividends_penalty(p, x, a.b, _theta(a), a.vartheta)),
+        True, lambda c, p, x, a: laws.severity(p, x, a.b, _theta(a), a.vartheta)),
 }
 
 OBJECTIVES = {

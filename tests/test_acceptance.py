@@ -50,7 +50,7 @@ def test_criterion_2_closed_form_fixtures(m1, m2, m1_q0, m1_q23, m2_q1, m2_par):
             (9.0 / 7.0) * math.exp(x) - (2.0 / 7.0) * math.exp(-4.0 * x / 3.0), rel=1e-10)
         assert m2_q1.W(x) == pytest.approx(math.sinh(x), rel=1e-10, abs=1e-12)
         assert m2_q1.Z0(x) == pytest.approx(math.cosh(x), rel=1e-10)
-        assert m2_par.Wqr(x) == pytest.approx(
+        assert m2_par.W(x) == pytest.approx(
             (3.0 * math.exp(x) - math.exp(-x)) / 2.0, rel=1e-10)
         assert laws.severity_infinite(m1_q23, x, 0.0) == pytest.approx(
             math.exp(-4.0 * x / 3.0) / 3.0, rel=1e-10)
@@ -107,19 +107,19 @@ def test_criterion_5_parisian_reduces_to_classical(m1, m1_q23):
 
     for x in (0.0, 0.5, 1.0):
         # 1. up-exit / bailout transform
-        close(laws.parisian_up_exit(pctx, x, b, INF), laws.two_sided_exit(ctx, x, 0.0, b))
-        close(laws.parisian_up_exit(pctx, x, b, theta),
-              laws.bailouts_to_level(ctx, x, b, theta))
+        close(laws.up_exit(pctx, x, b, INF), laws.two_sided_exit(ctx, x, 0.0, b))
+        close(laws.up_exit(pctx, x, b, theta),
+              laws.up_exit(ctx, x, b, theta))
         # 2. severity of ruin
-        close(laws.parisian_severity(pctx, x, b, theta),
-              laws.severity_absorbed(ctx, x, b, theta))
+        close(laws.severity(pctx, x, b, theta),
+              laws.severity(ctx, x, b, theta))
         # 3. doubly absorbed resolvent density
         for y in (0.3, 0.9):
             classic = ctx.W(x) * ctx.W(b - y) / ctx.W(b) - (ctx.W(x - y) if y < x else 0.0)
             close(laws.parisian_resolvent(pctx, x, 0.0, b, y), classic)
         # 4. dividends-penalty transform
-        close(laws.parisian_dividends_penalty(pctx, x, b, theta, vartheta),
-              laws.dividends_penalty_classic(ctx, x, b, theta, vartheta))
+        close(laws.severity(pctx, x, b, theta, vartheta),
+              laws.severity(ctx, x, b, theta, vartheta))
         # 5. barrier dividends until ruin
         close(ctl.parisian_dividends(pctx, INF).value(x, b), ctl.Barrier(ctx.W, ctx.dW).value(x, b))
         # 6. bailouts until up-crossing
@@ -160,28 +160,28 @@ class TestCriterion6MCOracleEquivalence:
         for theta, seed in ((0.0, 62), (1.0, 63)):
             self.check(self.cfg(m1, lower="classical_absorb"),
                        mc.Functional("severity", theta=theta),
-                       laws.severity_absorbed(m1_q23, self.X, self.B, theta), seed)
+                       laws.severity(m1_q23, self.X, self.B, theta), seed)
 
     def test_severity_reflected(self, m1, m1_q23):
         for theta, seed in ((0.0, 64), (1.0, 65)):
             self.check(self.cfg(m1, lower="classical_absorb", upper_mode="reflect"),
                        mc.Functional("severity", theta=theta),
-                       laws.severity_reflected(m1_q23, self.X, self.B, theta), seed)
+                       laws.severity(m1_q23, self.X, self.B, theta, 0.0), seed)
 
     def test_bailouts_to_level(self, m1, m1_q23):
         self.check(self.cfg(m1, lower="classical_reflect"),
                    mc.Functional("up_exit", theta=0.8),
-                   laws.bailouts_to_level(m1_q23, self.X, self.B, 0.8), seed=66)
+                   laws.up_exit(m1_q23, self.X, self.B, 0.8), seed=66)
 
     def test_parisian_up_exit(self, m1, m1_par):
         self.check(self.cfg(m1, lower="parisian_absorb", r=self.R),
                    mc.Functional("up_exit"),
-                   laws.parisian_up_exit(m1_par, self.X, self.B, INF), seed=67)
+                   laws.up_exit(m1_par, self.X, self.B, INF), seed=67)
 
     def test_parisian_severity(self, m1, m1_par):
         self.check(self.cfg(m1, lower="parisian_absorb", r=self.R),
                    mc.Functional("severity", theta=1.0),
-                   laws.parisian_severity(m1_par, self.X, self.B, 1.0), seed=68)
+                   laws.severity(m1_par, self.X, self.B, 1.0), seed=68)
 
     def test_vf_dividends(self, m1, m1_par):
         self.check(self.cfg(m1, lower="parisian_absorb", r=self.R, upper_mode="reflect"),
@@ -267,8 +267,8 @@ def test_criterion_9_resolvent_occupation_identity(m1_par):
         x = float(rng.uniform(a, b))
         lhs = laws.parisian_resolvent_integral(m1_par, x, a, b)
         rhs = (1.0
-               - laws.parisian_up_exit(m1_par, x - a, b - a, INF)
-               - laws.parisian_severity(m1_par, x - a, b - a, 0.0)) / q
+               - laws.up_exit(m1_par, x - a, b - a, INF)
+               - laws.severity(m1_par, x - a, b - a, 0.0)) / q
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 

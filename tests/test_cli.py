@@ -63,7 +63,7 @@ class TestScaleCommand:
         columns = (
             ctx.W, ctx.dW, lambda x: ctx.Wbar(x) if x > 0 else 0.0, ctx.Z0, ctx.Zbar,
             scale.build_gerber_shiu(ctx, scale.Exponential(1.5)),
-            pctx.Wqr, scale.parisian_Z_mix(pctx, 0.0), pctx.S,
+            pctx.W, pctx.Z(0.0), pctx.S,
         )
         for line in out.splitlines()[1:]:
             x, *fields = [float(v) for v in line.split(",")]
@@ -137,21 +137,21 @@ NO_FLAGS = SimpleNamespace(theta=0.0, vartheta=0.0, k=0.0, K=0.0)
 # each law and objective as the scalar library call that the CLI's column must reproduce
 SCALAR_CALLS = {
     "two_sided": lambda c, p, x, f: laws.two_sided_exit(c, x, 0.0, B),
-    "severity_absorbed": lambda c, p, x, f: laws.severity_absorbed(c, x, B, f.theta),
-    "severity_reflected": lambda c, p, x, f: laws.severity_reflected(c, x, B, f.theta),
+    "severity_absorbed": lambda c, p, x, f: laws.severity(c, x, B, f.theta),
+    "severity_reflected": lambda c, p, x, f: laws.severity(c, x, B, f.theta, 0.0),
     "severity_infinite": lambda c, p, x, f: laws.severity_infinite(c, x, f.theta),
-    "bailouts_to_level": lambda c, p, x, f: laws.bailouts_to_level(c, x, B, f.theta),
+    "bailouts_to_level": lambda c, p, x, f: laws.up_exit(c, x, B, f.theta),
     "dividends_penalty":
-        lambda c, p, x, f: laws.dividends_penalty_classic(c, x, B, f.theta, f.vartheta),
+        lambda c, p, x, f: laws.severity(c, x, B, f.theta, f.vartheta),
     "time_in_red": lambda c, p, x, f: laws.time_in_red(c, x, R),
     # an absent --theta reads as infinity here: the up-crossing without insolvency
-    "parisian_up_exit": lambda c, p, x, f: laws.parisian_up_exit(
+    "parisian_up_exit": lambda c, p, x, f: laws.up_exit(
         p, x, B, math.inf if f is NO_FLAGS else f.theta),
-    "parisian_severity": lambda c, p, x, f: laws.parisian_severity(p, x, B, f.theta),
+    "parisian_severity": lambda c, p, x, f: laws.severity(p, x, B, f.theta),
     "parisian_resolvent_integral":
         lambda c, p, x, f: laws.parisian_resolvent_integral(p, x, 0.0, B),
     "parisian_dividends_penalty":
-        lambda c, p, x, f: laws.parisian_dividends_penalty(p, x, B, f.theta, f.vartheta),
+        lambda c, p, x, f: laws.severity(p, x, B, f.theta, f.vartheta),
     "vf_dividends_classic": lambda c, p, x, f: control.Barrier(c.W, c.dW).value(x, B),
     "value_definetti":
         lambda c, p, x, f: control.definetti(c, scale.Linear(f.k, f.K)).value(x, B),
@@ -227,9 +227,8 @@ class TestExitCodes:
         assert code == 1
 
     def test_bad_grid_is_two(self, capsys, model_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["scale", "--model", model_path, "--q", "0.5", "--x-grid", "2:1:5"])
-        assert exc.value.code == 2
+        for grid in ("2:1:5", "1:2", "0:1:0"):
+            assert main(["scale", "--model", model_path, "--q", "0.5", "--x-grid", grid]) == 2
 
     def test_missing_subcommand_is_two(self, capsys):
         assert main([]) == 2

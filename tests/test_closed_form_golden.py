@@ -46,7 +46,7 @@ EXACT = ({"W", "dW", "ddW", "Wqr", "dWqr", "ddS"}
 def mixtures(ctx, pctx):
     """name -> the context mixture it pins."""
     out = {name: getattr(ctx, name) for name in ("W", "dW", "ddW", "Wbar", "Z0", "Zbar", "Z1")}
-    out.update((name, getattr(pctx, name)) for name in ("Wqr", "dWqr", "Wbar_qr"))
+    out.update(Wqr=pctx.W, dWqr=pctx.dW, Wbar_qr=pctx.Wbar)
     if ctx.q > 0:
         out.update((name, getattr(pctx, name)) for name in ("S", "dS", "ddS"))
     thetas = {str(t): t for t in THETAS}
@@ -56,7 +56,7 @@ def mixtures(ctx, pctx):
         out[f"gs_exp({key})"], out[f"gs_exp_d({key})"] = gs.mix, gs.dmix
     for key, theta in {**thetas, "phi_qr": pctx.phi_qr, "inf": math.inf}.items():
         for d in (0, 1, 2):
-            out[f"pZ{d}({key})"] = scale.parisian_Z_mix(pctx, theta, d)
+            out[f"pZ{d}({key})"] = pctx.Z(theta, d)
     for name, penalty in (("gs_lin", scale.Linear(0.7, -0.4)), ("gs_const", scale.Constant(1.5))):
         gs = scale.build_gerber_shiu(ctx, penalty)
         out[name], out[f"{name}_d"] = gs.mix, gs.dmix
@@ -824,7 +824,7 @@ def test_laws_match_pins(label):
             assert value == (want if isinstance(want, str) else list(want)), name
             continue
         # Wbar_{q,r} may move by its own bound; W_{q,r} is pure-root and exact
-        w, wbar = pctx.Wqr, pctx.Wbar_qr
+        w, wbar = pctx.W, pctx.Wbar
         for x, v, h in zip(X, value, want):
             ratio = w(x) / w(B)
             slack = (abs(ratio) * 4 * EPS * terms_size(wbar, B) + 4 * EPS * terms_size(wbar, x)
@@ -843,7 +843,7 @@ def test_objectives_match_pins(label):
             assert value == (want if isinstance(want, str) else list(want)), name
             continue
         # the exit law forms Z(x)/Z(b)*S(b) where the pin formed Z(x)*S(b)/Z(b)
-        z, s = scale.parisian_Z_mix(pctx, 0.0), pctx.S
+        z, s = pctx.Z(0.0), pctx.S
         for x, v, h in zip(X, value, want):
             slack = 2 * EPS * (abs(s(x)) + abs(z(x) * s(B) / z(B)))
             assert abs(float.fromhex(v) - float.fromhex(h)) <= slack, (name, x)

@@ -18,7 +18,6 @@ from parisian_scale import (
     laws,
 )
 from parisian_scale.errors import DomainError, NonpositiveDrift
-from parisian_scale.scale import parisian_Z_mix
 from test_closed_form_golden import MODELS
 from test_scale import _reference
 
@@ -37,8 +36,8 @@ class TestFundamentalIdentity:
     def test_trivial_endpoints(self, m1_q23):
         b = 1.7
         assert laws.two_sided_exit(m1_q23, b, 0.0, b) == pytest.approx(1.0)
-        assert laws.severity_absorbed(m1_q23, b, b, 0.8) == pytest.approx(0.0, abs=1e-14)
-        assert laws.bailouts_to_level(m1_q23, b, b, 0.8) == pytest.approx(1.0)
+        assert laws.severity(m1_q23, b, b, 0.8) == pytest.approx(0.0, abs=1e-14)
+        assert laws.up_exit(m1_q23, b, b, 0.8) == pytest.approx(1.0)
 
 
 def test_severity_infinite_next_to_phi_q(m1):
@@ -80,27 +79,27 @@ class TestBoundsAndMonotonicity:
             for ctx in (m1_q23, m2_q1):
                 for val in (
                     laws.two_sided_exit(ctx, x, 0.0, b),
-                    laws.severity_absorbed(ctx, x, b, theta),
-                    laws.severity_reflected(ctx, x, b, theta),
+                    laws.severity(ctx, x, b, theta),
+                    laws.severity(ctx, x, b, theta, 0.0),
                     laws.severity_infinite(ctx, x, theta),
-                    laws.bailouts_to_level(ctx, x, b, theta),
+                    laws.up_exit(ctx, x, b, theta),
                 ):
                     assert -1e-12 <= val <= 1.0 + 1e-12
             for pctx in (m1_par, m2_par):
-                assert -1e-12 <= laws.parisian_up_exit(pctx, x, b, theta) <= 1 + 1e-12
-                assert -1e-12 <= laws.parisian_severity(pctx, x, b, theta) <= 1 + 1e-12
+                assert -1e-12 <= laws.up_exit(pctx, x, b, theta) <= 1 + 1e-12
+                assert -1e-12 <= laws.severity(pctx, x, b, theta) <= 1 + 1e-12
 
     def test_up_exit_increases_in_x(self, m1_q23, m1_par):
         b = 2.0
         xs = np.linspace(0.0, b, 40)
         classic = [laws.two_sided_exit(m1_q23, float(x), 0.0, b) for x in xs]
-        parisian = [laws.parisian_up_exit(m1_par, float(x), b, INF) for x in xs]
+        parisian = [laws.up_exit(m1_par, float(x), b, INF) for x in xs]
         assert all(np.diff(classic) > 0)
         assert all(np.diff(parisian) > 0)
 
     def test_severity_decreases_in_x(self, m1_q23):
         xs = np.linspace(0.0, 2.0, 30)
-        vals = [laws.severity_absorbed(m1_q23, float(x), 2.0, 1.0) for x in xs]
+        vals = [laws.severity(m1_q23, float(x), 2.0, 1.0) for x in xs]
         assert all(np.diff(vals) < 0)
 
 
@@ -129,13 +128,13 @@ class TestClosedForms:
     def test_parisian_up_exit_m2(self, m2_par):
         # W_{1,3}(x) = (3 e^x - e^{-x})/2 and W_{1,3}(0) = 1
         for b in (0.4, 1.0, 2.5):
-            got = laws.parisian_up_exit(m2_par, 0.0, b, INF)
+            got = laws.up_exit(m2_par, 0.0, b, INF)
             assert got == pytest.approx(2.0 / (3.0 * math.exp(b) - math.exp(-b)), rel=1e-12)
 
     def test_gs_exit_exponential_matches_severity(self, m1_q23):
         x, b, theta = 0.6, 1.8, 1.3
         gs = laws.gs_exit(m1_q23, x, b, Exponential(theta))
-        assert gs == pytest.approx(laws.severity_absorbed(m1_q23, x, b, theta), rel=1e-12)
+        assert gs == pytest.approx(laws.severity(m1_q23, x, b, theta), rel=1e-12)
 
     @pytest.mark.parametrize("label", sorted(MODELS))
     def test_gs_exit_exponential_is_severity_bit_for_bit(self, label):
@@ -145,38 +144,35 @@ class TestClosedForms:
         xs = np.array([0.0, 0.45, 1.7, b])
         for theta in (0.0, 1.3):
             gs = laws.gs_exit(ctx, xs, b, Exponential(theta))
-            sev = laws.severity_absorbed(ctx, xs, b, theta)
+            sev = laws.severity(ctx, xs, b, theta)
             assert [float(v).hex() for v in gs] == [float(v).hex() for v in sev], theta
             for x in xs:
                 assert laws.gs_exit(ctx, x, b, Exponential(theta)) == \
-                    laws.severity_absorbed(ctx, x, b, theta)
+                    laws.severity(ctx, x, b, theta)
 
     @pytest.mark.parametrize("label", sorted(MODELS))
     def test_infinite_vartheta_is_absorption_bit_for_bit(self, label):
+        """vartheta = INF is Z(x) - W(x)/W(b) Z(b) on either context's scale pair."""
         model, q, r = MODELS[label]
         pctx = build_parisian(model, q, r)
-        ctx, b = pctx.base, 2.5
+        b = 2.5
         xs = np.array([0.0, 0.45, 1.7, b])
         for theta in (0.0, 1.3, 4.0):
-            pairs = [(laws.dividends_penalty_classic(ctx, xs, b, theta, INF),
-                      laws.severity_absorbed(ctx, xs, b, theta)),
-                     (laws.parisian_dividends_penalty(pctx, xs, b, theta, INF),
-                      laws.parisian_severity(pctx, xs, b, theta))]
-            for got, want in pairs:
+            for c in (pctx.base, pctx):
+                z = c.Z(theta)
+                want = z(xs) - c.W(xs) / c.W(b) * z(b)
+                got = laws.severity(c, xs, b, theta, INF)
                 assert [float(v).hex() for v in got] == [float(v).hex() for v in want], theta
 
     @pytest.mark.parametrize("label", sorted(MODELS))
     def test_reflected_exit_laws_agree(self, label):
-        """severity_reflected is dividends_penalty at vartheta = 0, and gs_exit reflects
-        at b with the law's vartheta."""
+        """gs_exit reflects at b with the law's vartheta."""
         model, q, _ = MODELS[label]
         ctx, b = build_scale(model, q), 2.5
         xs = np.linspace(0.0, b, 101)
         for theta in (0.0, 0.7, 1.3, 4.0):
-            sev = laws.severity_reflected(ctx, xs, b, theta)
-            assert sev.tolist() == laws.dividends_penalty_classic(ctx, xs, b, theta, 0.0).tolist()
             for vartheta in (0.0, 0.4, 3.0):
-                want = laws.dividends_penalty_classic(ctx, xs, b, theta, vartheta)
+                want = laws.severity(ctx, xs, b, theta, vartheta)
                 got = laws.gs_exit(ctx, xs, b, Exponential(theta), vartheta)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -194,9 +190,28 @@ class TestClosedForms:
     @pytest.mark.parametrize("vartheta", [-1.0, math.nan])
     def test_vartheta_must_be_nonnegative(self, m1_q23, m1_par, vartheta):
         with pytest.raises(DomainError):
-            laws.dividends_penalty_classic(m1_q23, 0.5, 1.5, 1.0, vartheta)
+            laws.severity(m1_q23, 0.5, 1.5, 1.0, vartheta)
         with pytest.raises(DomainError):
-            laws.parisian_dividends_penalty(m1_par, 0.5, 1.5, 1.0, vartheta)
+            laws.severity(m1_par, 0.5, 1.5, 1.0, vartheta)
+
+
+class TestScalePair:
+    @pytest.mark.parametrize("label", sorted(MODELS))
+    def test_infinite_theta(self, label):
+        """theta = INF: the classical severity refuses it, up_exit on either context is the
+        two-sided exit of that context's W, and the Parisian Z is W_{q,r} itself."""
+        model, q, r = MODELS[label]
+        pctx = build_parisian(model, q, r)
+        b = 2.5
+        xs = np.array([0.0, 0.45, 1.7, b])
+        with pytest.raises(DomainError):
+            laws.severity(pctx.base, xs, b, INF)
+        for c in (pctx.base, pctx):
+            got = laws.up_exit(c, xs, b, INF)
+            want = laws.two_sided_exit(c, xs, 0.0, b)
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+            assert laws.up_exit(c, 0.45, b, INF) == laws.two_sided_exit(c, 0.45, 0.0, b)
+        assert pctx.Z(INF) is pctx.W and pctx.Z(INF, 1) is pctx.dW
 
 
 class TestParisianLimits:
@@ -204,17 +219,17 @@ class TestParisianLimits:
         pctx = build_parisian(m1, 2.0 / 3.0, 1e4)
         b = 1.5
         for x in (0.0, 0.5, 1.0):
-            up_p = laws.parisian_up_exit(pctx, x, b, INF)
+            up_p = laws.up_exit(pctx, x, b, INF)
             up_c = laws.two_sided_exit(m1_q23, x, 0.0, b)
             assert up_p == pytest.approx(up_c, rel=1e-3)
-            sev_p = laws.parisian_severity(pctx, x, b, 1.0)
-            sev_c = laws.severity_absorbed(m1_q23, x, b, 1.0)
+            sev_p = laws.severity(pctx, x, b, 1.0)
+            sev_c = laws.severity(m1_q23, x, b, 1.0)
             assert sev_p == pytest.approx(sev_c, rel=1e-3, abs=1e-6)
 
     def test_moderate_theta_z_limit(self, m1, m1_q23):
         pctx = build_parisian(m1, 2.0 / 3.0, 1e3)
         for x in (0.0, 0.8, 1.9):
-            assert parisian_Z_mix(pctx, 1.2)(x) == pytest.approx(
+            assert pctx.Z(1.2)(x) == pytest.approx(
                 build_gerber_shiu(m1_q23, Exponential(1.2))(x), rel=1e-2)
 
 
@@ -253,7 +268,7 @@ class TestOmegaFactorization:
         for pctx in (m1_par, m2_par):
             for b in (0.5, 1.3, 2.4):
                 for theta, vartheta in ((0.0, 0.0), (1.1, 0.7), (2.3, 0.0)):
-                    direct = laws.parisian_dividends_penalty(pctx, b, b, theta, vartheta)
+                    direct = laws.severity(pctx, b, b, theta, vartheta)
                     om = laws.omega(pctx, b)
                     z = build_gerber_shiu(pctx.base, Exponential(theta))
                     kappa = laplace_exponent(pctx.model, theta)

@@ -218,7 +218,7 @@ class TestAnalyticCrossChecks:
     def test_severity_absorbed(self, m1, m1_q23):
         cfg = m1_cfg(m1, x0=0.6, q=2.0 / 3.0, upper_barrier=1.5, lower="classical_absorb")
         est = mc.estimate(cfg, mc.Functional("severity", theta=1.0), n_paths=self.N, seed=12)
-        assert self.z_ok(est, laws.severity_absorbed(m1_q23, 0.6, 1.5, 1.0))
+        assert self.z_ok(est, laws.severity(m1_q23, 0.6, 1.5, 1.0))
 
     def test_dividends_until_ruin(self, m1):
         from parisian_scale import control as ctl
@@ -232,7 +232,7 @@ class TestAnalyticCrossChecks:
     def test_bailouts_to_level(self, m1, m1_q23):
         cfg = m1_cfg(m1, x0=0.6, q=2.0 / 3.0, upper_barrier=1.5, lower="classical_reflect")
         est = mc.estimate(cfg, mc.Functional("up_exit", theta=0.8), n_paths=self.N, seed=14)
-        assert self.z_ok(est, laws.bailouts_to_level(m1_q23, 0.6, 1.5, 0.8))
+        assert self.z_ok(est, laws.up_exit(m1_q23, 0.6, 1.5, 0.8))
 
     def test_time_in_red(self, m1, m1_q0):
         cfg = m1_cfg(m1, x0=0.5, q=0.0, lower="none", horizon=400.0,
@@ -245,13 +245,13 @@ class TestAnalyticCrossChecks:
         cfg = m1_cfg(m1, x0=0.6, q=2.0 / 3.0, upper_barrier=1.5, lower="parisian_absorb",
                      r=1.0 / 3.0)
         est = mc.estimate(cfg, mc.Functional("up_exit"), n_paths=self.N, seed=16)
-        assert self.z_ok(est, laws.parisian_up_exit(m1_par, 0.6, 1.5, INF))
+        assert self.z_ok(est, laws.up_exit(m1_par, 0.6, 1.5, INF))
 
     def test_parisian_severity(self, m1, m1_par):
         cfg = m1_cfg(m1, x0=0.6, q=2.0 / 3.0, upper_barrier=1.5, lower="parisian_absorb",
                      r=1.0 / 3.0)
         est = mc.estimate(cfg, mc.Functional("severity", theta=1.0), n_paths=self.N, seed=17)
-        assert self.z_ok(est, laws.parisian_severity(m1_par, 0.6, 1.5, 1.0))
+        assert self.z_ok(est, laws.severity(m1_par, 0.6, 1.5, 1.0))
 
     def test_parisian_dividend_value(self, m1, m1_par):
         from parisian_scale import control as ctl

@@ -20,7 +20,7 @@ from parisian_scale import (
     laplace_exponent,
 )
 from parisian_scale.errors import DomainError, QZero, UnsupportedPenalty
-from parisian_scale.scale import parisian_Z_mix, z_mix
+from parisian_scale.scale import z_mix
 
 GRID = [0.0, 0.1, 0.5, 1.0, 1.7, 2.5, 4.0]
 
@@ -58,7 +58,7 @@ class TestClosedForms:
     def test_m2_parisian_w(self, m2_par):
         for x in GRID:
             exact = (3 * math.exp(x) - math.exp(-x)) / 2
-            assert m2_par.Wqr(x) == pytest.approx(exact, rel=1e-12)
+            assert m2_par.W(x) == pytest.approx(exact, rel=1e-12)
 
     def test_m2_scriptS_is_scaled_sinh(self, m2_par):
         # r/(q+r) Zbar_1 = (3/4) sinh(x) since kappa'(0+) = 0
@@ -165,7 +165,7 @@ class TestRemovableSingularities:
                 for k in range(3, 10):
                     theta = rho + 10.0**-k
                     self.check(z_mix(pctx.base, theta), lambda x: want.base.Z(x, mp.mpf(theta)))
-                    self.check(parisian_Z_mix(pctx, theta), lambda x: want.Z(x, mp.mpf(theta)))
+                    self.check(pctx.Z(theta), lambda x: want.Z(x, mp.mpf(theta)))
 
     @pytest.mark.parametrize("label", sorted(MODELS))
     def test_at_and_next_to_phi_qr(self, label):
@@ -178,7 +178,7 @@ class TestRemovableSingularities:
             cases += [(star * (1 + sign * 10.0**-k),) * 2 for k in range(3, 10) for sign in (-1, 1)]
             for theta, at in cases:
                 self.check(z_mix(pctx.base, theta), lambda x: want.base.Z(x, mp.mpf(theta)))
-                self.check(parisian_Z_mix(pctx, theta), lambda x: want.Z(x, mp.mpf(at)))
+                self.check(pctx.Z(theta), lambda x: want.Z(x, mp.mpf(at)))
 
 
 class TestParisianFamily:
@@ -192,15 +192,15 @@ class TestParisianFamily:
         q, r = 2 / 3, 1 / 3
         for x in GRID:
             zq = m1_par.base.Z0(x)
-            wqr = m1_par.Wqr(x)
+            wqr = m1_par.W(x)
             expected = (r * zq + q * wqr) / (q + r)
-            assert parisian_Z_mix(m1_par, 0.0)(x) == pytest.approx(expected, rel=1e-12)
+            assert m1_par.Z(0.0)(x) == pytest.approx(expected, rel=1e-12)
 
     def test_removable_singularity_continuous(self, m1_par):
         star = m1_par.phi_qr
         x = 1.3
-        at = parisian_Z_mix(m1_par, star)(x)
-        near = parisian_Z_mix(m1_par, star + 1e-7)(x)
+        at = m1_par.Z(star)(x)
+        near = m1_par.Z(star + 1e-7)(x)
         assert at == pytest.approx(near, rel=1e-5)
 
     def test_x_derivative_closed_form(self, m1_par):
@@ -210,7 +210,7 @@ class TestParisianFamily:
         z_star = build_gerber_shiu(m1_par.base, Exponential(star))
         for x in (0.0, 0.9, 2.2):
             expected = q / (q + r) * star * z_star(x)
-            assert parisian_Z_mix(m1_par, 0.0, 1)(x) == pytest.approx(expected, rel=1e-12)
+            assert m1_par.Z(0.0, 1)(x) == pytest.approx(expected, rel=1e-12)
 
     def test_scriptS_derivatives(self, m1_par):
         q, r = 2 / 3, 1 / 3
@@ -232,10 +232,10 @@ class TestParisianFamily:
         pctx = build_parisian(m1, 2 / 3, 1e4)
         for x in (0.0, 0.8, 1.9):
             # W_{q,r} ~ (r / Phi_{q+r}) W_q, so ratios converge to W ratios
-            ratio = pctx.Wqr(x) / pctx.Wqr(2.5)
+            ratio = pctx.W(x) / pctx.W(2.5)
             assert ratio == pytest.approx(
                 m1_q23.W(x) / m1_q23.W(2.5), rel=2e-3)
-            assert parisian_Z_mix(pctx, 1.2)(x) == pytest.approx(
+            assert pctx.Z(1.2)(x) == pytest.approx(
                 build_gerber_shiu(m1_q23, Exponential(1.2))(x), rel=1e-2)
 
 
@@ -279,12 +279,12 @@ class TestGerberShiu:
     @pytest.mark.parametrize("theta", [-0.5, math.nan, 1e200])
     def test_theta_must_be_nonnegative(self, m1_par, theta):
         for make in (lambda: z_mix(m1_par.base, theta),
-                     lambda: parisian_Z_mix(m1_par, theta),
-                     lambda: parisian_Z_mix(m1_par, theta, 1),
+                     lambda: m1_par.Z(theta),
+                     lambda: m1_par.Z(theta, 1),
                      lambda: build_gerber_shiu(m1_par.base, Exponential(theta))):
             with pytest.raises(DomainError):
                 make()
-        assert parisian_Z_mix(m1_par, math.inf) is m1_par.Wqr
+        assert m1_par.Z(math.inf) is m1_par.W
 
 
 class TestOneBasis:
