@@ -99,3 +99,38 @@ def test_network_paths_arrays():
         "e9a82e7de212dc78e9c7bc0c8124ff8fefacbe860844e85a89cccf56a81f921a",
         "10b68f29d9219486616beff249249efaa3876092c04041096f69c3607e4f24d1",
     ]
+
+
+TWO_SUBS = ctl.NetworkSpec(subsidiaries=(
+    ctl.Subsidiary(premium=2.0, lam=1.0, phases=((1.0, 2.0),), retention=0.5),
+    ctl.Subsidiary(premium=3.0, lam=1.0, phases=((1.0, 2.0),), retention=0.25),
+), c0=1.0, q=0.5)
+THREE_SUBS = ctl.NetworkSpec(subsidiaries=(
+    ctl.Subsidiary(premium=2.0, lam=1.0, phases=((0.4, 1.0), (0.6, 3.0)), retention=0.5),
+    ctl.Subsidiary(premium=3.0, lam=0.5, phases=((0.7, 2.0), (0.3, 5.0)), retention=0.25),
+    ctl.Subsidiary(premium=2.5, lam=0.8, phases=((0.5, 1.5), (0.5, 4.0)), retention=0.4),
+), c0=0.9, q=0.3)
+
+# name -> (spec, u0, b, horizon, digests of direct, lemma, shortfall)
+NETWORK = {
+    "three-subsidiaries-two-phases": (THREE_SUBS, 0.4, 3.0, 40.0, (
+        "ced38261c94394374224f90ecb04187b0863fd5e6695487a8cbe1e24e4c2b5da",
+        "8f31d8f6ecb7227b88f3e6555230e31e1a45b461c879b5abbdd4afe6a9cb72c9",
+        "0372eab685101d4a4856f57f07902589736a1a73ff81e65849e4cfb14fb9bdad")),
+    "horizon-cuts-most": (TWO_SUBS, 1.0, 2.0, 0.5, (
+        "82392f3b481f8790e1f89bd14e9b4f472926d16918ed909fd14fcdec705a390d",
+        "55b335ed3b5b8e2bb0f8cfdbcdb92829d407a09d2f6f5c1e4913f2d6322edcc6",
+        "210769c317edea84e10cce04a74690d0942a6ce4700aedd4694c0044e6ef6e99")),
+    "start-at-barrier": (TWO_SUBS, 2.0, 2.0, 40.0, (
+        "e131d975502a2a6216fef589c5ca8c7249d8ed3520b174dc7b403a861aa1dc13",
+        "07b35d26e0490e40e2784c22f0fb3e14f16cc38c6353aadccd6fe455828380e7",
+        "d2b90f38fcab1df8683728ffee2bfd8800943157d60495fd7f477efafb14c446")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NETWORK))
+def test_network_paths_more_arrays(name):
+    spec, u0, b, horizon, expected = NETWORK[name]
+    arrays = mc.network_paths(spec, u0, b, horizon, N, 1)
+    assert tuple(hashlib.sha256(a.astype("<f8").tobytes()).hexdigest() for a in arrays) \
+        == expected
