@@ -5,13 +5,13 @@ every crossing, dividend accrual and discount factor on a segment has a
 closed form and the simulation is exact: disagreement with an analytic
 law implicates the formula, never a discretization step.
 
-Engine: each chunk of paths is advanced one event per step, and only the
-paths still running are carried, in path-index order, as the columns of
-one stacked state array (time, level, and the dividend, bailout,
-raw-bailout and red-time accumulators; `network_paths` carries its own
-rows the same way).  A path's finals are scattered into the chunk's
-record once, when it stops, and the stopped columns are dropped with one
-gather, so a step costs in proportion to the paths still alive.
+Engine: `estimate` and `network_paths` run each chunk on one loop,
+`_run_live`, which carries only the paths still running, in path-index
+order, as the columns of one stacked state array (last row: the path
+index).  A step advances them in place and returns the mask of those
+that stopped; their rows go into the chunk's record once and are dropped
+with one gather, so a step costs in proportion to the paths alive.  Both
+hold a level that meets the barrier b at b with `_to_barrier`.
 
 Reproducibility: paths are generated in fixed-size chunks, each chunk
 seeded by a Philox key (seed, chunk_index), with one draw per live path
@@ -70,8 +70,8 @@ ALIVE, UP, DOWN, HORIZON = 0, 1, 2, 3
 
 # rows of the live-path state in _simulate_chunk: time (the stop time once
 # stopped), level, the dividend, bailout, raw-bailout and red-time
-# accumulators, and last the path's index in the chunk
-_T, _X, _DIV, _BAIL, _BAIL_RAW, _RED, _IDX = range(7)
+# accumulators, and the stop cause
+_T, _X, _DIV, _BAIL, _BAIL_RAW, _RED, _CAUSE = range(7)
 
 _LOWER_MODES = ("none", "classical_absorb", "classical_reflect",
                 "parisian_absorb", "parisian_reflect")
@@ -165,6 +165,33 @@ def _disc_weight(q, t1, t2):
     return t2 - t1
 
 
+def _to_barrier(t, x, t_end, b, c):
+    """min(t_hit, t_end), with t_hit when x + c (s - t) meets b, and the level at t_end,
+    held at b from t_hit on (vectorized)."""
+    t_hit = np.where(x >= b, t, t + (b - x) / c)
+    return np.minimum(t_hit, t_end), np.where(t_end > t_hit, b, x + c * (t_end - t))
+
+
+def _run_live(rows, n, start, step) -> np.ndarray:
+    """The (rows, n) record of n paths run to their stop (see the module's "Engine:").
+
+    The state rows start at 0, or at start[row]; step(state) advances the live
+    columns in place and returns the mask of those that stopped.
+    """
+    state = np.zeros((rows + 1, n))
+    for row, value in start.items():
+        state[row] = value
+    state[rows] = np.arange(n)
+    rec = np.zeros((rows, n))
+    while state.shape[1]:
+        stop = step(state)
+        if stop.any():
+            done = state.compress(stop, axis=1)
+            rec[:, done[rows].astype(np.intp)] = done[:rows]
+            state = state.compress(~stop, axis=1)
+    return rec
+
+
 def _pick(rng, n, p):
     """n indices drawn with probabilities p, from one uniform u each.
 
@@ -205,13 +232,7 @@ def _stops(cfg: PathConfig) -> bool:
 
 
 def _simulate_chunk(cfg: PathConfig, n: int, rng) -> dict:
-    """Run n paths to their stop; return per-path accounting arrays.
-
-    Only the paths still running are carried, in path-index order, as the
-    columns of one stacked state array, so that dropping the stopped paths
-    is one gather; a path's finals are scattered into the record once, at
-    its stop.
-    """
+    """Run n paths to their stop on `_run_live`; return per-path accounting arrays."""
     m = cfg.model
     c, lam = m.c, m.lam
     q = cfg.q
@@ -227,14 +248,7 @@ def _simulate_chunk(cfg: PathConfig, n: int, rng) -> dict:
     absorb_down = cfg.lower.endswith("absorb")
     reflect_down = cfg.lower.endswith("reflect")
 
-    state = np.zeros((_IDX + 1, n))
-    state[_X] = cfg.x0
-    state[_IDX] = np.arange(n)
-    rec = np.zeros((_IDX, n))           # the state rows but the path index
-    cause = np.zeros(n, dtype=np.int8)
-    under = np.zeros(n)
-
-    while state.shape[1]:
+    def step(state):
         na = state.shape[1]
         t, x = state[_T], state[_X]
         if total_rate > 0:
@@ -254,13 +268,10 @@ def _simulate_chunk(cfg: PathConfig, n: int, rng) -> dict:
             t_zero = t - x / c
             state[_RED] += np.where(below, np.minimum(clipped, np.maximum(t_zero, t)) - t, 0.0)
 
-        up = None
         t_new = clipped
         if reflect_up:
-            t_hit = np.where(x >= b, t, t + (b - x) / c)
-            paying = np.minimum(t_hit, clipped)
+            paying, x_new = _to_barrier(t, x, clipped, b, c)
             state[_DIV] += c * _disc_weight(q, paying, clipped)
-            x_new = np.where(clipped > t_hit, b, x + c * (clipped - t))
         elif absorb_up:
             # the barrier sits above 0, so an up-stop never truncates red time
             t_hit = t + (b - x) / c
@@ -269,7 +280,9 @@ def _simulate_chunk(cfg: PathConfig, n: int, rng) -> dict:
             x_new = np.where(up, b, x + c * (clipped - t))
         else:
             x_new = x + c * (clipped - t)
-        stop = cut if up is None else cut | up
+        stop = cut | up if absorb_up else cut
+        # the cause if the path stops now: UP before HORIZON before DOWN
+        state[_CAUSE] = np.where(up, UP, DOWN + cut) if absorb_up else DOWN + cut
 
         # event at t2 for the paths still running
         if total_rate > 0:
@@ -291,20 +304,14 @@ def _simulate_chunk(cfg: PathConfig, n: int, rng) -> dict:
 
         state[_T] = t_new
         state[_X] = x_new
-        if stop.any():
-            ca = np.where(cut[stop], HORIZON, DOWN)
-            if up is not None:
-                ca = np.where(up[stop], UP, ca)
-            done = state.compress(stop, axis=1)
-            idx = done[_IDX].astype(np.intp)
-            rec[:, idx] = done[:_IDX]
-            cause[idx] = ca
-            under[idx] = np.where(ca == DOWN, done[_X], 0.0)
-            state = state.compress(~stop, axis=1)
+        return stop
 
+    rec = _run_live(_CAUSE + 1, n, {_X: cfg.x0}, step)
+    cause = rec[_CAUSE].astype(np.int8)
     return {
-        "cause": cause, "stop_t": rec[_T], "under": under, "div": rec[_DIV],
-        "bail": rec[_BAIL], "bail_raw": rec[_BAIL_RAW], "red": rec[_RED], "final": rec[_X],
+        "cause": cause, "stop_t": rec[_T], "under": np.where(cause == DOWN, rec[_X], 0.0),
+        "div": rec[_DIV], "bail": rec[_BAIL], "bail_raw": rec[_BAIL_RAW], "red": rec[_RED],
+        "final": rec[_X],
     }
 
 
@@ -325,23 +332,21 @@ def _functional_values(fn: Functional, rec: dict, q: float) -> np.ndarray:
     return np.exp(-fn.red_rate * rec["red"])      # time_in_red
 
 
-def _chunk_keys(seed: int, n_paths: int):
-    n_chunks = (n_paths + _CHUNK - 1) // _CHUNK
-    sizes = [_CHUNK] * (n_chunks - 1) + [n_paths - _CHUNK * (n_chunks - 1)]
-    return [(seed, i, sizes[i]) for i in range(n_chunks)]
-
-
 def _chunk_rng(seed: int, index: int):
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 
-def _map_chunks(run, keys) -> list:
-    """run(key) for every chunk key, on the worker threads, in index order."""
+def _map_chunks(simulate, seed: int, n_paths: int) -> list:
+    """simulate(size, rng) for each chunk of n_paths, chunk i on the Philox key (seed, i),
+    on the worker threads, in index order."""
+    def run(start):
+        return simulate(min(_CHUNK, n_paths - start), _chunk_rng(seed, start // _CHUNK))
+    starts = range(0, n_paths, _CHUNK)
     w = _workers()
     if w > 1:
         with ThreadPoolExecutor(max_workers=w) as ex:
-            return list(ex.map(run, keys))
-    return [run(k) for k in keys]
+            return list(ex.map(run, starts))
+    return [run(i) for i in starts]
 
 
 def _tail_bound(cfg: PathConfig, fn: Functional, T: float) -> float:
@@ -448,12 +453,10 @@ def estimate(cfg: PathConfig, fn: Functional, n_paths: int, seed: int = 0) -> MC
         cfg = replace(cfg, horizon=_sized_horizon(cfg, fn, n_paths, seed))
         tail = _tail_bound(cfg, fn, cfg.horizon)
 
-    def run(key):
-        s, i, size = key
-        rec = _simulate_chunk(cfg, size, _chunk_rng(s, i))
-        return _chunk_moments(_functional_values(fn, rec, cfg.q))
+    def simulate(n, rng):
+        return _chunk_moments(_functional_values(fn, _simulate_chunk(cfg, n, rng), cfg.q))
 
-    return _summary(_map_chunks(run, _chunk_keys(seed, n_paths)), n_paths, tail, cfg.horizon)
+    return _summary(_map_chunks(simulate, seed, n_paths), n_paths, tail, cfg.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -486,16 +489,13 @@ def network_paths(spec, u0: float, b: float, horizon: float | None,
     elif not horizon >= 0:
         raise DomainError(f"the horizon must be nonnegative, got {horizon}")
 
-    def run(key):
-        s, i, size = key
-        return _network_chunk(spec, u0, b, horizon, size, _chunk_rng(s, i))
-
-    parts = _map_chunks(run, _chunk_keys(seed, n_paths))
+    parts = _map_chunks(lambda n, rng: _network_chunk(spec, u0, b, horizon, n, rng),
+                        seed, n_paths)
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _network_chunk(spec, u0, b, horizon, n, rng):
-    """Run n network paths to ruin or the horizon, carrying the live ones only."""
+    """Run n network paths to ruin or the horizon on `_run_live`."""
     subs = spec.subsidiaries
     q = spec.q
     gamma = spec.gamma
@@ -509,13 +509,10 @@ def _network_chunk(spec, u0, b, horizon, n, rng):
     p_sub = lams / lam_tot
     sum_c = float(cs.sum())
 
-    # live-path rows: level, time, the three outputs, and the path index
-    U, TIME, DIRECT, LEMMA, SHORT, IDX = range(6)
-    state = np.zeros((6, n))
-    state[U] = u0
-    state[IDX] = np.arange(n)
-    out = np.zeros((3, n))
-    while state.shape[1]:
+    # live-path rows: level, time and the three outputs
+    U, TIME, DIRECT, LEMMA, SHORT = range(5)
+
+    def step(state):
         na = state.shape[1]
         dt = rng.standard_exponential(na) * (1.0 / lam_tot)
         which = _pick(rng, na, p_sub) if len(subs) > 1 else np.zeros(na, dtype=int)
@@ -530,11 +527,9 @@ def _network_chunk(spec, u0, b, horizon, n, rng):
         ended = ta + dt > horizon
 
         # continuous part, split at the barrier hit
-        t_hit = np.where(ua >= b, ta, ta + (b - ua) / c0)
-        free_end = np.minimum(t_hit, t2)
+        free_end, u_pre = _to_barrier(ta, ua, t2, b, c0)
         w_free = _disc_weight(q, ta, free_end)
-        w_pin = _disc_weight(q, np.maximum(t_hit, ta), np.maximum(t2, t_hit))
-        w_pin = np.where(t2 > t_hit, w_pin, 0.0)
+        w_pin = _disc_weight(q, free_end, t2)
         # off the barrier: subsidiaries pay their excess premium;
         # on it: the CB routes c0 to dividends and targets freeze
         state[DIRECT] += (sum_c - gamma * c0) * w_free + (c0 + sum_c) * w_pin
@@ -543,7 +538,6 @@ def _network_chunk(spec, u0, b, horizon, n, rng):
             (c_tilde - gamma * c0 - (c_tilde - sum_c)) * w_free
             + (c0 + c_tilde - (c_tilde - sum_c)) * w_pin
         )
-        u_pre = np.where(t2 > t_hit, b, ua + c0 * (t2 - ta))
 
         # claim of subsidiary `which`: CB covers the ceded share
         live = ~ended
@@ -572,12 +566,10 @@ def _network_chunk(spec, u0, b, horizon, n, rng):
 
         state[TIME] = t2
         state[U] = u_post
-        dead = ended | ruined
-        if dead.any():
-            done = state.compress(dead, axis=1)
-            out[:, done[IDX].astype(np.intp)] = done[DIRECT:IDX]
-            state = state.compress(~dead, axis=1)
-    return out[0], out[1], out[2]
+        return ended | ruined
+
+    rec = _run_live(SHORT + 1, n, {U: u0}, step)
+    return rec[DIRECT], rec[LEMMA], rec[SHORT]
 
 
 def network_estimate(spec, u0: float, b: float, horizon: float | None = None,
