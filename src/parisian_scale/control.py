@@ -44,6 +44,11 @@ def _need_q(ctx):
         raise QZero("this barrier objective needs q > 0")
 
 
+def _need_cost(k):
+    if not math.isfinite(k):
+        raise DomainError(f"the bailout cost k must be finite, got {k}")
+
+
 class Barrier(NamedTuple):
     """Dividends at b net of S, V(x) = S(x) + W(x) (1 - S'(b)) / W'(b); S = None reads as 0.
     W and S are read on x >= 0, dW and dS at b only."""
@@ -86,6 +91,7 @@ def definetti(ctx: ScaleContext, penalty: PenaltySpec) -> Barrier:
 def slg_classic(ctx: ScaleContext, k: float) -> Barrier:
     """Dividends at b less k times the injections that reflect the surplus at 0."""
     _need_q(ctx)
+    _need_cost(k)
     q, p, brownian = ctx.q, ctx.model.drift, ctx.model.sigma2 > 0
     # W_q(0) = 0 exactly when sigma > 0, where the mixture leaves a residue of either sign
     return Barrier(ctx.Z0, lambda b: 0.0 if brownian and b == 0 else q * ctx.W(b),
@@ -102,6 +108,7 @@ def parisian_dividends(pctx: ParisianContext, theta: float) -> Barrier:
 def slg_parisian(pctx: ParisianContext, k: float) -> Barrier:
     """Dividends at b less k times the bailouts of Parisian reflection at 0."""
     _need_q(pctx)
+    _need_cost(k)
     return Barrier(pctx.Z(0.0), pctx.Z(0.0, 1),
                    lambda y: k * pctx.S(y), lambda y: k * pctx.dS(y))
 
@@ -267,6 +274,9 @@ class Subsidiary:
     phases: tuple
     retention: float
 
+    def __post_init__(self):
+        LevyModel(c=self.premium, lam=self.lam, phases=self.phases)   # its checks, once
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -279,6 +289,10 @@ class NetworkSpec:
     def __post_init__(self):
         if not 0 <= self.q < math.inf:
             raise DomainError(f"the discount rate q must be finite and nonnegative, got {self.q}")
+        if not 0 <= self.c0 < math.inf:
+            raise DomainError(f"the premium c0 must be finite and nonnegative, got {self.c0}")
+        if not sum(s.lam for s in self.subsidiaries) > 0:
+            raise DomainError("the subsidiaries' total claim rate must be positive")
         for s in self.subsidiaries:
             if not 0.0 < s.retention < 1.0:
                 raise RetentionOutOfRange(f"retention {s.retention} outside (0, 1)")

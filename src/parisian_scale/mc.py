@@ -131,6 +131,9 @@ class Functional:
     def __post_init__(self):
         if self.name not in _FUNCTIONALS:
             raise DomainError(f"unknown functional {self.name!r}")
+        # theta = inf stays: it weights any injection or undershoot by 0
+        if math.isnan(self.theta) or not (math.isfinite(self.k) and math.isfinite(self.red_rate)):
+            raise DomainError(f"need theta not NaN and a finite k and red_rate, got {self}")
 
 
 @dataclass(frozen=True)
@@ -315,14 +318,17 @@ def _simulate_chunk(cfg: PathConfig, n: int, rng) -> dict:
     }
 
 
+def _times(theta: float, v: np.ndarray) -> np.ndarray:
+    """theta v, and 0 where v = 0, so that theta = inf weights v = 0 by e^0 = 1."""
+    return np.multiply(theta, v, out=np.zeros_like(v), where=v != 0)
+
+
 def _functional_values(fn: Functional, rec: dict, q: float) -> np.ndarray:
-    cause, stop_t, under = rec["cause"], rec["stop_t"], rec["under"]
+    cause, stop_t = rec["cause"], rec["stop_t"]
     if fn.name == "up_exit":
-        w = np.exp(-q * stop_t - fn.theta * rec["bail_raw"]) if fn.theta != 0.0 \
-            else np.exp(-q * stop_t)
-        return np.where(cause == UP, w, 0.0)
+        return np.where(cause == UP, np.exp(-q * stop_t - _times(fn.theta, rec["bail_raw"])), 0.0)
     if fn.name == "severity":
-        return np.where(cause == DOWN, np.exp(-q * stop_t + fn.theta * under), 0.0)
+        return np.where(cause == DOWN, np.exp(-q * stop_t + _times(fn.theta, rec["under"])), 0.0)
     if fn.name == "dividends":
         return rec["div"]
     if fn.name == "bailouts":

@@ -74,6 +74,9 @@ class LevyModel:
     def __post_init__(self):
         phases = tuple((float(p), float(m)) for p, m in self.phases)
         object.__setattr__(self, "phases", phases)
+        # a NaN compares False everywhere, so it would pass every check below
+        if not all(map(math.isfinite, (self.c, self.sigma2, self.lam, *sum(phases, ())))):
+            raise ModelError("c, sigma2, lambda and the phase weights and rates must be finite")
         if self.sigma2 < 0:
             raise ModelError("sigma2 must be nonnegative")
         if self.lam < 0:

@@ -228,12 +228,18 @@ class Exponential:
     theta: float
 
 
+def _finite_coefficients(penalty):
+    if not all(map(math.isfinite, vars(penalty).values())):
+        raise DomainError(f"the penalty's coefficients must be finite, got {penalty}")
+
+
 @dataclass(frozen=True)
 class Linear:
     """w(x) = k x + K on x <= 0."""
 
     k: float
     K: float
+    __post_init__ = _finite_coefficients
 
 
 @dataclass(frozen=True)
@@ -241,6 +247,7 @@ class Constant:
     """w(x) = K on x <= 0."""
 
     K: float
+    __post_init__ = _finite_coefficients
 
 
 PenaltySpec = Exponential | Linear | Constant

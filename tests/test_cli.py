@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -316,6 +317,38 @@ class TestExitCodes:
     def test_nan_cost_is_one(self, capsys, model_path):
         assert main(["efficiency", "--model", model_path, "--q", "0.5", "--r", "0.5",
                      "--k", "nan"]) == 1
+        capsys.readouterr()
+        # and a non-finite cost in every objective and functional that reads one
+        for argv in (["value", "value_slg_classic", "--k", "nan"],
+                     ["value", "slg_parisian", "--k", "nan"],
+                     ["value", "slg_parisian", "--k", "inf"],
+                     ["value", "value_definetti", "--K", "nan"],
+                     ["value", "value_definetti", "--k", "inf"],
+                     ["simulate", "slg_value", "--k", "nan", "--x", "0.5", "--paths", "100"]):
+            grid = ["--x-grid", "0:1:3"] if argv[0] == "value" else []
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([*argv, "--model", model_path, "--q", "0.5", "--r", "0.5",
+                             "--b", "1", *grid]) == 1, argv
+            assert capsys.readouterr().err.count("\n") == 1, argv
+
+    def test_zero_q_efficiency_is_one(self, capsys, model_path):
+        assert main(["efficiency", "--model", model_path, "--q", "0", "--r", "0.5"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["bailouts_to_level", "parisian_severity"])
+    def test_simulate_infinite_theta(self, capsys, model_path, name):
+        """exp(-theta L) is 1 wherever L = 0, also at theta = inf: no NaN and no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, ["simulate", name, "--model", model_path, "--q", "0.5",
+                                     "--r", "1", "--x", "0.5", "--b", "1", "--theta", "inf",
+                                     "--paths", "20000"])
+        assert code == 0 and capsys.readouterr().err == ""
+        got = json.loads(out)
+        assert abs(got["z_score"]) < 4 and math.isfinite(got["mean"]), got
+        if name == "bailouts_to_level":
+            assert got["analytic"] == pytest.approx(0.63526, abs=1e-5)
 
     def test_negative_q_is_one(self, capsys, model_path):
         assert main(["scale", "--model", model_path, "--q", "-1", "--x-grid", "0:1:2"]) == 1

@@ -349,6 +349,13 @@ class TestEfficiency:
             # phi - r/c over phi - (q + r)/c, differences in floats, is off by up to 2.3e-13 here
             assert got == pytest.approx(mp_threshold(model, q, r), rel=2e-15, abs=0), (model, q, r)
 
+    @pytest.mark.parametrize("q,r", [(0.5, 0.25), (1.0, 3.0), (0.05, 40.0)])
+    def test_threshold_with_sigma_matches_mpmath(self, m2, mp_threshold, q, r):
+        """With a Brownian part W_{q,r}(0) = 0, and the threshold is 1 + q/r."""
+        for model in (m2, M3):
+            got = ctl.efficiency_index(build_parisian(model, q, r))
+            assert got == pytest.approx(mp_threshold(model, q, r), rel=1e-15, abs=0), model
+
     def test_infinite_cost_efficient_at_an_infinite_threshold(self):
         # without claims phi_{q+r} = (q+r)/c: the denominator is 0, and no cost is too high
         pctx = build_parisian(LevyModel(c=1.0), 0.5, 1.0)
@@ -362,6 +369,22 @@ class TestEfficiency:
         model, q, r = m1_par_sym.model, m1_par_sym.q, m1_par_sym.r
         restored = ctl.efficiency_index(build_parisian(model, q + extra, r))
         assert restored == pytest.approx(k, rel=1e-7)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_non_finite_cost_is_refused(m1, k):
+    """Not a NaN row, nor a b* at b_max with G = -inf reported as an optimum."""
+    ctx = build_scale(m1, 0.5)
+    with pytest.raises(DomainError):
+        ctl.slg_classic(ctx, k)
+    with pytest.raises(DomainError):
+        ctl.slg_parisian(build_parisian(m1, 0.5, 1.0), k)
+    with pytest.raises(DomainError):
+        ctl.optimize_barrier(make_slg_G(ctx, k), 8.0)
+    with pytest.raises(DomainError):
+        ctl.definetti(ctx, Linear(k, 0.2))
+    with pytest.raises(DomainError):
+        Constant(k)
 
 
 class TestNetwork:

@@ -17,7 +17,7 @@ from parisian_scale import (
     laplace_exponent,
     laws,
 )
-from parisian_scale.errors import DomainError, NonpositiveDrift
+from parisian_scale.errors import DomainError, NonpositiveDrift, QZero
 from test_closed_form_golden import MODELS
 from test_scale import _reference
 
@@ -38,6 +38,12 @@ class TestFundamentalIdentity:
         assert laws.two_sided_exit(m1_q23, b, 0.0, b) == pytest.approx(1.0)
         assert laws.severity(m1_q23, b, b, 0.8) == pytest.approx(0.0, abs=1e-14)
         assert laws.up_exit(m1_q23, b, b, 0.8) == pytest.approx(1.0)
+
+
+def test_severity_infinite_at_zero_q_and_drift_is_refused(m1):
+    """q = 0 and a nonnegative drift put Phi_q at 0, where the law is a limit."""
+    with pytest.raises(QZero):
+        laws.severity_infinite(build_scale(m1, 0.0), 0.5, 1.0)
 
 
 def test_severity_infinite_next_to_phi_q(m1):

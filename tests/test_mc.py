@@ -45,6 +45,16 @@ class TestConstruction:
         with pytest.raises(DomainError):
             mc.Functional("dividendz")
 
+    @pytest.mark.parametrize("kw", [{"theta": math.nan}, {"k": math.nan}, {"k": math.inf},
+                                    {"red_rate": math.nan}, {"red_rate": -math.inf}])
+    def test_non_finite_functional_refused(self, kw):
+        with pytest.raises(DomainError):
+            mc.Functional("slg", **kw)
+
+    def test_infinite_theta_and_negative_k_stay(self):
+        assert mc.Functional("up_exit", theta=math.inf).theta == math.inf
+        assert mc.Functional("slg", k=-2.0).k == -2.0
+
     def test_needs_a_path(self, m1):
         cfg = m1_cfg(m1, x0=0.5, q=0.5, upper_barrier=1.5, lower="classical_absorb")
         with pytest.raises(DomainError):
@@ -135,6 +145,15 @@ class TestStopping:
                             upper_mode=upper, lower=lower,
                             r=1.0 if lower.startswith("parisian") else 0.0)
         assert mc._stops(cfg) is stops
+
+
+def test_no_claims_path_reaches_the_barrier_on_time():
+    """Without claims every path rises at rate c and is absorbed at b at time (b - x)/c."""
+    x, b, q = 0.3, 1.7, 0.8
+    cfg = mc.PathConfig(model=LevyModel(c=1.0), x0=x, q=q, upper_barrier=b)
+    est = mc.estimate(cfg, mc.Functional("up_exit"), 1000, seed=3)
+    assert est.mean == pytest.approx(math.exp(-q * (b - x) / 1.0), rel=1e-14, abs=0)
+    assert est.std_error == 0.0
 
 
 class TestDeterminism:

@@ -39,6 +39,30 @@ class TestModelValidation:
         with pytest.raises(ModelError):
             LevyModel(c=0.0, sigma2=0.0, lam=1.0, phases=((1.0, 1.0),))
 
+    @pytest.mark.parametrize("field,value", [
+        ("c", math.inf), ("c", math.nan), ("sigma2", math.nan), ("sigma2", math.inf),
+        ("lam", math.nan), ("lam", math.inf), ("weight", math.nan), ("rate", math.nan),
+        ("rate", math.inf),
+    ])
+    def test_non_finite_field_rejected(self, field, value):
+        """A NaN compares False, so without this check NaN claims would never ruin a path."""
+        kw = {"c": 1.0, "sigma2": 0.0, "lam": 1.0, "weight": 1.0, "rate": 2.0, field: value}
+        with pytest.raises(ModelError, match="finite"):
+            LevyModel(c=kw["c"], sigma2=kw["sigma2"], lam=kw["lam"],
+                      phases=((kw["weight"], kw["rate"]),))
+
+    @pytest.mark.parametrize("field", ["lambda", "sigma2", "c", "weight", "rate"])
+    def test_non_finite_field_in_a_file_names_it(self, capsys, tmp_path, field):
+        from parisian_scale.cli import main
+        raw = {"c": 1.0, "lambda": 1.0, "phases": [{"weight": 1.0, "rate": 2.0}]}
+        at = raw["phases"][0] if field in ("weight", "rate") else raw
+        at[field] = math.inf if field == "c" else math.nan
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(raw))
+        assert main(["scale", "--model", str(p), "--q", "0.5", "--x-grid", "0:1:3"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(p) in err and "finite" in err, err
+
     def test_drift_mean(self, m1):
         assert m1.drift == pytest.approx(0.5)
 

@@ -53,6 +53,24 @@ class TestPathIdentity:
             mc.network_paths(spec, u0=1.0, b=2.0, horizon=10.0, n_paths=10, seed=0)
 
 
+def _set_sub(key, value, phase=False):
+    def change(raw):
+        sub = raw["subsidiaries"][0]
+        (sub["phases"][0] if phase else sub)[key] = value
+    return change
+
+
+# network specs that give a wrong value, a traceback or no end unless refused
+BAD_SPECS = {
+    "negative-lambda": _set_sub("lambda", -1.0),
+    "negative-rate": _set_sub("rate", -2.0, phase=True),
+    "weights-sum-to-0.3": _set_sub("weight", 0.3, phase=True),
+    "negative-c0": lambda raw: raw.update(c0=-1.0),
+    "no-claims": lambda raw: [s.update({"lambda": 0.0}) for s in raw["subsidiaries"]],
+    "nan-lambda": _set_sub("lambda", float("nan")),
+}
+
+
 class TestDomain:
     @pytest.mark.parametrize("q,u0,b", [
         (0.5, "math.nan", 2.0), (0.5, 1.0, "math.inf"), (0.5, 1.0, "math.nan"),
@@ -74,6 +92,32 @@ class TestDomain:
         )
         done = python_child(["-c", script])
         assert done.stdout.strip() == "refused", done.stderr
+
+    @pytest.mark.parametrize("name", sorted(BAD_SPECS))
+    def test_refuses_a_spec_it_cannot_simulate(self, python_child, tmp_path, name):
+        """In the library and in `network` (exit 1, one stderr line); "nan-lambda" never
+        ended unrefused, so each runs in a child process."""
+        raw = {"c0": 1.0, "q": 0.5, "subsidiaries": [
+            {"c": 2.0, "lambda": 1.0, "alpha": 0.5, "phases": [{"weight": 1.0, "rate": 2.0}]},
+            {"c": 3.0, "lambda": 1.0, "alpha": 0.25, "phases": [{"weight": 1.0, "rate": 2.0}]}]}
+        BAD_SPECS[name](raw)
+        p = tmp_path / "net.json"
+        p.write_text(json.dumps(raw))
+        script = (
+            "import sys\n"
+            "from parisian_scale import cli, mc\n"
+            "from parisian_scale.errors import ParisianScaleError\n"
+            "try:\n"
+            f"    spec = cli.load_json({str(p)!r}, cli._network_spec)\n"
+            "    mc.network_estimate(spec, 1.0, 2.0, n_paths=100)\n"
+            "except ParisianScaleError:\n"
+            "    print('refused')\n"
+            f"sys.exit(cli.main(['network', '--spec', {str(p)!r}, '--u0', '1', '--b', '2', "
+            "'--paths', '100']))\n"
+        )
+        done = python_child(["-c", script])
+        assert done.stdout.strip() == "refused", done.stderr
+        assert done.returncode == 1 and done.stderr.count("\n") == 1, done.stderr
 
     def test_cli_nan_u0_is_one(self, python_child, tmp_path):
         p = tmp_path / "net.json"
