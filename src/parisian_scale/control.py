@@ -275,7 +275,7 @@ class Subsidiary:
     retention: float
 
     def __post_init__(self):
-        LevyModel(c=self.premium, lam=self.lam, phases=self.phases)   # its checks, once
+        LevyModel(c=self.premium, lam=self.lam, phases=self.phases)   # refuse what it refuses
 
 
 @dataclass(frozen=True)

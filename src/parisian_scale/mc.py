@@ -284,7 +284,7 @@ def _simulate_chunk(cfg: PathConfig, n: int, rng) -> dict:
         else:
             x_new = x + c * (clipped - t)
         stop = cut | up if absorb_up else cut
-        # the cause if the path stops now: UP before HORIZON before DOWN
+        # the cause if the path stops now: UP, else HORIZON = DOWN + 1 if cut, else DOWN
         state[_CAUSE] = np.where(up, UP, DOWN + cut) if absorb_up else DOWN + cut
 
         # event at t2 for the paths still running
