@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from .errors import DomainError, ParisianScaleError
+from .errors import DomainError, ModelError, ParisianScaleError
 from .model import LevyModel, load_json, read_field
 from . import control, mc, scale, table
 
@@ -127,16 +128,27 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _network_spec(raw) -> control.NetworkSpec:
-    subs = tuple(
-        control.Subsidiary(
-            premium=read_field(s, "c"), lam=read_field(s, "lambda"),
+def _subsidiary(i: int, raw) -> control.Subsidiary:
+    """Subsidiary i of a network spec; a refusal names i and the spec's field."""
+    try:
+        c, lam = read_field(raw, "c"), read_field(raw, "lambda")
+        if not 0 < c < math.inf:
+            raise ModelError(f"field 'c' must be finite and positive, got {c}")
+        if not 0 <= lam < math.inf:
+            raise ModelError(f"field 'lambda' must be finite and nonnegative, got {lam}")
+        return control.Subsidiary(
+            premium=c, lam=lam,
             phases=tuple((read_field(p, "weight"), read_field(p, "rate"))
-                         for p in read_field(s, "phases", kind=list)),
-            retention=read_field(s, "alpha"),
+                         for p in read_field(raw, "phases", kind=list)),
+            retention=read_field(raw, "alpha"),
         )
-        for s in read_field(raw, "subsidiaries", kind=list)
-    )
+    except ModelError as exc:
+        raise ModelError(f"subsidiary {i}: {exc}") from None
+
+
+def _network_spec(raw) -> control.NetworkSpec:
+    subs = tuple(_subsidiary(i, s)
+                 for i, s in enumerate(read_field(raw, "subsidiaries", kind=list)))
     return control.NetworkSpec(subsidiaries=subs, c0=read_field(raw, "c0"),
                                q=read_field(raw, "q"))
 

@@ -2,7 +2,8 @@
 
 Each barrier objective is a ``Barrier`` row (W, W', S, S'): the dividends at
 b net of S, V(x) = S(x) + W(x) (1 - S'(b)) / W'(b) on [0, b] and
-x - b + V(b) above b, with the barrier function G(b) = (1 - S'(b)) / W'(b).
+x - b + V(b) above b, with the barrier function G(b) = (1 - S'(b)) / W'(b),
+whose S'(b) and W'(b) are two rows of one e^{rho b}.
 The makers ``definetti``, ``slg_classic``, ``parisian_dividends`` and
 ``slg_parisian`` give the rows; ``parisian_bailouts`` is the exit law of S.
 Also here: the last-global-maximum optimizer, the efficiency threshold
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .errors import (
     QZero,
     RetentionOutOfRange,
 )
+from .expmix import ExpMix, Stack
 from .laws import exit_law
 from .model import LevyModel, phi
 from .scale import (
@@ -31,7 +34,6 @@ from .scale import (
     ParisianContext,
     PenaltySpec,
     ScaleContext,
-    _memo,
     build_gerber_shiu,
     piecewise,
 )
@@ -49,19 +51,34 @@ def _need_cost(k):
         raise DomainError(f"the bailout cost k must be finite, got {k}")
 
 
-class Barrier(NamedTuple):
-    """Dividends at b net of S, V(x) = S(x) + W(x) (1 - S'(b)) / W'(b); S = None reads as 0.
-    W and S are read on x >= 0, dW and dS at b only."""
+@dataclass(frozen=True, eq=False)
+class Barrier:
+    """Dividends at b net of k S, V(x) = k S(x) + W(x) (1 - S'(b)) / W'(b); S = None reads as 0.
+
+    W and S are read on x >= 0.  S'(b) = k dS(b) and W'(b) = q dW(b) are read at b only,
+    from the mixtures dS and dW, rows on one basis that ``G`` evaluates from one e^{rho b};
+    with dW0_zero, W'(0) reads as exactly 0 (W_q(0) = 0 when sigma > 0, where its mixture
+    leaves a residue of either sign).
+    """
 
     W: Callable
-    dW: Callable
+    dW: ExpMix
     S: Callable | None = None
-    dS: Callable | None = None
+    dS: ExpMix | None = None
+    k: float = 1.0
+    q: float = 1.0
+    dW0_zero: bool = False
+
+    _rows = cached_property(lambda self: Stack((self.dW,) if self.dS is None
+                                               else (self.dW, self.dS)))
 
     def _slope(self, b):
         if not 0 <= b < math.inf:
             raise DomainError(f"need a finite b >= 0, got b={b}")
-        return (1.0 if self.dS is None else 1.0 - self.dS(b)), self.dW(b)
+        rows = self._rows(b).tolist()
+        # the factors multiply the rows' sums; k = q = 1 reads each sum as it is
+        num = 1.0 if self.dS is None else 1.0 - self.k * rows[1]
+        return num, 0.0 if self.dW0_zero and b == 0 else self.q * rows[0]
 
     def G(self, b: float) -> float:
         """(1 - S'(b)) / W'(b); where W'(b) = 0 (b = 0, sigma > 0), its limit as b -> 0+."""
@@ -78,7 +95,7 @@ class Barrier(NamedTuple):
 
         def inside(y):
             v = self.W(y) * num / den
-            return v if self.S is None else self.S(y) + v
+            return v if self.S is None else self.k * self.S(y) + v
         return piecewise(x, np.asarray(x) <= b, inside, lambda y: y - b + inside(b))
 
 
@@ -92,10 +109,9 @@ def slg_classic(ctx: ScaleContext, k: float) -> Barrier:
     """Dividends at b less k times the injections that reflect the surplus at 0."""
     _need_q(ctx)
     _need_cost(k)
-    q, p, brownian = ctx.q, ctx.model.drift, ctx.model.sigma2 > 0
-    # W_q(0) = 0 exactly when sigma > 0, where the mixture leaves a residue of either sign
-    return Barrier(ctx.Z0, lambda b: 0.0 if brownian and b == 0 else q * ctx.W(b),
-                   lambda y: k * (ctx.Zbar(y) + p / q), lambda y: k * ctx.Z0(y))
+    q, p = ctx.q, ctx.model.drift
+    return Barrier(ctx.Z0, ctx.W, lambda y: ctx.Zbar(y) + p / q, ctx.Z0, k=k, q=q,
+                   dW0_zero=ctx.model.sigma2 > 0)
 
 
 def parisian_dividends(pctx: ParisianContext, theta: float) -> Barrier:
@@ -109,8 +125,7 @@ def slg_parisian(pctx: ParisianContext, k: float) -> Barrier:
     """Dividends at b less k times the bailouts of Parisian reflection at 0."""
     _need_q(pctx)
     _need_cost(k)
-    return Barrier(pctx.Z(0.0), pctx.Z(0.0, 1),
-                   lambda y: k * pctx.S(y), lambda y: k * pctx.dS(y))
+    return Barrier(pctx.Z(0.0), pctx.Z(0.0, 1), pctx.S, pctx.dS, k=k)
 
 
 def parisian_bailouts(pctx: ParisianContext, x, b: float, vartheta: float):
@@ -135,9 +150,14 @@ def barrier_function(
     """G(b) of the row of kind "deFinetti_classic" (pass `penalty`), "SLG_classic" or
     "SLG_parisian" (pass the cost `k`; ctx a ParisianContext); its last global max is b*.
     The row is built once per (kind, k, penalty) and kept in the context."""
-    if kind not in _ROWS:
-        raise DomainError(f"unknown barrier function kind {kind!r}")
-    return _memo(ctx, ("barrier", kind, k, penalty), lambda: _ROWS[kind](ctx, k, penalty)).G(b)
+    # a solve reads the row once per G call, so a hit makes no closure and no call
+    key = ("barrier", kind, k, penalty)
+    row = ctx._memo.get(key)
+    if row is None:
+        if kind not in _ROWS:
+            raise DomainError(f"unknown barrier function kind {kind!r}")
+        row = ctx._memo[key] = _ROWS[kind](ctx, k, penalty)
+    return row.G(b)
 
 
 @dataclass(frozen=True)
@@ -162,10 +182,11 @@ def optimize_barrier(G, b_max: float, n_grid: int = 1000, tol: float = 1e-8) -> 
                           f" got {b_max}, {n_grid}, {tol}")
     bs = [b_max * i / n_grid for i in range(n_grid + 1)]
     vals = [G(b) for b in bs]
-    if any(math.isnan(v) for v in vals) or not any(vals[1:]):
+    if any(map(math.isnan, vals)) or not any(vals[1:]):
         raise NoSolution(f"the grid on [0, {b_max}] does not resolve the barrier function:"
                          " it is NaN or 0 past b = 0; shrink the search interval")
-    best = max(range(len(bs)), key=lambda i: (vals[i], i))
+    # the last index of the maximum (0.0 and -0.0 tie, as == has them)
+    best = n_grid - vals[::-1].index(max(vals))
     if best == len(bs) - 1 and vals[-1] > vals[-2]:
         raise NoSolution(
             f"barrier function still increasing at b_max={b_max}; enlarge the search interval"

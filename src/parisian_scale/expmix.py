@@ -8,8 +8,10 @@ rate 0, where a given rate of exactly 0 serves as the 1.  The weights w are a
 row on it, and every mixture made from it is another row on the same ``rho``
 and ``k`` arrays: ``derivative``, ``antiderivative``, ``scaled``, ``+`` and
 ``-`` are array maps on w, exact up to rounding, and no term is ever appended.
-``__call__``, the one evaluator, takes a whole array of x (a scalar x comes
-back as a float) and skips zero weights: 0 * e^{rho x} never overflows to NaN.
+The one evaluator is a :class:`Stack` of rows on one basis, which forms
+e^{rho x} once for all of them; ``ExpMix.__call__`` is its one-row case.  It
+takes a whole array of x (a scalar x comes back as a float) and skips zero
+weights: 0 * e^{rho x} never overflows to NaN.
 """
 
 from __future__ import annotations
@@ -56,25 +58,12 @@ class ExpMix:
         """The mixture with weights w on this basis."""
         return ExpMix(np.asarray(w, dtype=float), self.rho, self.k, self.one)
 
-    @cached_property
-    def _live(self):
-        live = self.w != 0
-        return self.w[live], self.rho[live], self.k[live]
+    _stack = cached_property(lambda self: Stack((self,)))
 
     def __call__(self, x):
         """Evaluate at real x (scalar or array)."""
-        x = np.asarray(x, dtype=float)
-        xs = x.reshape(1, -1)
-        w, rho, k = self._live
-        if not w.size:
-            return 0.0 if x.ndim == 0 else np.zeros(x.shape)
-        coef = w[:, None]
-        if k.any():
-            coef = coef * xs ** k[:, None]
-        # sequential sum over the terms, so a point's value does not depend on the grid
-        # it is evaluated in (np.cumsum's ufunc, without its wrapper's cost per call)
-        val = np.add.accumulate(coef * np.exp(rho[:, None] * xs), axis=0)[-1]
-        return float(val[0]) if x.ndim == 0 else val.reshape(x.shape)
+        val = self._stack(x)[0]
+        return float(val) if val.ndim == 0 else val
 
     def derivative(self) -> "ExpMix":
         """d/dx, exact: e^{rho x} -> rho e^{rho x}, x -> 1 and x^2 -> 2x."""
@@ -115,3 +104,75 @@ class ExpMix:
 
     def __sub__(self, other: "ExpMix") -> "ExpMix":
         return self + other.scaled(-1.0)
+
+
+class Stack:
+    """Rows on one basis, evaluated together from one e^{rho x}.
+
+    The layout is made once: the live terms (where some row has a nonzero weight), the
+    weights of the rows that have one, stacked term by term, and whether a live term
+    carries a power of x; a row with no live term reads +0.0.  Each row is summed over the
+    live terms in basis order, and its zero weight on another row's live term stands in
+    that sum as -0.0, which leaves every sum as it is: at every finite x a row of a stack
+    is, bit for bit, its own one-row value.  On the 1, e^{0 x} = 1, the -0.0 is a weight;
+    on any other term the product is never formed, since 0 * inf is NaN where e^{rho x}
+    or x^k overflows.
+    """
+
+    def __init__(self, rows):
+        basis, *others = rows
+        live = basis.w != 0
+        for row in others:
+            if row.rho is not basis.rho:
+                raise ValueError("the mixtures are rows on different bases")
+            live = live | (row.w != 0)
+        w = np.array([row.w[live] for row in rows]).T      # (live terms, rows)
+        rho, k = basis.rho[live][:, None], basis.k[live][:, None]
+        self.rows, self.size = len(rows), w.shape[0]
+        # x and x^2 are the last terms of a basis, so a live power is the last live term
+        self.power = self.size > 0 and bool(k[-1, 0])
+        self.dense = self.every = True
+        if self.rows > 1:       # a lone row has a nonzero weight on each of its live terms
+            zero = w == 0
+            self.some = ~zero.all(axis=0)
+            self.every = bool(self.some.all())
+            if not self.every:
+                w, zero = w[:, self.some], zero[:, self.some]
+            w[zero] = -0.0
+            zero[(rho[:, 0] == 0) & (k[:, 0] == 0)] = False     # on the 1, -0.0 is a weight
+            self.dense = not zero.any()
+            self._masks = (~zero, ~zero[..., None])
+        if self.power:
+            # each row's x^k on its own (live terms, points) table, as its own call forms
+            # it: numpy's power can round x^2 differently on another table
+            self._powers = [(at, k[at]) for at in map(np.flatnonzero, (w != 0).T)]
+        # the layout for a scalar x, and for a flat array of x
+        self._layout = ((w, rho), (w[..., None], rho[..., None]))
+
+    def __call__(self, x):
+        """The rows at real x (scalar or array), an array of shape (rows,) + x.shape."""
+        x = np.asarray(x, dtype=float)
+        if not self.size:
+            return np.zeros((self.rows,) + x.shape)
+        grid = x.ndim > 0
+        w, rho = self._layout[grid]
+        xs = x.reshape(-1) if x.ndim > 1 else x
+        e = np.exp(rho * xs)
+        if self.power:
+            pk = np.ones(w.shape[:2] + xs.shape)
+            for row, (at, k) in enumerate(self._powers):
+                pk[at, row] = (x.reshape(1, -1) ** k).reshape(at.shape + xs.shape)
+        if self.dense:
+            terms = (w * pk if self.power else w) * e
+        else:
+            mask = self._masks[grid]
+            terms = np.full(w.shape[:2] + xs.shape, -0.0)
+            coef = np.multiply(w, pk, where=mask, out=terms) if self.power else w
+            np.multiply(coef, e, where=mask, out=terms)
+        # sequential sum over the terms, so a point's value does not depend on the grid
+        # it is evaluated in (np.cumsum's ufunc, without its wrapper's cost per call)
+        val = np.add.accumulate(terms, axis=0)[-1]
+        if not self.every:
+            val, sums = np.zeros((self.rows,) + xs.shape), val
+            val[self.some] = sums
+        return val if x.ndim < 2 else val.reshape((self.rows,) + x.shape)

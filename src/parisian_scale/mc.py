@@ -170,8 +170,9 @@ def _disc_weight(q, t1, t2):
 
 def _to_barrier(t, x, t_end, b, c):
     """min(t_hit, t_end), with t_hit when x + c (s - t) meets b, and the level at t_end,
-    held at b from t_hit on (vectorized)."""
-    t_hit = np.where(x >= b, t, t + (b - x) / c)
+    held at b from t_hit on (vectorized).  With c = 0 (a central branch without premium)
+    a level below b never meets it: t_hit = inf."""
+    t_hit = np.where(x >= b, t, t + ((b - x) / c if c > 0 else math.inf))
     return np.minimum(t_hit, t_end), np.where(t_end > t_hit, b, x + c * (t_end - t))
 
 

@@ -75,12 +75,31 @@ class TestOptimizer:
         NaN on a 1e308-wide one, whose points b_max * i overflow."""
         ctx = build_scale(m1, 0.1)
         G = lambda b: ctl.barrier_function("deFinetti_classic", ctx, b, penalty=Constant(0.0))
-        with pytest.raises(NoSolution):
+        with pytest.raises(NoSolution), pytest.warns(RuntimeWarning, match="overflow"):
             ctl.optimize_barrier(G, 1e300)
         with pytest.raises(DomainError):
             ctl.optimize_barrier(G, 1e308)
         with pytest.raises(NoSolution):
             ctl.optimize_barrier(lambda b: math.nan if b > 1.0 else -b, 5.0)
+
+    def test_hands_G_one_float_per_call(self, m1):
+        """Grid points and refinement points alike: one Python float per G call, so a
+        solve's G calls count its points."""
+        ctx = build_scale(m1, 0.1)
+        seen = []
+
+        def G(b):
+            seen.append(b)
+            return ctl.barrier_function("deFinetti_classic", ctx, b)
+        ctl.optimize_barrier(G, 8.0)
+        assert len(seen) > 1001 and {type(b) for b in seen} == {float}
+
+    def test_ties_go_to_the_larger_b(self):
+        """The last index of the grid maximum, 0.0 and -0.0 tying: the plateau of 0.0 on
+        [0, 1) and -0.0 on [1, 2] ends at 2."""
+        G = lambda b: (0.0 if b < 1.0 else -0.0) if b <= 2.0 else 2.0 - b
+        sol = ctl.optimize_barrier(G, 4.0, n_grid=40)
+        assert sol.b_star == pytest.approx(2.0, abs=1e-6) and not sol.is_boundary
 
     def test_rejects_bad_interval(self):
         with pytest.raises(DomainError):

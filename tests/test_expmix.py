@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from parisian_scale.expmix import ExpMix
+from parisian_scale.expmix import ExpMix, Stack
 
 
 def simple_mix(x2=0.0):
@@ -136,6 +137,78 @@ def term_loop(f, antiderivative):
             out[i] += w / rho
             out[one] += -(w / rho)
     return out
+
+
+def live_terms_value(f, x):
+    """Reference evaluation as one mixture alone: its live terms in basis order, each
+    (w x^k) e^{rho x}, summed one after the other, on the flat array of x."""
+    live = f.w != 0
+    w, rho, k = f.w[live], f.rho[live], f.k[live]
+    xs = np.asarray(x, dtype=float).reshape(1, -1)
+    if not w.size:
+        return np.zeros(xs.size)
+    coef = w[:, None] * xs ** k[:, None] if k.any() else w[:, None]
+    return np.add.accumulate(coef * np.exp(rho[:, None] * xs), axis=0)[-1]
+
+
+@st.composite
+def stacks(draw):
+    """One to three rows on one basis, with zero weights (of either sign) and x, x^2 terms."""
+    basis = draw(bases)
+    weight = st.sampled_from([0.0, -0.0]) | weights
+    return [basis.with_weights(draw(st.lists(weight, min_size=basis.w.size,
+                                             max_size=basis.w.size)))
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+def recorded(f):
+    """f(), and the set of warnings it gave."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = f()
+    return out, {(w.category, str(w.message)) for w in seen}
+
+
+# e^{3 x} overflows past x = 237 and e^{-3 x} below -237; x^2 overflows at 1e200
+OVERFLOWING = ExpMix.build([(1.0, 3.0), (1.0, -1.0)])
+points = (st.floats(min_value=-400.0, max_value=800.0)
+          | st.sampled_from([0.0, -0.0, 1e200, -1e200]))
+
+
+class TestStack:
+    @given(stacks(), st.lists(points, min_size=1, max_size=7))
+    # rows live on e^{3x} alone, on e^{-x} and the 1, on nothing, and on x and x^2 alone
+    @example([OVERFLOWING.with_weights(w)
+              for w in ([0.0, 2.0, 1.0, 0.0, 0.0], [1.5, 0.0, 0.0, 0.0, 0.0],
+                        [0.0] * 5, [0.0, -0.0, 0.0, 0.5, -0.25])],
+             [0.0, 300.0, -300.0, 1e200])
+    # -x reads -0.0 at x = 0, kept past the other row's 1 only by a -0.0 stand-in
+    @example([OVERFLOWING.with_weights(w) for w in ([0.0, 0.0, 1.0, 0.0, 0.0],
+                                                    [0.0, 0.0, 0.0, -1.0, 0.0])], [0.0])
+    # numpy's power rounds x^2 apart on a one-term table and on a two-term one
+    @example([OVERFLOWING.with_weights(w) for w in ([0.0, 0.0, 0.0, 0.0, 1.0],
+                                                    [0.0, 0.0, 0.0, 1.0, 0.0])],
+             [7.120265909631255e-117])
+    @settings(max_examples=120, deadline=None)
+    def test_rows_equal_their_own_calls(self, rows, xs):
+        """Bit for bit, at scalars and on grids, and with no warning a row alone does not
+        give: a zero weight on a term that overflows is never multiplied."""
+        expected, own = recorded(lambda: [live_terms_value(f, xs) for f in rows])
+        stack = Stack(rows)
+        (grid, table, pointwise), stacked = recorded(lambda: (
+            stack(np.array(xs)), stack(np.array(xs).reshape(1, -1)), [stack(x) for x in xs]))
+        (calls, singles), alone = recorded(lambda: (
+            [f(np.array(xs)) for f in rows], [[f(x) for x in xs] for f in rows]))
+        assert stacked <= own and alone <= own
+        assert grid.shape == (len(rows), len(xs)) and table.shape == (len(rows), 1, len(xs))
+        for i, want in enumerate(expected):
+            assert grid[i].tobytes() == table[i, 0].tobytes() == want.tobytes()
+            assert np.array([p[i] for p in pointwise]).tobytes() == want.tobytes()
+            assert calls[i].tobytes() == np.array(singles[i]).tobytes() == want.tobytes()
+
+    def test_rows_on_different_bases_do_not_stack(self):
+        with pytest.raises(ValueError):
+            Stack((simple_mix(), simple_mix()))
 
 
 class TestProperties:

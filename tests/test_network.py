@@ -1,6 +1,7 @@
 """Claims-line network policy: path identity, cone invariance, and limits."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ class TestPathIdentity:
         for one, two in zip(*runs):
             assert one.tobytes() == two.tobytes()
 
+    @pytest.mark.parametrize("u0", [1.0, 2.0])
+    def test_no_premium_is_read_without_a_warning(self, u0):
+        """c0 = 0 is a valid (cheap) spec: a level below b never rises to it, t_hit = inf,
+        and no division by c0 = 0 warns."""
+        spec = make_spec((2.0, 3.0), (0.5, 0.25), c0=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            direct, lemma, short = mc.network_paths(spec, u0=u0, b=2.0, horizon=40.0,
+                                                    n_paths=10_000, seed=3)
+        assert np.isfinite(direct).all() and short.max() < 1e-12
+        assert np.abs(direct - lemma).max() < 1e-9 * max(np.abs(direct).max(), 1.0)
+
     def test_not_cheap_rejected(self):
         spec = make_spec((3.0, 2.0), (1.0 / 3.0, 0.5), c0=10.0)
         with pytest.raises(NotCheap):
@@ -60,14 +73,17 @@ def _set_sub(key, value, phase=False):
     return change
 
 
-# network specs that give a wrong value, a traceback or no end unless refused
+# network specs that give a wrong value, a traceback or no end unless refused, with what
+# the refusal says
 BAD_SPECS = {
-    "negative-lambda": _set_sub("lambda", -1.0),
-    "negative-rate": _set_sub("rate", -2.0, phase=True),
-    "weights-sum-to-0.3": _set_sub("weight", 0.3, phase=True),
-    "negative-c0": lambda raw: raw.update(c0=-1.0),
-    "no-claims": lambda raw: [s.update({"lambda": 0.0}) for s in raw["subsidiaries"]],
-    "nan-lambda": _set_sub("lambda", float("nan")),
+    "negative-lambda": (_set_sub("lambda", -1.0), "subsidiary 0: field 'lambda'"),
+    "negative-rate": (_set_sub("rate", -2.0, phase=True), "subsidiary 0: phase rates"),
+    "weights-sum-to-0.3": (_set_sub("weight", 0.3, phase=True), "subsidiary 0: phase weights"),
+    "negative-c0": (lambda raw: raw.update(c0=-1.0), "the premium c0"),
+    "no-claims": (lambda raw: [s.update({"lambda": 0.0}) for s in raw["subsidiaries"]],
+                  "total claim rate"),
+    "nan-lambda": (_set_sub("lambda", float("nan")), "subsidiary 0: field 'lambda'"),
+    "zero-c": (_set_sub("c", 0.0), "subsidiary 0: field 'c'"),
 }
 
 
@@ -95,12 +111,14 @@ class TestDomain:
 
     @pytest.mark.parametrize("name", sorted(BAD_SPECS))
     def test_refuses_a_spec_it_cannot_simulate(self, python_child, tmp_path, name):
-        """In the library and in `network` (exit 1, one stderr line); "nan-lambda" never
-        ended unrefused, so each runs in a child process."""
+        """In the library and in `network` (exit 1, one stderr line naming the subsidiary and
+        the spec's field); "nan-lambda" never ended unrefused, so each runs in a child
+        process."""
         raw = {"c0": 1.0, "q": 0.5, "subsidiaries": [
             {"c": 2.0, "lambda": 1.0, "alpha": 0.5, "phases": [{"weight": 1.0, "rate": 2.0}]},
             {"c": 3.0, "lambda": 1.0, "alpha": 0.25, "phases": [{"weight": 1.0, "rate": 2.0}]}]}
-        BAD_SPECS[name](raw)
+        change, message = BAD_SPECS[name]
+        change(raw)
         p = tmp_path / "net.json"
         p.write_text(json.dumps(raw))
         script = (
@@ -118,6 +136,7 @@ class TestDomain:
         done = python_child(["-c", script])
         assert done.stdout.strip() == "refused", done.stderr
         assert done.returncode == 1 and done.stderr.count("\n") == 1, done.stderr
+        assert message in done.stderr, done.stderr
 
     def test_cli_nan_u0_is_one(self, python_child, tmp_path):
         p = tmp_path / "net.json"
