@@ -36,14 +36,11 @@ from .scale import (
     build_scale,
 )
 from .laws import (
-    gs_exit,
-    omega,
     parisian_resolvent,
     parisian_resolvent_integral,
     severity,
     severity_infinite,
     time_in_red,
-    two_sided_exit,
     up_exit,
 )
 from .control import (

@@ -253,7 +253,7 @@ def solve_patience(pctx: ParisianContext, k: float, tol: float = 1e-8) -> float:
 
     The threshold k(q, r) is increasing in q, so bisection applies once an
     efficient upper bound is bracketed by doubling.  NoSolution when k = inf, when
-    no bracket below 2^60 q holds, or when the threshold at the bracket reads inf.
+    no bracket below 2^60 max(q, 1) holds, or when the threshold at the bracket reads inf.
     """
     model, q, r = pctx.model, pctx.q, pctx.r
     if not q > 0:
@@ -265,7 +265,7 @@ def solve_patience(pctx: ParisianContext, k: float, tol: float = 1e-8) -> float:
     if k == math.inf:
         raise NoSolution("no finite extra killing makes k=inf efficient")
     hi = q
-    cap = q * 2.0**60
+    cap = max(q, 1.0) * 2.0**60     # a tiny q still doubles up to any rate of order 1
     while (k_hi := _threshold(model, q + hi, r)) < k:
         hi *= 2.0
         if hi > cap:

@@ -14,7 +14,9 @@ B[f] = f'(b) + vartheta f(b) when it is reflected at b, with e^{-vartheta L} on
 the dividends L paid up to ruin, undiscounted.  ``severity`` and ``up_exit``
 read the scale pair (ctx.W, ctx.Z) of whichever context they are given: a
 ``ScaleContext`` gives the classical laws, with (W_q, Z_q(., theta)), and a
-``ParisianContext`` the Parisian ones, with (W_{q,r}, Z_{q,r}(., theta)).
+``ParisianContext`` the Parisian ones, with (W_{q,r}, Z_{q,r}(., theta)).  The classical
+law of a penalty w is exit_law(gs, ctx.W, x, b, vartheta, gs.dmix, ctx.dW) with gs =
+build_gerber_shiu(ctx, w); ``severity`` is the one of Exponential(theta).
 """
 
 from __future__ import annotations
@@ -26,11 +28,9 @@ from .model import phi as _phi
 from .scale import (
     INF,
     ParisianContext,
-    PenaltySpec,
     ScaleContext,
     _check_theta,
     _root_slopes,
-    build_gerber_shiu,
     piecewise,
     z_mix,  # noqa: F401  re-exported; perfbench/test_perfbench.py checks laws.z_mix
 )
@@ -42,12 +42,6 @@ def _check_interval(x, a: float, b: float | None):
     top = INF if b is None else b
     if not (-INF < a < top and b != INF) or not np.all((a <= x) & (x <= top) & (x < INF)):
         raise DomainError(f"need finite a <= x <= b with a < b, got x={x}, a={a}, b={b}")
-
-
-def two_sided_exit(ctx: ScaleContext, x, a: float, b: float):
-    """E_x[e^{-q tau_b^+}; up-crossing of b before down-crossing of a]."""
-    _check_interval(x, a, b)
-    return ctx.W(x - a) / ctx.W(b - a)
 
 
 def exit_law(S, W, x, b: float, vartheta: float, dS=None, dW=None):
@@ -92,19 +86,6 @@ def up_exit(ctx: ScaleContext | ParisianContext, x, b: float, theta: float):
     return z(x) / z(b)
 
 
-def gs_exit(
-    ctx: ScaleContext,
-    x,
-    b: float,
-    penalty: PenaltySpec,
-    vartheta: float = INF,
-):
-    """Penalty-at-ruin transform, absorbed at b, or reflected there for a finite vartheta."""
-    gs = build_gerber_shiu(ctx, penalty)
-    # S' is built only where the law reads it, at a reflecting b
-    return exit_law(gs, ctx.W, x, b, vartheta, lambda y: gs.dmix(y), ctx.dW)
-
-
 def time_in_red(ctx_q0: ScaleContext, x, r: float):
     """E_x[e^{-r * total time below zero}] for the free process, q = 0."""
     if ctx_q0.q != 0:
@@ -138,24 +119,3 @@ def parisian_resolvent_integral(pctx: ParisianContext, x, a: float, b: float):
     wbar = pctx.Wbar
     w = pctx.W
     return w(x - a) * wbar(b - a) / w(b - a) - wbar(x - a)
-
-
-def omega(pctx: ParisianContext, b: float) -> float:
-    """Rate of the exponential dividends-at-ruin factorization.
-
-    Omega = W'_{q,r}(b)/W_{q,r}(b) = Phi_{q+r} - r W_q(b)/Z_q(b, Phi_{q+r}).
-    """
-    if not 0 <= b < INF:
-        raise DomainError(f"b must be finite and nonnegative, got {b}")
-    return pctx.dW(b) / pctx.W(b)
-
-
-def fundamental_identity_residual(ctx: ScaleContext, x, b: float, theta: float):
-    """Residual of Z(x)/Z(b) - W(x)/W(b) - S(x,b)/Z(b); zero by the exit-law algebra."""
-    z = ctx.Z(theta)
-    zb = z(b)
-    return (
-        z(x) / zb
-        - ctx.W(x) / ctx.W(b)
-        - severity(ctx, x, b, theta) / zb
-    )

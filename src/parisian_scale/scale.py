@@ -77,8 +77,8 @@ def _check_theta(theta):
 class ScaleContext:
     """(model, q) with the roots and the W_q family as rows on W's basis.
 
-    W' (dW), W'' (ddW), Wbar, Z_q = 1 + q Wbar (Z0), Zbar and
-    Z_{1,q} = Zbar - p Wbar (Z1) are computed on first use and kept.
+    W' (dW), Wbar, Z_q = 1 + q Wbar (Z0), Zbar and Z_{1,q} = Zbar - p Wbar (Z1) are
+    computed on first use and kept.
     """
 
     model: LevyModel
@@ -89,17 +89,15 @@ class ScaleContext:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     dW = cached_property(lambda self: self.W.derivative())
-    ddW = cached_property(lambda self: self.dW.derivative())
     Wbar = cached_property(lambda self: self.W.antiderivative())
     Z0 = cached_property(lambda self: self.Wbar.scaled(self.q) + 1.0)
     Zbar = cached_property(lambda self: self.Z0.antiderivative())
     Z1 = cached_property(lambda self: self.Zbar - self.Wbar.scaled(self.model.drift))
 
     def Z(self, theta: float, d: int = 0):
-        """Z_q(., theta), the Gerber-Shiu function of Exponential(theta), or (d = 1) the
-        derivative of its mixture; theta must be finite."""
-        gs = build_gerber_shiu(self, Exponential(theta))
-        return gs.dmix if d else gs
+        """Z_q(., theta), the Gerber-Shiu function of Exponential(theta), or the d-th
+        x-derivative of its mixture (see ``_z``); theta must be finite."""
+        return _z(self, theta, d, lambda: build_gerber_shiu(self, Exponential(theta)))
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ class ParisianContext:
     W_{q,r} = Z_q(., Phi_{q+r}) (W), W'_{q,r} (dW), Wbar_{q,r} (Wbar), Z_{q,r}(., theta)
     with its x-derivatives (Z) and the bailout ingredient
     S(x) = r/(q+r) (Zbar_q(x) + kappa'(0+)/q)
-    with S' and S'' (S, dS, ddS; q > 0 only) are computed on first use and kept.
+    with S' (S, dS; q > 0 only) are computed on first use and kept.
     """
 
     model: LevyModel
@@ -120,7 +118,7 @@ class ParisianContext:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     W = cached_property(lambda self: z_mix(self.base, self.phi_qr))
-    dW = cached_property(lambda self: self.W.derivative())
+    dW = cached_property(lambda self: self.Z(INF, 1))
     Wbar = cached_property(lambda self: self.W.antiderivative())
 
     def Z(self, theta: float, d: int = 0) -> ExpMix:
@@ -132,17 +130,11 @@ class ParisianContext:
         positive for every theta >= 0 (kappa is convex and kappa(0) = 0 < q + r), so theta =
         Phi_{q+r} needs no limit.
         """
-        if theta == INF and d < 2:
-            return self.dW if d else self.W
-        if d:
-            return _memo(self, (theta, d), lambda: self.Z(theta, d - 1).derivative())
-        _check_theta(theta)
-
         def make():
             z = z_mix(self.base, theta)     # Phi_{q+r} lies above every root, 0 included
             scale = self.r / kappa_slope(self.model, theta, self.phi_qr)
             return z.with_weights(scale * z.w / (self.phi_qr - z.rho))
-        return _memo(self, (theta, 0), make)
+        return _z(self, theta, d, lambda: self.W if theta == INF else _memo(self, (theta, 0), make))
 
     def _bailout_share(self):
         """r/(q+r), the factor of S, which divides by q: q <= 0 raises QZero."""
@@ -156,7 +148,15 @@ class ParisianContext:
         return (self.base.Zbar + self.model.drift / self.q).scaled(share)
 
     dS = cached_property(lambda self: self.base.Z0.scaled(self._bailout_share()))
-    ddS = cached_property(lambda self: self.base.W.scaled(self._bailout_share() * self.q))
+
+
+def _z(ctx, theta: float, d: int, z):
+    """ctx.Z(theta, d) of either context: z() at d = 0, each further d the kept derivative."""
+    if not (isinstance(d, int) and d >= 0):
+        raise DomainError(f"the derivative order d must be a nonnegative integer, got {d!r}")
+    if d == 0:
+        return z()
+    return _memo(ctx, (theta, d), lambda: ctx.Z(theta, d - 1).derivative())
 
 
 def build_scale(model: LevyModel, q: float) -> ScaleContext:
@@ -258,13 +258,16 @@ class GerberShiu:
     """Smooth harmonic function fitting an exterior penalty w.
 
     Evaluates the closed-form mixture on x > 0 and the penalty itself on
-    x <= 0; ``dmix`` is the exact x-derivative of the interior part.
+    x <= 0; ``dmix``, also ``derivative()``, is the exact x-derivative of the interior part.
     """
 
     penalty: PenaltySpec
     mix: ExpMix
 
     dmix = cached_property(lambda self: self.mix.derivative())
+
+    def derivative(self):
+        return self.dmix
 
     def __call__(self, x):
         return piecewise(x, np.asarray(x) > 0, self.mix, self.penalty_value)

@@ -36,7 +36,7 @@ def _theta(params, absent=0.0):
 
 # absent flags read as 0, except theta of parisian_up_exit (see there)
 LAWS = {
-    "two_sided": Row(False, lambda c, p, x, a: laws.two_sided_exit(c, x, 0.0, a.b),
+    "two_sided": Row(False, lambda c, p, x, a: laws.up_exit(c, x, a.b, math.inf),
                      Check("classical_absorb", "absorb", lambda a: mc.Functional("up_exit"))),
     "severity_absorbed": Row(
         False, lambda c, p, x, a: laws.severity(c, x, a.b, _theta(a)),

@@ -137,7 +137,7 @@ NO_FLAGS = SimpleNamespace(theta=0.0, vartheta=0.0, k=0.0, K=0.0)
 
 # each law and objective as the scalar library call that the CLI's column must reproduce
 SCALAR_CALLS = {
-    "two_sided": lambda c, p, x, f: laws.two_sided_exit(c, x, 0.0, B),
+    "two_sided": lambda c, p, x, f: laws.up_exit(c, x, B, math.inf),
     "severity_absorbed": lambda c, p, x, f: laws.severity(c, x, B, f.theta),
     "severity_reflected": lambda c, p, x, f: laws.severity(c, x, B, f.theta, 0.0),
     "severity_infinite": lambda c, p, x, f: laws.severity_infinite(c, x, f.theta),

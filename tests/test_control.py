@@ -60,7 +60,7 @@ class TestOptimizer:
         assert not sol.is_boundary
         assert sol.b_star == pytest.approx(2.107035, abs=1e-4)
         # the optimum is a minimum of W', so W'' vanishes there
-        assert ctx.ddW(sol.b_star) == pytest.approx(0.0, abs=1e-5)
+        assert ctx.dW.derivative()(sol.b_star) == pytest.approx(0.0, abs=1e-5)
 
     def test_boundary_detection(self, m1_q23):
         sol = ctl.optimize_barrier(make_slg_G(m1_q23, 1.2), 6.0)
@@ -341,7 +341,7 @@ class TestEfficiency:
 
     @pytest.mark.parametrize("k", [math.inf, 1e40])
     def test_patience_past_the_threshold_digits_is_refused(self, m1, k):
-        """k = 1e40 needs q' near 1e20, past the bracket's cap of 2^60 q."""
+        """k = 1e40 needs q' near 1e20, past the bracket's cap of 2^60 max(q, 1)."""
         with pytest.raises(NoSolution):
             ctl.solve_patience(build_parisian(m1, 0.5, 1.0), k)
 
@@ -380,6 +380,15 @@ class TestEfficiency:
         pctx = build_parisian(LevyModel(c=1.0), 0.5, 1.0)
         assert ctl.efficiency_index(pctx) == math.inf
         assert ctl.solve_patience(pctx, math.inf) == 0.0
+
+    @pytest.mark.parametrize("q", [1e-19, 1e-300])
+    def test_patience_at_a_tiny_q(self, m1, q):
+        """The bracket doubles up from q to a patience near 0.9, far past 2^60 q."""
+        tol = 1e-8
+        want = ctl.solve_patience(build_parisian(m1, 1e-17, 1.0), 5.0, tol)
+        got = ctl.solve_patience(build_parisian(m1, q, 1.0), 5.0, tol)
+        assert want == pytest.approx(0.89897949, rel=1e-8)
+        assert got == pytest.approx(want, rel=tol)
 
     def test_patience_restores_threshold(self, m1_par_sym):
         k = 5.0

@@ -1,12 +1,14 @@
 """Law-level checks: identities, bounds, limits, and closed-form fixtures."""
 
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import parisian_scale
 from parisian_scale import (
     Exponential,
     INF,
@@ -16,10 +18,37 @@ from parisian_scale import (
     build_scale,
     laplace_exponent,
     laws,
+    table,
 )
 from parisian_scale.errors import DomainError, NonpositiveDrift, QZero
+from test_acceptance import fundamental_identity_residual
 from test_closed_form_golden import MODELS
 from test_scale import _reference
+
+
+def gs_exit(ctx, x, b, penalty, vartheta=INF):
+    """The classical exit law of a penalty, as the laws module writes it with ``exit_law``."""
+    gs = build_gerber_shiu(ctx, penalty)
+    return laws.exit_law(gs, ctx.W, x, b, vartheta, gs.dmix, ctx.dW)
+
+
+def test_every_exported_law_has_a_row(monkeypatch, m1_q0, m1_q23, m1_par):
+    """Each law the package exports is reached from a row of table.LAWS, except the resolvent
+    density, which ROADMAP item 2 rewrites."""
+    exported = {name for name in parisian_scale.__all__
+                if getattr(getattr(parisian_scale, name), "__module__", None) == laws.__name__}
+    called = set()
+    for name in exported:
+        def wrapper(*args, _name=name, _law=getattr(laws, name), **kwargs):
+            called.add(_name)
+            return _law(*args, **kwargs)
+        monkeypatch.setattr(laws, name, wrapper)
+    params = SimpleNamespace(b=2.5, theta=1.3, vartheta=0.4, r=m1_par.r, k=0.0, K=0.0)
+    for name, row in table.LAWS.items():
+        row.column(m1_q0 if name == "time_in_red" else m1_q23, m1_par, np.linspace(0, 2.5, 4),
+                   params)
+    assert "severity" in called
+    assert exported - called == {"parisian_resolvent"}
 
 
 class TestFundamentalIdentity:
@@ -30,12 +59,12 @@ class TestFundamentalIdentity:
                 b = float(rng.uniform(0.3, 4.0))
                 x = float(rng.uniform(0.0, b))
                 theta = float(rng.uniform(0.0, 5.0))
-                res = laws.fundamental_identity_residual(ctx, x, b, theta)
+                res = fundamental_identity_residual(ctx, x, b, theta)
                 assert abs(res) < 1e-10
 
     def test_trivial_endpoints(self, m1_q23):
         b = 1.7
-        assert laws.two_sided_exit(m1_q23, b, 0.0, b) == pytest.approx(1.0)
+        assert laws.up_exit(m1_q23, b, b, INF) == pytest.approx(1.0)
         assert laws.severity(m1_q23, b, b, 0.8) == pytest.approx(0.0, abs=1e-14)
         assert laws.up_exit(m1_q23, b, b, 0.8) == pytest.approx(1.0)
 
@@ -65,9 +94,9 @@ class TestArrayInput:
 
     @pytest.mark.parametrize("law", [
         lambda c, p, x: build_gerber_shiu(c, Exponential(1.3)).dmix(x),
-        lambda c, p, x: laws.gs_exit(c, x, 1.8, Exponential(1.3)),
-        lambda c, p, x: laws.gs_exit(c, x, 1.8, Exponential(1.3), 0.0),
-        lambda c, p, x: laws.fundamental_identity_residual(c, x, 1.8, 0.7),
+        lambda c, p, x: gs_exit(c, x, 1.8, Exponential(1.3)),
+        lambda c, p, x: gs_exit(c, x, 1.8, Exponential(1.3), 0.0),
+        lambda c, p, x: fundamental_identity_residual(c, x, 1.8, 0.7),
         lambda c, p, x: laws.parisian_resolvent(p, x, 0.0, 1.8, 0.9),
     ])
     def test_array_equals_scalar_calls(self, m1_q23, m1_par, law):
@@ -84,7 +113,7 @@ class TestBoundsAndMonotonicity:
             theta = float(rng.uniform(0.0, 4.0))
             for ctx in (m1_q23, m2_q1):
                 for val in (
-                    laws.two_sided_exit(ctx, x, 0.0, b),
+                    laws.up_exit(ctx, x, b, INF),
                     laws.severity(ctx, x, b, theta),
                     laws.severity(ctx, x, b, theta, 0.0),
                     laws.severity_infinite(ctx, x, theta),
@@ -98,7 +127,7 @@ class TestBoundsAndMonotonicity:
     def test_up_exit_increases_in_x(self, m1_q23, m1_par):
         b = 2.0
         xs = np.linspace(0.0, b, 40)
-        classic = [laws.two_sided_exit(m1_q23, float(x), 0.0, b) for x in xs]
+        classic = [laws.up_exit(m1_q23, float(x), b, INF) for x in xs]
         parisian = [laws.up_exit(m1_par, float(x), b, INF) for x in xs]
         assert all(np.diff(classic) > 0)
         assert all(np.diff(parisian) > 0)
@@ -139,7 +168,7 @@ class TestClosedForms:
 
     def test_gs_exit_exponential_matches_severity(self, m1_q23):
         x, b, theta = 0.6, 1.8, 1.3
-        gs = laws.gs_exit(m1_q23, x, b, Exponential(theta))
+        gs = gs_exit(m1_q23, x, b, Exponential(theta))
         assert gs == pytest.approx(laws.severity(m1_q23, x, b, theta), rel=1e-12)
 
     @pytest.mark.parametrize("label", sorted(MODELS))
@@ -149,11 +178,11 @@ class TestClosedForms:
         b = 2.5
         xs = np.array([0.0, 0.45, 1.7, b])
         for theta in (0.0, 1.3):
-            gs = laws.gs_exit(ctx, xs, b, Exponential(theta))
+            gs = gs_exit(ctx, xs, b, Exponential(theta))
             sev = laws.severity(ctx, xs, b, theta)
             assert [float(v).hex() for v in gs] == [float(v).hex() for v in sev], theta
             for x in xs:
-                assert laws.gs_exit(ctx, x, b, Exponential(theta)) == \
+                assert gs_exit(ctx, x, b, Exponential(theta)) == \
                     laws.severity(ctx, x, b, theta)
 
     @pytest.mark.parametrize("label", sorted(MODELS))
@@ -172,14 +201,14 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("label", sorted(MODELS))
     def test_reflected_exit_laws_agree(self, label):
-        """gs_exit reflects at b with the law's vartheta."""
+        """The exit law of Exponential(theta) reflects at b with the law's vartheta."""
         model, q, _ = MODELS[label]
         ctx, b = build_scale(model, q), 2.5
         xs = np.linspace(0.0, b, 101)
         for theta in (0.0, 0.7, 1.3, 4.0):
             for vartheta in (0.0, 0.4, 3.0):
                 want = laws.severity(ctx, xs, b, theta, vartheta)
-                got = laws.gs_exit(ctx, xs, b, Exponential(theta), vartheta)
+                got = gs_exit(ctx, xs, b, Exponential(theta), vartheta)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_theta_past_kappas_overflow_is_refused(self, m1_q23):
@@ -214,9 +243,9 @@ class TestScalePair:
             laws.severity(pctx.base, xs, b, INF)
         for c in (pctx.base, pctx):
             got = laws.up_exit(c, xs, b, INF)
-            want = laws.two_sided_exit(c, xs, 0.0, b)
+            want = c.W(xs) / c.W(b)
             assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
-            assert laws.up_exit(c, 0.45, b, INF) == laws.two_sided_exit(c, 0.45, 0.0, b)
+            assert laws.up_exit(c, 0.45, b, INF) == c.W(0.45) / c.W(b)
         assert pctx.Z(INF) is pctx.W and pctx.Z(INF, 1) is pctx.dW
 
 
@@ -226,7 +255,7 @@ class TestParisianLimits:
         b = 1.5
         for x in (0.0, 0.5, 1.0):
             up_p = laws.up_exit(pctx, x, b, INF)
-            up_c = laws.two_sided_exit(m1_q23, x, 0.0, b)
+            up_c = laws.up_exit(m1_q23, x, b, INF)
             assert up_p == pytest.approx(up_c, rel=1e-3)
             sev_p = laws.severity(pctx, x, b, 1.0)
             sev_c = laws.severity(m1_q23, x, b, 1.0)
@@ -263,10 +292,10 @@ class TestResolvent:
 
 
 class TestOmegaFactorization:
-    @pytest.mark.parametrize("b", [math.nan, math.inf, -0.5])
-    def test_b_must_be_finite_and_nonnegative(self, m1_par, b):
-        with pytest.raises(DomainError):
-            laws.omega(m1_par, b)
+    @staticmethod
+    def omega(pctx, b):
+        """Omega = W'_{q,r}(b)/W_{q,r}(b), the rate of the dividends-at-ruin factorization."""
+        return pctx.dW(b) / pctx.W(b)
 
     def test_matches_direct_form_at_b(self, m1_par, m2_par):
         """At x = b the law is Omega/(Omega + vartheta) (Z_q(b) - Z_q'(b)/Omega) r/(q + r -
@@ -275,7 +304,7 @@ class TestOmegaFactorization:
             for b in (0.5, 1.3, 2.4):
                 for theta, vartheta in ((0.0, 0.0), (1.1, 0.7), (2.3, 0.0)):
                     direct = laws.severity(pctx, b, b, theta, vartheta)
-                    om = laws.omega(pctx, b)
+                    om = self.omega(pctx, b)
                     z = build_gerber_shiu(pctx.base, Exponential(theta))
                     kappa = laplace_exponent(pctx.model, theta)
                     fact = (om / (om + vartheta) * (z(b) - z.dmix(b) / om)
@@ -290,4 +319,4 @@ class TestOmegaFactorization:
         phi_qr = phi(m1_par.model, m1_par.q + m1_par.r)
         z_star = build_gerber_shiu(m1_par.base, Exponential(phi_qr))
         expected = phi_qr - m1_par.r * m1_par.base.W(b) / z_star(b)
-        assert laws.omega(m1_par, b) == pytest.approx(expected, rel=1e-12)
+        assert self.omega(m1_par, b) == pytest.approx(expected, rel=1e-12)

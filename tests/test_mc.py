@@ -232,7 +232,7 @@ class TestAnalyticCrossChecks:
     def test_two_sided_exit(self, m1, m1_q23):
         cfg = m1_cfg(m1, x0=0.6, q=2.0 / 3.0, upper_barrier=1.5, lower="classical_absorb")
         est = mc.estimate(cfg, mc.Functional("up_exit"), n_paths=self.N, seed=11)
-        assert self.z_ok(est, laws.two_sided_exit(m1_q23, 0.6, 0.0, 1.5))
+        assert self.z_ok(est, laws.up_exit(m1_q23, 0.6, 1.5, INF))
 
     def test_severity_absorbed(self, m1, m1_q23):
         cfg = m1_cfg(m1, x0=0.6, q=2.0 / 3.0, upper_barrier=1.5, lower="classical_absorb")

@@ -181,6 +181,43 @@ class TestRemovableSingularities:
                 self.check(pctx.Z(theta), lambda x: want.Z(x, mp.mpf(at)))
 
 
+class TestZDerivatives:
+    """Z(theta, d) is the d-th x-derivative of Z(theta) on both contexts, built once."""
+
+    def test_classical_second_derivative(self, m1):
+        # Z'' of m1 at q = 0.5, theta = 1, x = 0.7; Z' there is 1.3963161
+        assert build_scale(m1, 0.5).Z(1.0, 2)(0.7) == pytest.approx(1.0627482079, abs=1e-10)
+
+    @pytest.mark.parametrize("label", sorted(MODELS))
+    def test_orders_match_the_reference(self, label):
+        pctx = build_parisian(*MODELS[label])
+        with mp.workdps(40):
+            want = _golden_reference(label)
+            for c, ref in ((pctx.base, want.base), (pctx, want)):
+                for theta in (0.0, 1.3):
+                    for d in (1, 2, 3):
+                        for x in (0.45, 1.7):
+                            value = mp.diff(lambda y: ref.dZ(y, mp.mpf(theta)), mp.mpf(x), d - 1)
+                            got = c.Z(theta, d)(x)
+                            assert abs(got - value) <= 1e-12 * max(1, abs(value)), (c, theta, d)
+
+    @pytest.mark.parametrize("label", sorted(MODELS))
+    def test_each_order_is_kept(self, label):
+        pctx = build_parisian(*MODELS[label])
+        for c in (pctx.base, pctx):
+            for theta in (0.0, 1.3):
+                assert c.Z(theta, 3) is c.Z(theta, 3)
+                assert c.Z(theta, 3).w.tolist() == c.Z(theta, 2).derivative().w.tolist()
+        assert pctx.base.Z(1.3, 1) is build_gerber_shiu(pctx.base, Exponential(1.3)).dmix
+        assert pctx.Z(math.inf, 1) is pctx.dW
+
+    @pytest.mark.parametrize("d", [-1, 0.5, 1.0, "1", None])
+    def test_order_must_be_a_nonnegative_integer(self, m1_par, d):
+        for c, theta in ((m1_par.base, 1.3), (m1_par, 1.3), (m1_par, math.inf)):
+            with pytest.raises(DomainError):
+                c.Z(theta, d)
+
+
 class TestParisianFamily:
     @pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
     def test_refuses_r_outside_its_domain(self, m1, r):
@@ -214,9 +251,10 @@ class TestParisianFamily:
 
     def test_scriptS_derivatives(self, m1_par):
         q, r = 2 / 3, 1 / 3
+        ddS = m1_par.dS.derivative()
         for x in (0.0, 1.0, 2.5):
             assert m1_par.dS(x) == pytest.approx(r / (q + r) * m1_par.base.Z0(x), rel=1e-12)
-            assert m1_par.ddS(x) == pytest.approx(r * q / (q + r) * m1_par.base.W(x), rel=1e-12)
+            assert ddS(x) == pytest.approx(r * q / (q + r) * m1_par.base.W(x), rel=1e-12)
 
     def test_scriptS_at_zero(self, m1_par):
         # S(0) = r/(q+r) kappa'(0+)/q
@@ -224,7 +262,7 @@ class TestParisianFamily:
 
     def test_scriptS_needs_positive_q(self, m1):
         pctx = build_parisian(m1, 0.0, 1.0)
-        for name in ("S", "dS", "ddS"):
+        for name in ("S", "dS"):
             with pytest.raises(QZero):
                 getattr(pctx, name)
 
@@ -324,7 +362,7 @@ class TestOneBasis:
         names = {"W", "dW", "ddW", "Wbar", "Z0", "Zbar", "Z1", "Wqr", "dWqr", "z_mix(1.3)",
                  "pZ0(1.3)", "pZ1(0.0)", "pZ2(phi_qr)"}
         mixes = mixtures(pctx.base, pctx)
-        assert names | ({"S", "dS", "ddS"} if pctx.q > 0 else set()) <= set(mixes)
+        assert names | ({"S", "dS"} if pctx.q > 0 else set()) <= set(mixes)
         for name, mix in mixes.items():
             assert mix.w.dtype == mix.rho.dtype == np.float64, name
 
