@@ -264,8 +264,8 @@ def solve_patience(pctx: ParisianContext, k: float, tol: float = 1e-8) -> float:
         return 0.0
     if k == math.inf:
         raise NoSolution("no finite extra killing makes k=inf efficient")
-    hi = q
-    cap = max(q, 1.0) * 2.0**60     # a tiny q still doubles up to any rate of order 1
+    hi = max(q, 2.0**-40)           # a tiny q doubles up from 2^-40, not from q
+    cap = max(q, 1.0) * 2.0**60
     while (k_hi := _threshold(model, q + hi, r)) < k:
         hi *= 2.0
         if hi > cap:

@@ -18,31 +18,33 @@ seeded by a Philox key (seed, chunk_index), with one draw per live path
 per step in index order.  Chunk results are reduced in index order, so
 records and means are bit-identical for a given (config, functional,
 n_paths, seed) regardless of the worker count.  The standard error comes
-from per-chunk (n, sum, residual, M2) merged by the pairwise update of
-Chan, Golub & LeVeque, which keeps its digits when the spread is small
-against the mean.
+from per-chunk (n, sums, residuals, co-moments) merged by the pairwise
+update of Chan, Golub & LeVeque, which keeps its digits when the spread
+is small against the mean.
 
-Horizon: dividends, bailouts and slg under reflection at the upper
-barrier accrue for ever, so without an explicit horizon `estimate` cuts
-them at a T sized to the run's own standard error and reports in
-`tail_bound` what the cut can miss, C e^{-qT}: C = c/q for dividends,
-lam E[C]/q for bailouts (plus lam E[C]/r under Parisian reflection), and
-the dividend C plus k times the bailout C for slg.  A pilot of
-min(n_paths, 4096) paths, on a Philox key no chunk takes, runs to the cap
-T0 = `default_horizon` and gives the spread sd of the functional; T is
-the root of C e^{-qT} = 0.01 sd / sqrt(n_paths), so the bias the cut can
-add is a hundredth of the standard error (Glasserman, Monte Carlo Methods
-in Financial Engineering, 2004, ch. 6), or T0 if that root is not in
-(0, T0) or C or sd is 0.  `MCEstimate.horizon` is the T the paths were cut
-at.  Every other functional stops with the path and has no tail.
+Cycles: dividends, bailouts, slg and (with an absorbing lower mechanism)
+severity under reflection at the upper barrier b, with q > 0 and no
+explicit horizon, regenerate at b: the value from b is D(b) = E_b[C] +
+E_b[M] D(b), with C one cycle's discounted total and M = e^{-q length}
+(0 if the path stopped in it), so D(b) = E[C]/(1 - E[M]) (Asmussen &
+Glynn, Stochastic Simulation, 2007, ch. IV.4).  Each path runs a
+pre-phase from x0 to b, giving its total P and A = e^{-q tau_b}, then
+exactly one cycle, on a clock and totals restarted at 0: the stay at b
+until the next claim and the excursion below b that the claim starts,
+until the return to b or the stop.  The estimate is mean(P) + mean(A)
+sum(C)/sum(1 - M), a path that stopped before b adding C = 0 and
+1 - M = 0; its standard error is the delta method on the merged
+co-moments of (P, A, C, 1 - M).  No horizon cuts these paths:
+`MCEstimate.horizon` is None and `tail_bound` 0.
 
 Stopping: without a finite horizon, a path must stop for sure, so a
-configuration runs only if the upper barrier absorbs and either a lower
-mechanism acts or the drift is not negative, or if the lower mechanism
-absorbs, claims arrive, and either there is a barrier or the drift is not
-positive.  Any other configuration (say, reflection at 0 and no barrier,
-or absorption at 0 with a positive drift and no barrier) raises
-HorizonRequired before a step runs.
+configuration runs only if the upper barrier absorbs (or a cycle's claims
+arrive) and either a lower mechanism acts or the drift is not negative,
+or if the lower mechanism absorbs, claims arrive, and either there is a
+barrier or the drift is not positive.  Any other configuration (say,
+reflection at 0 and no barrier, or absorption at 0 with a positive drift
+and no barrier) raises HorizonRequired before a step runs, as do
+dividends, bailouts and slg under reflection at b with q = 0.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,19 +61,16 @@ from .model import LevyModel
 
 _CHUNK = 1 << 16
 
-# the sized horizon: the pilot's paths, its Philox chunk index (one no run
-# reaches), and the share of the standard error the cut may miss
-_PILOT_PATHS = 4096
-_PILOT_CHUNK = 1 << 63
-_TAIL_SHARE = 0.01
-
 # stop causes
 ALIVE, UP, DOWN, HORIZON = 0, 1, 2, 3
 
 # rows of the live-path state in _simulate_chunk: time (the stop time once
 # stopped), level, the dividend, bailout, raw-bailout and red-time
-# accumulators, and the stop cause
+# accumulators, and the stop cause.  A cycle run, whose functionals read
+# neither raw bailouts nor red time, keeps in their rows the pre-phase's
+# bailouts and A = e^{-q tau_b}, NaN until the path reaches b
 _T, _X, _DIV, _BAIL, _BAIL_RAW, _RED, _CAUSE = range(7)
+_PRE, _A = _BAIL_RAW, _RED
 
 _LOWER_MODES = ("none", "classical_absorb", "classical_reflect",
                 "parisian_absorb", "parisian_reflect")
@@ -220,23 +219,27 @@ def _sample_claims(rng, n, phases):
     return rng.standard_exponential(n) / rates[idx]
 
 
-def _stops(cfg: PathConfig) -> bool:
-    """Whether every path of cfg stops for sure without a horizon.
+def _stops(cfg: PathConfig, cycle: bool = False) -> bool:
+    """Whether every path of cfg (run as a cycle, if cycle) stops for sure without a horizon.
 
     An absorbing barrier stops the path unless it can drift off below (no
-    lower mechanism and a negative drift); an absorbing lower mechanism
+    lower mechanism and a negative drift), and so does a cycle's return to
+    b once a claim has ended its stay there; an absorbing lower mechanism
     stops it unless it can escape upward (no barrier and a positive
     drift).  Nothing else stops a path.
     """
     m = cfg.model
     barrier = cfg.upper_barrier is not None
-    if barrier and cfg.upper_mode == "absorb" and (cfg.lower != "none" or m.drift >= 0):
+    back_at_b = cfg.upper_mode == "absorb" or cycle and m.lam > 0
+    if barrier and back_at_b and (cfg.lower != "none" or m.drift >= 0):
         return True
     return cfg.lower.endswith("absorb") and m.lam > 0 and (barrier or m.drift <= 0)
 
 
-def _simulate_chunk(cfg: PathConfig, n: int, rng) -> dict:
-    """Run n paths to their stop on `_run_live`; return per-path accounting arrays."""
+def _simulate_chunk(cfg: PathConfig, n: int, rng, cycle: bool = False) -> dict:
+    """Run n paths to their stop on `_run_live`; return per-path accounting arrays.
+
+    With cycle, each runs a pre-phase and one cycle (see the module's "Cycles:")."""
     m = cfg.model
     c, lam = m.c, m.lam
     q = cfg.q
@@ -246,7 +249,7 @@ def _simulate_chunk(cfg: PathConfig, n: int, rng) -> dict:
     obs_rate = cfg.r if cfg.lower.startswith("parisian") else 0.0
     total_rate = lam + obs_rate
     T = cfg.horizon if cfg.horizon is not None else math.inf
-    if not math.isfinite(T) and not _stops(cfg):
+    if not math.isfinite(T) and not _stops(cfg, cycle):
         raise HorizonRequired("a path may never stop: give a finite horizon")
     classical = cfg.lower.startswith("classical")
     absorb_down = cfg.lower.endswith("absorb")
@@ -263,19 +266,32 @@ def _simulate_chunk(cfg: PathConfig, n: int, rng) -> dict:
             dt = np.full(na, np.inf)
 
         t2 = t + dt
+        if cycle:
+            # a path reaching b in its pre-phase keeps its bailouts so far and A, and
+            # starts its cycle: clock and bailouts restart at 0 for a stay at b
+            t_hit = t + (b - x) / c
+            i = np.flatnonzero((t_hit <= t2) & np.isnan(state[_A]))
+            state[_PRE, i], state[_BAIL, i] = state[_BAIL, i], 0.0
+            state[_A, i] = np.exp(-q * t_hit[i])
+            t2[i] -= t_hit[i]
+            t[i], x[i] = 0.0, b
         clipped = np.minimum(t2, T)
         cut = t2 > T                      # horizon reached inside this segment
 
         # time below zero on the linear piece before any barrier interaction
         below = x < 0
-        if below.any():
+        if not cycle and below.any():
             t_zero = t - x / c
             state[_RED] += np.where(below, np.minimum(clipped, np.maximum(t_zero, t)) - t, 0.0)
 
         t_new = clipped
         if reflect_up:
             paying, x_new = _to_barrier(t, x, clipped, b, c)
-            state[_DIV] += c * _disc_weight(q, paying, clipped)
+            if cycle:
+                # a path below b that comes back to b ends its cycle there
+                up = (x < b) & (paying < clipped)
+                t_new = np.where(up, paying, clipped)
+            state[_DIV] += c * _disc_weight(q, paying, t_new)
         elif absorb_up:
             # the barrier sits above 0, so an up-stop never truncates red time
             t_hit = t + (b - x) / c
@@ -284,9 +300,9 @@ def _simulate_chunk(cfg: PathConfig, n: int, rng) -> dict:
             x_new = np.where(up, b, x + c * (clipped - t))
         else:
             x_new = x + c * (clipped - t)
-        stop = cut | up if absorb_up else cut
+        stop = cut | up if absorb_up or cycle else cut
         # the cause if the path stops now: UP, else HORIZON = DOWN + 1 if cut, else DOWN
-        state[_CAUSE] = np.where(up, UP, DOWN + cut) if absorb_up else DOWN + cut
+        state[_CAUSE] = np.where(up, UP, DOWN + cut) if absorb_up or cycle else DOWN + cut
 
         # event at t2 for the paths still running
         if total_rate > 0:
@@ -303,19 +319,21 @@ def _simulate_chunk(cfg: PathConfig, n: int, rng) -> dict:
             elif reflect_down:
                 amt = np.where(neg, -x_new, 0.0)
                 state[_BAIL] += amt * (np.exp(-q * t2) if q > 0 else 1.0)
-                state[_BAIL_RAW] += amt
+                if not cycle:
+                    state[_BAIL_RAW] += amt
                 x_new = np.where(neg, 0.0, x_new)
 
         state[_T] = t_new
         state[_X] = x_new
         return stop
 
-    rec = _run_live(_CAUSE + 1, n, {_X: cfg.x0}, step)
+    rec = _run_live(_CAUSE + 1, n, {_X: cfg.x0, **({_A: math.nan} if cycle else {})}, step)
     cause = rec[_CAUSE].astype(np.int8)
     return {
         "cause": cause, "stop_t": rec[_T], "under": np.where(cause == DOWN, rec[_X], 0.0),
-        "div": rec[_DIV], "bail": rec[_BAIL], "bail_raw": rec[_BAIL_RAW], "red": rec[_RED],
-        "final": rec[_X],
+        "div": rec[_DIV], "bail": rec[_BAIL], "final": rec[_X],
+        **({"pre": rec[_PRE], "a": rec[_A]} if cycle
+           else {"bail_raw": rec[_BAIL_RAW], "red": rec[_RED]}),
     }
 
 
@@ -339,6 +357,20 @@ def _functional_values(fn: Functional, rec: dict, q: float) -> np.ndarray:
     return np.exp(-fn.red_rate * rec["red"])      # time_in_red
 
 
+def _cycle_values(fn: Functional, rec: dict, q: float) -> np.ndarray:
+    """The rows P, A, C and 1 - M of a cycle run's record (see the module's "Cycles:"):
+    a path's pre-phase adds only bailouts if it reached b, and it has no cycle if not."""
+    at_b = ~np.isnan(rec["a"])
+    whole = _functional_values(fn, rec, q)
+    v = np.zeros((4, whole.size))
+    v[0] = np.where(at_b, _functional_values(
+        fn, {**rec, "cause": ALIVE, "div": 0.0, "bail": rec["pre"]}, q), whole)
+    v[1, at_b] = rec["a"][at_b]
+    v[2, at_b] = whole[at_b]
+    v[3, at_b] = np.where(rec["cause"] == UP, -np.expm1(-q * rec["stop_t"]), 1.0)[at_b]
+    return v
+
+
 def _chunk_rng(seed: int, index: int):
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
@@ -356,114 +388,78 @@ def _map_chunks(simulate, seed: int, n_paths: int) -> list:
     return [run(i) for i in starts]
 
 
-def _tail_bound(cfg: PathConfig, fn: Functional, T: float) -> float:
-    """Bound on what fn accrues after the horizon T, for the path laws of cfg.
-
-    Dividends are paid at rate at most c, so their tail is at most
-    c e^{-qT}/q.  Each injected unit repays a claim made no later, so the
-    injections after T are at most the discounted claims after T,
-    lam E[C] e^{-qT}/q; under Parisian reflection the deficit carried past
-    T (the claims since the last observation, lam E[C]/r in mean) adds
-    lam E[C] e^{-qT}/r.  slg = dividends - k bailouts takes both tails.
-    """
-    m, q = cfg.model, cfg.q
-    disc = math.exp(-q * T)
-    reflect_up = cfg.upper_barrier is not None and cfg.upper_mode == "reflect"
-    dividends = m.c * disc / q if reflect_up else 0.0
-    injections = 0.0
-    if cfg.lower.endswith("reflect"):
-        injections = m.lam * m.mean_claim * disc / q
-        if cfg.lower == "parisian_reflect":
-            injections += m.lam * m.mean_claim * disc / cfg.r
-    return {"dividends": dividends, "bailouts": injections,
-            "slg": dividends + abs(fn.k) * injections}[fn.name]
-
-
 def _chunk_moments(v: np.ndarray) -> tuple:
-    """(n, sum, residual, M2) of one chunk's values about its float mean.
+    """(n, sums, residuals, co-moments) of one chunk's rows of values about their float means.
 
-    With m = sum/n, residual = sum(v - m) keeps what rounding m dropped and
-    M2 = sum((v - m)^2), so the merge can difference two chunk means
-    without losing the digits they share.
+    With m = sum/n per row, residual = sum(v - m) keeps what rounding m
+    dropped and co-moment (i, j) = sum((v_i - m_i)(v_j - m_j)), so the merge
+    can difference two chunk means without losing the digits they share.
     """
-    s = float(v.sum())
-    d = v - s / v.size
-    return v.size, s, float(d.sum()), float((d * d).sum())
+    v = np.atleast_2d(v)
+    s = np.array([row.sum() for row in v])
+    d = v - (s / v.shape[1])[:, None]
+    return (v.shape[1], s, np.array([row.sum() for row in d]),
+            np.array([[(di * dj).sum() for dj in d] for di in d]))
 
 
-def _merge_m2(parts) -> float:
-    """Sum of squared deviations from the overall mean, merged in index order.
+def _merge_m2(parts) -> np.ndarray:
+    """Co-moments about the overall means, merged in index order.
 
-    The pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 1983):
-    M2 = M2_a + M2_b + delta^2 n_a n_b / (n_a + n_b), with delta the
-    difference of the two exact means, each carried as its float mean
-    plus residual/n about it.
+    The pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 1983),
+    taken to cross-moments: M2 = M2_a + M2_b + delta delta^T n_a n_b /
+    (n_a + n_b), with delta the difference of the two exact means, each
+    carried as its float mean plus residual/n about it.
     """
     n = 0
     for nc, sc, rc, m2c in parts:
         mean_c = sc / nc
-        m2c -= rc * rc / nc              # about the chunk's exact mean
+        m2c = m2c - np.outer(rc, rc) / nc       # about the chunk's exact mean
         if n == 0:
             n, pivot, r, m2 = nc, mean_c, rc, m2c
             continue
         delta = (mean_c - pivot) + (rc / nc - r / n)
-        m2 += m2c + delta * delta * (n * nc / (n + nc))
-        r += rc + nc * (mean_c - pivot)
+        m2 = m2 + (m2c + np.outer(delta, delta) * (n * nc / (n + nc)))
+        r = r + (rc + nc * (mean_c - pivot))
         n += nc
     return m2
 
 
-def _summary(parts, n_paths: int, tail: float = 0.0, horizon: float | None = None) -> MCEstimate:
-    """The mean, standard error and ci95 of the chunks' moments, merged in index order."""
-    mean = sum(p[1] for p in parts) / n_paths
-    se = math.sqrt(max(_merge_m2(parts), 0.0) / n_paths / n_paths)
-    return MCEstimate(mean=mean, std_error=se, n_paths=n_paths,
-                      ci95=(mean - 1.96 * se, mean + 1.96 * se), tail_bound=tail,
-                      horizon=horizon)
+def _summary(parts, n_paths: int, horizon: float | None = None) -> MCEstimate:
+    """The mean, standard error and ci95 of the chunks' moments, merged in index order.
 
-
-def _sized_horizon(cfg: PathConfig, fn: Functional, n_paths: int, seed: int) -> float:
-    """The cut T = min(T0, root of C e^{-qT} = 0.01 sd_pilot / sqrt(n_paths)).
-
-    C is the tail bound at T = 0 and sd_pilot the spread of fn over a
-    pilot run to the cap T0, on a chunk key no run of the estimate takes,
-    so T does not depend on the worker count.  T0 stays when C or the
-    spread is 0 or the root is not positive.
+    The rows P, A, C, 1 - M of a cycle run give mean(P) + mean(A) sum(C)/sum(1 - M),
+    with the delta method's gradient; one row P is a plain mean, the case A = 0.
     """
-    b = cfg.upper_barrier if cfg.upper_barrier is not None else 0.0
-    cap = default_horizon(cfg.q, cfg.x0, b)
-    C = _tail_bound(cfg, fn, 0.0)
-    if C == 0.0:
-        return cap
-    rec = _simulate_chunk(replace(cfg, horizon=cap), min(n_paths, _PILOT_PATHS),
-                          _chunk_rng(seed, _PILOT_CHUNK))
-    target = _TAIL_SHARE * float(_functional_values(fn, rec, cfg.q).std()) / math.sqrt(n_paths)
-    if target == 0.0:
-        return cap
-    root = math.log(C / target) / cfg.q
-    return min(cap, root) if root > 0 else cap
+    means, m2 = sum(p[1] for p in parts) / n_paths, _merge_m2(parts)
+    p, a, c, d = means if len(means) == 4 else (means[0], 0.0, 0.0, 0.0)
+    ratio, gain = (c / d, a / d) if d > 0 else (0.0, 0.0)
+    grad = np.array([1.0, ratio, gain, -ratio * gain])[:len(means)]
+    mean = float(p + a * ratio)
+    se = math.sqrt(max(grad @ m2 @ grad, 0.0) / n_paths / n_paths)
+    return MCEstimate(mean=mean, std_error=se, n_paths=n_paths,
+                      ci95=(mean - 1.96 * se, mean + 1.96 * se), horizon=horizon)
 
 
 def estimate(cfg: PathConfig, fn: Functional, n_paths: int, seed: int = 0) -> MCEstimate:
     """Monte-Carlo average of a path functional with its standard error.
 
-    Dividend and bailout functionals under reflection at the upper barrier
-    accrue for ever; without an explicit horizon they are cut at the
-    sized horizon (see the module docstring), tail_bound reports what the
-    cut can miss and horizon where it was made.
+    The rows the module's "Cycles:" names run one cycle per path.
     """
     if n_paths < 1:
         raise DomainError(f"need at least one path, got n_paths={n_paths}")
-    needs_horizon = fn.name in ("dividends", "bailouts", "slg") and cfg.upper_mode != "absorb"
-    tail = 0.0
-    if cfg.horizon is None and needs_horizon:
-        cfg = replace(cfg, horizon=_sized_horizon(cfg, fn, n_paths, seed))
-        tail = _tail_bound(cfg, fn, cfg.horizon)
+    accrues = fn.name in ("dividends", "bailouts", "slg")
+    reflected = cfg.upper_mode == "reflect" and cfg.horizon is None
+    if reflected and accrues and cfg.q == 0:
+        raise HorizonRequired("infinite-horizon functional with q = 0 needs an explicit horizon")
+    cycle = reflected and cfg.q > 0 and cfg.upper_barrier is not None and (
+        accrues or fn.name == "severity" and cfg.lower.endswith("absorb"))
 
     def simulate(n, rng):
-        return _chunk_moments(_functional_values(fn, _simulate_chunk(cfg, n, rng), cfg.q))
+        rec = _simulate_chunk(cfg, n, rng, cycle)
+        return _chunk_moments(_cycle_values(fn, rec, cfg.q) if cycle
+                              else _functional_values(fn, rec, cfg.q))
 
-    return _summary(_map_chunks(simulate, seed, n_paths), n_paths, tail, cfg.horizon)
+    return _summary(_map_chunks(simulate, seed, n_paths), n_paths, cfg.horizon)
 
 
 # ---------------------------------------------------------------------------

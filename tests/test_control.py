@@ -390,6 +390,15 @@ class TestEfficiency:
         assert want == pytest.approx(0.89897949, rel=1e-8)
         assert got == pytest.approx(want, rel=tol)
 
+    def test_patience_at_a_tiny_q_brackets_in_few_solves(self, m1, monkeypatch):
+        """The bracket starts at 2^-40, not at q = 1e-300 and ~1000 doublings below it."""
+        calls = []
+        threshold = ctl._threshold
+        monkeypatch.setattr(ctl, "_threshold",
+                            lambda *a: calls.append(a) or threshold(*a))
+        ctl.solve_patience(build_parisian(m1, 1e-300, 1.0), 5.0)
+        assert 0 < len(calls) <= 100
+
     def test_patience_restores_threshold(self, m1_par_sym):
         k = 5.0
         extra = ctl.solve_patience(m1_par_sym, k)

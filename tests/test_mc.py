@@ -2,6 +2,7 @@
 
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,6 +71,16 @@ NEVER_STOPS = {
     "reflect-at-0-and-b": ("PathConfig(M1, x0=0.5, q=0.5, upper_barrier=1.5, "
                            "upper_mode='reflect', lower='classical_reflect')",
                            "Functional('severity')"),
+    # cycles at b that may never end: drifting off below, or a stay at b no claim ends
+    "cycle-negative-drift": ("PathConfig(DOWNHILL, x0=0.5, q=0.5, upper_barrier=1.5, "
+                             "upper_mode='reflect')", "Functional('dividends')"),
+    "cycle-no-claims": ("PathConfig(LevyModel(c=1.0), x0=0.5, q=0.5, upper_barrier=1.5, "
+                        "upper_mode='reflect', lower='classical_absorb')",
+                        "Functional('dividends')"),
+    "cycle-observations-no-claims": ("PathConfig(LevyModel(c=1.0), x0=1.5, q=0.5, "
+                                     "upper_barrier=1.5, upper_mode='reflect', "
+                                     "lower='parisian_reflect', r=1.0)",
+                                     "Functional('slg', k=2.0)"),
 }
 
 
@@ -96,6 +107,7 @@ class TestStopping:
             "from parisian_scale.errors import HorizonRequired\n"
             "from parisian_scale.mc import Functional, PathConfig, estimate\n"
             "M1 = LevyModel(c=1.0, sigma2=0.0, lam=1.0, phases=((1.0, 2.0),))\n"
+            "DOWNHILL = LevyModel(c=0.4, sigma2=0.0, lam=1.0, phases=((1.0, 2.0),))\n"
             "try:\n"
             f"    estimate({cfg}, {fn}, 100)\n"
             "except HorizonRequired:\n"
@@ -146,6 +158,30 @@ class TestStopping:
                             r=1.0 if lower.startswith("parisian") else 0.0)
         assert mc._stops(cfg) is stops
 
+    @pytest.mark.parametrize("c,lam,lower,ends", [
+        (1.0, 1.0, "none", True),
+        (0.4, 1.0, "none", False),                    # drift -1/10 can carry it off below
+        (0.4, 1.0, "classical_reflect", True),
+        (0.4, 1.0, "parisian_absorb", True),
+        (1.0, 0.0, "classical_absorb", False),        # no claim ends the stay at b
+        (1.0, 0.0, "parisian_reflect", False),
+    ])
+    def test_cycle_stopping_rule(self, c, lam, lower, ends):
+        model = LevyModel(c=c, sigma2=0.0, lam=lam, phases=((1.0, 2.0),))
+        cfg = mc.PathConfig(model=model, x0=0.5, q=0.5, upper_barrier=1.5, upper_mode="reflect",
+                            lower=lower, r=1.0 if lower.startswith("parisian") else 0.0)
+        assert mc._stops(cfg, cycle=True) is ends
+
+    def test_q_zero_keeps_whole_paths(self, m1):
+        """At q = 0 no cycle runs: accruing functionals need a horizon, severity runs to ruin."""
+        cfg = m1_cfg(m1, x0=0.6, q=0.0, upper_barrier=1.5, upper_mode="reflect",
+                     lower="classical_absorb")
+        with pytest.raises(HorizonRequired):
+            mc.estimate(cfg, mc.Functional("dividends"), 100)
+        fn = mc.Functional("severity", theta=1.0)
+        rec = mc._simulate_chunk(cfg, 500, mc._chunk_rng(4, 0))
+        assert mc.estimate(cfg, fn, 500, seed=4).mean == mc._functional_values(fn, rec, 0.0).mean()
+
 
 def test_no_claims_path_reaches_the_barrier_on_time():
     """Without claims every path rises at rate c and is absorbed at b at time (b - x)/c."""
@@ -163,6 +199,17 @@ class TestDeterminism:
         a = mc.estimate(cfg, fn, n_paths=50_000, seed=42)
         b = mc.estimate(cfg, fn, n_paths=50_000, seed=42)
         assert a.mean == b.mean and a.std_error == b.std_error
+
+    def test_cycle_estimate_bit_identical_across_thread_counts(self, m1, monkeypatch):
+        cfg = m1_cfg(m1, x0=0.6, q=2.0 / 3.0, upper_barrier=1.5, upper_mode="reflect",
+                     lower="parisian_reflect", r=1.0 / 3.0)
+        runs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("PARISIAN_SCALE_THREADS", threads)
+            est = mc.estimate(cfg, mc.Functional("slg", k=2.0), n_paths=(1 << 17) + 1000, seed=3)
+            runs.append((est.mean, est.std_error, est.tail_bound, est.horizon))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][2:] == (0.0, None)
 
     def test_bit_identical_across_thread_counts(self, m1):
         cfg = m1_cfg(m1, x0=0.5, q=2.0 / 3.0, upper_barrier=1.5,
@@ -289,15 +336,16 @@ class TestAnalyticCrossChecks:
         assert self.z_ok(est, ctl.parisian_bailouts(m1_par, 0.6, 1.5, INF))
 
     def test_tail_bound_reported(self, m1):
+        """Dividends until ruin run one cycle per path: nothing cut, no tail."""
         cfg = m1_cfg(m1, x0=0.6, q=0.5, upper_barrier=1.5, upper_mode="reflect",
                      lower="classical_absorb")
         est = mc.estimate(cfg, mc.Functional("dividends"), n_paths=2_000, seed=20)
-        assert 0.0 < est.tail_bound < 0.1 * est.std_error
+        assert est.tail_bound == 0.0 and est.horizon is None and est.std_error > 0
 
 
 class TestTailBound:
-    """The horizon cut's bound: c e^{-qT}/q for dividends, lam E[C] e^{-qT}
-    (1/q, plus 1/r under Parisian reflection) for injections."""
+    """Runs reflected at b take one cycle per path and cut nothing, so their tail
+    bound is 0; an explicit horizon is used as given, also with a tail bound of 0."""
 
     @pytest.mark.parametrize("lower,name,k", [
         ("classical_absorb", "dividends", 0.0),
@@ -308,42 +356,33 @@ class TestTailBound:
         ("parisian_reflect", "slg", 2.0),
     ])
     def test_formula(self, m1, lower, name, k):
-        q, r, x0, b = 0.5, 0.25, 0.6, 1.5
+        """No tail, and mean(P) + mean(A) sum(C)/sum(1 - M) with its delta-method se,
+        recomputed in one pass from the per-path rows of the single chunk."""
+        q, r, x0, b, n = 0.5, 0.25, 0.6, 1.5, 500
         cfg = m1_cfg(m1, x0=x0, q=q, upper_barrier=b, upper_mode="reflect", lower=lower,
                      r=r if lower.startswith("parisian") else 0.0)
-        est = mc.estimate(cfg, mc.Functional(name, k=k), n_paths=500, seed=20)
-        assert 0.0 < est.horizon <= mc.default_horizon(q, x0, b)
-        disc = math.exp(-q * est.horizon)
-        dividends = m1.c * disc / q
-        per_claim = m1.lam * m1.mean_claim * disc
-        injections = {"classical_reflect": per_claim / q,
-                      "parisian_reflect": per_claim * (1 / q + 1 / r)}.get(lower, 0.0)
-        expected = {"dividends": dividends, "bailouts": injections,
-                    "slg": dividends + k * injections}[name]
-        assert est.tail_bound == pytest.approx(expected, rel=1e-14, abs=0.0)
+        fn = mc.Functional(name, k=k)
+        est = mc.estimate(cfg, fn, n_paths=n, seed=20)
+        assert est.tail_bound == 0.0 and est.horizon is None
+        rows = mc._cycle_values(fn, mc._simulate_chunk(cfg, n, mc._chunk_rng(20, 0), True), q)
+        p, a, c, d = rows.mean(axis=1)
+        grad = np.array([1.0, c / d, a / d, -a * c / d**2])
+        assert est.mean == pytest.approx(p + a * c / d, rel=1e-12, abs=1e-300)
+        assert est.std_error == pytest.approx(
+            math.sqrt(grad @ np.cov(rows, bias=True) @ grad / n), rel=1e-9, abs=1e-300)
 
     def test_explicit_horizon_has_no_tail(self, m1):
         cfg = m1_cfg(m1, x0=0.6, q=0.5, upper_barrier=1.5, upper_mode="reflect",
                      lower="classical_reflect", horizon=5.0)
         assert mc.estimate(cfg, mc.Functional("slg", k=2.0), n_paths=500).tail_bound == 0.0
 
-    def test_sized_horizon_bit_identical_across_thread_counts(self, m1, monkeypatch):
-        cfg = m1_cfg(m1, x0=0.6, q=2.0 / 3.0, upper_barrier=1.5, upper_mode="reflect",
-                     lower="parisian_reflect", r=1.0 / 3.0)
-        runs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("PARISIAN_SCALE_THREADS", threads)
-            est = mc.estimate(cfg, mc.Functional("slg", k=2.0), n_paths=(1 << 17) + 1000, seed=3)
-            runs.append((est.mean, est.std_error, est.tail_bound, est.horizon))
-        assert runs[0] == runs[1]
-        assert runs[0][3] < mc.default_horizon(2.0 / 3.0, 0.6, 1.5)
-
     def test_cap_below_minus_one(self, m1):
-        """A start with x0 + b <= -1 takes the cap 40/q, not log1p's domain error."""
+        """A start with x0 + b <= -1 takes the cap 40/q, not log1p's domain error.  Without
+        a barrier there is no b to regenerate at, so reflection at 0 needs a horizon."""
         assert mc.default_horizon(0.5, -2.0, 0.0) == 80.0
         cfg = m1_cfg(m1, x0=-2.0, q=0.5, upper_mode="reflect", lower="classical_reflect")
-        est = mc.estimate(cfg, mc.Functional("bailouts"), n_paths=100)
-        assert math.isfinite(est.mean) and 0.0 < est.horizon <= 80.0
+        with pytest.raises(HorizonRequired):
+            mc.estimate(cfg, mc.Functional("bailouts"), n_paths=100)
 
 
 def _same_state(a, b):
@@ -379,6 +418,22 @@ class TestReduction:
         assert abs(var - reference) < 1e-10 * reference
         naive = sum(float((c * c).sum()) for c in chunks) / v.size - (v.sum() / v.size) ** 2
         assert abs(naive - reference) > reference
+
+    def test_cross_moment_merge_matches_exact_covariance(self):
+        """Four correlated rows at 1e8 + 1e-2 noise, in chunks of 2,000, 3,000 and 17."""
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((2, 5017))
+        v = 1e8 + 1e-2 * np.array([z[0], z[1], z[0] + 0.5 * z[1], z[0] * z[1]])
+        m2 = mc._merge_m2([mc._chunk_moments(c) for c in np.split(v, [2000, 5000], axis=1)])
+        exact = [[Fraction(0)] * 4 for _ in range(4)]
+        rows = [[Fraction(float(e)) for e in row] for row in v]
+        means = [sum(row) / len(row) for row in rows]
+        for i in range(4):
+            for j in range(i, 4):
+                exact[i][j] = exact[j][i] = sum((a - means[i]) * (b - means[j])
+                                                for a, b in zip(rows[i], rows[j]))
+        scale = float(exact[0][0])
+        assert np.abs(m2 - np.array(exact, dtype=float)).max() < 1e-10 * scale
 
     def test_constant_values_have_no_spread(self):
         parts = [mc._chunk_moments(np.full(n, 0.1)) for n in (7, 65_536, 3)]
