@@ -533,9 +533,9 @@ SIMULATE_PINS = {
                           "0x1.66d0aae7344e0p-4", "0x0.0p+0"),
     ("severity", "none"): ("0x1.086aa181e25dbp-3", "0x1.b476487b540c7p-8",
                            "0x1.23898adbda800p-3", "0x0.0p+0"),
-    ("severity_reflected", "all"): ("0x1.0605572f25e74p-3", "0x1.3114b507c5407p-8",
+    ("severity_reflected", "all"): ("0x1.0391bae7d1067p-3", "0x1.4fdfbc205b21ep-8",
                                     "0x1.0318bdc6637f8p-3", "0x0.0p+0"),
-    ("severity_reflected", "none"): ("0x1.a783a298f228fp-3", "0x1.baa116fa9144ep-8",
+    ("severity_reflected", "none"): ("0x1.a1d938baf87e3p-3", "0x1.e5e134a81f2cdp-8",
                                      "0x1.a508346261af8p-3", "0x0.0p+0"),
     ("bailouts_to_level", "all"): ("0x1.f7cdbb4ad6f6ep-2", "0x1.20b8665981265p-8",
                                    "0x1.f52a2a0fafa78p-2", "0x0.0p+0"),
@@ -551,14 +551,14 @@ SIMULATE_PINS = {
                                    "0x1.abd011c40bc00p-6", "0x0.0p+0"),
     ("parisian_severity", "none"): ("0x1.71afa7d502b12p-5", "0x1.de078961ab77fp-9",
                                     "0x1.8ce93894942e0p-5", "0x0.0p+0"),
-    ("vf_dividends", "all"): ("0x1.490ad5c236fcap-1", "0x1.f3d4a30548103p-8",
-                              "0x1.3b4acf2fa7ef2p-1", "0x1.421708d43f4d6p-14"),
-    ("vf_dividends", "none"): ("0x1.490ad5c236fcap-1", "0x1.f3d4a30548103p-8",
-                               "0x1.3b4acf2fa7ef2p-1", "0x1.421708d43f4d6p-14"),
-    ("slg_value", "all"): ("0x1.26c4c73da2e91p-1", "0x1.8321ee6b9f82ep-7",
-                           "0x1.10e45894d65e8p-1", "0x1.010ac76915e1ep-13"),
-    ("slg_value", "none"): ("0x1.592b4fe6d8025p-1", "0x1.cdb86f9c0922fp-8",
-                            "0x1.4a9730f00d0a4p-1", "0x1.25183fb60048ap-14"),
+    ("vf_dividends", "all"): ("0x1.49c12adc422b7p-1", "0x1.40b6fd2752bfcp-7",
+                              "0x1.3b4acf2fa7ef2p-1", "0x0.0p+0"),
+    ("vf_dividends", "none"): ("0x1.49c12adc422b7p-1", "0x1.40b6fd2752bfcp-7",
+                               "0x1.3b4acf2fa7ef2p-1", "0x0.0p+0"),
+    ("slg_value", "all"): ("0x1.28f088a2a6ca0p-1", "0x1.bb30f537f63c9p-7",
+                           "0x1.10e45894d65e8p-1", "0x0.0p+0"),
+    ("slg_value", "none"): ("0x1.5a7d6d92712afp-1", "0x1.2312910c76a30p-7",
+                            "0x1.4a9730f00d0a4p-1", "0x0.0p+0"),
     ("time_in_red", "all"): ("0x1.b7374d8475935p-1", "0x1.a29787880a40ep-8",
                              "0x1.b636853b09e39p-1", "0x0.0p+0"),
     ("time_in_red", "none"): ("0x1.b7374d8475935p-1", "0x1.a29787880a40ep-8",
@@ -567,10 +567,10 @@ SIMULATE_PINS = {
                          "0x1.3414e92a639a0p-5", "0x0.0p+0"),
     ("VF_bail", "none"): ("0x1.66cb84194f22ep-5", "0x1.3d12a2f2cbd60p-8",
                           "0x1.3414e92a639a0p-5", "0x0.0p+0"),
-    ("VS_bail", "all"): ("0x1.9200a96824546p-5", "0x1.e7036eeefe280p-9",
-                         "0x1.cd96c2d9b55e0p-5", "0x1.4d14b612051ccp-15"),
-    ("VS_bail", "none"): ("0x1.9200a96824546p-5", "0x1.e7036eeefe280p-9",
-                          "0x1.cd96c2d9b55e0p-5", "0x1.4d14b612051ccp-15"),
+    ("VS_bail", "all"): ("0x1.8c67277e53073p-5", "0x1.039d1da9e8f19p-8",
+                         "0x1.cd96c2d9b55e0p-5", "0x0.0p+0"),
+    ("VS_bail", "none"): ("0x1.8c67277e53073p-5", "0x1.039d1da9e8f19p-8",
+                          "0x1.cd96c2d9b55e0p-5", "0x0.0p+0"),
 }
 
 
