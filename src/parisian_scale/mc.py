@@ -327,7 +327,7 @@ def _simulate_chunk(cfg: PathConfig, n: int, rng, cycle: bool = False) -> dict:
         state[_X] = x_new
         return stop
 
-    rec = _run_live(_CAUSE + 1, n, {_X: cfg.x0, **({_A: math.nan} if cycle else {})}, step)
+    rec = _run_live(_CAUSE + 1, n, {_X: cfg.x0, _A: math.nan if cycle else 0.0}, step)
     cause = rec[_CAUSE].astype(np.int8)
     return {
         "cause": cause, "stop_t": rec[_T], "under": np.where(cause == DOWN, rec[_X], 0.0),
