@@ -110,6 +110,17 @@ THREE_SUBS = ctl.NetworkSpec(subsidiaries=(
     ctl.Subsidiary(premium=3.0, lam=0.5, phases=((0.7, 2.0), (0.3, 5.0)), retention=0.25),
     ctl.Subsidiary(premium=2.5, lam=0.8, phases=((0.5, 1.5), (0.5, 4.0)), retention=0.4),
 ), c0=0.9, q=0.3)
+ONE_SUB = ctl.NetworkSpec(subsidiaries=(
+    ctl.Subsidiary(premium=2.0, lam=1.2, phases=((1.0, 1.5),), retention=0.4),
+), c0=1.0, q=0.4)
+# (premium, lam, first phase weight, the two phase rates, retention)
+SEVEN_SUBS = ctl.NetworkSpec(subsidiaries=tuple(
+    ctl.Subsidiary(premium=c, lam=lam, phases=((w, mu1), (1.0 - w, mu2)), retention=a)
+    for c, lam, w, mu1, mu2, a in (
+        (2.0, 0.6, 0.4, 1.0, 3.0, 0.5), (3.0, 0.3, 0.7, 2.0, 5.0, 0.25),
+        (2.5, 0.5, 0.5, 1.5, 4.0, 0.4), (1.8, 0.4, 0.3, 1.2, 2.5, 0.45),
+        (2.2, 0.7, 0.6, 2.5, 6.0, 0.3), (2.8, 0.2, 0.2, 0.8, 3.5, 0.35),
+        (1.5, 0.5, 0.5, 2.0, 7.0, 0.2))), c0=0.8, q=0.35)
 
 # name -> (spec, u0, b, horizon, digests of direct, lemma, shortfall)
 NETWORK = {
@@ -125,6 +136,15 @@ NETWORK = {
         "e131d975502a2a6216fef589c5ca8c7249d8ed3520b174dc7b403a861aa1dc13",
         "07b35d26e0490e40e2784c22f0fb3e14f16cc38c6353aadccd6fe455828380e7",
         "d2b90f38fcab1df8683728ffee2bfd8800943157d60495fd7f477efafb14c446")),
+    "one-subsidiary": (ONE_SUB, 0.8, 2.0, 40.0, (
+        "6d54a3d1987c25b17fca6c218e17f70805541a215ece7e2c52cd2a221773d269",
+        "c6f18cf010d495c12e8cd723bb7a0af7df92cb6194091cf7bf921b375458bbcb",
+        "dce776af44b32d67cc1b888ea7c6c9ca5bca5823401cd154d1700893e0c7dd60")),
+    # the horizon stops about half of the paths
+    "seven-subsidiaries-two-phases": (SEVEN_SUBS, 1.2, 3.5, 12.0, (
+        "1c360dc92ad376a8548bb36f89c8d4c1c656ef89b0c04a83d4b958199d654079",
+        "bc28cc0d320bda4f6c71877de8fde0bba5678e3a70032bc750931af3bc2e3960",
+        "c5270ca6e185fdcbcdc97459d653ea285ff41cac5c5b2d0b739534102267adc8")),
 }
 
 
