@@ -278,11 +278,12 @@ def _simulate_chunk(cfg: PathConfig, n: int, rng, cycle: bool = False) -> dict:
         clipped = np.minimum(t2, T)
         cut = t2 > T                      # horizon reached inside this segment
 
-        # time below zero on the linear piece before any barrier interaction
-        below = x < 0
-        if not cycle and below.any():
-            t_zero = t - x / c
-            state[_RED] += np.where(below, np.minimum(clipped, np.maximum(t_zero, t)) - t, 0.0)
+        # time below zero on the linear piece before any barrier interaction,
+        # on the paths below 0 only
+        below = np.flatnonzero(x < 0) if not cycle else ()
+        if len(below):
+            tb = t[below]
+            state[_RED, below] += np.minimum(clipped[below], np.maximum(tb - x[below] / c, tb)) - tb
 
         t_new = clipped
         if reflect_up:
@@ -507,6 +508,7 @@ def _network_chunk(spec, u0, b, horizon, n, rng):
     lams = np.array([s.lam for s in subs])
     alphas = np.array([s.retention for s in subs])
     ratios = alphas / (1.0 - alphas)          # alpha_i / (1 - alpha_i)
+    lemma_rates = gamma * (1.0 - alphas) / alphas - 1.0
     cs = np.array([s.premium for s in subs])
     lam_tot = float(lams.sum())
     p_sub = lams / lam_tot
@@ -529,10 +531,13 @@ def _network_chunk(spec, u0, b, horizon, n, rng):
         t2 = np.minimum(ta + dt, horizon)
         ended = ta + dt > horizon
 
-        # continuous part, split at the barrier hit
+        # continuous part, split at the barrier hit; the weights are `_disc_weight`'s
         free_end, u_pre = _to_barrier(ta, ua, t2, b, c0)
-        w_free = _disc_weight(q, ta, free_end)
-        w_pin = _disc_weight(q, free_end, t2)
+        if q > 0:
+            e_free, disc_ev = np.exp(-q * free_end), np.exp(-q * t2)
+            w_free, w_pin = (np.exp(-q * ta) - e_free) / q, (e_free - disc_ev) / q
+        else:
+            w_free, w_pin, disc_ev = free_end - ta, t2 - free_end, 1.0
         # off the barrier: subsidiaries pay their excess premium;
         # on it: the CB routes c0 to dividends and targets freeze
         state[DIRECT] += (sum_c - gamma * c0) * w_free + (c0 + sum_c) * w_pin
@@ -545,27 +550,24 @@ def _network_chunk(spec, u0, b, horizon, n, rng):
         # claim of subsidiary `which`: CB covers the ceded share
         live = ~ended
         ceded = (1.0 - alphas[which]) * sizes
-        kept = alphas[which] * sizes
-        disc_ev = np.exp(-q * t2)
+        kept = np.where(live, alphas[which] * sizes, 0.0)
         u_post = np.where(live, u_pre - ceded, u_pre)
         ruined = live & (u_post < 0)
+        paid = live & ~ruined
 
         # subsidiary bookkeeping: excess dividends keep reserves on the
         # line ratio_i u(t), so at a claim they sit at ratio_i u_pre;
         # the hit subsidiary pays its kept share, then every survivor
-        # pays a lump back down to the line through u_post
-        sub = u_pre[:, None] * ratios[None, :]
-        sub[np.arange(na), which] -= np.where(live, kept, 0.0)
-        target = np.maximum(u_post, 0.0)[:, None] * ratios[None, :]
-        target = np.where(ruined[:, None], sub, target)   # no lumps at ruin
-        lump = np.where(live[:, None], sub - target, 0.0)
-        state[SHORT] = np.maximum(state[SHORT], -lump.min(axis=1))
-        state[DIRECT] += np.where(live & ~ruined, lump.sum(axis=1) * disc_ev, 0.0)
-        state[LEMMA] += np.where(
-            live & ~ruined,
-            (gamma * (1.0 - alphas[which]) / alphas[which] - 1.0) * kept * disc_ev,
-            0.0,
-        )
+        # pays a lump back down to the line through u_post.  One row per
+        # subsidiary; the lumps add up in subsidiary order
+        line = np.maximum(u_post, 0.0)
+        for i, ratio in enumerate(ratios):
+            lump = (u_pre * ratio - kept * (which == i)) - line * ratio
+            low, total = (lump, lump) if i == 0 else (np.minimum(low, lump), total + lump)
+        # no lumps at ruin or past the horizon
+        state[SHORT] = np.maximum(state[SHORT], -np.where(paid, low, 0.0))
+        state[DIRECT] += np.where(paid, total * disc_ev, 0.0)
+        state[LEMMA] += np.where(paid, lemma_rates[which] * kept * disc_ev, 0.0)
 
         state[TIME] = t2
         state[U] = u_post

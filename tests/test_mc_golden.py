@@ -10,6 +10,7 @@ recording again from a commit whose engine is known to be right.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from parisian_scale import LevyModel, mc
@@ -121,6 +122,10 @@ SEVEN_SUBS = ctl.NetworkSpec(subsidiaries=tuple(
         (2.5, 0.5, 0.5, 1.5, 4.0, 0.4), (1.8, 0.4, 0.3, 1.2, 2.5, 0.45),
         (2.2, 0.7, 0.6, 2.5, 6.0, 0.3), (2.8, 0.2, 0.2, 0.8, 3.5, 0.35),
         (1.5, 0.5, 0.5, 2.0, 7.0, 0.2))), c0=0.8, q=0.35)
+NINE_SUBS = ctl.NetworkSpec(subsidiaries=SEVEN_SUBS.subsidiaries + (
+    ctl.Subsidiary(premium=2.4, lam=0.35, phases=((0.45, 1.1), (0.55, 3.2)), retention=0.3),
+    ctl.Subsidiary(premium=1.9, lam=0.45, phases=((0.65, 1.7), (0.35, 4.5)), retention=0.42),
+), c0=0.8, q=0.35)
 
 # name -> (spec, u0, b, horizon, digests of direct, lemma, shortfall)
 NETWORK = {
@@ -145,6 +150,12 @@ NETWORK = {
         "1c360dc92ad376a8548bb36f89c8d4c1c656ef89b0c04a83d4b958199d654079",
         "bc28cc0d320bda4f6c71877de8fde0bba5678e3a70032bc750931af3bc2e3960",
         "c5270ca6e185fdcbcdc97459d653ea285ff41cac5c5b2d0b739534102267adc8")),
+    # past seven columns numpy's row sum adds in pairwise blocks; the engine adds
+    # the lumps in subsidiary order, so `direct` pins that order
+    "nine-subsidiaries-two-phases": (NINE_SUBS, 1.2, 3.5, 12.0, (
+        "4db4be2d9b29a91089bcf62a9a866dba88e64ae5f032eb9fe92c05d61158b128",
+        "0e843c8c8dc079b7d792701d522637fe15d427a98e0301e10b88d827c1ee02c5",
+        "393809857efa364decca0810c20e9660f67d14595a6fec13cfc655eba7ae3121")),
 }
 
 
@@ -154,3 +165,8 @@ def test_network_paths_more_arrays(name):
     arrays = mc.network_paths(spec, u0, b, horizon, N, 1)
     assert tuple(hashlib.sha256(a.astype("<f8").tobytes()).hexdigest() for a in arrays) \
         == expected
+
+
+def test_network_lemma_holds_for_nine_subsidiaries():
+    direct, lemma, _ = mc.network_paths(NINE_SUBS, 1.2, 3.5, 12.0, N, 1)
+    assert np.abs(direct - lemma).max() < 1e-9 * max(np.abs(direct).max(), 1.0)
