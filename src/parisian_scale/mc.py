@@ -11,7 +11,10 @@ order, as the columns of one stacked state array (last row: the path
 index).  A step advances them in place and returns the mask of those
 that stopped; their rows go into the chunk's record once and are dropped
 with one gather, so a step costs in proportion to the paths alive.  Both
-hold a level that meets the barrier b at b with `_to_barrier`.
+hold a level that meets the barrier b at b with `_to_barrier`.  The
+red-time update touches only the paths below 0; the network's subsidiary
+bookkeeping is one pass of 1-D rows, which adds the lumps in subsidiary
+order.
 
 Reproducibility: paths are generated in fixed-size chunks, each chunk
 seeded by a Philox key (seed, chunk_index), with one draw per live path
@@ -531,7 +534,8 @@ def _network_chunk(spec, u0, b, horizon, n, rng):
         t2 = np.minimum(ta + dt, horizon)
         ended = ta + dt > horizon
 
-        # continuous part, split at the barrier hit; the weights are `_disc_weight`'s
+        # continuous part, split at the barrier hit; w_free and w_pin are
+        # `_disc_weight`'s expressions on three shared exponentials
         free_end, u_pre = _to_barrier(ta, ua, t2, b, c0)
         if q > 0:
             e_free, disc_ev = np.exp(-q * free_end), np.exp(-q * t2)

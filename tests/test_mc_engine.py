@@ -181,7 +181,7 @@ def _configs():
                                            horizon=100.0)
         yield f"{name}-below-zero-no-barrier", mc.PathConfig(
             model=m, x0=-0.4, q=0.5, lower="parisian_reflect", r=0.5, horizon=15.0)
-        # the horizon comes before the path is back at 0: red time ends at the horizon
+        # the horizon ends the first segment below 0 (m1) or as it reaches 0 (m3)
         yield f"{name}-red-past-horizon", mc.PathConfig(model=m, x0=-0.4, horizon=0.2)
 
 
