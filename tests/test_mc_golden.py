@@ -126,6 +126,12 @@ NINE_SUBS = ctl.NetworkSpec(subsidiaries=SEVEN_SUBS.subsidiaries + (
     ctl.Subsidiary(premium=2.4, lam=0.35, phases=((0.45, 1.1), (0.55, 3.2)), retention=0.3),
     ctl.Subsidiary(premium=1.9, lam=0.45, phases=((0.65, 1.7), (0.35, 4.5)), retention=0.42),
 ), c0=0.8, q=0.35)
+# the last subsidiary claims at 1/1000 of each other's rate
+RARE_SUB = ctl.NetworkSpec(subsidiaries=(
+    ctl.Subsidiary(premium=2.0, lam=1.0, phases=((1.0, 2.0),), retention=0.5),
+    ctl.Subsidiary(premium=2.5, lam=1.0, phases=((0.6, 1.5), (0.4, 4.0)), retention=0.35),
+    ctl.Subsidiary(premium=1.5, lam=0.001, phases=((1.0, 1.0),), retention=0.45),
+), c0=0.9, q=0.4)
 
 # name -> (spec, u0, b, horizon, digests of direct, lemma, shortfall)
 NETWORK = {
@@ -156,6 +162,12 @@ NETWORK = {
         "4db4be2d9b29a91089bcf62a9a866dba88e64ae5f032eb9fe92c05d61158b128",
         "0e843c8c8dc079b7d792701d522637fe15d427a98e0301e10b88d827c1ee02c5",
         "393809857efa364decca0810c20e9660f67d14595a6fec13cfc655eba7ae3121")),
+    # 22 of the 36 steps draw no claim for the rare subsidiary, and the horizon
+    # stops 783 of the 5000 paths
+    "rare-subsidiary": (RARE_SUB, 0.5, 1.0, 12.0, (
+        "de2b0ba94c0857aabfac1177b83821165578beac742f80f69636142f7f8e17c5",
+        "ba11439630b1ca997f2d2197cfd34d87b14bec4f6a7b073910d9b2965586160a",
+        "030b23866ce4532f1539968de743403ed13eeb5a78a625735f82ccd81c449031")),
 }
 
 
