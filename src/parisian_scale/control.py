@@ -20,12 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NoSolution,
-    QZero,
-    RetentionOutOfRange,
-)
+from .errors import DomainError, NoSolution, QZero, RetentionOutOfRange
 from .expmix import ExpMix, Stack
 from .laws import exit_law
 from .model import LevyModel, phi
@@ -39,6 +34,7 @@ from .scale import (
 )
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+_PATIENCE_TOL = 1e-8                # relative error of the threshold at the patience
 
 
 def _need_q(ctx):
@@ -248,7 +244,7 @@ def efficiency_index(pctx: ParisianContext) -> float:
     return _threshold(pctx.model, pctx.q, pctx.r)
 
 
-def solve_patience(pctx: ParisianContext, k: float, tol: float = 1e-8) -> float:
+def solve_patience(pctx: ParisianContext, k: float) -> float:
     """Smallest extra killing rate q' making cost k efficient at discount q+q'.
 
     The threshold k(q, r) is increasing in q, so bisection applies once an
@@ -278,7 +274,7 @@ def solve_patience(pctx: ParisianContext, k: float, tol: float = 1e-8) -> float:
     while True:
         mid = 0.5 * (lo + hi)
         km = _threshold(model, q + mid, r)
-        if abs(km - k) <= tol * k:
+        if abs(km - k) <= _PATIENCE_TOL * k:
             return mid
         if km < k:
             lo = mid

@@ -12,9 +12,9 @@ index).  A step advances them in place and returns the mask of those
 that stopped; their rows go into the chunk's record once and are dropped
 with one gather, so a step costs in proportion to the paths alive.  Both
 hold a level that meets the barrier b at b with `_to_barrier`.  The
-red-time update touches only the paths below 0; the network's subsidiary
-bookkeeping is one pass of 1-D rows, which adds the lumps in subsidiary
-order.
+red-time update touches only the paths below 0; a network step places
+each subsidiary's claim sizes by index and keeps its bookkeeping on 1-D
+rows, adding the lumps in subsidiary order.
 
 Reproducibility: paths are generated in fixed-size chunks, each chunk
 seeded by a Philox key (seed, chunk_index), with one draw per live path
@@ -524,11 +524,11 @@ def _network_chunk(spec, u0, b, horizon, n, rng):
         na = state.shape[1]
         dt = rng.standard_exponential(na) * (1.0 / lam_tot)
         which = _pick(rng, na, p_sub) if len(subs) > 1 else np.zeros(na, dtype=int)
-        sizes = np.zeros(na)
-        for i, s in enumerate(subs):
-            sel = which == i
-            if sel.any():
-                sizes[sel] = _sample_claims(rng, int(sel.sum()), s.phases)
+        hits = [which == i for i in range(len(subs))]
+        sizes = np.empty(na)
+        for hit, s in zip(hits, subs):
+            at = np.flatnonzero(hit)
+            sizes[at] = _sample_claims(rng, at.size, s.phases)
 
         ta, ua = state[TIME], state[U]
         t2 = np.minimum(ta + dt, horizon)
@@ -552,12 +552,11 @@ def _network_chunk(spec, u0, b, horizon, n, rng):
         )
 
         # claim of subsidiary `which`: CB covers the ceded share
-        live = ~ended
-        ceded = (1.0 - alphas[which]) * sizes
-        kept = np.where(live, alphas[which] * sizes, 0.0)
-        u_post = np.where(live, u_pre - ceded, u_pre)
-        ruined = live & (u_post < 0)
-        paid = live & ~ruined
+        alpha = alphas[which]
+        kept = alpha * sizes
+        u_post = u_pre - (1.0 - alpha) * sizes
+        ruined = ~ended & (u_post < 0)
+        paid = ~ended & ~ruined
 
         # subsidiary bookkeeping: excess dividends keep reserves on the
         # line ratio_i u(t), so at a claim they sit at ratio_i u_pre;
@@ -565,8 +564,8 @@ def _network_chunk(spec, u0, b, horizon, n, rng):
         # pays a lump back down to the line through u_post.  One row per
         # subsidiary; the lumps add up in subsidiary order
         line = np.maximum(u_post, 0.0)
-        for i, ratio in enumerate(ratios):
-            lump = (u_pre * ratio - kept * (which == i)) - line * ratio
+        for i, (hit, ratio) in enumerate(zip(hits, ratios)):
+            lump = (u_pre * ratio - kept * hit) - line * ratio
             low, total = (lump, lump) if i == 0 else (np.minimum(low, lump), total + lump)
         # no lumps at ruin or past the horizon
         state[SHORT] = np.maximum(state[SHORT], -np.where(paid, low, 0.0))

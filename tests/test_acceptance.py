@@ -234,7 +234,7 @@ class TestCriterion7EfficiencyThreshold:
 
     def test_patience_round_trip(self, m1_par_sym):
         k = 5.0
-        extra = ctl.solve_patience(m1_par_sym, k, tol=1e-8)
+        extra = ctl.solve_patience(m1_par_sym, k)
         back = ctl.efficiency_index(
             build_parisian(m1_par_sym.model, m1_par_sym.q + extra, m1_par_sym.r))
         assert back == pytest.approx(k, rel=1e-7)

@@ -406,6 +406,19 @@ class TestDraws:
             assert np.array_equal(mc._pick(ours, n, p), theirs.choice(k, size=n, p=p))
             assert _same_state(ours.bit_generator.state, theirs.bit_generator.state)
 
+    @pytest.mark.parametrize("phases", [((1.0, 2.0),), ((0.4, 1.0), (0.6, 3.0))],
+                             ids=["one-phase", "two-phases"])
+    @pytest.mark.parametrize("before", [0, 3])
+    def test_no_claims_draw_nothing(self, phases, before):
+        """A network step draws every subsidiary's sizes, none for a subsidiary no path
+        claims from; that draw must leave the stream where it was (also mid-block)."""
+        ours, fresh = mc._chunk_rng(7, 2), mc._chunk_rng(7, 2)
+        ours.random(before), fresh.random(before)
+        assert mc._sample_claims(ours, 0, phases).shape == (0,)
+        assert _same_state(ours.bit_generator.state, fresh.bit_generator.state)
+        assert np.array_equal(ours.standard_exponential(5), fresh.standard_exponential(5))
+        assert np.array_equal(ours.random(5), fresh.random(5))
+
 
 class TestReduction:
     def test_chunk_merge_matches_two_pass_variance(self):
