@@ -410,10 +410,12 @@ class TestDraws:
                              ids=["one-phase", "two-phases"])
     @pytest.mark.parametrize("before", [0, 3])
     def test_no_claims_draw_nothing(self, phases, before):
-        """A network step draws every subsidiary's sizes, none for a subsidiary no path
-        claims from; that draw must leave the stream where it was (also mid-block)."""
+        """A network step draws sizes for every subsidiary, zero of them for one that no
+        path claims from: that draw must leave the stream where it was, also in the
+        middle of Philox's four-word block."""
         ours, fresh = mc._chunk_rng(7, 2), mc._chunk_rng(7, 2)
-        ours.random(before), fresh.random(before)
+        for rng in (ours, fresh):
+            rng.random(before)
         assert mc._sample_claims(ours, 0, phases).shape == (0,)
         assert _same_state(ours.bit_generator.state, fresh.bit_generator.state)
         assert np.array_equal(ours.standard_exponential(5), fresh.standard_exponential(5))
