@@ -1,11 +1,12 @@
 """Dividend and bailout optimization on top of the scale calculus.
 
-Each barrier objective is a ``Barrier`` row (W, W', S, S'): the dividends at
-b net of S, V(x) = S(x) + W(x) (1 - S'(b)) / W'(b) on [0, b] and
-x - b + V(b) above b, with the barrier function G(b) = (1 - S'(b)) / W'(b),
-whose S'(b) and W'(b) are two rows of one e^{rho b}.
-The makers ``definetti``, ``slg_classic``, ``parisian_dividends`` and
-``slg_parisian`` give the rows; ``parisian_bailouts`` is the exit law of S.
+Each barrier objective is a ``Barrier`` row (W, W', S, S'): the dividends at b net of S,
+V(x) = S(x) + W(x) (1 - S'(b)) / W'(b) on [0, b] and x - b + V(b) above b, with the
+barrier function G(b) = (1 - S'(b)) / W'(b), whose S'(b) and W'(b) are two rows of one
+e^{rho b}.  V on [0, b] is the one exit kernel ``laws.exit_law`` on (S, W) with that
+(num, den), in the kernel's product-first order; ``parisian_bailouts`` is minus its
+exit law of S.  The makers ``definetti``, ``slg_classic``, ``parisian_dividends`` and
+``slg_parisian`` give the rows.
 Also here: the last-global-maximum optimizer, the efficiency threshold
 k(q, r) with its patience solver, and the reinsurance network's spec.
 Values take x as a scalar or a numpy array; b, theta and k are scalars.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -86,12 +87,10 @@ class Barrier:
     def value(self, x, b: float):
         """V on 0 <= x <= b, and x - b + V(b) above b."""
         num, den = self._slope(b)
-        if not np.all(np.asarray(x) >= 0) or den == 0.0:
+        if not (np.asarray(x) >= 0).all() or den == 0.0:
             raise DomainError(f"need x >= 0 and W'(b) != 0, got x={x}, b={b}")
-
-        def inside(y):
-            v = self.W(y) * num / den
-            return v if self.S is None else self.k * self.S(y) + v
+        S = None if self.S is None else lambda y: self.k * self.S(y)
+        inside = partial(exit_law, S, self.W, b=b, vartheta=(num, den))
         return piecewise(x, np.asarray(x) <= b, inside, lambda y: y - b + inside(b))
 
 
@@ -127,8 +126,7 @@ def slg_parisian(pctx: ParisianContext, k: float) -> Barrier:
 def parisian_bailouts(pctx: ParisianContext, x, b: float, vartheta: float):
     """Bailouts of Parisian reflection at 0 until b (vartheta = INF, VF_bail), or for ever with
     reflection at b too (vartheta = 0, VS_bail): 0.0 - the exit law of S, +0.0 at x = b."""
-    return 0.0 - exit_law(pctx.S, pctx.Z(0.0), x, b, vartheta,
-                          pctx.dS, pctx.Z(0.0, 1))
+    return 0.0 - exit_law(pctx.S, pctx.Z(0.0), x, b, vartheta, pctx.dS, pctx.Z(0.0, 1))
 
 
 _ROWS = {"deFinetti_classic": lambda ctx, k, w: definetti(ctx, Constant(0.0) if w is None else w),

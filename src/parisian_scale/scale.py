@@ -63,7 +63,7 @@ def piecewise(x, inside, f, g):
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape)
     out[inside] = f(x[inside])
-    if not np.all(inside):          # g can cost even on no points: V(b) in Barrier.value
+    if not inside.all():            # g can cost even on no points: V(b) in Barrier.value
         out[~inside] = g(x[~inside])
     return float(out) if out.ndim == 0 else out
 

@@ -1,6 +1,7 @@
 """Law-level checks: identities, bounds, limits, and closed-form fixtures."""
 
 import math
+import sys
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -49,6 +50,47 @@ def test_every_exported_law_has_a_row(monkeypatch, m1_q0, m1_q23, m1_par):
                    params)
     assert "severity" in called
     assert exported - called == {"parisian_resolvent"}
+
+
+def test_every_row_calls_the_exit_kernel(monkeypatch, m1_q0, m1_q23, m1_par):
+    """Each law and objective of the table is a call of laws.exit_law, except time_in_red."""
+    kernel, calls = laws.exit_law, []
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+    for module in [m for name, m in sys.modules.items() if name.startswith("parisian_scale")]:
+        if getattr(module, "exit_law", None) is kernel:
+            monkeypatch.setattr(module, "exit_law", wrapper)
+    params = SimpleNamespace(b=2.5, theta=1.3, vartheta=0.4, r=m1_par.r, k=1.7, K=0.6)
+    missed = []
+    for name, row in {**table.LAWS, **table.OBJECTIVES}.items():
+        calls.clear()
+        row.column(m1_q0 if name == "time_in_red" else m1_q23, m1_par, np.linspace(0, 2.5, 4),
+                   params)
+        if not calls:
+            missed.append(name)
+    assert missed == ["time_in_red"]
+
+
+@pytest.mark.parametrize("label", sorted(MODELS))
+def test_laws_at_the_barrier_are_exact(label):
+    """At x = b the absorbed laws read exactly +0.0 and the up-crossings exactly 1.0, over a
+    seeded sweep of b at q = 0.5, r = 1 (the resolvent integral read down to -7.1e-15 when it
+    formed W(x) Wbar(b) first)."""
+    pctx = build_parisian(MODELS[label][0], 0.5, 1.0)
+    rng = np.random.default_rng(26)
+    absorbed = ("severity_absorbed", "parisian_severity", "VF_bail",
+                "parisian_resolvent_integral")
+    up = ("two_sided", "bailouts_to_level", "parisian_up_exit")
+    rows = {**table.LAWS, **table.OBJECTIVES}
+    for b in rng.uniform(0.1, 5.0, 1000):
+        params = SimpleNamespace(b=float(b), theta=float(rng.uniform(0.0, 3.0)), vartheta=INF,
+                                 r=1.0, k=0.0, K=0.0)
+        for name in absorbed + up:
+            got = rows[name].column(pctx.base, pctx, float(b), params)
+            assert got.hex() == (0.0 if name in absorbed else 1.0).hex(), (name, b, got)
+        assert laws.up_exit(pctx, float(b), float(b), INF) == 1.0
 
 
 class TestFundamentalIdentity:
