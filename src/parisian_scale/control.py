@@ -85,12 +85,12 @@ class Barrier:
         return num / den
 
     def value(self, x, b: float):
-        """V on 0 <= x <= b, and x - b + V(b) above b."""
+        """V on 0 <= x <= b (b = 0 too: the pair reads no b), and x - b + V(b) above b."""
         num, den = self._slope(b)
         if not (np.asarray(x) >= 0).all() or den == 0.0:
             raise DomainError(f"need x >= 0 and W'(b) != 0, got x={x}, b={b}")
         S = None if self.S is None else lambda y: self.k * self.S(y)
-        inside = partial(exit_law, S, self.W, b=b, vartheta=(num, den))
+        inside = partial(exit_law, S, self.W, b=None, vartheta=(num, den))
         return piecewise(x, np.asarray(x) <= b, inside, lambda y: y - b + inside(b))
 
 

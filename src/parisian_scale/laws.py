@@ -51,7 +51,7 @@ def _check_interval(x, a: float, b: float | None):
 def exit_law(S, W, x, b: float | None, vartheta, dS=None, dW=None):
     """S(x) - W(x) B[S]/B[W] on 0 <= x <= b, S = None reading as 0: B[f] = f(b) for vartheta
     = INF, f'(b) + vartheta f(b) for a finite vartheta (dS = S', dW = W'); a pair (num, den)
-    is -B[S] and B[W] as the caller read them, with b = None for no barrier (0 <= x < inf)."""
+    is -B[S] and B[W] as the caller read them; b = None checks 0 <= x < inf alone."""
     _check_interval(x, 0.0, b)
     if isinstance(vartheta, tuple):
         num, den = vartheta
@@ -70,10 +70,8 @@ def severity(ctx: ScaleContext | ParisianContext, x, b: float, theta: float,
              vartheta: float = INF):
     """Joint transform of ruin time and undershoot, absorbed at b, or reflected there with
     e^{-vartheta L} on the undiscounted dividends L for a finite vartheta."""
-    z = ctx.Z(theta)
-    if vartheta == INF:     # absorbed: no derivative is read, so none is built
-        return exit_law(z, ctx.W, x, b, vartheta)
-    return exit_law(z, ctx.W, x, b, vartheta, ctx.Z(theta, 1), ctx.dW)
+    dz = None if vartheta == INF else ctx.Z(theta, 1)   # absorbed: no derivative is read
+    return exit_law(ctx.Z(theta), ctx.W, x, b, vartheta, dz, ctx.dW)
 
 
 def severity_infinite(ctx: ScaleContext, x, theta: float):
@@ -120,4 +118,5 @@ def parisian_resolvent(pctx: ParisianContext, x, a: float, b: float, y: float):
 
 def parisian_resolvent_integral(pctx: ParisianContext, x, a: float, b: float):
     """Exact int_a^b of the resolvent density, via mixture antiderivatives."""
+    _check_interval(x, a, b)
     return 0.0 - exit_law(pctx.Wbar, pctx.W, x - a, b - a, INF)

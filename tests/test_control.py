@@ -190,6 +190,30 @@ class TestSlgClassicAtZero:
             row.value(0.0, 0.0)
 
 
+# V(0) and V(0.7) (float.hex) of each row on m1 at b = 0, where W'(0) != 0: b = 0 is the
+# optimum of SLG_classic at q = 2/3, k = 1.2 (test_boundary_detection)
+ZERO_BARRIER_VALUES = {
+    "SLG_classic": ("0x1.3333333333332p-1", "0x1.4ccccccccccccp+0"),
+    "W": ("0x1.3333333333332p-1", "0x1.4ccccccccccccp+0"),
+    "deFinetti_classic": ("0x1.d1745d1745d15p-1", "0x1.9bed61bed61bep+0"),
+    "VF_div": ("0x1.d9b02122c5d6fp-1", "0x1.a00b43c4961eap+0"),
+    "VS_div": ("0x1.0f876ccdf6cdap+0", "0x1.c2baa0012a00dp+0"),
+    "SLG_parisian": ("0x1.15f619980c432p-1", "0x1.3e2e3fff3954cp+0"),
+}
+
+
+def test_value_at_zero_barrier(m1, m1_q23, m1_par):
+    rows = {"SLG_classic": ctl.slg_classic(m1_q23, 1.2), "W": ctl.Barrier(m1_q23.W, m1_q23.dW),
+            "deFinetti_classic": ctl.definetti(build_scale(m1, 0.1), Constant(0.0)),
+            "VF_div": ctl.parisian_dividends(m1_par, math.inf),
+            "VS_div": ctl.parisian_dividends(m1_par, 0.0),
+            "SLG_parisian": ctl.slg_parisian(m1_par, 5.0)}
+    for name, want in ZERO_BARRIER_VALUES.items():
+        got = rows[name].value(np.array([0.0, 0.7]), 0.0)
+        assert tuple(float(v).hex() for v in got) == want, name
+        assert float(rows[name].value(0.0, 0.0)).hex() == want[0], name
+
+
 class TestMixturesBuiltOnce:
     """A solve builds each mixture once: the count does not grow with the grid."""
 

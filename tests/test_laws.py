@@ -331,6 +331,9 @@ class TestResolvent:
             laws.parisian_resolvent(m1_par, 3.0, 0.0, 2.0, 1.0)
         with pytest.raises(DomainError):
             laws.parisian_resolvent(m1_par, 1.0, 0.0, 2.0, 2.5)
+        # the integral names x, a and b as given, not the shifted x - a and b - a
+        with pytest.raises(DomainError, match=r"x=3\.5, a=1\.0, b=2\.0"):
+            laws.parisian_resolvent_integral(m1_par, 3.5, 1.0, 2.0)
 
 
 class TestOmegaFactorization:
