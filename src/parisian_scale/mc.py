@@ -381,7 +381,10 @@ def _chunk_rng(seed: int, index: int):
 
 def _map_chunks(simulate, seed: int, n_paths: int) -> list:
     """simulate(size, rng) for each chunk of n_paths, chunk i on the Philox key (seed, i),
-    on the worker threads, in index order."""
+    on the worker threads, in index order.  Philox reads the seed modulo 2**64, so only
+    the integers in [-2**63, 2**63) have keys of their own."""
+    if not (isinstance(seed, (int, np.integer)) and -2**63 <= seed < 2**63):
+        raise DomainError(f"the seed must be an integer in [-2**63, 2**63), got {seed!r}")
     def run(start):
         return simulate(min(_CHUNK, n_paths - start), _chunk_rng(seed, start // _CHUNK))
     starts = range(0, n_paths, _CHUNK)

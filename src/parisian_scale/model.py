@@ -74,8 +74,9 @@ class LevyModel:
     def __post_init__(self):
         phases = tuple((float(p), float(m)) for p, m in self.phases)
         object.__setattr__(self, "phases", phases)
+        weights, rates = [p for p, _ in phases], sorted(m for _, m in phases)
         # a NaN compares False everywhere, so it would pass every check below
-        if not all(map(math.isfinite, (self.c, self.sigma2, self.lam, *sum(phases, ())))):
+        if not all(map(math.isfinite, (self.c, self.sigma2, self.lam, *weights, *rates))):
             raise ModelError("c, sigma2, lambda and the phase weights and rates must be finite")
         if self.sigma2 < 0:
             raise ModelError("sigma2 must be nonnegative")
@@ -84,18 +85,16 @@ class LevyModel:
         if self.lam > 0 and not phases:
             raise ModelError("positive claim intensity requires claim phases")
         if phases:
-            weights = np.array([p for p, _ in phases])
-            rates = np.array([m for _, m in phases])
-            if abs(weights.sum() - 1.0) > 1e-12:
-                raise ModelError(f"phase weights sum to {weights.sum()}, not 1")
-            if np.any(weights <= 0) or np.any(weights > 1):
+            total = np.sum(weights)     # numpy's pairwise sum, whose bits the message prints
+            if abs(total - 1.0) > 1e-12:
+                raise ModelError(f"phase weights sum to {total}, not 1")
+            if not all(0 < p <= 1 for p in weights):
                 raise ModelError("phase weights must lie in (0, 1]")
-            if np.any(rates <= 0):
+            if rates[0] <= 0:
                 raise ModelError("phase rates must be positive")
-            for i in range(len(rates)):
-                for j in range(i + 1, len(rates)):
-                    if abs(rates[i] - rates[j]) <= 1e-9 * max(rates[i], rates[j]):
-                        raise ModelError("phase rates must be pairwise distinct")
+            # sorted, a near-equal pair has a near-equal pair of neighbours between them
+            if any(hi - lo <= 1e-9 * hi for lo, hi in zip(rates, rates[1:])):
+                raise ModelError("phase rates must be pairwise distinct")
         if not (self.sigma2 > 0 or self.c > 0):
             raise ModelError("need sigma2 > 0 or c > 0")
         object.__setattr__(self, "drift", self.c - self.lam * self.mean_claim)
@@ -202,14 +201,16 @@ def phi(model: LevyModel, s: float) -> float:
 
 
 def root_set(model: LevyModel, s: float) -> list[float]:
-    """All roots of kappa(theta) = s, Newton-polished, Phi_s first.
+    """All roots of kappa(theta) = s, Newton-polished: Phi_s first, the others ascending.
 
     Every root is real: with its n poles -mu_i cleared, kappa - s has degree
     n + 1 (n + 2 if sigma2 > 0) and as many real roots, one between each two
     neighbouring poles, two on (-mu_min, inf), where kappa is convex and
     kappa(0) = 0 <= s, and, if sigma2 > 0, one below -mu_max.  So the real
-    parts of the polynomial's roots are kept, and roots that do not alternate
-    with the poles that way are DegenerateRoots, as are two that coincide.
+    parts of the polynomial's roots are kept and sorted after their polish,
+    which next to two near-equal poles can carry a root past its neighbour,
+    so Phi_s is the last.  Two neighbours that coincide are DegenerateRoots,
+    as are roots that do not alternate with the poles that way.
     """
     if not 0 <= s < math.inf:
         raise DomainError(f"s must be finite and nonnegative, got {s}")
@@ -231,18 +232,13 @@ def root_set(model: LevyModel, s: float) -> list[float]:
             if abs(step) < 1e-15 * (1.0 + abs(r)):
                 break
         polished.append(r)
-    scale = max(max(abs(r) for r in polished), 1.0)
-    for i in range(len(polished)):
-        for j in range(i + 1, len(polished)):
-            if abs(polished[i] - polished[j]) < _ROOT_SEP_RTOL * scale:
-                raise DegenerateRoots(
-                    f"roots {polished[i]} and {polished[j]} coincide; perturb the model"
-                )
+    polished.sort()
+    tol = _ROOT_SEP_RTOL * max(abs(polished[0]), abs(polished[-1]), 1.0)
+    for lo, hi in zip(polished, polished[1:]):
+        if hi - lo < tol:
+            raise DegenerateRoots(f"roots {lo} and {hi} coincide; perturb the model")
     poles = sorted(-mu for _, mu in model.phases)
     first = 1 if model.sigma2 > 0 else 0     # the roots below each pole: first, first + 1, ...
-    if np.searchsorted(sorted(polished), poles).tolist() != list(range(first, first + len(poles))):
-        raise DegenerateRoots(f"roots {sorted(polished)} do not alternate with the poles {poles}")
-    # the root nearest the polished phi value becomes that value
-    phi_s = phi(model, s)
-    idx = min(range(len(polished)), key=lambda k: abs(polished[k] - phi_s))
-    return [phi_s] + polished[:idx] + polished[idx + 1:]
+    if np.searchsorted(polished, poles).tolist() != list(range(first, first + len(poles))):
+        raise DegenerateRoots(f"roots {polished} do not alternate with the poles {poles}")
+    return [phi(model, s)] + polished[:-1]

@@ -365,6 +365,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "do not alternate with the poles" in err
 
+    @pytest.mark.parametrize("seed", [str(2**63), str(2**64 - 1)])
+    def test_simulate_seed_outside_int64_is_one(self, capsys, model_path, seed):
+        """2**63 ran the stream of -2**63, and 2**64 - 1 warned of an invalid cast."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "two_sided", "--model", model_path, "--q", "0.5",
+                         "--x", "0.6", "--b", "1.5", "--paths", "10", "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed" in err
+
     def test_simulate_zero_paths_is_two(self, capsys, model_path):
         assert main(["simulate", "two_sided", "--model", model_path, "--q", "0.5",
                      "--x", "0.6", "--b", "1.5", "--paths", "0"]) == 2

@@ -328,6 +328,10 @@ class TestValues:
 
 
 class TestBarrierRow:
+    def test_unknown_kind_is_refused(self, m1):
+        with pytest.raises(DomainError, match="unknown barrier function kind 'SLG'"):
+            ctl.barrier_function("SLG", build_scale(m1, 0.5), 1.0, k=1.5)
+
     def test_built_once_per_context(self, m1, monkeypatch):
         made = []
         row = ctl.slg_classic
@@ -359,6 +363,10 @@ class TestEfficiency:
     def test_patience_needs_positive_q(self, run_child):
         body = "print(control.solve_patience(build_parisian(M1, 0.0, 1.0), 50.0))"
         assert run_child(body) == "refused"
+
+    def test_patience_at_q_zero_is_refused_in_process(self, m1):
+        with pytest.raises(DomainError, match="patience needs q > 0"):
+            ctl.solve_patience(build_parisian(m1, 0.0, 1.0), 50.0)
 
     def test_patience_zero_when_already_efficient(self, m1_par_sym):
         assert ctl.solve_patience(m1_par_sym, 3.0) == 0.0

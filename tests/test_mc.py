@@ -36,6 +36,7 @@ class TestConstruction:
         {"q": math.nan}, {"q": -0.5}, {"q": math.inf},
         {"horizon": -1.0},
         {"lower": "parisian_absorb", "r": math.nan},  # every path the same, se 0
+        {"lower": "classical_absorbed"}, {"upper_mode": "reflected"},
     ])
     def test_refuses_what_it_cannot_simulate(self, m1, kw):
         kw = {"x0": 0.5, "q": 0.5, "upper_barrier": 2.0, "lower": "classical_absorb", **kw}
@@ -60,6 +61,20 @@ class TestConstruction:
         cfg = m1_cfg(m1, x0=0.5, q=0.5, upper_barrier=1.5, lower="classical_absorb")
         with pytest.raises(DomainError):
             mc.estimate(cfg, mc.Functional("up_exit"), n_paths=0)
+
+    @pytest.mark.parametrize("seed", [2**63, 2**64 - 1, -2**63 - 1, 1.5, "1"])
+    def test_refuses_a_seed_without_a_key_of_its_own(self, m1, seed):
+        """Philox reads its key modulo 2**64, so 2**63 ran the stream of -2**63, and 1.5 that
+        of 1; the refusal comes before any chunk runs."""
+        cfg = m1_cfg(m1, x0=0.5, q=0.5, upper_barrier=1.5, lower="classical_absorb")
+        with pytest.raises(DomainError, match="seed"):
+            mc.estimate(cfg, mc.Functional("up_exit"), n_paths=10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-2**63, -1, 0, 2**63 - 1, np.int64(7)])
+    def test_runs_every_seed_in_the_signed_64_bit_range(self, m1, seed):
+        cfg = m1_cfg(m1, x0=0.5, q=0.5, upper_barrier=1.5, lower="classical_absorb")
+        est = mc.estimate(cfg, mc.Functional("up_exit"), n_paths=100, seed=seed)
+        assert 0 <= est.mean <= 1
 
 
 # configurations in which nothing need ever stop a path: (PathConfig, Functional)

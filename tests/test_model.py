@@ -27,6 +27,29 @@ class TestModelValidation:
         with pytest.raises(ModelError):
             LevyModel(c=1.0, lam=1.0, phases=((0.5, 2.0), (0.5, 2.0 + 1e-12)))
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"lam": -1.0}, "lam must be nonnegative"),
+        ({"phases": ((1.2, 1.0), (-0.2, 3.0))}, r"lie in \(0, 1\]"),
+        ({"phases": ((-0.2, 1.0), (1.2, 3.0))}, r"lie in \(0, 1\]"),
+        ({"phases": ((0.5, 1.0), (0.5, -3.0))}, "rates must be positive"),
+        # the near-equal pair is not adjacent as given; sorted, it is
+        ({"phases": ((0.25, 7.0), (0.5, 1.0), (0.25, 7.0 * (1 + 5e-10)))}, "pairwise distinct"),
+    ])
+    def test_refusal_names_the_fault(self, kw, message):
+        with pytest.raises(ModelError, match=message):
+            LevyModel(**{"c": 1.0, "lam": 1.0, "phases": ((1.0, 2.0),), **kw})
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"c": 1.0, "lambda": 1.0, "phases": {"weight": 1.0, "rate": 2.0}},
+         "field 'phases' is not a list"),
+        ({"c": "fast"}, "field 'c' is not a number"),
+        ({"c": 1.0, "lambda": 1.0, "phases": [{"weight": [1.0], "rate": 2.0}]},
+         "field 'weight' is not a number"),
+    ])
+    def test_from_dict_names_the_field(self, raw, message):
+        with pytest.raises(ModelError, match=message):
+            LevyModel.from_dict(raw)
+
     def test_negative_sigma2_rejected(self):
         with pytest.raises(ModelError):
             LevyModel(c=1.0, sigma2=-0.1)
@@ -227,6 +250,30 @@ class TestRootSet:
 
     def test_count_matches_degree(self, m2):
         assert len(root_set(m2, 1.0)) == 2
+
+    def test_order_polyroots_gives_and_root_set_keeps(self):
+        """polyroots sorts its roots, and root_set returns Phi_s then the others ascending,
+        all below it."""
+        for model, s in seeded_cases():
+            coef = model_module._kappa_poly(model, s)
+            assert np.all(np.diff(np.polynomial.polynomial.polyroots(coef).real) >= 0)
+            try:
+                phi_s, *rest = root_set(model, s)
+            except DegenerateRoots:
+                continue
+            assert rest == sorted(rest) and all(r < phi_s for r in rest), (model, s)
+
+    def test_coinciding_roots_are_named_as_neighbours(self):
+        """Zero drift at s = 0 doubles the root 0; the refusal names the two roots there,
+        with no other root between them."""
+        balanced = LevyModel(c=0.625, sigma2=1.0, lam=1.0, phases=((0.5, 1.0), (0.5, 4.0)))
+        assert balanced.drift == 0.0
+        with pytest.raises(DegenerateRoots, match="coincide") as info:
+            root_set(balanced, 0.0)
+        lo, hi = (float(word) for word in str(info.value).split()[1:4:2])
+        assert lo <= hi and abs(lo) < 1e-6 and abs(hi) < 1e-6
+        others = np.polynomial.polynomial.polyroots(model_module._kappa_poly(balanced, 0.0)).real
+        assert sum(lo < r < hi for r in others) == 0 and sum(abs(r) < 1e-6 for r in others) == 2
 
     def test_confluent_roots_rejected(self):
         # zero drift at q=0 makes the two roots near the origin collide

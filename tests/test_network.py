@@ -60,6 +60,31 @@ class TestPathIdentity:
         assert np.isfinite(direct).all() and short.max() < 1e-12
         assert np.abs(direct - lemma).max() < 1e-9 * max(np.abs(direct).max(), 1.0)
 
+    @pytest.mark.parametrize("q", [-0.5, float("inf")])
+    def test_spec_refuses_a_discount_rate_outside_its_domain(self, q):
+        with pytest.raises(DomainError, match="discount rate q"):
+            make_spec((2.0, 3.0), (0.5, 0.5), c0=1.0, q=q)
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"u0": 3.0}, "need 0 <= u0 <= b"),
+        ({"horizon": -1.0}, "horizon must be nonnegative"),
+        ({"seed": 2**63}, "seed"),
+    ])
+    def test_paths_refuse_what_they_cannot_simulate(self, kw, message):
+        spec = make_spec((2.0, 3.0), (0.5, 0.5), c0=1.0)
+        kw = {"u0": 1.0, "b": 2.0, "horizon": 10.0, "n_paths": 10, "seed": 0, **kw}
+        with pytest.raises(DomainError, match=message):
+            mc.network_paths(spec, **kw)
+
+    def test_paths_refuse_a_subsidiary_without_claims(self):
+        """A subsidiary with lam = 0 needs no phases as a model, but the claims line needs
+        its claim sizes."""
+        claimless = ctl.Subsidiary(premium=2.0, lam=0.0, phases=(), retention=0.5)
+        loaded = ctl.Subsidiary(premium=3.0, lam=1.0, phases=((1.0, 2.0),), retention=0.25)
+        spec = ctl.NetworkSpec(subsidiaries=(claimless, loaded), c0=1.0, q=0.5)
+        with pytest.raises(DomainError, match="claim size mixture"):
+            mc.network_paths(spec, u0=1.0, b=2.0, horizon=10.0, n_paths=10, seed=0)
+
     def test_not_cheap_rejected(self):
         spec = make_spec((3.0, 2.0), (1.0 / 3.0, 0.5), c0=10.0)
         with pytest.raises(NotCheap):
